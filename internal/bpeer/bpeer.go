@@ -11,6 +11,7 @@ import (
 
 	"whisper/internal/election"
 	"whisper/internal/gossip"
+	"whisper/internal/metrics"
 	"whisper/internal/ontology"
 	"whisper/internal/p2p"
 	"whisper/internal/qos"
@@ -174,8 +175,12 @@ type BPeer struct {
 	// backends make.
 	journal  *replog.Journal
 	replogIn *p2p.InputPipe
-	replMu   sync.Mutex
-	replAdvs map[string]*p2p.PipeAdvertisement
+
+	// view is the group membership this replica elects among and
+	// replicates to (view.go). Rebuilt on restart — addresses and pipes
+	// may all have changed while it was down; viewStats outlives it.
+	view      *groupView
+	viewStats *metrics.Counter
 
 	// lease caches the coordinator's read index for cfg.ReadLease
 	// (follower read protocol, read.go). Rebuilt on restart.
@@ -219,6 +224,7 @@ func New(tr simnet.Transport, cfg Config) (*BPeer, error) {
 	b := &BPeer{
 		cfg:        cfg,
 		pid:        cfg.IDGen.New(p2p.PeerIDKind),
+		viewStats:  metrics.NewCounter(),
 		stopLease:  make(chan struct{}),
 		leaseDone:  make(chan struct{}),
 		serveDone:  make(chan struct{}),
@@ -250,6 +256,7 @@ func (b *BPeer) assemble(tr simnet.Transport) {
 	}
 	b.pipes = p2p.NewPipeService(b.peer, cfg.IDGen)
 	b.rdv = p2p.NewRendezvousClient(b.peer, cfg.RendezvousAddr)
+	b.view = newGroupView(b.rdv, cfg.GroupID, b.viewStats)
 	b.bind = p2p.NewResolverOn(b.peer, ProtoBinding)
 	b.bind.RegisterHandler(coordinatorHandler, b.answerCoordinator)
 	b.bind.RegisterHandler(pipeHandler, b.answerPipe)
@@ -262,9 +269,6 @@ func (b *BPeer) assemble(tr simnet.Transport) {
 		b.bind.RegisterHandler(readIndexHandler, b.answerReadIndex)
 		b.lease = &readLease{}
 		b.replogIn = b.pipes.Bind(cfg.GroupName+"/replog", p2p.PropagatePipe)
-		b.replMu.Lock()
-		b.replAdvs = make(map[string]*p2p.PipeAdvertisement)
-		b.replMu.Unlock()
 	}
 
 	b.elect = election.NewNode(b.peer, cfg.Rank, b.electionMembers, election.Config{
@@ -327,7 +331,8 @@ func (b *BPeer) advertisement() *p2p.PeerAdvertisement {
 // Start brings the replica online: join the group at the rendezvous,
 // publish the semantic advertisement, start heartbeats, the lease
 // renewal loop, the request-serving loop, and trigger an initial
-// election.
+// election. A Start that fails leaves the replica closed — nothing
+// running, its endpoint released — and retryable with Restart.
 func (b *BPeer) Start(ctx context.Context) error {
 	b.mu.Lock()
 	if b.started || b.closed {
@@ -339,16 +344,15 @@ func (b *BPeer) Start(ctx context.Context) error {
 	b.mu.Unlock()
 
 	b.peer.Start()
-	if err := b.rdv.Join(ctx, b.cfg.GroupID, b.advertisement()); err != nil {
-		return fmt.Errorf("bpeer %s: initial join: %w", b.cfg.Name, err)
-	}
-	if err := b.publishSemanticAdv(ctx); err != nil {
-		return fmt.Errorf("bpeer %s: publish semantic adv: %w", b.cfg.Name, err)
-	}
-	// Cache the group advertisement locally too (peers answer remote
-	// discovery queries from their own caches).
-	if err := b.disco.Publish(b.SemanticAdvertisement(), 0); err != nil {
-		return fmt.Errorf("bpeer %s: local publish: %w", b.cfg.Name, err)
+	if err := b.announce(ctx); err != nil {
+		// Only the peer's receive loop runs so far. Left like this the
+		// replica would report Running yet serve nothing, and nobody
+		// could close or restart it.
+		b.mu.Lock()
+		b.closed = true
+		b.mu.Unlock()
+		_ = b.teardown(false)
+		return fmt.Errorf("bpeer %s: %w", b.cfg.Name, err)
 	}
 	b.fd.Start()
 	go b.leaseLoop()
@@ -364,6 +368,24 @@ func (b *BPeer) Start(ctx context.Context) error {
 		catchCancel()
 	}
 	b.elect.Trigger()
+	return nil
+}
+
+// announce makes the replica known: group membership at the rendezvous
+// (whose reply seeds the group view) and the semantic advertisement in
+// the discovery plane.
+func (b *BPeer) announce(ctx context.Context) error {
+	if err := b.joinGroup(ctx); err != nil {
+		return fmt.Errorf("initial join: %w", err)
+	}
+	if err := b.publishSemanticAdv(ctx); err != nil {
+		return fmt.Errorf("publish semantic adv: %w", err)
+	}
+	// Cache the group advertisement locally too (peers answer remote
+	// discovery queries from their own caches).
+	if err := b.disco.Publish(b.SemanticAdvertisement(), 0); err != nil {
+		return fmt.Errorf("local publish: %w", err)
+	}
 	return nil
 }
 
@@ -430,7 +452,8 @@ func (b *BPeer) lifecycleCtx() context.Context {
 	return b.runCtx
 }
 
-// teardown stops every loop and service. Callers must have set closed.
+// teardown stops every loop and service. Callers must have set closed;
+// started says whether the lease, serve and replog loops were launched.
 func (b *BPeer) teardown(started bool) error {
 	b.mu.Lock()
 	cancel := b.runCancel
@@ -504,27 +527,41 @@ func (b *BPeer) Crashed() bool {
 
 // --- membership & election wiring --------------------------------------
 
-// electionMembers supplies the Bully node with the rendezvous's
-// current view of the group.
+// joinGroup registers (or renews) this replica at the rendezvous and
+// installs the member list the reply carries as the group view.
+func (b *BPeer) joinGroup(ctx context.Context) error {
+	since := b.view.generation()
+	advs, err := b.rdv.Join(ctx, b.cfg.GroupID, b.advertisement())
+	if err != nil {
+		return err
+	}
+	b.view.install(advs, since)
+	return nil
+}
+
+// electionMembers supplies the Bully node with the group as the
+// rendezvous lists it now; an election must not run on a cached list,
+// so what it read also becomes the new view.
 func (b *BPeer) electionMembers() []election.Member {
 	ctx, cancel := context.WithTimeout(b.lifecycleCtx(), b.cfg.HeartbeatTimeout)
 	defer cancel()
-	advs, err := b.rdv.Members(ctx, b.cfg.GroupID)
+	self := election.Member{Addr: b.peer.Addr(), Rank: b.cfg.Rank}
+	view, err := b.view.Refresh(ctx)
 	if err != nil {
 		// Rendezvous unreachable: fall back to self, so a lone
 		// survivor still elects itself.
-		return []election.Member{{Addr: b.peer.Addr(), Rank: b.cfg.Rank}}
+		return []election.Member{self}
 	}
-	members := make([]election.Member, 0, len(advs))
+	members := make([]election.Member, 0, len(view)+1)
 	seenSelf := false
-	for _, adv := range advs {
-		members = append(members, election.Member{Addr: adv.Addr, Rank: adv.Rank})
-		if adv.Addr == b.peer.Addr() {
+	for _, m := range view {
+		members = append(members, election.Member{Addr: m.addr, Rank: m.rank})
+		if m.addr == self.Addr {
 			seenSelf = true
 		}
 	}
 	if !seenSelf {
-		members = append(members, election.Member{Addr: b.peer.Addr(), Rank: b.cfg.Rank})
+		members = append(members, self)
 	}
 	return members
 }
@@ -577,7 +614,7 @@ func (b *BPeer) leaseLoop() {
 			ctx, cancel := context.WithTimeout(b.lifecycleCtx(), b.cfg.LeaseInterval)
 			// Renewal failures are transient (rendezvous may be
 			// restarting); the next tick retries.
-			_ = b.rdv.Join(ctx, b.cfg.GroupID, b.advertisement())
+			_ = b.joinGroup(ctx)
 			_ = b.publishSemanticAdv(ctx)
 			cancel()
 		case <-b.stopLease:

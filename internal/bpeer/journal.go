@@ -5,6 +5,7 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"whisper/internal/p2p"
@@ -19,7 +20,9 @@ const (
 	// location ("addr pipeID").
 	replogPipeHandler = "bpeer.replog.pipe"
 	// replogStateHandler answers the full encoded journal for state
-	// transfer (election catch-up, post-restart rejoin).
+	// transfer (election catch-up, post-restart rejoin). The request
+	// announces the requester (stateRequest), and the answering member
+	// admits it to its group view before taking the snapshot.
 	replogStateHandler = "bpeer.replog.state"
 	// replogResolveHandler resolves a pending entry at its origin: the
 	// origin atomically aborts a still-Prepared claim and reports the
@@ -49,6 +52,16 @@ type replMsg struct {
 	XMLName xml.Name     `xml:"ReplogMsg"`
 	Kind    string       `xml:"Kind,attr"`
 	Entry   replog.Entry `xml:"Entry"`
+}
+
+// stateRequest is the replogStateHandler query payload: who is asking
+// and where its replication pipe is bound.
+type stateRequest struct {
+	XMLName xml.Name `xml:"StateRequest"`
+	Name    string   `xml:"Name,attr"`
+	Addr    string   `xml:"Addr,attr"`
+	Rank    int64    `xml:"Rank,attr"`
+	Pipe    p2p.ID   `xml:"Pipe,attr"`
 }
 
 // resolveAnswer is the reply to a replogResolveHandler query.
@@ -104,10 +117,11 @@ func (b *BPeer) applyReplicated(pm p2p.PipeMessage) {
 
 // --- coordinator replication --------------------------------------------
 
-// replicate fans one journal entry out to every live follower and waits
-// for their acks (bounded by ctx). Unreachable followers are skipped —
-// they catch up via state transfer when they rejoin; the entry is
-// already durable in the coordinator's own journal.
+// replicate fans one journal entry out to every follower in the group
+// view and waits for their acks (bounded by ctx). Unreachable followers
+// are skipped — they catch up via state transfer when they rejoin; the
+// entry is already durable in the coordinator's own journal. In the
+// steady state the only messages sent are the entry and its acks.
 func (b *BPeer) replicate(ctx context.Context, kind, key string) {
 	entry, ok := b.journal.Entry(key)
 	if !ok {
@@ -118,8 +132,19 @@ func (b *BPeer) replicate(ctx context.Context, kind, key string) {
 	span.SetAttr("key", key)
 	defer span.End()
 
-	advs := b.followerReplogPipes(ctx)
-	span.SetAttr("followers", fmt.Sprintf("%d", len(advs)))
+	members, settled := b.view.Current()
+	if !settled {
+		// A follower missed an entry since the last member list: ask the
+		// rendezvous who is left. If it cannot be reached, the cached
+		// list (minus the evicted member) is the best knowledge there is.
+		//lint:allow allocbudget runs once after an eviction, not per write
+		if fresh, err := b.view.Refresh(ctx); err == nil {
+			members = fresh
+		}
+	}
+	//lint:allow allocbudget a member's pipe is looked up once, then cached in the view
+	advs := b.replogPipes(ctx, members)
+	span.SetAttr("followers", strconv.Itoa(len(advs)))
 	if len(advs) == 0 {
 		return
 	}
@@ -127,53 +152,57 @@ func (b *BPeer) replicate(ctx context.Context, kind, key string) {
 	if err != nil {
 		return
 	}
+	//lint:allow allocbudget one headers map per follower escapes into the wire message; it is the protocol cost of the send
 	for _, r := range b.pipes.CallAll(ctx, advs, payload) {
 		if r.Err != nil {
-			// The follower is likely down; drop its cached pipe so the
-			// next replication re-resolves (it gets a fresh pipe ID on
-			// restart).
-			b.replMu.Lock()
-			delete(b.replAdvs, r.Addr)
-			b.replMu.Unlock()
+			// The follower is likely down (or restarted under a fresh
+			// pipe ID): out of the view until it shows up again.
+			b.view.evict(r.Addr)
 			b.journal.Counters().Add("replicate.miss", 1)
 		}
 	}
 }
 
-// followerReplogPipes resolves the replication-pipe advertisements of
-// every live group member except self, with a per-address cache.
-func (b *BPeer) followerReplogPipes(ctx context.Context) []*p2p.PipeAdvertisement {
-	members := b.electionMembers()
+// replogPipes returns the replication pipes of the members other than
+// self. A member whose pipe is not known yet is asked for it once; one
+// that does not answer is skipped until the view learns of it again.
+func (b *BPeer) replogPipes(ctx context.Context, members []member) []*p2p.PipeAdvertisement {
 	self := b.peer.Addr()
-	var advs []*p2p.PipeAdvertisement
+	advs := make([]*p2p.PipeAdvertisement, 0, len(members))
 	for _, m := range members {
-		if m.Addr == self {
+		if m.addr == self || m.unanswered {
 			continue
 		}
-		b.replMu.Lock()
-		adv := b.replAdvs[m.Addr]
-		b.replMu.Unlock()
+		adv := m.replog
 		if adv == nil {
-			payload, err := b.bind.Query(ctx, m.Addr, replogPipeHandler, nil)
-			if err != nil {
+			adv = b.queryReplogPipe(ctx, m.addr)
+			b.view.setReplog(m.addr, adv)
+			if adv == nil {
 				continue
 			}
-			fields := strings.Fields(string(payload))
-			if len(fields) != 2 {
-				continue
-			}
-			adv = &p2p.PipeAdvertisement{
-				PipeID: p2p.ID(fields[1]),
-				Kind:   p2p.PropagatePipe,
-				Addr:   fields[0],
-			}
-			b.replMu.Lock()
-			b.replAdvs[m.Addr] = adv
-			b.replMu.Unlock()
 		}
 		advs = append(advs, adv)
 	}
 	return advs
+}
+
+// queryReplogPipe asks a member where its replication pipe is bound;
+// nil when it does not answer.
+func (b *BPeer) queryReplogPipe(ctx context.Context, addr string) *p2p.PipeAdvertisement {
+	payload, err := b.bind.Query(ctx, addr, replogPipeHandler, nil)
+	if err != nil {
+		return nil
+	}
+	fields := strings.Fields(string(payload))
+	if len(fields) != 2 {
+		return nil
+	}
+	return replogPipeAdv(fields[0], p2p.ID(fields[1]))
+}
+
+// replogPipeAdv builds the advertisement of a member's replication pipe.
+func replogPipeAdv(addr string, pipeID p2p.ID) *p2p.PipeAdvertisement {
+	return &p2p.PipeAdvertisement{PipeID: pipeID, Kind: p2p.PropagatePipe, Addr: addr}
 }
 
 // --- journaled request serving ------------------------------------------
@@ -336,16 +365,13 @@ func (b *BPeer) resolvePending(ctx context.Context, req peerRequest, pending rep
 	}
 }
 
-// originAddr locates the preparing origin: prefer the current
-// rendezvous view (the origin may have restarted on a fresh transport),
+// originAddr locates the preparing origin: prefer the rendezvous's
+// current list (the origin may have restarted on a fresh transport),
 // fall back to the address stored in the entry.
 func (b *BPeer) originAddr(ctx context.Context, pending replog.BeginResult) string {
-	advs, err := b.rdv.Members(ctx, b.cfg.GroupID)
-	if err == nil {
-		for _, adv := range advs {
-			if adv.Name == pending.Origin {
-				return adv.Addr
-			}
+	if members, err := b.view.Refresh(ctx); err == nil {
+		if i := indexName(members, pending.Origin); i >= 0 {
+			return members[i].addr
 		}
 	}
 	return pending.OriginAddr
@@ -370,50 +396,81 @@ func (b *BPeer) journalBarrier() error {
 }
 
 // journalCatchUp merges the journal state of every reachable group
-// member into the local journal.
+// member into the local journal. The request announces this replica,
+// which puts it in each answering member's replication set from the
+// snapshot it receives onward.
 func (b *BPeer) journalCatchUp(ctx context.Context) {
 	ctx, span := b.cfg.Tracer.StartSpan(ctx, "replog.catchup")
 	span.SetAttr("peer", b.cfg.Name)
 	defer span.End()
 
-	advs, err := b.rdv.Members(ctx, b.cfg.GroupID)
+	members, err := b.view.Refresh(ctx)
 	if err != nil {
 		span.SetAttr("result", "no-members")
 		return
 	}
 	self := b.peer.Addr()
 	var targets []string
-	for _, adv := range advs {
-		if adv.Addr != self {
-			targets = append(targets, adv.Addr)
+	for _, m := range members {
+		if m.addr != self {
+			targets = append(targets, m.addr)
 		}
 	}
 	if len(targets) == 0 {
 		span.SetAttr("result", "alone")
 		return
 	}
-	ch, err := b.bind.Propagate(targets, replogStateHandler, nil)
+	announce, err := xml.Marshal(stateRequest{
+		Name: b.cfg.Name,
+		Addr: self,
+		Rank: b.cfg.Rank,
+		Pipe: b.replogIn.Advertisement().PipeID,
+	})
+	if err != nil {
+		span.SetAttr("result", "marshal-failed")
+		return
+	}
+	ch, err := b.bind.Propagate(targets, replogStateHandler, announce)
 	if err != nil {
 		span.SetAttr("result", "propagate-failed")
 		return
 	}
 	merged := 0
-	for i := 0; i < len(targets); i++ {
+	silent := targets
+collect:
+	for outstanding := len(targets); outstanding > 0; outstanding-- {
 		select {
 		case resp := <-ch:
 			if resp.Err != nil || resp.Payload == nil {
 				continue
 			}
+			silent = without(silent, resp.From)
 			if n, err := b.journal.MergeState(resp.Payload); err == nil {
 				merged += n
 			}
 		case <-ctx.Done():
 			span.SetAttr("result", "timeout")
-			span.SetAttr("merged", fmt.Sprintf("%d", merged))
-			return
+			break collect
 		}
 	}
-	span.SetAttr("merged", fmt.Sprintf("%d", merged))
+	// A member that did not hand over its state is down as far as this
+	// replica can tell: a coordinator fresh from this barrier must not
+	// start by replicating to it.
+	for _, addr := range silent {
+		b.view.evict(addr)
+	}
+	span.SetAttr("merged", strconv.Itoa(merged))
+}
+
+// without returns addrs minus addr (a fresh slice; addrs is not touched).
+func without(addrs []string, addr string) []string {
+	out := make([]string, 0, len(addrs))
+	for _, a := range addrs {
+		if a != addr {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // --- resolver handlers ---------------------------------------------------
@@ -426,10 +483,22 @@ func (b *BPeer) answerReplogPipe(_ string, _ []byte) ([]byte, error) {
 	return []byte(b.peer.Addr() + " " + string(b.replogIn.Advertisement().PipeID)), nil
 }
 
-// answerReplogState serves the encoded journal for state transfer.
-func (b *BPeer) answerReplogState(_ string, _ []byte) ([]byte, error) {
+// answerReplogState serves the encoded journal for state transfer. The
+// requester joins this replica's view BEFORE the snapshot is taken: an
+// entry journaled earlier is in the snapshot, one journaled later is
+// replicated to the requester, so it never has a gap.
+func (b *BPeer) answerReplogState(_ string, payload []byte) ([]byte, error) {
 	if b.journal == nil {
 		return nil, fmt.Errorf("journal disabled")
+	}
+	var req stateRequest
+	if err := xml.Unmarshal(payload, &req); err == nil && req.Addr != "" && req.Pipe != "" {
+		b.view.admit(member{
+			name:   req.Name,
+			addr:   req.Addr,
+			rank:   req.Rank,
+			replog: replogPipeAdv(req.Addr, req.Pipe),
+		})
 	}
 	return b.journal.EncodeState()
 }
@@ -461,6 +530,7 @@ func (b *BPeer) answerReplogStatus(_ string, _ []byte) ([]byte, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "peer=%s coordinator=%v next_seq=%d highest_committed=%d live=%d snapshotted=%d snapshot_up_to=%d\n",
 		b.cfg.Name, b.elect.IsCoordinator(), st.NextSeq, st.HighestCommitted, st.Live, st.Snapshotted, st.SnapshotUpTo)
+	fmt.Fprintf(&sb, "%s replicate.miss=%d\n", b.view.status(b.peer.Addr()), b.journal.Counters().Get("replicate.miss"))
 	for status, n := range st.ByStatus {
 		fmt.Fprintf(&sb, "status %s: %d\n", status, n)
 	}

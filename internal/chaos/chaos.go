@@ -89,8 +89,8 @@ type Config struct {
 type Event struct {
 	// At is the offset from engine start.
 	At time.Duration
-	// Kind is the event class: "crash", "restart", "crash.skipped",
-	// "partition", "heal", "degrade" or "restore".
+	// Kind is the event class: "crash", "restart", "restart.failed",
+	// "crash.skipped", "partition", "heal", "degrade" or "restore".
 	Kind string
 	// Detail names the affected target or link.
 	Detail string
@@ -240,7 +240,7 @@ func (e *Engine) scheduleCrash(ctx context.Context, schedule func(time.Duration,
 			if !t.Running() {
 				err = t.Restart(ctx)
 			}
-			e.record(Event{At: now, Kind: "restart", Detail: t.Name(), Err: err})
+			e.recordRestart(now, t, err)
 			e.scheduleCrash(ctx, schedule, t, now+e.expDur(e.cfg.MTBF))
 		})
 	})
@@ -333,7 +333,7 @@ func (e *Engine) Quiesce(ctx context.Context) error {
 			continue
 		}
 		err := t.Restart(ctx)
-		e.record(Event{Kind: "restart", Detail: t.Name(), Err: err})
+		e.recordRestart(0, t, err)
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("chaos: quiesce restart %s: %w", t.Name(), err)
 		}
@@ -370,6 +370,18 @@ func (e *Engine) expDur(mean time.Duration) time.Duration {
 		d = time.Millisecond
 	}
 	return d
+}
+
+// recordRestart files a repair under "restart" only if the target came
+// back. A failed one (the run context ending mid-restart, typically)
+// leaves the target down for Quiesce to revive, and that revival is the
+// restart that pairs with the crash.
+func (e *Engine) recordRestart(at time.Duration, t Target, err error) {
+	kind := "restart"
+	if err != nil {
+		kind = "restart.failed"
+	}
+	e.record(Event{At: at, Kind: kind, Detail: t.Name(), Err: err})
 }
 
 func (e *Engine) record(ev Event) {

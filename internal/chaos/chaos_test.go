@@ -249,3 +249,41 @@ func TestEngineSplitViewDetected(t *testing.T) {
 		t.Error("want a reason for the split view")
 	}
 }
+
+// flakyTarget fails its first Restart, as a replica does when the run
+// context ends while it is coming back.
+type flakyTarget struct {
+	*fakeTarget
+	failed bool
+}
+
+func (f *flakyTarget) Restart(ctx context.Context) error {
+	if !f.failed {
+		f.failed = true
+		return context.Canceled
+	}
+	return f.fakeTarget.Restart(ctx)
+}
+
+// TestFailedRestartIsNotCountedAsARepair: a crash is repaired once. A
+// restart that fails leaves the target down; the revival by Quiesce is
+// the one that counts, so crash and restart totals still pair up.
+func TestFailedRestartIsNotCountedAsARepair(t *testing.T) {
+	target := &flakyTarget{fakeTarget: newFakeTarget("a")}
+	eng := New(Config{Seed: 1, MTBF: time.Hour, MinAlive: -1}, target)
+	if err := target.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	eng.recordRestart(0, target, target.Restart(context.Background()))
+	if err := eng.Quiesce(context.Background()); err != nil {
+		t.Fatalf("quiesce: %v", err)
+	}
+	if !target.Running() {
+		t.Fatal("quiesce left the target down")
+	}
+	counts := eng.Counts()
+	if counts.Get("restart") != 1 || counts.Get("restart.failed") != 1 || counts.Get("error") != 1 {
+		t.Fatalf("restart=%d restart.failed=%d error=%d, want 1 1 1",
+			counts.Get("restart"), counts.Get("restart.failed"), counts.Get("error"))
+	}
+}

@@ -495,6 +495,12 @@ func (d *Deployment) DeployGroup(ctx context.Context, spec GroupSpec) (*Group, e
 	d.mu.Unlock()
 
 	g := &Group{name: spec.Name, gid: d.gen.New(p2p.GroupIDKind), transport: d.cfg.Transport}
+	// A group that fails to deploy is not registered, so Deployment.Close
+	// will never see it: stop the replicas already running here.
+	fail := func(err error) (*Group, error) {
+		_ = g.Close()
+		return nil, err
+	}
 	for i, rs := range replicas {
 		name := rs.Name
 		if name == "" {
@@ -505,7 +511,7 @@ func (d *Deployment) DeployGroup(ctx context.Context, spec GroupSpec) (*Group, e
 			handler = spec.Handler
 		}
 		if handler == nil {
-			return nil, fmt.Errorf("core: replica %s has no handler", name)
+			return fail(fmt.Errorf("core: replica %s has no handler", name))
 		}
 		profile := rs.QoS
 		if profile == (qos.Profile{}) {
@@ -517,7 +523,7 @@ func (d *Deployment) DeployGroup(ctx context.Context, spec GroupSpec) (*Group, e
 		}
 		tr, err := d.cfg.Transport(name)
 		if err != nil {
-			return nil, fmt.Errorf("core: transport %s: %w", name, err)
+			return fail(fmt.Errorf("core: transport %s: %w", name, err))
 		}
 		bp, err := bpeer.New(tr, bpeer.Config{
 			Name:              name,
@@ -543,15 +549,18 @@ func (d *Deployment) DeployGroup(ctx context.Context, spec GroupSpec) (*Group, e
 			Tracer:            d.tracer,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: bpeer %s: %w", name, err)
+			// No replica owns the endpoint yet.
+			_ = tr.Close()
+			return fail(fmt.Errorf("core: bpeer %s: %w", name, err))
 		}
 		if err := bp.Start(ctx); err != nil {
-			return nil, fmt.Errorf("core: start %s: %w", name, err)
+			// A failed Start has shut the replica down itself.
+			return fail(fmt.Errorf("core: start %s: %w", name, err))
 		}
 		g.peers = append(g.peers, bp)
 	}
 	if err := g.WaitReady(ctx); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	d.mu.Lock()
 	d.groups[spec.Name] = g

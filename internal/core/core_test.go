@@ -12,6 +12,7 @@ import (
 
 	"whisper/internal/backend"
 	"whisper/internal/bpeer"
+	"whisper/internal/leakcheck"
 	"whisper/internal/ontology"
 	"whisper/internal/proxy"
 	"whisper/internal/qos"
@@ -310,6 +311,53 @@ func TestDeployGroupValidation(t *testing.T) {
 	}
 	if _, err := d.DeployGroup(ctx, GroupSpec{Name: "g", Signature: studentSig(), Count: 1}); err == nil {
 		t.Error("expected error for replica without handler")
+	}
+}
+
+// TestDeployGroupFailureLeavesNothingRunning: a group that fails to
+// deploy is never registered with the deployment, so DeployGroup itself
+// must stop whatever the attempt started — replicas already running, the
+// replica whose Start failed, their endpoints. The oracle is that the
+// same group deploys cleanly afterwards (on simnet a leaked replica
+// still holds the address the retry needs) and that closing the
+// deployment leaves no goroutine behind.
+func TestDeployGroupFailureLeavesNothingRunning(t *testing.T) {
+	net := simnet.NewNetwork(simnet.WithLatency(simnet.ZeroLatency()), simnet.WithSeed(1))
+	d, err := NewDeployment(Config{Transport: SimulatedTransport(net), Seed: 1, Timings: fastTimings()})
+	if err != nil {
+		t.Fatalf("deployment: %v", err)
+	}
+	handler := studentHandler(backend.NewOperationalDB(backend.SeedStudents(5, 1), 0))
+	spec := GroupSpec{Name: "StudentManagement", Signature: studentSig(), Handler: handler, Count: 3}
+
+	// The first replica's Start fails: its context is already over.
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := d.DeployGroup(expired, spec); err == nil {
+		t.Fatal("DeployGroup with an expired context succeeded")
+	}
+
+	// The first replica is up and running when the second is rejected.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	broken := spec
+	broken.Handler = nil
+	broken.Replicas = []ReplicaSpec{{Handler: handler}, {}}
+	if _, err := d.DeployGroup(ctx, broken); err == nil {
+		t.Fatal("DeployGroup with a handler-less replica succeeded")
+	}
+
+	if _, err := d.DeployGroup(ctx, spec); err != nil {
+		t.Fatalf("deploy after two failed attempts: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := net.Close(); err != nil {
+		t.Fatalf("network close: %v", err)
+	}
+	if err := leakcheck.Check(5 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -82,11 +82,24 @@ type Node struct {
 	mu          sync.Mutex
 	coordinator string
 	coordRank   int64
-	electing    bool
-	retrigger   bool
-	answerCh    chan struct{}
-	changed     chan struct{}
-	closed      bool
+	// epoch counts coordinator changes. Deciding who the coordinator is
+	// takes slow steps — reading the member view, waiting for answers,
+	// the journal barrier — and handlers run concurrently, so a decision
+	// can finish after a later one was already applied. A decision notes
+	// the epoch when it starts and is dropped if, by the time it would
+	// be applied, a higher-ranked coordinator has been installed since.
+	epoch uint64
+	// verifying counts coordinator announcements whose sender is still
+	// being checked against the member view; verified is closed whenever
+	// the count returns to zero. A node about to crown itself waits for
+	// them — one may be the announcement that outranks it.
+	verifying int
+	verified  chan struct{}
+	electing  bool
+	retrigger bool
+	answerCh  chan struct{}
+	changed   chan struct{}
+	closed    bool
 }
 
 // NewNode attaches a Bully participant to the peer. rank must be
@@ -99,11 +112,12 @@ func NewNode(peer *p2p.Peer, rank int64, members MembersFunc, cfg Config) *Node 
 		cfg.CoordTimeout = 2 * cfg.AnswerTimeout
 	}
 	n := &Node{
-		peer:    peer,
-		rank:    rank,
-		members: members,
-		cfg:     cfg,
-		changed: make(chan struct{}),
+		peer:     peer,
+		rank:     rank,
+		members:  members,
+		cfg:      cfg,
+		changed:  make(chan struct{}),
+		verified: make(chan struct{}),
 	}
 	peer.Handle(p2p.ProtoElection, n.handleMessage)
 	return n
@@ -256,6 +270,7 @@ func (n *Node) runElection() {
 			return
 		}
 		answerCh := n.answerCh
+		since := n.epoch
 		n.mu.Unlock()
 
 		members := n.members()
@@ -268,7 +283,7 @@ func (n *Node) runElection() {
 		}
 		higher := membersAbove(members, n.rank)
 		if len(higher) == 0 {
-			n.becomeCoordinator(members)
+			n.becomeCoordinator(members, since)
 			return
 		}
 		// Challenge every higher-ranked member.
@@ -290,7 +305,7 @@ func (n *Node) runElection() {
 			// mid-election); retry.
 		case <-time.After(n.cfg.AnswerTimeout):
 			// Nobody higher answered: this node wins.
-			n.becomeCoordinator(members)
+			n.becomeCoordinator(members, since)
 			return
 		}
 	}
@@ -315,12 +330,17 @@ func (n *Node) waitForAnnouncement(timeout time.Duration) bool {
 	}
 }
 
-func (n *Node) becomeCoordinator(members []Member) {
+// becomeCoordinator crowns this node after an election round that began
+// at epoch since, unless a higher-ranked coordinator announced itself
+// while the round was reading members, waiting for answers or catching
+// up at the barrier — then that node is alive and outranks this one.
+func (n *Node) becomeCoordinator(members []Member, since uint64) {
 	self := n.peer.Addr()
 	n.mu.Lock()
-	if n.closed {
+	if n.closed || n.outrankedSince(n.rank, since) {
 		// A closed node must not broadcast coordinatorship from an
-		// election that was still in flight when it shut down.
+		// election that was still in flight when it shut down; an
+		// outranked one spares itself the barrier.
 		n.mu.Unlock()
 		return
 	}
@@ -336,7 +356,10 @@ func (n *Node) becomeCoordinator(members []Member) {
 			return
 		}
 	}
-	n.setCoordinator(self, n.rank)
+	n.awaitVerified()
+	if !n.setCoordinator(self, n.rank, since) {
+		return
+	}
 	for _, m := range members {
 		if m.Addr == self {
 			continue
@@ -349,14 +372,48 @@ func (n *Node) becomeCoordinator(members []Member) {
 	}
 }
 
-func (n *Node) setCoordinator(addr string, rank int64) {
-	n.mu.Lock()
-	if n.closed || (n.coordinator == addr && n.coordRank == rank) {
+// awaitVerified blocks while announcements received from other peers
+// are still being verified, for at most CoordTimeout.
+func (n *Node) awaitVerified() {
+	deadline := time.After(n.cfg.CoordTimeout)
+	for {
+		n.mu.Lock()
+		if n.verifying == 0 || n.closed {
+			n.mu.Unlock()
+			return
+		}
+		ch := n.verified
 		n.mu.Unlock()
-		return
+		select {
+		case <-ch:
+		case <-deadline:
+			return
+		}
+	}
+}
+
+// outrankedSince reports whether a coordinator ranked above rank was
+// installed after epoch since. Caller holds n.mu.
+func (n *Node) outrankedSince(rank int64, since uint64) bool {
+	return n.epoch != since && n.coordinator != "" && n.coordRank > rank
+}
+
+// setCoordinator applies a decision that began at epoch since. It
+// reports false when the decision went stale and was dropped (or the
+// node is closed).
+func (n *Node) setCoordinator(addr string, rank int64, since uint64) bool {
+	n.mu.Lock()
+	if n.closed || n.outrankedSince(rank, since) {
+		n.mu.Unlock()
+		return false
+	}
+	if n.coordinator == addr && n.coordRank == rank {
+		n.mu.Unlock()
+		return true
 	}
 	n.coordinator = addr
 	n.coordRank = rank
+	n.epoch++
 	close(n.changed)
 	n.changed = make(chan struct{})
 	cb := n.cfg.OnCoordinator
@@ -364,6 +421,7 @@ func (n *Node) setCoordinator(addr string, rank int64) {
 	if cb != nil {
 		cb(addr)
 	}
+	return true
 }
 
 func (n *Node) handleMessage(msg simnet.Message) {
@@ -408,11 +466,33 @@ func (n *Node) handleMessage(msg simnet.Message) {
 		// the group — is challenged with a new election instead, so a
 		// late broadcast from a dead coordinator cannot wedge the
 		// survivors on it.
-		if rank >= n.rank && memberOf(n.members(), msg.Src) {
-			n.setCoordinator(msg.Src, rank)
+		if rank < n.rank {
+			n.Trigger()
 			return
 		}
-		n.Trigger()
+		// The member lookup is a network round trip and every message
+		// has its own goroutine, so this announcement may be applied
+		// after a later one: it is dropped if a higher-ranked
+		// coordinator was installed in the meantime, and an election
+		// round about to crown this node waits until it is settled.
+		n.mu.Lock()
+		since := n.epoch
+		n.verifying++
+		n.mu.Unlock()
+		member := memberOf(n.members(), msg.Src)
+		if member {
+			n.setCoordinator(msg.Src, rank, since)
+		}
+		n.mu.Lock()
+		n.verifying--
+		if n.verifying == 0 {
+			close(n.verified)
+			n.verified = make(chan struct{})
+		}
+		n.mu.Unlock()
+		if !member {
+			n.Trigger()
+		}
 	}
 }
 

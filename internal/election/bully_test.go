@@ -2,6 +2,7 @@ package election
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -318,5 +319,205 @@ func TestBullyBarrierRunsBeforeCoordinatorship(t *testing.T) {
 	}
 	if coordDuringBarrier != "" {
 		t.Fatalf("coordinator already %q while barrier ran, want barrier before coordinatorship", coordDuringBarrier)
+	}
+}
+
+// staleRig is one Bully node ("b", rank 2) between two bare peers that
+// only send and record election messages: "a" (rank 1) and "c" (rank 3).
+type staleRig struct {
+	a, b, c *p2p.Peer
+	node    *Node
+
+	mu      sync.Mutex
+	aHeard  []string // kinds of election messages peer a received from b
+	members []Member // what the node's member view returns
+}
+
+func newStaleRig(t *testing.T, cfg Config, lookup func()) *staleRig {
+	t.Helper()
+	net := simnet.NewNetwork(simnet.WithLatency(simnet.ZeroLatency()), simnet.WithSeed(1))
+	t.Cleanup(func() { _ = net.Close() })
+	gen := p2p.NewIDGen(1)
+	r := &staleRig{}
+	for _, slot := range []struct {
+		addr string
+		peer **p2p.Peer
+	}{{"a", &r.a}, {"b", &r.b}, {"c", &r.c}} {
+		port, err := net.NewPort(slot.addr)
+		if err != nil {
+			t.Fatalf("port: %v", err)
+		}
+		*slot.peer = p2p.NewPeer(slot.addr, gen.New(p2p.PeerIDKind), port)
+	}
+	r.a.Handle(p2p.ProtoElection, func(msg simnet.Message) {
+		r.mu.Lock()
+		r.aHeard = append(r.aHeard, msg.Kind)
+		r.mu.Unlock()
+	})
+	r.members = []Member{{Addr: "a", Rank: 1}, {Addr: "b", Rank: 2}}
+	cfg.AnswerTimeout = 20 * time.Millisecond
+	r.node = NewNode(r.b, 2, func() []Member {
+		if lookup != nil {
+			lookup()
+		}
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return append([]Member(nil), r.members...)
+	}, cfg)
+	for _, p := range []*p2p.Peer{r.a, r.b, r.c} {
+		p.Start()
+		t.Cleanup(func() { _ = p.Close() })
+	}
+	return r
+}
+
+func (r *staleRig) announce(t *testing.T, from *p2p.Peer, rank int64) {
+	t.Helper()
+	err := from.Send("b", simnet.Message{
+		Proto:   p2p.ProtoElection,
+		Kind:    kindCoordinator,
+		Headers: map[string]string{hdrRank: strconv.FormatInt(rank, 10)},
+	})
+	if err != nil {
+		t.Fatalf("announce from %s: %v", from.Addr(), err)
+	}
+}
+
+func (r *staleRig) admit(m Member) {
+	r.mu.Lock()
+	r.members = append(r.members, m)
+	r.mu.Unlock()
+}
+
+// TestBullyOvertakenAnnouncementIsDropped: every election message is
+// handled on its own goroutine and checking the sender's membership is
+// a network round trip, so a lower-ranked announcement can finish its
+// check after a higher-ranked one was already accepted. Applying it
+// then leaves this node following a peer that itself follows the
+// higher-ranked coordinator — nothing fails, no detector fires, the
+// group stays split (the formation wedge of ROADMAP open item 1).
+func TestBullyOvertakenAnnouncementIsDropped(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	// Only the first member lookup — the one checking a's announcement —
+	// is slow.
+	rig := newStaleRig(t, Config{}, func() {
+		first := false
+		once.Do(func() { first = true })
+		if first {
+			close(entered)
+			<-release
+		}
+	})
+	rig.admit(Member{Addr: "c", Rank: 3})
+	// An announcement is only considered from a rank at or above the
+	// node's own, so a speaks with rank 2 here.
+	rig.announce(t, rig.a, 2)
+	<-entered
+	rig.announce(t, rig.c, 3)
+	if got := waitCoord(t, rig.node, 3*time.Second); got != "c" {
+		t.Fatalf("coordinator = %s, want c", got)
+	}
+	close(release)
+	// Closing the peer joins the handler still holding a's announcement.
+	if err := rig.b.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if got := rig.node.Coordinator(); got != "c" {
+		t.Fatalf("coordinator = %s after the overtaken announcement completed, want still c", got)
+	}
+}
+
+// TestBullyOutrankedDuringBarrierDoesNotCrown: a node that won a round
+// on a member list read before a higher-ranked peer joined must not
+// crown itself — or tell anyone — once that peer has announced itself
+// while the node was busy at the journal barrier.
+func TestBullyOutrankedDuringBarrierDoesNotCrown(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	rig := newStaleRig(t, Config{Barrier: func() error {
+		once.Do(func() { close(entered) })
+		<-release
+		return nil
+	}}, nil)
+
+	rig.node.Trigger() // members = {a, b}: b wins the round and enters the barrier
+	<-entered
+	rig.admit(Member{Addr: "c", Rank: 3})
+	rig.announce(t, rig.c, 3)
+	if got := waitCoord(t, rig.node, 3*time.Second); got != "c" {
+		t.Fatalf("coordinator = %s, want c", got)
+	}
+	close(release)
+	// Nothing signals "the round ended without a crown", so give a wrong
+	// crown and its announcement (microseconds on this network) ample
+	// time to show up.
+	deadline := time.Now().Add(100 * time.Millisecond)
+	for time.Now().Before(deadline) {
+		if got := rig.node.Coordinator(); got != "c" {
+			t.Fatalf("coordinator = %s after the barrier, want still c", got)
+		}
+		rig.mu.Lock()
+		heard := append([]string(nil), rig.aHeard...)
+		rig.mu.Unlock()
+		for _, kind := range heard {
+			if kind == kindCoordinator {
+				t.Fatalf("outranked node still announced itself: a heard %v", heard)
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestBullyCrownWaitsForAnnouncementBeingVerified: the announcement
+// that outranks a node may have arrived but still be in its membership
+// check when the node's own round comes out of the barrier. Crowning
+// then — and telling the lower ranks — is how a follower ends up on a
+// node that a moment later follows someone else.
+func TestBullyCrownWaitsForAnnouncementBeingVerified(t *testing.T) {
+	atBarrier := make(chan struct{})
+	leaveBarrier := make(chan struct{})
+	checking := make(chan struct{})
+	finishCheck := make(chan struct{})
+	var mu sync.Mutex
+	lookups := 0
+	rig := newStaleRig(t, Config{Barrier: func() error {
+		close(atBarrier)
+		<-leaveBarrier
+		return nil
+	}}, func() {
+		mu.Lock()
+		lookups++
+		second := lookups == 2 // 1: the round's own read; 2: checking c
+		mu.Unlock()
+		if second {
+			close(checking)
+			<-finishCheck
+		}
+	})
+
+	rig.node.Trigger()
+	<-atBarrier
+	rig.admit(Member{Addr: "c", Rank: 3})
+	rig.announce(t, rig.c, 3)
+	<-checking
+	close(leaveBarrier) // the round is past the barrier, c still unchecked
+	time.Sleep(20 * time.Millisecond)
+	if got := rig.node.Coordinator(); got != "" {
+		t.Fatalf("coordinator = %q while c's announcement is being verified, want none yet", got)
+	}
+	close(finishCheck)
+	if got := waitCoord(t, rig.node, 3*time.Second); got != "c" {
+		t.Fatalf("coordinator = %s, want c", got)
+	}
+	rig.node.Close()
+	rig.mu.Lock()
+	defer rig.mu.Unlock()
+	for _, kind := range rig.aHeard {
+		if kind == kindCoordinator {
+			t.Fatalf("node announced itself although c outranks it: a heard %v", rig.aHeard)
+		}
 	}
 }

@@ -89,14 +89,18 @@ func (s *RendezvousService) handleJoin(_ string, payload []byte) ([]byte, error)
 		return nil, fmt.Errorf("bad peer adv: %w", err)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	g, ok := s.groups[doc.GID]
 	if !ok {
 		g = make(map[ID]*memberEntry)
 		s.groups[doc.GID] = g
 	}
-	g[adv.PID] = &memberEntry{adv: adv, expires: s.now().Add(s.lease)}
-	return []byte("ok"), nil
+	now := s.now()
+	g[adv.PID] = &memberEntry{adv: adv, expires: now.Add(s.lease)}
+	advs := s.liveMembers(doc.GID, now)
+	s.mu.Unlock()
+	// The reply carries the live member list, so a lease renewal doubles
+	// as a membership refresh at no extra message.
+	return encodeMembers(advs)
 }
 
 func (s *RendezvousService) handleLeave(_ string, payload []byte) ([]byte, error) {
@@ -118,20 +122,32 @@ func (s *RendezvousService) handleMembers(_ string, payload []byte) ([]byte, err
 		return nil, fmt.Errorf("bad members query: %w", err)
 	}
 	s.mu.Lock()
-	now := s.now()
-	var advs []*PeerAdvertisement
-	if g, ok := s.groups[q.GID]; ok {
-		for pid, e := range g {
-			if e.expires.Before(now) {
-				delete(g, pid)
-				continue
-			}
-			advs = append(advs, e.adv)
-		}
-	}
+	advs := s.liveMembers(q.GID, s.now())
 	s.mu.Unlock()
+	return encodeMembers(advs)
+}
 
+// liveMembers sweeps the group's expired leases and returns the
+// surviving members' advertisements sorted by peer ID. Caller holds
+// s.mu; the advertisements are immutable once stored, so the slice may
+// be used after the lock is released.
+func (s *RendezvousService) liveMembers(gid ID, now time.Time) []*PeerAdvertisement {
+	g := s.groups[gid]
+	advs := make([]*PeerAdvertisement, 0, len(g))
+	for pid, e := range g {
+		if e.expires.Before(now) {
+			delete(g, pid)
+			continue
+		}
+		advs = append(advs, e.adv)
+	}
 	sort.Slice(advs, func(i, j int) bool { return advs[i].PID < advs[j].PID })
+	return advs
+}
+
+// encodeMembers renders a member list as the reply document shared by
+// rdv.members and rdv.join.
+func encodeMembers(advs []*PeerAdvertisement) ([]byte, error) {
 	resp := rdvMembersResponse{}
 	for _, adv := range advs {
 		raw, err := adv.MarshalAdv()
@@ -143,22 +159,29 @@ func (s *RendezvousService) handleMembers(_ string, payload []byte) ([]byte, err
 	return xml.Marshal(resp)
 }
 
+// decodeMembers parses a member-list reply document.
+func decodeMembers(payload []byte) ([]*PeerAdvertisement, error) {
+	var resp rdvMembersResponse
+	if err := xml.Unmarshal(payload, &resp); err != nil {
+		return nil, err
+	}
+	out := make([]*PeerAdvertisement, 0, len(resp.Members))
+	for _, raw := range resp.Members {
+		adv := &PeerAdvertisement{}
+		if err := adv.UnmarshalAdv(raw); err != nil {
+			continue
+		}
+		out = append(out, adv)
+	}
+	return out, nil
+}
+
 // MemberCount reports the live member count of a group (testing and
 // introspection).
 func (s *RendezvousService) MemberCount(gid ID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.now()
-	n := 0
-	for pid, e := range s.groups[gid] {
-		if e.expires.Before(now) {
-			delete(s.groups[gid], pid)
-			continue
-		}
-		_ = pid
-		n++
-	}
-	return n
+	return len(s.liveMembers(gid, s.now()))
 }
 
 // RendezvousClient is the edge-peer side of the rendezvous protocol.
@@ -176,21 +199,27 @@ func NewRendezvousClient(peer *Peer, rdvAddr string) *RendezvousClient {
 // RendezvousAddr returns the configured rendezvous address.
 func (c *RendezvousClient) RendezvousAddr() string { return c.rdvAddr }
 
-// Join registers the peer advertisement as a member of the group.
-// Renew by calling Join again before the lease expires.
-func (c *RendezvousClient) Join(ctx context.Context, gid ID, self *PeerAdvertisement) error {
+// Join registers the peer advertisement as a member of the group and
+// returns the group's live members as of the registration (the joiner
+// included). Renew by calling Join again before the lease expires.
+func (c *RendezvousClient) Join(ctx context.Context, gid ID, self *PeerAdvertisement) ([]*PeerAdvertisement, error) {
 	raw, err := self.MarshalAdv()
 	if err != nil {
-		return fmt.Errorf("rendezvous: marshal self adv: %w", err)
+		return nil, fmt.Errorf("rendezvous: marshal self adv: %w", err)
 	}
 	doc, err := xml.Marshal(rdvJoinDoc{GID: gid, PeerAdv: raw})
 	if err != nil {
-		return fmt.Errorf("rendezvous: marshal join: %w", err)
+		return nil, fmt.Errorf("rendezvous: marshal join: %w", err)
 	}
-	if _, err := c.resolver.Query(ctx, c.rdvAddr, rdvJoinHandler, doc); err != nil {
-		return fmt.Errorf("rendezvous: join: %w", err)
+	payload, err := c.resolver.Query(ctx, c.rdvAddr, rdvJoinHandler, doc)
+	if err != nil {
+		return nil, fmt.Errorf("rendezvous: join: %w", err)
 	}
-	return nil
+	members, err := decodeMembers(payload)
+	if err != nil {
+		return nil, fmt.Errorf("rendezvous: bad join response: %w", err)
+	}
+	return members, nil
 }
 
 // Leave removes the peer from the group.
@@ -215,17 +244,9 @@ func (c *RendezvousClient) Members(ctx context.Context, gid ID) ([]*PeerAdvertis
 	if err != nil {
 		return nil, fmt.Errorf("rendezvous: members: %w", err)
 	}
-	var resp rdvMembersResponse
-	if err := xml.Unmarshal(payload, &resp); err != nil {
+	members, err := decodeMembers(payload)
+	if err != nil {
 		return nil, fmt.Errorf("rendezvous: bad members response: %w", err)
 	}
-	out := make([]*PeerAdvertisement, 0, len(resp.Members))
-	for _, raw := range resp.Members {
-		adv := &PeerAdvertisement{}
-		if err := adv.UnmarshalAdv(raw); err != nil {
-			continue
-		}
-		out = append(out, adv)
-	}
-	return out, nil
+	return members, nil
 }
