@@ -18,7 +18,7 @@ import (
 //     engine's injected Clock so simulated runs can virtualize time.
 //
 // The rule applies to non-test files of internal/chaos, internal/simnet,
-// internal/faults, internal/loadctl and internal/loadgen (the overload
+// internal/loadctl and internal/loadgen (the overload
 // pipeline and its open-loop generator promise seed-reproducible runs
 // too); tests may measure real time.
 var DetRand = &Analyzer{
@@ -31,7 +31,6 @@ var DetRand = &Analyzer{
 var detRandScopedPkgs = map[string]bool{
 	"whisper/internal/chaos":   true,
 	"whisper/internal/simnet":  true,
-	"whisper/internal/faults":  true,
 	"whisper/internal/loadctl": true,
 	"whisper/internal/loadgen": true,
 	"whisper/internal/gossip":  true,

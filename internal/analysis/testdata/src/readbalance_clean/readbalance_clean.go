@@ -1,6 +1,7 @@
-// True-negative golden file distilled from proxy/readbalance.go (the
-// follower-read balancer added after PR 4): snapshot-under-lock with
-// the network call outside the critical section, ctx threading through
+// True-negative golden file distilled from the proxy's follower-read
+// balancing (now the read policy in proxy/replicas.go):
+// snapshot-under-lock with the network call outside the critical
+// section, ctx threading through
 // the invocation path, filtered in-place replica drops, and weighted
 // selection over a snapshot. Every analyzer in the suite must read
 // this as clean — zero diagnostics.

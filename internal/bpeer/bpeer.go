@@ -593,6 +593,12 @@ func (b *BPeer) onCoordinator(addr string) {
 func (b *BPeer) onPeerFailure(addr string) {
 	b.mu.Lock()
 	isCoord := addr == b.watching
+	if isCoord {
+		// Nobody is watched from here on: if the report was premature and
+		// the same coordinator announces itself again, onCoordinator must
+		// see a change and re-arm the detector.
+		b.watching = ""
+	}
 	b.mu.Unlock()
 	if !isCoord {
 		return
@@ -766,18 +772,9 @@ type Response struct {
 	ReadSeq   uint64
 }
 
-// DecodeResponse parses the wire form of a service response (exported
-// for the proxy).
-func DecodeResponse(data []byte) (status, coordinator, pipeID, errMsg string, payload []byte, err error) {
-	resp, err := DecodeResponseFull(data)
-	if err != nil {
-		return "", "", "", "", nil, err
-	}
-	return resp.Status, resp.Coordinator, resp.Pipe, resp.Error, resp.Payload, nil
-}
-
-// DecodeResponseFull parses the wire form of a service response into a
-// Response, preserving the read-index staleness fields.
+// DecodeResponseFull parses the wire form of a service response
+// (exported for the proxy) into a Response, preserving the read-index
+// staleness fields.
 func DecodeResponseFull(data []byte) (Response, error) {
 	var resp peerResponse
 	if err := xml.Unmarshal(data, &resp); err != nil {

@@ -173,14 +173,14 @@ func (d *deployment) rawCall(t *testing.T, pipe *p2p.PipeAdvertisement, op strin
 	if err != nil {
 		t.Fatalf("call: %v", err)
 	}
-	status, coord, _, errMsg, out, err := DecodeResponse(resp)
+	r, err := DecodeResponseFull(resp)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if status == statusError {
-		t.Fatalf("error response: %s", errMsg)
+	if r.Status == statusError {
+		t.Fatalf("error response: %s", r.Error)
 	}
-	return status, coord, out
+	return r.Status, r.Coordinator, r.Payload
 }
 
 func TestSemanticAdvertisementRoundTrip(t *testing.T) {
@@ -296,6 +296,45 @@ func TestCoordinatorFailoverElectsNext(t *testing.T) {
 	}
 }
 
+// TestPrematureFailureReportRearmsDetector: a detector report that
+// turns out wrong (a stalled process, a late pong) costs one election the
+// live coordinator wins again from its old address. The followers must
+// watch it again afterwards, or its next real crash goes unnoticed and
+// the group serves nothing until it restarts.
+func TestPrematureFailureReportRearmsDetector(t *testing.T) {
+	d := newDeployment(t, 3)
+	coord := waitCoordinator(t, d.peers, 3*time.Second)
+	followers := d.peers[:2]
+	for _, f := range followers {
+		f.onPeerFailure(coord) // the coordinator is alive
+	}
+	if got := waitCoordinator(t, d.peers, 3*time.Second); got != coord {
+		t.Fatalf("coordinator = %s after the spurious election, want %s again", got, coord)
+	}
+	eventually := func(what string, ok func(f *BPeer) bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for _, f := range followers {
+			for !ok(f) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: %s (watches %v, coordinator %s)", f.Name(), what, f.fd.Watched(), f.Coordinator())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+	}
+	eventually("does not watch the re-announced coordinator", func(f *BPeer) bool {
+		w := f.fd.Watched()
+		return len(w) == 1 && w[0] == coord
+	})
+	// The real crash is detected and survived.
+	if err := d.peers[2].Crash(); err != nil {
+		t.Fatalf("crash: %v", err)
+	}
+	successor := d.peers[1].Addr()
+	eventually("never learned of the successor", func(f *BPeer) bool { return f.Coordinator() == successor })
+}
+
 func TestSemanticAdvPublishedAtRendezvous(t *testing.T) {
 	d := newDeployment(t, 2)
 	waitCoordinator(t, d.peers, 3*time.Second)
@@ -355,13 +394,13 @@ func TestRequestResponseCodecRoundTrip(t *testing.T) {
 		t.Errorf("request = %+v", pr)
 	}
 
-	status, coord, pipe, errMsg, payload, err := DecodeResponse(mustXML(t, peerResponse{
+	r, err := DecodeResponseFull(mustXML(t, peerResponse{
 		Status: statusOK, Payload: []byte("data"),
 	}))
-	if err != nil || status != statusOK || string(payload) != "data" || coord != "" || pipe != "" || errMsg != "" {
-		t.Errorf("decoded = %s %s %s %s %q %v", status, coord, pipe, errMsg, payload, err)
+	if err != nil || r.Status != statusOK || string(r.Payload) != "data" || r.Coordinator != "" || r.Pipe != "" || r.Error != "" {
+		t.Errorf("decoded = %+v %v", r, err)
 	}
-	if _, _, _, _, _, err := DecodeResponse([]byte("garbage")); err == nil {
+	if _, err := DecodeResponseFull([]byte("garbage")); err == nil {
 		t.Error("expected decode error")
 	}
 }

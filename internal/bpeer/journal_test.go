@@ -45,11 +45,11 @@ func (d *deployment) keyedCall(t *testing.T, pipe *p2p.PipeAdvertisement, op, ke
 	if err != nil {
 		t.Fatalf("call: %v", err)
 	}
-	st, _, _, em, body, err := DecodeResponse(resp)
+	r, err := DecodeResponseFull(resp)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	return st, em, body
+	return r.Status, r.Error, r.Payload
 }
 
 // coordOf waits until the live peers agree on a running coordinator

@@ -95,7 +95,7 @@ func TestFollowerServesMarkedRead(t *testing.T) {
 
 	// The same op WITHOUT the read mark still redirects to the
 	// coordinator — marking is the client's opt-in.
-	st, _, _, _, _, err := func() (string, string, string, string, []byte, error) {
+	plain, err := func() (Response, error) {
 		port, _ := d.net.NewPort("plainclient")
 		client := p2p.NewPeer("plainclient", d.gen.New(p2p.PeerIDKind), port)
 		client.Start()
@@ -106,15 +106,15 @@ func TestFollowerServesMarkedRead(t *testing.T) {
 		defer cancel()
 		raw, err := pipes.Call(ctx, f.ServicePipe(), req)
 		if err != nil {
-			return "", "", "", "", nil, err
+			return Response{}, err
 		}
-		return DecodeResponse(raw)
+		return DecodeResponseFull(raw)
 	}()
 	if err != nil {
 		t.Fatalf("plain call: %v", err)
 	}
-	if st != statusRedirect {
-		t.Fatalf("unmarked request to follower: status %s, want redirect", st)
+	if plain.Status != statusRedirect {
+		t.Fatalf("unmarked request to follower: status %s, want redirect", plain.Status)
 	}
 
 	// A marked read for an op outside ReadOnlyOps is not served

@@ -2,8 +2,7 @@
 // Whisper deployment: continuous b-peer crash–restart churn with
 // configurable MTBF/MTTR, rolling network partitions and transient
 // link degradation (extra delay, drops, duplication, corruption) over
-// a simulated network. Where internal/faults executes hand-written
-// deterministic schedules, chaos generates the schedule from a seed —
+// a simulated network. Chaos generates the fault schedule from a seed —
 // the same seed always yields the same fault sequence — in the style
 // of Jepsen-like randomized fault benchmarking. The companion Checker
 // (invariants.go) verifies the system-level invariants the paper's

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"whisper/internal/bpeer"
-	"whisper/internal/faults"
 	"whisper/internal/ontology"
 	"whisper/internal/wsdl"
 )
@@ -82,8 +81,8 @@ func TestTwoServicesDoNotCrossRoute(t *testing.T) {
 	}
 }
 
-// TestSoakUnderRepeatedCrashes drives load while a fault schedule
-// crashes two coordinators in sequence; the service must keep
+// TestSoakUnderRepeatedCrashes drives load while two timers
+// crash two coordinators in sequence; the service must keep
 // answering throughout (with elevated latency during elections).
 func TestSoakUnderRepeatedCrashes(t *testing.T) {
 	if testing.Short() {
@@ -101,16 +100,15 @@ func TestSoakUnderRepeatedCrashes(t *testing.T) {
 		t.Fatalf("warm-up: %v", err)
 	}
 
-	sched := faults.NewSchedule()
-	sched.Add(100*time.Millisecond, "crash coordinator #1", func() error {
-		_, err := g.CrashCoordinator()
-		return err
-	})
-	sched.Add(700*time.Millisecond, "crash coordinator #2", func() error {
-		_, err := g.CrashCoordinator()
-		return err
-	})
-	done := sched.RunAsync(ctx)
+	// Two timed crashes, 100 ms and 700 ms into the load.
+	crashed := make(chan error, 2)
+	for _, at := range []time.Duration{100 * time.Millisecond, 700 * time.Millisecond} {
+		timer := time.AfterFunc(at, func() {
+			_, err := g.CrashCoordinator()
+			crashed <- err
+		})
+		defer timer.Stop()
+	}
 
 	failures := 0
 	for i := 0; i < 100; i++ {
@@ -119,12 +117,9 @@ func TestSoakUnderRepeatedCrashes(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
-	for _, ev := range sched.Events() {
-		if ev.Err != nil {
-			t.Fatalf("fault %q failed: %v", ev.Label, ev.Err)
+	for i := 1; i <= 2; i++ {
+		if err := <-crashed; err != nil {
+			t.Fatalf("crash coordinator #%d failed: %v", i, err)
 		}
 	}
 	if failures > 0 {

@@ -198,7 +198,9 @@ func (n *Node) InvalidateCoordinator() {
 // Trigger starts an election unless one is already in progress. A
 // trigger that arrives mid-election is not dropped: the election
 // re-runs once it finishes, so a challenge racing with a concluding
-// election (or with InvalidateCoordinator) cannot be lost.
+// election (or with InvalidateCoordinator) cannot be lost — unless the
+// election concludes by crowning this node after the trigger arrived:
+// its announcement is the answer (see setCoordinator).
 func (n *Node) Trigger() {
 	n.mu.Lock()
 	if n.electing || n.closed {
@@ -406,6 +408,16 @@ func (n *Node) setCoordinator(addr string, rank int64, since uint64) bool {
 	if n.closed || n.outrankedSince(rank, since) {
 		n.mu.Unlock()
 		return false
+	}
+	if addr == n.peer.Addr() {
+		// Every trigger that arrived while this round ran — a lower peer's
+		// challenge, a stale announcement, the detector's report — asked
+		// for what the round now delivers: a live coordinator announced
+		// to the group. Re-running would repeat the barrier's state
+		// transfer and broadcast a second announcement that lands in a
+		// restarting replica's own round and re-triggers that one too.
+		// A trigger that arrives after this point still re-runs.
+		n.retrigger = false
 	}
 	if n.coordinator == addr && n.coordRank == rank {
 		n.mu.Unlock()

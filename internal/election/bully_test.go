@@ -322,6 +322,50 @@ func TestBullyBarrierRunsBeforeCoordinatorship(t *testing.T) {
 	}
 }
 
+// TestBullyWinningRoundAnswersTriggersItOverlapped: a trigger that
+// arrives while a round is still running (here: during the barrier) is
+// satisfied when that round crowns this node and announces it — a second
+// round would only repeat the barrier's state transfer and broadcast a
+// duplicate announcement. A trigger after the crown still runs a round.
+func TestBullyWinningRoundAnswersTriggersItOverlapped(t *testing.T) {
+	net := simnet.NewNetwork(simnet.WithLatency(simnet.ZeroLatency()), simnet.WithSeed(1))
+	t.Cleanup(func() { _ = net.Close() })
+	port, err := net.NewPort("solo")
+	if err != nil {
+		t.Fatalf("port: %v", err)
+	}
+	peer := p2p.NewPeer("solo", p2p.NewIDGen(1).New(p2p.PeerIDKind), port)
+	t.Cleanup(func() { _ = peer.Close() })
+
+	var node *Node
+	rounds := make(chan struct{}, 8)
+	barrier := func() error {
+		node.Trigger() // a challenge lands mid-round
+		rounds <- struct{}{}
+		return nil
+	}
+	node = NewNode(peer, 1, func() []Member {
+		return []Member{{Addr: peer.Addr(), Rank: 1}}
+	}, Config{AnswerTimeout: 20 * time.Millisecond, Barrier: barrier})
+	t.Cleanup(node.Close)
+	peer.Start()
+
+	node.Trigger()
+	waitCoord(t, node, 3*time.Second)
+	<-rounds
+	select {
+	case <-rounds:
+		t.Fatal("the round that crowned the node was run again for a trigger it had already answered")
+	case <-time.After(200 * time.Millisecond):
+	}
+	node.Trigger()
+	select {
+	case <-rounds:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a trigger after the crown did not start a round")
+	}
+}
+
 // staleRig is one Bully node ("b", rank 2) between two bare peers that
 // only send and record election messages: "a" (rank 1) and "c" (rank 3).
 type staleRig struct {

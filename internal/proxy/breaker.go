@@ -156,16 +156,27 @@ func (b *breaker) notify(from, to BreakerState) {
 	}
 }
 
-// failure and success are nil-safe hooks for the invoke loops (a nil
-// breaker means circuit breaking is disabled).
-func (b *breaker) failure() {
-	if b != nil {
-		b.Failure(time.Now())
-	}
+// allow, eligible and settle are the invoke loop's nil-safe hooks (a
+// nil breaker means circuit breaking is disabled or the target keeps
+// none).
+func (b *breaker) allow(now time.Time) bool { return b == nil || b.Allow(now) }
+
+// eligible reports whether Allow would admit an attempt now, without
+// consuming the half-open probe: a caller that tests several breakers
+// and then calls through only one must not leave the others waiting
+// for a probe outcome nobody will report.
+func (b *breaker) eligible(now time.Time) bool {
+	return b == nil || b.State() == BreakerClosed || b.ProbePending(now)
 }
 
-func (b *breaker) success() {
-	if b != nil {
+// settle records an attempt's outcome: healthy means the peer answered
+// (successfully or with an application-level rejection).
+func (b *breaker) settle(healthy bool) {
+	switch {
+	case b == nil:
+	case healthy:
 		b.Success()
+	default:
+		b.Failure(time.Now())
 	}
 }

@@ -233,6 +233,17 @@ func TestProxyMatchCacheConcurrency(t *testing.T) {
 	}
 }
 
+// boundCoordinator reports the address the proxy is bound to as the
+// group's coordinator, "" when it holds no binding.
+func boundCoordinator(p *SWSProxy, gid p2p.ID) string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if gs := p.groups[gid]; gs != nil && gs.coord != nil {
+		return gs.coord.addr
+	}
+	return ""
+}
+
 // TestProxyBreakerOpenDropsBinding: when a group's breaker opens, the
 // cached coordinator binding must be dropped so the next admitted
 // probe re-binds from scratch.
@@ -253,10 +264,7 @@ func TestProxyBreakerOpenDropsBinding(t *testing.T) {
 		t.Fatalf("warm-up invoke: %v", err)
 	}
 	gid := peers[0].GroupID()
-	p.mu.Lock()
-	_, bound := p.bindings[gid]
-	p.mu.Unlock()
-	if !bound {
+	if boundCoordinator(p, gid) == "" {
 		t.Fatal("no binding cached after successful invoke")
 	}
 
@@ -277,10 +285,7 @@ func TestProxyBreakerOpenDropsBinding(t *testing.T) {
 	if got := p.BreakerStates()[gid]; got != BreakerOpen {
 		t.Fatalf("breaker state = %v, want open", got)
 	}
-	p.mu.Lock()
-	_, bound = p.bindings[gid]
-	p.mu.Unlock()
-	if bound {
+	if boundCoordinator(p, gid) != "" {
 		t.Error("binding survived the breaker opening")
 	}
 }
@@ -299,9 +304,7 @@ func TestProxyFailoverInvalidatesStaleBinding(t *testing.T) {
 		t.Fatalf("warm-up invoke: %v", err)
 	}
 	gid := peers[0].GroupID()
-	p.mu.Lock()
-	oldCoord := p.bindings[gid].coordinator
-	p.mu.Unlock()
+	oldCoord := boundCoordinator(p, gid)
 	if oldCoord == "" {
 		t.Fatal("no coordinator bound after warm-up")
 	}
@@ -313,9 +316,7 @@ func TestProxyFailoverInvalidatesStaleBinding(t *testing.T) {
 	if _, err := p.Invoke(ctx, studentSig(), "Op", []byte("after-crash")); err != nil {
 		t.Fatalf("invoke after crash: %v", err)
 	}
-	p.mu.Lock()
-	newCoord := p.bindings[gid].coordinator
-	p.mu.Unlock()
+	newCoord := boundCoordinator(p, gid)
 	if newCoord == oldCoord {
 		t.Errorf("still bound to the crashed coordinator %s", oldCoord)
 	}

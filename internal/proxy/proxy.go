@@ -145,12 +145,6 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// binding caches the resolved coordinator for a group.
-type binding struct {
-	coordinator string
-	pipe        *p2p.PipeAdvertisement
-}
-
 // SWSProxy forwards semantic Web service requests to b-peer groups.
 type SWSProxy struct {
 	cfg     Config
@@ -174,19 +168,10 @@ type SWSProxy struct {
 	// rejections, backoff sleeps, call attempts.
 	health *metrics.Counter
 
-	mu       sync.Mutex
-	bindings map[p2p.ID]*binding
-	// lastCoord remembers the last bound coordinator per group so
-	// re-bindings are countable even after an invalidation.
-	lastCoord map[p2p.ID]string
-	// shared caches the member pipes of load-sharing groups with a
-	// round-robin cursor.
-	shared map[p2p.ID]*sharedBinding
-	// reads caches each group's read-replica set (QoS-weighted read
-	// balancing across semantically equal peers).
-	reads map[p2p.ID]*readBalancer
-	// breakers holds each group's circuit breaker.
-	breakers map[p2p.ID]*breaker
+	mu sync.Mutex
+	// groups holds what the proxy knows about each group it has invoked:
+	// breakers, coordinator binding, replica set (replicas.go).
+	groups map[p2p.ID]*groupState
 	// rng drives backoff jitter (seeded, so retries are reproducible).
 	rng *rand.Rand
 	// rebinds counts coordinator re-bindings (observable in benches).
@@ -194,13 +179,6 @@ type SWSProxy struct {
 	// keySeq mints fallback idempotency keys for contexts that carry
 	// none (callers below the SOAP stack, e.g. Service.Invoke).
 	keySeq atomic.Uint64
-}
-
-// sharedBinding is the load-sharing analogue of binding: every live
-// replica's pipe, visited round-robin.
-type sharedBinding struct {
-	pipes []*p2p.PipeAdvertisement
-	next  int
 }
 
 // New assembles a proxy over the transport. Call Start to go live.
@@ -215,17 +193,13 @@ func New(tr simnet.Transport, cfg Config) (*SWSProxy, error) {
 	bpeer.EnsureAdvTypes()
 
 	p := &SWSProxy{
-		cfg:       cfg,
-		tracker:   qos.NewTracker(),
-		rtt:       metrics.NewRTTMonitor(),
-		health:    metrics.NewCounter(),
-		matches:   newMatchCache(),
-		bindings:  make(map[p2p.ID]*binding),
-		lastCoord: make(map[p2p.ID]string),
-		shared:    make(map[p2p.ID]*sharedBinding),
-		reads:     make(map[p2p.ID]*readBalancer),
-		breakers:  make(map[p2p.ID]*breaker),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		cfg:     cfg,
+		tracker: qos.NewTracker(),
+		rtt:     metrics.NewRTTMonitor(),
+		health:  metrics.NewCounter(),
+		matches: newMatchCache(),
+		groups:  make(map[p2p.ID]*groupState),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 	p.reasoner.Store(cfg.Reasoner)
 	p.peer = p2p.NewPeer(cfg.Name, cfg.IDGen.New(p2p.PeerIDKind), tr)
@@ -279,11 +253,17 @@ func (p *SWSProxy) Rebinds() int64 {
 // Tracker exposes the proxy's QoS observations.
 func (p *SWSProxy) Tracker() *qos.Tracker { return p.tracker }
 
-// Health exposes the proxy's resilience counters: breaker transitions
-// ("breaker.opened", "breaker.half_open", "breaker.closed"), fast-failed
-// attempts ("breaker.rejected"), admission rejections ("loadctl.shed"),
-// backoff pauses ("backoff.sleeps") and actual pipe calls
-// ("calls.attempted").
+// Health exposes the proxy's resilience counters. The invocation
+// pipeline emits: admission rejections ("loadctl.shed"); group-breaker
+// transitions ("breaker.opened", "breaker.half_open", "breaker.closed")
+// and fast-failed attempts ("breaker.rejected"); actual pipe calls
+// ("calls.attempted") and backoff pauses ("backoff.sleeps"); and, for
+// follower reads, calls drawn from the replica set ("reads.balanced"),
+// reads answered ("reads.served") and answered below their read index
+// ("reads.stale"), replicas passed over because their breaker would not
+// admit ("read.replica_skipped") and per-replica breaker transitions
+// ("read.breaker.opened", "read.breaker.half_open",
+// "read.breaker.closed").
 func (p *SWSProxy) Health() *metrics.Counter { return p.health }
 
 // Admission exposes the proxy's overload-protection controller, or nil
@@ -294,55 +274,22 @@ func (p *SWSProxy) Admission() *loadctl.Controller { return p.cfg.Admission }
 func (p *SWSProxy) BreakerStates() map[p2p.ID]BreakerState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make(map[p2p.ID]BreakerState, len(p.breakers))
-	for gid, br := range p.breakers {
-		out[gid] = br.State()
+	out := make(map[p2p.ID]BreakerState, len(p.groups))
+	for gid, gs := range p.groups {
+		if gs.br != nil {
+			out[gid] = gs.br.State()
+		}
 	}
 	return out
 }
 
-// breakerFor returns the group's circuit breaker, creating it on first
-// use; nil when circuit breaking is disabled.
-func (p *SWSProxy) breakerFor(gid p2p.ID) *breaker {
-	if p.cfg.BreakerThreshold < 0 {
-		return nil
+// queryProxy asks a proxy peer's introspection handler for its report.
+func queryProxy(ctx context.Context, peer *p2p.Peer, proxyAddr, handler string) (string, error) {
+	payload, err := p2p.NewResolverOn(peer, bpeer.ProtoBinding).Query(ctx, proxyAddr, handler, nil)
+	if err != nil {
+		return "", err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	br, ok := p.breakers[gid]
-	if !ok {
-		br = newBreaker(p.cfg.BreakerThreshold, p.cfg.BreakerCooldown, func(_, to BreakerState) {
-			switch to {
-			case BreakerOpen:
-				p.health.Add("breaker.opened", 1)
-				// The group is failing hard: its cached coordinator
-				// binding and replica pipes are no longer trustworthy,
-				// so the next admitted probe re-binds from scratch
-				// instead of re-calling a peer the breaker just
-				// condemned. (The transition callback runs outside the
-				// breaker lock, so taking p.mu here cannot deadlock.)
-				p.dropGroupCaches(gid)
-			case BreakerHalfOpen:
-				p.health.Add("breaker.half_open", 1)
-			case BreakerClosed:
-				p.health.Add("breaker.closed", 1)
-			}
-		})
-		p.breakers[gid] = br
-	}
-	return br
-}
-
-// dropGroupCaches forgets the group's coordinator binding and cached
-// replica pipes (load-sharing groups and the read-balancer set).
-func (p *SWSProxy) dropGroupCaches(gid p2p.ID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.bindings, gid)
-	delete(p.shared, gid)
-	if rb := p.reads[gid]; rb != nil {
-		rb.dropAllPipes()
-	}
+	return string(payload), nil
 }
 
 // breakersHandler is the resolver handler name under which the proxy
@@ -372,12 +319,7 @@ func (p *SWSProxy) answerBreakers(_ string, _ []byte) ([]byte, error) {
 // resilience counters (the peerctl "breakers" command). The client
 // peer must not already carry a resolver on the binding protocol.
 func QueryBreakers(ctx context.Context, peer *p2p.Peer, proxyAddr string) (string, error) {
-	r := p2p.NewResolverOn(peer, bpeer.ProtoBinding)
-	payload, err := r.Query(ctx, proxyAddr, breakersHandler, nil)
-	if err != nil {
-		return "", err
-	}
-	return string(payload), nil
+	return queryProxy(ctx, peer, proxyAddr, breakersHandler)
 }
 
 // loadctlHandler is the resolver handler name under which the proxy
@@ -399,12 +341,7 @@ func (p *SWSProxy) answerLoadctl(_ string, _ []byte) ([]byte, error) {
 // (the peerctl "loadctl" command). The client peer must not already
 // carry a resolver on the binding protocol.
 func QueryLoadctl(ctx context.Context, peer *p2p.Peer, proxyAddr string) (string, error) {
-	r := p2p.NewResolverOn(peer, bpeer.ProtoBinding)
-	payload, err := r.Query(ctx, proxyAddr, loadctlHandler, nil)
-	if err != nil {
-		return "", err
-	}
-	return string(payload), nil
+	return queryProxy(ctx, peer, proxyAddr, loadctlHandler)
 }
 
 // cacheHandler is the resolver handler name under which the proxy
@@ -417,7 +354,15 @@ func (p *SWSProxy) answerCache(_ string, _ []byte) ([]byte, error) {
 	ds := p.disco.Stats()
 	ms := p.matches.stats()
 	p.mu.Lock()
-	nBindings, nShared, nReads := len(p.bindings), len(p.shared), len(p.reads)
+	var nCoordinators, nReplicaSets int
+	for _, gs := range p.groups {
+		if gs.coord != nil {
+			nCoordinators++
+		}
+		if len(gs.replicas) > 0 {
+			nReplicaSets++
+		}
+	}
 	p.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "discovery.size %d\n", ds.Size)
@@ -432,9 +377,8 @@ func (p *SWSProxy) answerCache(_ string, _ []byte) ([]byte, error) {
 	fmt.Fprintf(&b, "match.misses %d\n", ms.Misses)
 	fmt.Fprintf(&b, "match.invalidations %d\n", ms.Invalidations)
 	fmt.Fprintf(&b, "match.partition_evictions %d\n", ms.PartitionEvictions)
-	fmt.Fprintf(&b, "bindings.coordinators %d\n", nBindings)
-	fmt.Fprintf(&b, "bindings.shared_groups %d\n", nShared)
-	fmt.Fprintf(&b, "bindings.read_groups %d\n", nReads)
+	fmt.Fprintf(&b, "bindings.coordinators %d\n", nCoordinators)
+	fmt.Fprintf(&b, "bindings.replica_sets %d\n", nReplicaSets)
 	return []byte(b.String()), nil
 }
 
@@ -444,12 +388,7 @@ func (p *SWSProxy) answerCache(_ string, _ []byte) ([]byte, error) {
 // command). The client peer must not already carry a resolver on the
 // binding protocol.
 func QueryCache(ctx context.Context, peer *p2p.Peer, proxyAddr string) (string, error) {
-	r := p2p.NewResolverOn(peer, bpeer.ProtoBinding)
-	payload, err := r.Query(ctx, proxyAddr, cacheHandler, nil)
-	if err != nil {
-		return "", err
-	}
-	return string(payload), nil
+	return queryProxy(ctx, peer, proxyAddr, cacheHandler)
 }
 
 // GroupMatch pairs a discovered semantic advertisement with its match
@@ -466,26 +405,13 @@ type GroupMatch struct {
 // discovery against the rendezvous fills the cache on a miss. Results
 // are sorted best-first by (degree, QoS-weighted score).
 func (p *SWSProxy) FindPeerGroupAdv(ctx context.Context, sig ontology.Signature) ([]GroupMatch, error) {
-	matches := p.matchLocal(sig)
-	if len(matches) == 0 && p.shards != nil {
-		// Sharded fleet: the exact action query routes to the triple's
-		// ring owners — the shards publishes land on first, so they are
-		// the freshest authority for that action.
-		if err := p.fillFromRemote(ctx,
-			p.shards.AppendOwners(nil, bpeer.SemanticAdvType, "action", sig.Action),
-			"action", sig.Action); err != nil {
-			return nil, err
-		}
+	var matches []GroupMatch
+	err := p.discover(ctx, "action", sig.Action, func() bool {
 		matches = p.matchLocal(sig)
-	}
-	if len(matches) == 0 {
-		// Cache miss (or synonym action living under another concept
-		// URI): fetch the full set — scatter-gather over every shard,
-		// or the single rendezvous on the legacy path — and re-match.
-		if err := p.fillFromRemote(ctx, p.remoteTargets(), "", ""); err != nil {
-			return nil, err
-		}
-		matches = p.matchLocal(sig)
+		return len(matches) > 0
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(matches) == 0 {
 		return nil, ErrNoMatch
@@ -494,13 +420,34 @@ func (p *SWSProxy) FindPeerGroupAdv(ctx context.Context, sig ontology.Signature)
 	return matches, nil
 }
 
-// remoteTargets returns the peers a full-set (wildcard) remote
-// discovery consults: every shard, or the single rendezvous.
-func (p *SWSProxy) remoteTargets() []string {
-	if p.shards != nil {
-		return p.shards.All()
+// discover is the discovery ladder: the local advertisement cache
+// first, then — on a sharded fleet — the ring owners of the exact
+// (attr, value) triple (the shards publishes land on first, so they
+// are the freshest authority for it), then the full set: scatter-gather
+// over every shard, or the single rendezvous on the legacy path, which
+// also finds a synonym living under another concept URI. collect
+// searches the local cache and reports whether it found anything; each
+// remote step re-fills the cache before collect runs again.
+func (p *SWSProxy) discover(ctx context.Context, attr, value string, collect func() bool) error {
+	if collect() {
+		return nil
 	}
-	return []string{p.cfg.RendezvousAddr}
+	all := []string{p.cfg.RendezvousAddr}
+	if p.shards != nil {
+		owners := p.shards.AppendOwners(nil, bpeer.SemanticAdvType, attr, value)
+		if err := p.fillFromRemote(ctx, owners, attr, value); err != nil {
+			return err
+		}
+		if collect() {
+			return nil
+		}
+		all = p.shards.All()
+	}
+	if err := p.fillFromRemote(ctx, all, "", ""); err != nil {
+		return err
+	}
+	collect()
+	return nil
 }
 
 // fillFromRemote queries the targets' caches and re-publishes the
@@ -523,30 +470,18 @@ func (p *SWSProxy) fillFromRemote(ctx context.Context, targets []string, attr, v
 // with no semantic checking at all. Experiment E5 uses it to quantify
 // the precision/recall gap live through the proxy.
 func (p *SWSProxy) FindByName(ctx context.Context, name string) ([]*bpeer.SemanticAdvertisement, error) {
-	collect := func() []*bpeer.SemanticAdvertisement {
-		var out []*bpeer.SemanticAdvertisement
+	var found []*bpeer.SemanticAdvertisement
+	err := p.discover(ctx, "Name", name, func() bool {
+		found = found[:0]
 		for _, a := range p.disco.GetLocalAdvertisements(bpeer.SemanticAdvType, "Name", name) {
 			if sem, ok := a.(*bpeer.SemanticAdvertisement); ok {
-				out = append(out, sem)
+				found = append(found, sem)
 			}
 		}
-		return out
-	}
-	found := collect()
-	if len(found) == 0 && p.shards != nil {
-		// Exact Name query: route to the triple's ring owners first.
-		if err := p.fillFromRemote(ctx,
-			p.shards.AppendOwners(nil, bpeer.SemanticAdvType, "Name", name),
-			"Name", name); err != nil {
-			return nil, err
-		}
-		found = collect()
-	}
-	if len(found) == 0 {
-		if err := p.fillFromRemote(ctx, p.remoteTargets(), "", ""); err != nil {
-			return nil, err
-		}
-		found = collect()
+		return len(found) > 0
+	})
+	if err != nil {
+		return nil, err
 	}
 	return found, nil
 }
@@ -686,7 +621,7 @@ func (p *SWSProxy) invokeTraced(ctx context.Context, sig ontology.Signature, op 
 	}
 	var lastErr error
 	for _, gm := range matches {
-		out, err := p.invokeGroup(ctx, gm.Adv, op, payload)
+		out, err := p.InvokeGroup(ctx, gm.Adv, op, payload)
 		if err == nil {
 			return p.cfg.Translator.TranslateResponse(sig, gm.Adv.Signature(), out)
 		}
@@ -720,471 +655,4 @@ type ApplicationError struct {
 // Error implements error.
 func (e *ApplicationError) Error() string {
 	return fmt.Sprintf("proxy: application error from group %s: %s", e.Group, e.Msg)
-}
-
-// invokeGroup sends the request to the group's coordinator (or, for
-// load-sharing groups, round-robin across the live replicas),
-// following redirects and re-binding on failure.
-func (p *SWSProxy) invokeGroup(ctx context.Context, adv *bpeer.SemanticAdvertisement, op string, payload []byte) ([]byte, error) {
-	// Read-only ops on journaling (coordinated) groups take the
-	// replica-balanced path: any replica serves them behind the
-	// read-index barrier, so the proxy spreads them QoS-weighted
-	// across the whole group instead of funnelling into the
-	// coordinator.
-	readOp := adv.EffectivePolicy() != bpeer.PolicyLoadSharing && adv.IsReadOp(op)
-	attempts := p.invokeAttempts
-	// Encoded once, outside the attempt loop: the idempotency key in
-	// the wire request is structurally identical for every attempt of
-	// this logical call (including breaker half-open probes). Reads
-	// are unkeyed — they never enter the journal — and carry the
-	// ReadOnly mark instead.
-	var req []byte
-	var err error
-	if readOp {
-		req, err = bpeer.EncodeReadRequest(op, payload)
-		attempts = p.invokeReadBalanced
-	} else {
-		req, err = bpeer.EncodeRequest(op, payload, replog.KeyFromContext(ctx))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("proxy: encode request: %w", err)
-	}
-	br := p.breakerFor(adv.GID)
-	adm := p.cfg.Admission
-	if adm == nil {
-		return attempts(ctx, adv, br, req)
-	}
-	// Admission runs once per group invocation, wrapping the whole
-	// attempt loop: a rejection here happens before any binding lookup
-	// or pipe I/O, and the release below feeds the full logical-call
-	// latency (retries included) to the AIMD limiter. A pending
-	// half-open probe bypasses every shed stage — it is the only way
-	// the breaker can learn a condemned group recovered.
-	release, aerr := adm.Admit(ctx, loadctl.ClientFromContext(ctx), br.ProbePending(time.Now()))
-	if aerr != nil {
-		p.health.Add("loadctl.shed", 1)
-		return nil, fmt.Errorf("proxy: group %s: %w", adv.GID, aerr)
-	}
-	start := time.Now()
-	out, err := attempts(ctx, adv, br, req)
-	var appErr *ApplicationError
-	failed := err != nil && !errors.As(err, &appErr)
-	release(time.Since(start), failed)
-	return out, err
-}
-
-// invokeAttempts drives the admitted request through the policy's
-// attempt loop (coordinator re-binding, or round-robin replicas for
-// load-sharing groups).
-func (p *SWSProxy) invokeAttempts(ctx context.Context, adv *bpeer.SemanticAdvertisement, br *breaker, req []byte) ([]byte, error) {
-	if adv.EffectivePolicy() == bpeer.PolicyLoadSharing {
-		return p.invokeLoadShared(ctx, adv, br, req)
-	}
-	var lastErr error = ErrNoCoordinator
-	// rebind flips after any failure so subsequent binding lookups are
-	// recorded as "re-bind" — the failover cost the paper's §5 worst
-	// case attributes to proxy re-binding.
-	rebind := false
-	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("proxy: invoke: %w", err)
-		}
-		if br != nil && !br.Allow(time.Now()) {
-			// The group's breaker is open: shed the call instead of
-			// burning attempts against a dead group, so Invoke can
-			// fall through to the next semantically matching group.
-			p.health.Add("breaker.rejected", 1)
-			return nil, fmt.Errorf("proxy: group %s: %w", adv.GID, ErrCircuitOpen)
-		}
-		bnd, err := p.traceBinding(ctx, adv.GID, rebind)
-		if err != nil {
-			lastErr = err
-			br.failure()
-			p.sleep(ctx, attempt)
-			continue
-		}
-		start := time.Now()
-		cctx, cspan := p.cfg.Tracer.StartSpan(ctx, "call")
-		cspan.SetAttr("coordinator", bnd.coordinator)
-		callCtx, cancel := context.WithTimeout(cctx, p.cfg.CallTimeout)
-		p.health.Add("calls.attempted", 1)
-		resp, err := p.pipes.Call(callCtx, bnd.pipe, req)
-		cancel()
-		if err != nil {
-			cspan.EndWith(err)
-			// Timeout or transport failure: the coordinator is likely
-			// dead. Invalidate and wait for the election.
-			rebind = true
-			p.invalidate(adv.GID, bnd)
-			p.tracker.Observe(bnd.coordinator, time.Since(start), false)
-			lastErr = fmt.Errorf("proxy: call coordinator %s: %w", bnd.coordinator, err)
-			br.failure()
-			p.sleep(ctx, attempt)
-			continue
-		}
-		status, coord, _, errMsg, out, err := bpeer.DecodeResponse(resp)
-		if err != nil {
-			// An undecodable response is an infrastructure fault (a
-			// corrupted link, not a rejecting service): re-bind and
-			// back off like any other transport failure.
-			cspan.EndWith(err)
-			rebind = true
-			p.invalidate(adv.GID, bnd)
-			lastErr = err
-			br.failure()
-			p.sleep(ctx, attempt)
-			continue
-		}
-		cspan.SetAttr("status", status)
-		cspan.End()
-		switch status {
-		case "ok":
-			p.tracker.Observe(bnd.coordinator, time.Since(start), true)
-			br.success()
-			return out, nil
-		case "redirect":
-			// The member answered with the real coordinator: re-bind.
-			// The answer proves the group reachable, so the breaker's
-			// failure streak resets.
-			rebind = true
-			p.invalidate(adv.GID, bnd)
-			p.storeBinding(adv.GID, coord, nil)
-			br.success()
-			lastErr = fmt.Errorf("proxy: redirected to %s", coord)
-		case "error":
-			p.tracker.Observe(bnd.coordinator, time.Since(start), false)
-			if isInfrastructureError(errMsg) {
-				// "no coordinator elected" and similar: retry after
-				// the election settles.
-				rebind = true
-				p.invalidate(adv.GID, bnd)
-				lastErr = fmt.Errorf("proxy: group %s: %s", adv.GID, errMsg)
-				br.failure()
-				p.sleep(ctx, attempt)
-				continue
-			}
-			// Application-level rejection: the infrastructure worked.
-			br.success()
-			return nil, &ApplicationError{Group: adv.GID, Msg: errMsg}
-		default:
-			lastErr = fmt.Errorf("proxy: unknown response status %q", status)
-		}
-	}
-	return nil, lastErr
-}
-
-// traceBinding wraps bindingFor in a "bind" span (or "re-bind" once a
-// failure has invalidated the previous coordinator).
-func (p *SWSProxy) traceBinding(ctx context.Context, gid p2p.ID, rebind bool) (*binding, error) {
-	name := "bind"
-	if rebind {
-		name = "re-bind"
-	}
-	bctx, bspan := p.cfg.Tracer.StartSpan(ctx, name)
-	bnd, err := p.bindingFor(bctx, gid)
-	if bnd != nil {
-		bspan.SetAttr("coordinator", bnd.coordinator)
-	}
-	bspan.EndWith(err)
-	return bnd, err
-}
-
-func isInfrastructureError(msg string) bool {
-	return bpeer.IsInfraErrMsg(msg)
-}
-
-// InvokeGroup sends one request to a specific group (bypassing
-// discovery and QoS ranking). The QoS ablation uses it as the
-// "semantics-only, random selection" baseline.
-func (p *SWSProxy) InvokeGroup(ctx context.Context, adv *bpeer.SemanticAdvertisement, op string, payload []byte) ([]byte, error) {
-	return p.invokeGroup(ctx, adv, op, payload)
-}
-
-// sleep pauses between attempts with capped exponential backoff plus
-// jitter, never sleeping past the caller's context deadline. The pause
-// exists to let a Bully election converge, so it is recorded as an
-// "election-wait" span — in the §5 RTT anatomy this is the election
-// share of the worst case (re-binding work is under "re-bind").
-func (p *SWSProxy) sleep(ctx context.Context, attempt int) {
-	if ctx.Err() != nil {
-		return
-	}
-	delay := p.backoffDelay(attempt)
-	if deadline, ok := ctx.Deadline(); ok {
-		if remaining := time.Until(deadline); remaining < delay {
-			delay = remaining
-		}
-	}
-	if delay <= 0 {
-		return
-	}
-	p.health.Add("backoff.sleeps", 1)
-	_, span := p.cfg.Tracer.StartSpan(ctx, "election-wait")
-	span.SetAttr("delay", delay.String())
-	defer span.End()
-	t := time.NewTimer(delay)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
-// backoffDelay computes the attempt's pause: RetryDelay doubled per
-// attempt, capped at RetryMaxDelay, with jitter drawn uniformly from
-// the upper half of the window so concurrent retries decorrelate.
-func (p *SWSProxy) backoffDelay(attempt int) time.Duration {
-	if attempt > 16 {
-		attempt = 16 // avoid shift overflow; the cap dominates anyway
-	}
-	d := p.cfg.RetryDelay << uint(attempt)
-	if d <= 0 || d > p.cfg.RetryMaxDelay {
-		d = p.cfg.RetryMaxDelay
-	}
-	half := d / 2
-	p.mu.Lock()
-	jitter := time.Duration(p.rng.Int63n(int64(half) + 1))
-	p.mu.Unlock()
-	return half + jitter
-}
-
-// invokeLoadShared spreads requests round-robin across the group's
-// live replicas (bpeer.PolicyLoadSharing). Failed replicas are dropped
-// from the cached set; the set is rebuilt from the rendezvous when it
-// runs dry.
-func (p *SWSProxy) invokeLoadShared(ctx context.Context, adv *bpeer.SemanticAdvertisement, br *breaker, req []byte) ([]byte, error) {
-	var lastErr error = ErrNoCoordinator
-	rebind := false
-	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("proxy: invoke: %w", err)
-		}
-		if br != nil && !br.Allow(time.Now()) {
-			p.health.Add("breaker.rejected", 1)
-			return nil, fmt.Errorf("proxy: group %s: %w", adv.GID, ErrCircuitOpen)
-		}
-		bindName := "bind"
-		if rebind {
-			bindName = "re-bind"
-		}
-		bctx, bspan := p.cfg.Tracer.StartSpan(ctx, bindName)
-		pipe, err := p.nextSharedPipe(bctx, adv.GID)
-		bspan.EndWith(err)
-		if err != nil {
-			lastErr = err
-			br.failure()
-			p.sleep(ctx, attempt)
-			continue
-		}
-		start := time.Now()
-		cctx, cspan := p.cfg.Tracer.StartSpan(ctx, "call")
-		cspan.SetAttr("replica", pipe.Addr)
-		callCtx, cancel := context.WithTimeout(cctx, p.cfg.CallTimeout)
-		p.health.Add("calls.attempted", 1)
-		resp, err := p.pipes.Call(callCtx, pipe, req)
-		cancel()
-		if err != nil {
-			cspan.EndWith(err)
-			rebind = true
-			p.dropSharedPipe(adv.GID, pipe)
-			p.tracker.Observe(pipe.Addr, time.Since(start), false)
-			lastErr = fmt.Errorf("proxy: call replica %s: %w", pipe.Addr, err)
-			br.failure()
-			continue
-		}
-		status, _, _, errMsg, out, err := bpeer.DecodeResponse(resp)
-		if err != nil {
-			// Corrupted response: infrastructure fault, try another
-			// replica.
-			cspan.EndWith(err)
-			rebind = true
-			p.dropSharedPipe(adv.GID, pipe)
-			lastErr = err
-			br.failure()
-			continue
-		}
-		cspan.SetAttr("status", status)
-		cspan.End()
-		switch status {
-		case "ok":
-			p.tracker.Observe(pipe.Addr, time.Since(start), true)
-			br.success()
-			return out, nil
-		case "error":
-			p.tracker.Observe(pipe.Addr, time.Since(start), false)
-			if isInfrastructureError(errMsg) {
-				rebind = true
-				p.dropSharedPipe(adv.GID, pipe)
-				lastErr = fmt.Errorf("proxy: replica %s: %s", pipe.Addr, errMsg)
-				br.failure()
-				p.sleep(ctx, attempt)
-				continue
-			}
-			br.success()
-			return nil, &ApplicationError{Group: adv.GID, Msg: errMsg}
-		default:
-			lastErr = fmt.Errorf("proxy: unknown response status %q", status)
-		}
-	}
-	return nil, lastErr
-}
-
-// nextSharedPipe returns the next replica pipe round-robin, building
-// the set from the rendezvous membership when empty.
-func (p *SWSProxy) nextSharedPipe(ctx context.Context, gid p2p.ID) (*p2p.PipeAdvertisement, error) {
-	p.mu.Lock()
-	sb := p.shared[gid]
-	if sb != nil && len(sb.pipes) > 0 {
-		pipe := sb.pipes[sb.next%len(sb.pipes)]
-		sb.next++
-		p.mu.Unlock()
-		return pipe, nil
-	}
-	p.mu.Unlock()
-
-	bindCtx, cancel := context.WithTimeout(ctx, p.cfg.BindTimeout)
-	defer cancel()
-	members, err := p.memberAddrs(bindCtx, gid)
-	if err != nil {
-		return nil, err
-	}
-	var pipes []*p2p.PipeAdvertisement
-	var lastErr error
-	for _, addr := range members {
-		pipe, err := bpeer.QueryServicePipe(bindCtx, p.bindRes, addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		pipes = append(pipes, pipe)
-	}
-	if len(pipes) == 0 {
-		if lastErr != nil {
-			return nil, fmt.Errorf("proxy: no reachable replicas: %w", lastErr)
-		}
-		return nil, ErrNoCoordinator
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sb = &sharedBinding{pipes: pipes}
-	p.shared[gid] = sb
-	pipe := sb.pipes[0]
-	sb.next = 1
-	return pipe, nil
-}
-
-// dropSharedPipe removes a failed replica from the cached set.
-func (p *SWSProxy) dropSharedPipe(gid p2p.ID, failed *p2p.PipeAdvertisement) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sb := p.shared[gid]
-	if sb == nil {
-		return
-	}
-	kept := sb.pipes[:0]
-	for _, pipe := range sb.pipes {
-		if pipe != failed {
-			kept = append(kept, pipe)
-		}
-	}
-	sb.pipes = kept
-}
-
-// bindingFor returns the cached binding for the group or establishes a
-// new one: ask the rendezvous for members, query them (highest rank
-// first) for the coordinator, then fetch the coordinator's service
-// pipe.
-func (p *SWSProxy) bindingFor(ctx context.Context, gid p2p.ID) (*binding, error) {
-	p.mu.Lock()
-	if b, ok := p.bindings[gid]; ok && b.pipe != nil {
-		p.mu.Unlock()
-		return b, nil
-	}
-	var hint string
-	if b, ok := p.bindings[gid]; ok {
-		hint = b.coordinator // redirect target without a pipe yet
-	}
-	p.mu.Unlock()
-
-	bindCtx, cancel := context.WithTimeout(ctx, p.cfg.BindTimeout)
-	defer cancel()
-
-	candidates, err := p.memberAddrs(bindCtx, gid)
-	if err != nil {
-		return nil, err
-	}
-	if hint != "" {
-		candidates = append([]string{hint}, candidates...)
-	}
-	var lastErr error = ErrNoCoordinator
-	asked := make(map[string]bool)
-	for _, addr := range candidates {
-		if asked[addr] {
-			continue
-		}
-		asked[addr] = true
-		coord, pipeID, err := bpeer.QueryCoordinator(bindCtx, p.bindRes, addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if pipeID == "" {
-			// The member is not the coordinator; ask the coordinator
-			// itself (unless we already did).
-			if asked[coord] {
-				continue
-			}
-			asked[coord] = true
-			coord2, pipeID2, err := bpeer.QueryCoordinator(bindCtx, p.bindRes, coord)
-			if err != nil || pipeID2 == "" {
-				lastErr = fmt.Errorf("proxy: coordinator %s unreachable", coord)
-				continue
-			}
-			coord, pipeID = coord2, pipeID2
-		}
-		pipeAdv := &p2p.PipeAdvertisement{
-			PipeID: pipeID,
-			Kind:   p2p.UnicastPipe,
-			Name:   string(gid) + "/service",
-			Addr:   coord,
-		}
-		return p.storeBinding(gid, coord, pipeAdv), nil
-	}
-	return nil, lastErr
-}
-
-// memberAddrs returns the group's member addresses, highest rank
-// first (the likely coordinator).
-func (p *SWSProxy) memberAddrs(ctx context.Context, gid p2p.ID) ([]string, error) {
-	advs, err := p.rdv.Members(ctx, gid)
-	if err != nil {
-		return nil, fmt.Errorf("proxy: group members: %w", err)
-	}
-	sort.Slice(advs, func(i, j int) bool { return advs[i].Rank > advs[j].Rank })
-	out := make([]string, 0, len(advs))
-	for _, a := range advs {
-		out = append(out, a.Addr)
-	}
-	return out, nil
-}
-
-func (p *SWSProxy) storeBinding(gid p2p.ID, coord string, pipe *p2p.PipeAdvertisement) *binding {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b := &binding{coordinator: coord, pipe: pipe}
-	if last, ok := p.lastCoord[gid]; ok && last != coord {
-		p.rebinds++
-	}
-	p.lastCoord[gid] = coord
-	p.bindings[gid] = b
-	return b
-}
-
-// invalidate drops the binding if it is still the one that failed.
-func (p *SWSProxy) invalidate(gid p2p.ID, failed *binding) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if cur, ok := p.bindings[gid]; ok && cur == failed {
-		delete(p.bindings, gid)
-	}
 }

@@ -214,3 +214,78 @@ func TestConcurrentReadsAndWeightUpdates(t *testing.T) {
 		t.Fatalf("reads.stale = %d, want 0", got)
 	}
 }
+
+// TestReadPickDoesNotLeakHalfOpenProbe: computing the draw weights must
+// not consume a replica's half-open probe. A replica whose breaker is
+// open past its cooldown, but which the draw passes over in favour of a
+// sibling, has to stay eligible: nobody will report an outcome for a
+// probe that was never sent, so a consumed one would bar the replica
+// from reads for good.
+func TestReadPickDoesNotLeakHalfOpenProbe(t *testing.T) {
+	f := newFixture(t)
+	peers := f.addReadGroup(t, "students", 2)
+	var flaky, steady *bpeer.BPeer
+	for _, bp := range peers {
+		if bp.IsCoordinator() {
+			steady = bp
+		} else {
+			flaky = bp
+		}
+	}
+	// The test owns the selector's tracker, so it decides every draw:
+	// under a reliability-only weighting a replica with 20 failed
+	// observations scores 0 and one with 20 successes scores 1.
+	tr := qos.NewTracker()
+	prefer := func(want *bpeer.BPeer) {
+		for _, bp := range peers {
+			tr.Forget(bp.Addr())
+			for i := 0; i < 20; i++ {
+				tr.Observe(bp.Addr(), 0, bp == want)
+			}
+		}
+	}
+	p := f.addProxy(t, Config{
+		Selector:         qos.NewSelector(tr, qos.Weights{Reliability: 1}),
+		CallTimeout:      100 * time.Millisecond,
+		RetryDelay:       10 * time.Millisecond,
+		BreakerThreshold: 1,
+		BreakerCooldown:  150 * time.Millisecond,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	read := func() (string, error) {
+		out, err := p.Invoke(ctx, studentSig(), "StudentInformation", []byte("S1"))
+		return strings.SplitN(string(out), ":", 2)[0], err
+	}
+
+	prefer(flaky)
+	if by, err := read(); err != nil || by != flaky.Name() {
+		t.Fatalf("priming read served by %q (%v), want %s", by, err, flaky.Name())
+	}
+	// One lost call opens the flaky replica's breaker (and, at
+	// threshold 1, the group's, which sheds the rest of this call).
+	f.net.Partition(p.Addr(), flaky.Addr())
+	if _, err := read(); err == nil {
+		t.Fatal("read through a partitioned replica succeeded")
+	}
+	if got := p.Health().Get("read.breaker.opened"); got != 1 {
+		t.Fatalf("read.breaker.opened = %d, want 1", got)
+	}
+	f.net.Heal(p.Addr(), flaky.Addr())
+	time.Sleep(200 * time.Millisecond) // both cooldowns elapse
+
+	// The flaky replica is now due a probe, but the draw goes to its
+	// sibling.
+	prefer(steady)
+	if by, err := read(); err != nil || by != steady.Name() {
+		t.Fatalf("read after cooldown served by %q (%v), want %s", by, err, steady.Name())
+	}
+	// The passed-over replica must still be eligible on the next pick.
+	prefer(flaky)
+	if by, err := read(); err != nil || by != flaky.Name() {
+		t.Fatalf("read served by %q (%v), want the recovered replica %s: its half-open probe leaked", by, err, flaky.Name())
+	}
+	if got := p.Health().Get("read.breaker.closed"); got != 1 {
+		t.Errorf("read.breaker.closed = %d, want 1 (the probe closes the breaker)", got)
+	}
+}
