@@ -18,21 +18,24 @@
 //
 // With -overload the gate instead validates a BENCH_overload.json
 // report against E12's absolute acceptance bounds: protected goodput
-// at the top multiplier at least -goodput-ratio times the unprotected
-// goodput, protected p99 within -p99-ratio of its 1x value, zero
-// deadline-violating admitted requests and zero duplicate executions.
+// at the top multiplier at least 3 times the unprotected goodput,
+// protected p99 within 2x of its 1x value, zero deadline-violating
+// admitted requests and zero duplicate executions.
 //
 // With -follower the gate validates a BENCH_followers.json report
 // against E13's bounds: follower-read goodput at the largest replica
-// count at least -scaling times the coordinator-only goodput, zero
-// stale reads, the staleness invariant actually exercised, and reads
-// spread across at least -spread distinct replicas.
+// count at least 2.5 times the coordinator-only goodput, zero stale
+// reads, the staleness invariant actually exercised, and reads spread
+// across at least 2 distinct replicas.
 //
 // With -gossip the gate validates a BENCH_gossip.json report against
-// E14's bounds: epidemic dissemination must use at least -min-ratio
-// times fewer messages than the flood baseline at every advertisement
-// count, and the convergence sweep must stay within -log-factor ×
-// (1 + log2 n) rumor intervals — O(log n) rounds, not linear.
+// E14's bounds: epidemic dissemination must use at least 10 times fewer
+// messages than the flood baseline at every advertisement count, and
+// the convergence sweep must stay within 2 × (1 + log2 n) rumor
+// intervals — O(log n) rounds, not linear.
+//
+// The bounds themselves are the defaults of bench.OverloadBounds,
+// bench.FollowerBounds and bench.GossipBounds.
 package main
 
 import (
@@ -41,6 +44,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"whisper/internal/bench"
 )
@@ -61,76 +65,43 @@ func run(args []string, stdout io.Writer) error {
 		update    = fs.String("update", "", "write a fresh baseline to this path instead of comparing")
 		threshold = fs.Float64("threshold", 0.20, "fractional regression threshold on p95 ns/op and allocs/op")
 		overload  = fs.String("overload", "", "validate this BENCH_overload.json against the E12 bounds instead of gating bench output")
-		goodRatio = fs.Float64("goodput-ratio", 3, "overload: required protected/unprotected goodput ratio at the top multiplier")
-		p99Ratio  = fs.Float64("p99-ratio", 2, "overload: allowed protected p99 growth from the lowest to the top multiplier")
 		follower  = fs.String("follower", "", "validate this BENCH_followers.json against the E13 bounds instead of gating bench output")
-		scaling   = fs.Float64("scaling", 2.5, "follower: required follower/coordinator goodput ratio at the largest replica count")
-		spread    = fs.Int("spread", 2, "follower: minimum distinct replicas that must have served reads")
 		gossipRep = fs.String("gossip", "", "validate this BENCH_gossip.json against the E14 bounds instead of gating bench output")
-		minRatio  = fs.Float64("min-ratio", 10, "gossip: required flood/gossip message ratio at every advertisement count")
-		logFactor = fs.Float64("log-factor", 2, "gossip: allowed multiple of (1+log2 n) rumor intervals for the convergence sweep")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *overload != "" {
-		report, err := bench.LoadReport(*overload)
+	// The report gates: each checks one BENCH_*.json against its
+	// experiment's default bounds, which holds spells out.
+	for _, gate := range []struct {
+		path  string
+		label string
+		check func(*bench.Report) []string
+		holds string
+	}{
+		{*overload, "overload", func(r *bench.Report) []string { return bench.CheckOverload(r, bench.OverloadBounds{}) },
+			"E12 bounds (goodput >=3.0x, p99 <=2.0x, 0 violations, 0 duplicates)"},
+		{*follower, "follower", func(r *bench.Report) []string { return bench.CheckFollowers(r, bench.FollowerBounds{}) },
+			"E13 bounds (scaling >=2.5x, 0 stale reads, spread >=2)"},
+		{*gossipRep, "gossip", func(r *bench.Report) []string { return bench.CheckGossip(r, bench.GossipBounds{}) },
+			"E14 bounds (ratio >=10.0x, convergence within 2.0x of O(log n) rounds)"},
+	} {
+		if gate.path == "" {
+			continue
+		}
+		report, err := bench.LoadReport(gate.path)
 		if err != nil {
 			return err
 		}
-		findings := bench.CheckOverload(report, bench.OverloadBounds{
-			MinGoodputRatio: *goodRatio,
-			MaxP99Ratio:     *p99Ratio,
-		})
+		findings := gate.check(report)
 		if len(findings) > 0 {
 			for _, f := range findings {
-				fmt.Fprintf(stdout, "OVERLOAD GATE %s\n", f)
+				fmt.Fprintf(stdout, "%s GATE %s\n", strings.ToUpper(gate.label), f)
 			}
-			return fmt.Errorf("%d overload-gate violation(s) in %s", len(findings), *overload)
+			return fmt.Errorf("%d %s-gate violation(s) in %s", len(findings), gate.label, gate.path)
 		}
-		fmt.Fprintf(stdout, "overload gate passed: %s holds the E12 bounds (goodput >=%.1fx, p99 <=%.1fx, 0 violations, 0 duplicates)\n",
-			*overload, *goodRatio, *p99Ratio)
-		return nil
-	}
-
-	if *follower != "" {
-		report, err := bench.LoadReport(*follower)
-		if err != nil {
-			return err
-		}
-		findings := bench.CheckFollowers(report, bench.FollowerBounds{
-			MinScaling: *scaling,
-			MinSpread:  *spread,
-		})
-		if len(findings) > 0 {
-			for _, f := range findings {
-				fmt.Fprintf(stdout, "FOLLOWER GATE %s\n", f)
-			}
-			return fmt.Errorf("%d follower-gate violation(s) in %s", len(findings), *follower)
-		}
-		fmt.Fprintf(stdout, "follower gate passed: %s holds the E13 bounds (scaling >=%.1fx, 0 stale reads, spread >=%d)\n",
-			*follower, *scaling, *spread)
-		return nil
-	}
-
-	if *gossipRep != "" {
-		report, err := bench.LoadReport(*gossipRep)
-		if err != nil {
-			return err
-		}
-		findings := bench.CheckGossip(report, bench.GossipBounds{
-			MinRatio:        *minRatio,
-			MaxRoundsFactor: *logFactor,
-		})
-		if len(findings) > 0 {
-			for _, f := range findings {
-				fmt.Fprintf(stdout, "GOSSIP GATE %s\n", f)
-			}
-			return fmt.Errorf("%d gossip-gate violation(s) in %s", len(findings), *gossipRep)
-		}
-		fmt.Fprintf(stdout, "gossip gate passed: %s holds the E14 bounds (ratio >=%.1fx, convergence within %.1fx of O(log n) rounds)\n",
-			*gossipRep, *minRatio, *logFactor)
+		fmt.Fprintf(stdout, "%s gate passed: %s holds the %s\n", gate.label, gate.path, gate.holds)
 		return nil
 	}
 

@@ -57,7 +57,8 @@
 // prints each shard's entry counts, and maps every semantic
 // advertisement found on the fleet to its replica owners on the
 // consistent-hash ring — a live view of how the discovery index is
-// partitioned.
+// partitioned. Both commands work against any deployment: a lone
+// rendezvous is a fleet of one (-shards <rendezvous address>).
 package main
 
 import (

@@ -28,8 +28,12 @@ func startOverlay(t *testing.T) (rdvAddr string, gid p2p.ID) {
 	rdv.SetTracer(tracer)
 	p2p.ServeTraces(rdv, tracer.Collector())
 	p2p.NewRendezvousService(rdv, 30*time.Second)
-	p2p.NewDiscoveryService(rdv)
+	index, err := p2p.NewIndexNode(rdv, p2p.GossipConfig{})
+	if err != nil {
+		t.Fatalf("index node: %v", err)
+	}
 	rdv.Start()
+	index.Run()
 	t.Cleanup(func() { _ = rdv.Close() })
 	// Record a span so the trace command has something to index.
 	tracer.StartRemote(trace.SpanContext{}, "test.root").End()
@@ -88,37 +92,14 @@ func TestPeerctlCommands(t *testing.T) {
 	}
 }
 
-// startShard brings up one discovery shard (gossip service over a TCP
-// peer) for the gossip/shards commands to inspect.
-func startShard(t *testing.T) (addr string) {
-	t.Helper()
-	tr, err := simnet.NewTCPTransport("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("shard transport: %v", err)
-	}
-	shard := p2p.NewPeer("shard-0", p2p.NewIDGen(7).New(p2p.PeerIDKind), tr)
-	disco := p2p.NewDiscoveryService(shard)
-	gsvc, err := p2p.NewGossipService(shard, p2p.GossipConfig{Disco: disco, Seed: 7})
-	if err != nil {
-		t.Fatalf("gossip service: %v", err)
-	}
-	shard.Start()
-	gsvc.SetPeers([]string{shard.Addr()})
-	gsvc.Run()
-	t.Cleanup(func() {
-		gsvc.Stop()
-		_ = shard.Close()
-	})
-	return shard.Addr()
-}
-
 func TestPeerctlGossipCommands(t *testing.T) {
+	// The rendezvous is the discovery ring's node 0: on an unsharded
+	// deployment the fleet commands inspect it.
 	rdvAddr, _ := startOverlay(t)
-	shardAddr := startShard(t)
-	if err := run([]string{"-rendezvous", rdvAddr, "-peer", shardAddr, "gossip"}); err != nil {
+	if err := run([]string{"-rendezvous", rdvAddr, "-peer", rdvAddr, "gossip"}); err != nil {
 		t.Errorf("peerctl gossip: %v", err)
 	}
-	if err := run([]string{"-rendezvous", rdvAddr, "-shards", shardAddr, "shards"}); err != nil {
+	if err := run([]string{"-rendezvous", rdvAddr, "-shards", rdvAddr, "shards"}); err != nil {
 		t.Errorf("peerctl shards: %v", err)
 	}
 	// Every shard down: the table prints errors and the command fails.

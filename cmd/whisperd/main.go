@@ -77,7 +77,7 @@ func run(args []string) error {
 		admitBurst = fs.Float64("admit-burst", 0, "admission: per-client token-bucket burst (default: the refill rate)")
 		admitLimit = fs.Float64("admit-limit", 0, "admission: initial AIMD concurrency limit (default 4)")
 		admitQueue = fs.Int("admit-queue", 0, "admission: deadline-ordered wait-queue capacity (default 64, negative disables queueing)")
-		shards     = fs.Int("shards", 0, "discovery shards for -role all (0 = unsharded rendezvous index); advertisements spread over the shard fleet via gossip")
+		shards     = fs.Int("shards", 0, "discovery index nodes for -role all (0 or 1 = the rendezvous alone); a larger fleet replicates advertisements via gossip")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -131,10 +131,8 @@ func runAll(ctx context.Context, httpAddr string, replicas, students, shards int
 		return err
 	}
 	defer func() { _ = dep.Close() }()
-	if shards > 0 {
-		log.Printf("whisperd: discovery sharded over %d gossip shards (peerctl -shards %s shards)",
-			shards, strings.Join(dep.ShardAddrs(), ","))
-	}
+	log.Printf("whisperd: discovery fleet of %d (peerctl -shards %s shards)",
+		len(dep.ShardAddrs()), strings.Join(dep.ShardAddrs(), ","))
 
 	records := backend.SeedStudents(students, seed)
 	specs := make([]core.ReplicaSpec, replicas)
@@ -195,8 +193,13 @@ func startRendezvous(listen string, tracer *trace.Tracer) (*p2p.Peer, error) {
 		p2p.ServeTraces(peer, col)
 	}
 	p2p.NewRendezvousService(peer, 30*time.Second)
-	p2p.NewDiscoveryService(peer)
+	index, err := p2p.NewIndexNode(peer, p2p.GossipConfig{})
+	if err != nil {
+		_ = peer.Close()
+		return nil, err
+	}
 	peer.Start()
+	index.Run()
 	return peer, nil
 }
 

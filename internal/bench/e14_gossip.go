@@ -165,8 +165,7 @@ func newGossipFleet(opts GossipOptions, n int, interval time.Duration) (*gossipF
 			return nil, fmt.Errorf("bench: shard port: %w", err)
 		}
 		peer := p2p.NewPeer(name, gen.New(p2p.PeerIDKind), port)
-		svc, err := p2p.NewGossipService(peer, p2p.GossipConfig{
-			Disco:    p2p.NewDiscoveryService(peer),
+		svc, err := p2p.NewIndexNode(peer, p2p.GossipConfig{
 			Seed:     opts.Seed + int64(i),
 			Interval: interval,
 		})

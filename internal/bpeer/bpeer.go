@@ -68,13 +68,14 @@ type Config struct {
 	QoS qos.Profile
 	// RendezvousAddr is the rendezvous peer's transport address.
 	RendezvousAddr string
-	// ShardAddrs, when non-empty, switches advertisement publication
-	// from flood-republish at the rendezvous to a one-shot gossip
-	// publish at the consistent-hash owner shard (the epidemic spread
-	// to the other shards is the fleet's job, not this replica's).
-	// Group membership (join/leave/members) stays at RendezvousAddr.
+	// ShardAddrs lists the index nodes of the discovery plane; empty
+	// selects the ring of one, [RendezvousAddr]. The semantic
+	// advertisement is published to the consistent-hash owners of its
+	// action (spreading it to the other nodes is the fleet's job, not
+	// this replica's). Group membership (join/leave/members) stays at
+	// RendezvousAddr.
 	ShardAddrs []string
-	// ShardReplicas tunes owner fan-out on publish failure; zero
+	// ShardReplicas is how many ring owners take each publish; zero
 	// selects p2p.DefaultShardReplicas.
 	ShardReplicas int
 	// Handler implements the service functionality.
@@ -144,6 +145,9 @@ func (c *Config) applyDefaults() {
 	if c.IDGen == nil {
 		c.IDGen = p2p.NewIDGen(0)
 	}
+	if len(c.ShardAddrs) == 0 {
+		c.ShardAddrs = []string{c.RendezvousAddr}
+	}
 }
 
 // BPeer is one replica in a b-peer group: it serves requests when it
@@ -154,7 +158,6 @@ type BPeer struct {
 	cfg   Config
 	pid   p2p.ID // stable across restarts: the same logical replica
 	peer  *p2p.Peer
-	disco *p2p.DiscoveryService
 	pipes *p2p.PipeService
 	rdv   *p2p.RendezvousClient
 	bind  *p2p.Resolver
@@ -162,9 +165,9 @@ type BPeer struct {
 	fd    *p2p.FailureDetector
 	input *p2p.InputPipe
 
-	// Sharded-discovery publication state (nil on the legacy
-	// flood-republish path). gossipPub survives Crash/Restart so the
-	// replica's entry versions stay monotone across its lifetimes.
+	// Discovery-plane publication state. gossipPub survives
+	// Crash/Restart so the replica's entry versions stay monotone across
+	// its lifetimes.
 	shards    *p2p.ShardRouter
 	gossipCli *p2p.GossipClient
 	gossipPub *gossip.Publisher
@@ -233,10 +236,8 @@ func New(tr simnet.Transport, cfg Config) (*BPeer, error) {
 	if !cfg.NoJournal && !cfg.LoadSharing {
 		b.journal = replog.New(cfg.Name, cfg.Name)
 	}
-	if len(cfg.ShardAddrs) > 0 {
-		b.shards = p2p.NewShardRouter(cfg.ShardAddrs, cfg.ShardReplicas)
-		b.gossipPub = gossip.NewPublisher(cfg.Name, nil)
-	}
+	b.shards = p2p.NewShardRouter(cfg.ShardAddrs, cfg.ShardReplicas)
+	b.gossipPub = gossip.NewPublisher(cfg.Name, nil)
 	b.assemble(tr)
 	return b, nil
 }
@@ -250,10 +251,7 @@ func (b *BPeer) assemble(tr simnet.Transport) {
 	if col := cfg.Tracer.Collector(); col != nil {
 		p2p.ServeTraces(b.peer, col)
 	}
-	b.disco = p2p.NewDiscoveryService(b.peer)
-	if b.shards != nil {
-		b.gossipCli = p2p.NewGossipClient(b.peer)
-	}
+	b.gossipCli = p2p.NewGossipClient(b.peer)
 	b.pipes = p2p.NewPipeService(b.peer, cfg.IDGen)
 	b.rdv = p2p.NewRendezvousClient(b.peer, cfg.RendezvousAddr)
 	b.view = newGroupView(b.rdv, cfg.GroupID, b.viewStats)
@@ -381,11 +379,6 @@ func (b *BPeer) announce(ctx context.Context) error {
 	if err := b.publishSemanticAdv(ctx); err != nil {
 		return fmt.Errorf("publish semantic adv: %w", err)
 	}
-	// Cache the group advertisement locally too (peers answer remote
-	// discovery queries from their own caches).
-	if err := b.disco.Publish(b.SemanticAdvertisement(), 0); err != nil {
-		return fmt.Errorf("local publish: %w", err)
-	}
 	return nil
 }
 
@@ -409,15 +402,13 @@ func (b *BPeer) Close() error {
 		// group first so hand-off elections exclude this replica.
 		ctx, cancel := context.WithTimeout(b.lifecycleCtx(), b.cfg.HeartbeatTimeout)
 		_ = b.rdv.Leave(ctx, b.cfg.GroupID, b.pid)
-		if b.shards != nil {
-			// Last replica out unpublishes the group: a tombstone at the
-			// owner shard propagates epidemically and blocks stale
-			// copies from resurrecting the dead advertisement. Earlier
-			// leavers keep quiet — surviving replicas still renew it.
-			if members, err := b.rdv.Members(ctx, b.cfg.GroupID); err == nil && len(members) == 0 {
-				adv := b.SemanticAdvertisement()
-				_ = b.gossipSend(ctx, adv, b.gossipPub.Tombstone(string(adv.AdvID())))
-			}
+		// Last replica out unpublishes the group: a tombstone at the
+		// owner nodes propagates epidemically and blocks stale copies
+		// from resurrecting the dead advertisement. Earlier leavers keep
+		// quiet — surviving replicas still renew it.
+		if members, err := b.rdv.Members(ctx, b.cfg.GroupID); err == nil && len(members) == 0 {
+			adv := b.SemanticAdvertisement()
+			_ = b.gossipSend(ctx, adv, b.gossipPub.Tombstone(string(adv.AdvID())))
 		}
 		cancel()
 		b.elect.Resign()
@@ -630,22 +621,17 @@ func (b *BPeer) leaseLoop() {
 }
 
 // publishSemanticAdv pushes the group's semantic advertisement into
-// the discovery plane with a 3×LeaseInterval lifetime. On the sharded
-// path this is ONE gossip publish to the advertisement's owner shard
-// (falling back through the replica owners if it is down) — the
-// epidemic spread to the remaining shards is the fleet's job. The
-// legacy path flood-republishes to the single rendezvous.
+// the discovery plane as a versioned entry with a 3×LeaseInterval
+// lifetime: one publish to each ring owner of its action — the single
+// rendezvous on a ring of one; the epidemic spread to the remaining
+// nodes of a larger fleet is the fleet's job.
 func (b *BPeer) publishSemanticAdv(ctx context.Context) error {
 	adv := b.SemanticAdvertisement()
-	lifetime := 3 * b.cfg.LeaseInterval
-	if b.shards == nil {
-		return b.disco.RemotePublish(ctx, b.cfg.RendezvousAddr, adv, lifetime)
-	}
 	raw, err := adv.MarshalAdv()
 	if err != nil {
 		return fmt.Errorf("bpeer %s: marshal semantic adv: %w", b.cfg.Name, err)
 	}
-	entry := b.gossipPub.Entry(string(adv.AdvID()), raw, lifetime)
+	entry := b.gossipPub.Entry(string(adv.AdvID()), raw, 3*b.cfg.LeaseInterval)
 	return b.gossipSend(ctx, adv, entry)
 }
 

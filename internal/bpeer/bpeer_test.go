@@ -78,8 +78,13 @@ func newBareDeployment(t *testing.T, handler func(name string) Handler) *deploym
 	}
 	d.rdvPeer = p2p.NewPeer("rdv", d.gen.New(p2p.PeerIDKind), port)
 	d.rdvSvc = p2p.NewRendezvousService(d.rdvPeer, 2*time.Second)
-	d.rdvDsc = p2p.NewDiscoveryService(d.rdvPeer)
+	index, err := p2p.NewIndexNode(d.rdvPeer, p2p.GossipConfig{})
+	if err != nil {
+		t.Fatalf("rdv index node: %v", err)
+	}
+	d.rdvDsc = index.Discovery()
 	d.rdvPeer.Start()
+	index.Run()
 	t.Cleanup(func() { _ = d.rdvPeer.Close() })
 
 	d.gid = d.gen.New(p2p.GroupIDKind)

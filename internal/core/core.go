@@ -56,9 +56,9 @@ type Timings struct {
 	// BreakerCooldown is the open → half-open probe delay; zero
 	// selects the proxy default (10×RetryDelay).
 	BreakerCooldown time.Duration
-	// GossipInterval / GossipReconcileInterval tune the shard fleet's
-	// rumor and anti-entropy cadences; zero selects the gossip engine
-	// defaults (25ms / 8×interval).
+	// GossipInterval / GossipReconcileInterval tune the discovery
+	// fleet's rumor and anti-entropy cadences; zero selects the gossip
+	// engine defaults (25ms / 8×interval).
 	GossipInterval          time.Duration
 	GossipReconcileInterval time.Duration
 }
@@ -109,10 +109,11 @@ type Config struct {
 	// TraceCapacity bounds the trace ring; zero selects
 	// trace.DefaultCapacity.
 	TraceCapacity int
-	// Shards deploys the discovery index over this many shard nodes
-	// replicating advertisements via gossip: the rendezvous peer doubles
-	// as shard 0 (group membership stays there), plus Shards-1 dedicated
-	// shard peers. Zero keeps the paper's single-rendezvous layout.
+	// Shards is the size of the discovery fleet: index nodes holding the
+	// advertisement set and replicating it to one another via gossip.
+	// Node 0 rides the rendezvous peer (group membership stays there);
+	// the other Shards-1 get dedicated peers. Zero means one: the
+	// paper's single-rendezvous layout is the ring with one member.
 	Shards int
 	// ShardReplicas is how many ring owners each exact discovery query
 	// consults; zero selects p2p.DefaultShardReplicas.
@@ -129,10 +130,9 @@ type Deployment struct {
 
 	rdvPeer *p2p.Peer
 	rdvSvc  *p2p.RendezvousService
-	rdvDsc  *p2p.DiscoveryService
 
-	// shards is the gossip-replicated discovery fleet (nil when
-	// cfg.Shards == 0); shards[0] rides the rendezvous peer.
+	// shards is the discovery fleet, never empty; shards[0] rides the
+	// rendezvous peer.
 	shards     []*ShardNode
 	shardAddrs []string
 
@@ -142,19 +142,18 @@ type Deployment struct {
 	closed   bool
 }
 
-// ShardNode is one discovery shard: a peer carrying a shard-local
-// discovery index kept converged with the rest of the fleet by its
-// gossip engine. Shard 0 is the rendezvous peer itself — membership
+// ShardNode is one index node of the discovery fleet: a peer carrying
+// a discovery index kept converged with the rest of the fleet by its
+// gossip engine. Node 0 is the rendezvous peer itself — membership
 // stays centralized while the advertisement index is partitioned.
 type ShardNode struct {
 	idx  int
 	name string
 
-	mu    sync.Mutex
-	peer  *p2p.Peer
-	disco *p2p.DiscoveryService
-	gsvc  *p2p.GossipService
-	down  bool
+	mu   sync.Mutex
+	peer *p2p.Peer
+	gsvc *p2p.GossipService
+	down bool
 }
 
 // Name returns the shard's component name.
@@ -167,18 +166,11 @@ func (s *ShardNode) Addr() string {
 	return s.peer.Addr()
 }
 
-// Gossip returns the shard's gossip service.
-func (s *ShardNode) Gossip() *p2p.GossipService {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gsvc
-}
-
 // Discovery returns the shard's discovery index.
 func (s *ShardNode) Discovery() *p2p.DiscoveryService {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.disco
+	return s.gsvc.Discovery()
 }
 
 // Running reports whether the shard is up.
@@ -218,76 +210,79 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 			d.tracer = trace.New(col)
 		}
 	}
-	tr, err := cfg.Transport("rendezvous")
-	if err != nil {
-		return nil, fmt.Errorf("core: rendezvous transport: %w", err)
-	}
-	d.rdvPeer = p2p.NewPeer("rendezvous", d.gen.New(p2p.PeerIDKind), tr)
-	d.rdvPeer.SetTracer(d.tracer)
-	if col := d.tracer.Collector(); col != nil {
-		p2p.ServeTraces(d.rdvPeer, col)
-	}
-	d.rdvSvc = p2p.NewRendezvousService(d.rdvPeer, cfg.Timings.RendezvousLease)
-	d.rdvDsc = p2p.NewDiscoveryService(d.rdvPeer)
-	if cfg.Shards > 0 {
-		if err := d.deployShards(); err != nil {
-			_ = d.rdvPeer.Close()
+	for i := 0; i < max(1, cfg.Shards); i++ {
+		s := &ShardNode{idx: i, name: "rendezvous"}
+		if i > 0 {
+			s.name = fmt.Sprintf("shard-%d", i)
+		}
+		if err := d.bootShard(s); err != nil {
+			_ = d.Close()
 			return nil, err
 		}
-	}
-	d.rdvPeer.Start()
-	for _, s := range d.shards[min(1, len(d.shards)):] {
-		s.peer.Start()
+		d.shards = append(d.shards, s)
+		d.shardAddrs = append(d.shardAddrs, s.peer.Addr())
+		if i == 0 {
+			d.rdvPeer = s.peer
+			if col := d.tracer.Collector(); col != nil {
+				p2p.ServeTraces(d.rdvPeer, col)
+			}
+			d.rdvSvc = p2p.NewRendezvousService(d.rdvPeer, cfg.Timings.RendezvousLease)
+		}
 	}
 	for _, s := range d.shards {
-		s.gsvc.SetPeers(d.shardAddrs)
-		s.gsvc.Run()
+		s.start(d.shardAddrs)
 	}
 	return d, nil
 }
 
-// deployShards builds the gossip fleet: shard 0 attaches to the
-// rendezvous peer, the rest get their own peers. Called before any
-// peer starts.
-func (d *Deployment) deployShards() error {
-	cfg := d.cfg
-	for i := 0; i < cfg.Shards; i++ {
-		node := &ShardNode{idx: i}
-		if i == 0 {
-			node.name = "rendezvous"
-			node.peer = d.rdvPeer
-			node.disco = d.rdvDsc
-		} else {
-			node.name = fmt.Sprintf("shard-%d", i)
-			tr, err := cfg.Transport(node.name)
-			if err != nil {
-				return fmt.Errorf("core: shard transport %s: %w", node.name, err)
-			}
-			node.peer = p2p.NewPeer(node.name, d.gen.New(p2p.PeerIDKind), tr)
-			node.peer.SetTracer(d.tracer)
-			node.disco = p2p.NewDiscoveryService(node.peer)
-		}
-		gsvc, err := p2p.NewGossipService(node.peer, p2p.GossipConfig{
-			Disco:             node.disco,
-			Seed:              cfg.Seed + int64(i),
-			Interval:          cfg.Timings.GossipInterval,
-			ReconcileInterval: cfg.Timings.GossipReconcileInterval,
-		})
-		if err != nil {
-			return fmt.Errorf("core: shard %s gossip: %w", node.name, err)
-		}
-		node.gsvc = gsvc
-		d.shards = append(d.shards, node)
-		d.shardAddrs = append(d.shardAddrs, node.peer.Addr())
+// bootShard opens a fresh endpoint under the node's name and puts an
+// index node on it: the one construction path, at deployment and on
+// restart. The caller starts the node once it knows the fleet.
+func (d *Deployment) bootShard(s *ShardNode) error {
+	tr, err := d.cfg.Transport(s.name)
+	if err != nil {
+		return fmt.Errorf("core: transport %s: %w", s.name, err)
 	}
+	peer := p2p.NewPeer(s.name, d.gen.New(p2p.PeerIDKind), tr)
+	peer.SetTracer(d.tracer)
+	gsvc, err := p2p.NewIndexNode(peer, p2p.GossipConfig{
+		Seed:              d.cfg.Seed + int64(s.idx),
+		Interval:          d.cfg.Timings.GossipInterval,
+		ReconcileInterval: d.cfg.Timings.GossipReconcileInterval,
+	})
+	if err != nil {
+		// The peer never started: nothing but the endpoint to release.
+		_ = tr.Close()
+		return fmt.Errorf("core: shard %s gossip: %w", s.name, err)
+	}
+	s.peer, s.gsvc = peer, gsvc
 	return nil
 }
 
-// ShardAddrs returns the shard fleet's transport addresses (nil on an
-// unsharded deployment). Callers must not mutate the slice.
+// start brings the node online as a member of the fleet. Callers hold
+// s.mu or own s exclusively.
+func (s *ShardNode) start(fleet []string) {
+	s.peer.Start()
+	s.gsvc.SetPeers(fleet)
+	s.gsvc.Run()
+	s.down = false
+}
+
+// stop takes the node offline without farewell traffic. Callers hold
+// s.mu.
+func (s *ShardNode) stop() error {
+	s.down = true
+	s.gsvc.Stop()
+	return s.peer.Close()
+}
+
+// ShardAddrs returns the discovery fleet's transport addresses, node 0
+// (the rendezvous) first; never empty. Callers must not mutate the
+// slice.
 func (d *Deployment) ShardAddrs() []string { return d.shardAddrs }
 
-// Shards returns the shard nodes (nil on an unsharded deployment).
+// Shards returns the discovery fleet's index nodes, node 0 (on the
+// rendezvous peer) first; never empty.
 func (d *Deployment) Shards() []*ShardNode { return d.shards }
 
 // CrashShard abruptly takes shard i offline: its gossip engine stops
@@ -304,9 +299,7 @@ func (d *Deployment) CrashShard(i int) error {
 	if s.down {
 		return fmt.Errorf("core: shard %s already down", s.name)
 	}
-	s.down = true
-	s.gsvc.Stop()
-	return s.peer.Close()
+	return s.stop()
 }
 
 // RestartShard revives a crashed shard on a fresh transport endpoint
@@ -322,27 +315,10 @@ func (d *Deployment) RestartShard(i int) error {
 	if !s.down {
 		return fmt.Errorf("core: shard %s is running", s.name)
 	}
-	tr, err := d.cfg.Transport(s.name)
-	if err != nil {
-		return fmt.Errorf("core: shard transport %s: %w", s.name, err)
+	if err := d.bootShard(s); err != nil {
+		return err
 	}
-	s.peer = p2p.NewPeer(s.name, d.gen.New(p2p.PeerIDKind), tr)
-	s.peer.SetTracer(d.tracer)
-	s.disco = p2p.NewDiscoveryService(s.peer)
-	gsvc, err := p2p.NewGossipService(s.peer, p2p.GossipConfig{
-		Disco:             s.disco,
-		Seed:              d.cfg.Seed + int64(s.idx),
-		Interval:          d.cfg.Timings.GossipInterval,
-		ReconcileInterval: d.cfg.Timings.GossipReconcileInterval,
-	})
-	if err != nil {
-		return fmt.Errorf("core: shard %s gossip: %w", s.name, err)
-	}
-	s.gsvc = gsvc
-	s.peer.Start()
-	s.gsvc.SetPeers(d.shardAddrs)
-	s.gsvc.Run()
-	s.down = false
+	s.start(d.shardAddrs)
 	return nil
 }
 
@@ -366,7 +342,8 @@ func (d *Deployment) Rendezvous() *p2p.RendezvousService { return d.rdvSvc }
 // IDGen returns the deployment's ID generator.
 func (d *Deployment) IDGen() *p2p.IDGen { return d.gen }
 
-// Close shuts every service, group and the rendezvous down.
+// Close shuts every service, group and index node (the rendezvous
+// among them) down.
 func (d *Deployment) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -395,21 +372,16 @@ func (d *Deployment) Close() error {
 			firstErr = err
 		}
 	}
-	for _, s := range d.shards {
+	// Node 0 carries the rendezvous: it goes last.
+	for i := len(d.shards) - 1; i >= 0; i-- {
+		s := d.shards[i]
 		s.mu.Lock()
 		if !s.down {
-			s.down = true
-			s.gsvc.Stop()
-			if s.idx > 0 {
-				if err := s.peer.Close(); err != nil && firstErr == nil {
-					firstErr = err
-				}
+			if err := s.stop(); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
 		s.mu.Unlock()
-	}
-	if err := d.rdvPeer.Close(); err != nil && firstErr == nil {
-		firstErr = err
 	}
 	return firstErr
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"whisper/internal/bpeer"
-	"whisper/internal/simnet"
 	"whisper/internal/wsdl"
 )
 
@@ -16,21 +15,7 @@ import (
 // rendezvous peer).
 func newShardedDeployment(t *testing.T, n int) *Deployment {
 	t.Helper()
-	net := simnet.NewNetwork(simnet.WithLatency(simnet.ZeroLatency()), simnet.WithSeed(1))
-	t.Cleanup(func() { _ = net.Close() })
-	timings := fastTimings()
-	timings.GossipInterval = 5 * time.Millisecond
-	d, err := NewDeployment(Config{
-		Transport:     SimulatedTransport(net),
-		Seed:          1,
-		Timings:       timings,
-		Shards:        n,
-		ShardReplicas: 2,
-	})
-	if err != nil {
-		t.Fatalf("deployment: %v", err)
-	}
-	t.Cleanup(func() { _ = d.Close() })
+	d, _ := newPlaneDeployment(t, n, fastTimings().LeaseInterval)
 	return d
 }
 

@@ -322,7 +322,14 @@ func (e *Engine) jittered(d time.Duration) time.Duration {
 func (e *Engine) rumorRound() {
 	e.mu.Lock()
 	e.stats.Rounds++
-	if len(e.queue) == 0 || len(e.peers) == 0 {
+	if len(e.peers) == 0 {
+		// Nobody to tell (a ring of one): every rumor is old news. A peer
+		// that joins later learns the entries through reconciliation.
+		e.stats.RumorsRetired += uint64(len(e.queue))
+		e.queue = e.queue[:0]
+		clear(e.queued)
+	}
+	if len(e.queue) == 0 {
 		e.mu.Unlock()
 		return
 	}

@@ -240,6 +240,43 @@ func TestEngineRumorsRetire(t *testing.T) {
 	}
 }
 
+// A ring of one has nobody to tell: what Learn enqueued must retire on
+// the next round instead of staying queued for the life of the process.
+func TestEnginePeerlessRumorsRetire(t *testing.T) {
+	clock := simnet.WallClock{}
+	e, err := NewEngine(Config{
+		Self:      "solo",
+		Transport: &meshPort{m: newMesh(), self: "solo"},
+		Store:     NewStore(clock, time.Hour),
+		Clock:     clock,
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetPeers([]string{"solo"})
+	pub := NewPublisher("o", clock)
+	const n = 20
+	for i := 0; i < n; i++ {
+		e.Learn(pub.Entry(fmt.Sprintf("live-%d", i), []byte("<A/>"), time.Hour))
+		e.Learn(pub.Tombstone(fmt.Sprintf("dead-%d", i)))
+	}
+	if d := e.Stats().QueueDepth; d != 2*n {
+		t.Fatalf("queued %d rumors, want %d", d, 2*n)
+	}
+	e.rumorRound()
+	st := e.Stats()
+	if st.QueueDepth != 0 || st.RumorsRetired != 2*n || len(e.queued) != 0 {
+		t.Fatalf("after one peerless round: depth=%d retired=%d queued=%d, want 0/%d/0",
+			st.QueueDepth, st.RumorsRetired, len(e.queued), 2*n)
+	}
+	// A key retired this way is enqueued again when it next makes news.
+	e.Learn(pub.Tombstone("live-0"))
+	if d := e.Stats().QueueDepth; d != 1 {
+		t.Fatalf("tombstone after retirement not queued: depth=%d", d)
+	}
+}
+
 func TestEngineLearnRefreshSkipsRumorQueue(t *testing.T) {
 	clock := simnet.WallClock{}
 	e, err := NewEngine(Config{

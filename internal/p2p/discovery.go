@@ -15,12 +15,13 @@ import (
 )
 
 // DiscoveryService implements JXTA's discovery protocol: a local
-// advertisement cache with expirations, remote publication, and remote
-// queries answered from other peers' caches. Queries select by
-// advertisement type plus an optional attribute/value predicate, where
-// the value may use a leading or trailing '*' wildcard — exactly the
-// getLocalAdvertisements(type, attr, value) surface the paper's
-// SWS-proxy pseudocode is written against.
+// advertisement cache with expirations and remote queries answered from
+// other peers' caches (remote publication is the discovery plane's job,
+// see NewIndexNode). Queries select by advertisement type plus an
+// optional attribute/value predicate, where the value may use a leading
+// or trailing '*' wildcard — exactly the getLocalAdvertisements(type,
+// attr, value) surface the paper's SWS-proxy pseudocode is written
+// against.
 //
 // The cache keeps two secondary structures (the SRDI-style index):
 // entries grouped by advertisement type, and an exact-match index keyed
@@ -66,6 +67,8 @@ func ActionPartition(advType, action string) uint32 {
 
 type cacheEntry struct {
 	adv Advertisement
+	// raw is the advertisement's document as published; remote queries
+	// are answered with these bytes.
 	raw []byte
 	// attrs caches adv.Attributes() from publish time: every
 	// implementation builds a fresh map per call, so wildcard scans
@@ -103,11 +106,8 @@ type DiscoveryStats struct {
 	Sweeps uint64
 }
 
-// Discovery resolver handler names.
-const (
-	discoveryQueryHandler   = "discovery.query"
-	discoveryPublishHandler = "discovery.publish"
-)
+// discoveryQueryHandler is the discovery resolver handler name.
+const discoveryQueryHandler = "discovery.query"
 
 // DefaultJanitorInterval is the base period of the expired-entry
 // sweeper; each tick is jittered ±25% so co-located peers don't sweep
@@ -133,7 +133,6 @@ func newDiscoveryService(peer *Peer, janitorEvery time.Duration) *DiscoveryServi
 		now:      time.Now,
 	}
 	d.resolver.RegisterHandler(discoveryQueryHandler, d.answerQuery)
-	d.resolver.RegisterHandler(discoveryPublishHandler, d.acceptPublish)
 	if janitorEvery > 0 {
 		go d.janitor(janitorEvery)
 	}
@@ -173,6 +172,14 @@ func (d *DiscoveryService) Publish(adv Advertisement, lifetime time.Duration) er
 	if lifetime <= 0 {
 		lifetime = DefaultLifetime
 	}
+	d.ingest(adv, raw, lifetime)
+	return nil
+}
+
+// ingest caches adv, whose marshalled document is raw, for lifetime.
+// The store projection of an index node (GossipService.mirror) hands in
+// the payload bytes its store already holds, so the node keeps one copy.
+func (d *DiscoveryService) ingest(adv Advertisement, raw []byte, lifetime time.Duration) {
 	id := adv.AdvID()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -185,7 +192,6 @@ func (d *DiscoveryService) Publish(adv Advertisement, lifetime time.Duration) er
 	d.cache[id] = e
 	d.indexLocked(id, e)
 	d.memberGen++
-	return nil
 }
 
 // indexLocked inserts the entry into the type set and the exact-match
@@ -406,12 +412,6 @@ type discoveryResponseDoc struct {
 	Advs    [][]byte `xml:"Adv"`
 }
 
-type discoveryPublishDoc struct {
-	XMLName  xml.Name `xml:"DiscoveryPublish"`
-	Adv      []byte   `xml:"Adv"`
-	Lifetime int64    `xml:"LifetimeMillis"`
-}
-
 // RemoteGetAdvertisements queries the target peers' caches and returns
 // up to limit unique advertisements (0 = unlimited), waiting for
 // responses until every target answered or ctx expires.
@@ -465,27 +465,8 @@ func (d *DiscoveryService) RemoteGetAdvertisements(
 	return out, nil
 }
 
-// RemotePublish pushes the advertisement into the target peer's cache
-// (the JXTA SRDI push to a rendezvous).
-func (d *DiscoveryService) RemotePublish(ctx context.Context, target string, adv Advertisement, lifetime time.Duration) error {
-	raw, err := adv.MarshalAdv()
-	if err != nil {
-		return fmt.Errorf("discovery: marshal %s: %w", adv.AdvType(), err)
-	}
-	if lifetime <= 0 {
-		lifetime = DefaultLifetime
-	}
-	doc, err := xml.Marshal(discoveryPublishDoc{Adv: raw, Lifetime: lifetime.Milliseconds()})
-	if err != nil {
-		return fmt.Errorf("discovery: marshal publish: %w", err)
-	}
-	if _, err := d.resolver.Query(ctx, target, discoveryPublishHandler, doc); err != nil {
-		return err
-	}
-	return nil
-}
-
-// answerQuery serves a remote discovery query from the local cache.
+// answerQuery serves a remote discovery query from the local cache,
+// replying with each advertisement's bytes as they were published.
 func (d *DiscoveryService) answerQuery(_ string, payload []byte) ([]byte, error) {
 	var q discoveryQueryDoc
 	if err := xml.Unmarshal(payload, &q); err != nil {
@@ -495,29 +476,15 @@ func (d *DiscoveryService) answerQuery(_ string, payload []byte) ([]byte, error)
 	if q.Limit > 0 && len(advs) > q.Limit {
 		advs = advs[:q.Limit]
 	}
-	resp := discoveryResponseDoc{}
+	resp := discoveryResponseDoc{Advs: make([][]byte, 0, len(advs))}
+	d.mu.Lock()
 	for _, adv := range advs {
-		raw, err := adv.MarshalAdv()
-		if err != nil {
-			continue
+		// An entry flushed since the lookup is left out; one replaced
+		// since is answered with its newer bytes.
+		if e, ok := d.cache[adv.AdvID()]; ok {
+			resp.Advs = append(resp.Advs, e.raw)
 		}
-		resp.Advs = append(resp.Advs, raw)
 	}
+	d.mu.Unlock()
 	return xml.Marshal(resp)
-}
-
-// acceptPublish stores a remotely pushed advertisement.
-func (d *DiscoveryService) acceptPublish(_ string, payload []byte) ([]byte, error) {
-	var doc discoveryPublishDoc
-	if err := xml.Unmarshal(payload, &doc); err != nil {
-		return nil, fmt.Errorf("bad publish: %w", err)
-	}
-	adv, err := ParseAdvertisement(doc.Adv)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Publish(adv, time.Duration(doc.Lifetime)*time.Millisecond); err != nil {
-		return nil, err
-	}
-	return []byte("ok"), nil
 }

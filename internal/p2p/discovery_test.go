@@ -1,7 +1,9 @@
 package p2p
 
 import (
+	"bytes"
 	"context"
+	"encoding/xml"
 	"fmt"
 	"sync"
 	"testing"
@@ -171,21 +173,58 @@ func TestDiscoveryRemoteQueryDeduplicates(t *testing.T) {
 	}
 }
 
-func TestDiscoveryRemotePublish(t *testing.T) {
-	h := newHarness(t, 2)
-	edge := NewDiscoveryService(h.peers[0])
-	rdv := NewDiscoveryService(h.peers[1])
-	for _, p := range h.peers {
-		p.Start()
+// TestDiscoveryAnswerSendsPublishedBytes: a remote query is answered
+// with the bytes each advertisement was published with, and those are
+// the bytes re-marshalling every advertisement per query used to
+// produce.
+func TestDiscoveryAnswerSendsPublishedBytes(t *testing.T) {
+	h := newHarness(t, 1)
+	d := NewDiscoveryService(h.peers[0])
+	advs := []Advertisement{
+		&ServiceAdvertisement{SvcID: "urn:2", Name: "Claim & <Service>", Operation: "ProcessClaim"},
+		&ServiceAdvertisement{SvcID: "urn:1", Name: "StudentManagement", Operation: "StudentInformation"},
+		&ServiceAdvertisement{SvcID: "urn:3", Name: "StudentRegistry"},
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	adv := &ServiceAdvertisement{SvcID: "urn:push", Name: "Pushed"}
-	if err := edge.RemotePublish(ctx, h.peers[1].Addr(), adv, time.Hour); err != nil {
-		t.Fatalf("remote publish: %v", err)
+	for _, adv := range advs {
+		if err := d.Publish(adv, 0); err != nil {
+			t.Fatalf("publish: %v", err)
+		}
 	}
-	if got := rdv.GetLocalAdvertisements(ServiceAdvType, "Name", "Pushed"); len(got) != 1 {
-		t.Errorf("rendezvous cache = %d, want 1", len(got))
+	for _, q := range []discoveryQueryDoc{
+		{Type: ServiceAdvType},
+		{Type: ServiceAdvType, Attr: "Name", Value: "Student*"},
+		{Type: ServiceAdvType, Attr: "Name", Value: "StudentRegistry"},
+		{Type: ServiceAdvType, Limit: 2},
+		{Type: ServiceAdvType, Attr: "Name", Value: "nobody"},
+	} {
+		payload, err := xml.Marshal(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.answerQuery("", payload)
+		if err != nil {
+			t.Fatalf("answer %+v: %v", q, err)
+		}
+		// Reference: marshal each selected advertisement again.
+		selected := d.GetLocalAdvertisements(q.Type, q.Attr, q.Value)
+		if q.Limit > 0 && len(selected) > q.Limit {
+			selected = selected[:q.Limit]
+		}
+		var ref discoveryResponseDoc
+		for _, adv := range selected {
+			raw, err := adv.MarshalAdv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Advs = append(ref.Advs, raw)
+		}
+		want, err := xml.Marshal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("query %+v:\n got %s\nwant %s", q, got, want)
+		}
 	}
 }
 

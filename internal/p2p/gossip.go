@@ -11,18 +11,18 @@ import (
 	"whisper/internal/simnet"
 )
 
-// GossipService runs one shard's side of the epidemic advertisement
-// dissemination: a gossip.Engine replicating the advertisement set
-// across the shard fleet, served over the resolver on ProtoGossip so
-// every rumor, digest and delta frame is accounted in the network's
-// per-protocol traffic breakdown.
+// GossipService runs one index node's side of the discovery plane: a
+// gossip.Engine holding the versioned, tombstoned advertisement set and
+// replicating it across the fleet (a ring of one has nobody to
+// replicate to and sends nothing), served over the resolver on
+// ProtoGossip so every publish, rumor, digest and delta frame is
+// accounted in the network's per-protocol traffic breakdown.
 //
-// The service mirrors the replicated store into the shard's local
-// DiscoveryService: a live entry becomes a published advertisement
-// whose lifetime is the remaining time to the entry's absolute expiry;
-// a death (tombstone, expiry, GC) flushes it. Queries then hit the
-// ordinary discovery index, so the proxy's findPeerGroupAdv path is
-// unchanged — only the routing above it knows about shards.
+// The service projects the store into the node's DiscoveryService — the
+// only way an advertisement enters an index node: a live entry becomes
+// a cached advertisement whose lifetime is the remaining time to the
+// entry's absolute expiry; a death (tombstone, expiry, GC) flushes it.
+// Queries then hit the ordinary discovery index.
 type GossipService struct {
 	peer     *Peer
 	resolver *Resolver
@@ -42,7 +42,8 @@ const (
 
 // GossipConfig tunes a GossipService.
 type GossipConfig struct {
-	// Disco receives the mirrored advertisement set; required.
+	// Disco receives the projected advertisement set; NewIndexNode
+	// supplies it.
 	Disco *DiscoveryService
 	// Clock supplies time; nil selects the wall clock.
 	Clock simnet.Clock
@@ -58,8 +59,18 @@ type GossipConfig struct {
 	TombstoneTTL time.Duration
 }
 
-// NewGossipService attaches a gossip service to the peer. Call Run to
-// start the engine's rounds and SetPeers on membership changes.
+// NewIndexNode makes the peer a member of the discovery plane: a
+// DiscoveryService answering queries and a GossipService accepting
+// publishes and feeding that index. Every rendezvous and every shard is
+// built here. Start the peer, SetPeers the fleet (a ring of one needs
+// none) and Run.
+func NewIndexNode(peer *Peer, cfg GossipConfig) (*GossipService, error) {
+	cfg.Disco = NewDiscoveryService(peer)
+	return NewGossipService(peer, cfg)
+}
+
+// NewGossipService attaches a gossip service feeding cfg.Disco to the
+// peer.
 func NewGossipService(peer *Peer, cfg GossipConfig) (*GossipService, error) {
 	if cfg.Disco == nil {
 		return nil, fmt.Errorf("gossip service: config requires a DiscoveryService")
@@ -115,14 +126,24 @@ func (g *GossipService) mirror(e gossip.Entry, live bool) {
 	if lifetime <= 0 {
 		return
 	}
-	_ = g.disco.Publish(adv, lifetime)
+	g.disco.ingest(adv, e.Payload, lifetime)
 }
+
+// Discovery returns the index the service feeds.
+func (g *GossipService) Discovery() *DiscoveryService { return g.disco }
 
 // Engine returns the underlying gossip engine.
 func (g *GossipService) Engine() *gossip.Engine { return g.engine }
 
-// Run starts the engine's rumor and reconciliation rounds.
-func (g *GossipService) Run() { g.engine.Run() }
+// Run starts the engine's rumor and reconciliation rounds. They stop
+// with Stop or, like the discovery janitor, when the peer closes.
+func (g *GossipService) Run() {
+	g.engine.Run()
+	go func() {
+		<-g.peer.Done()
+		g.engine.Stop()
+	}()
+}
 
 // Stop halts the engine.
 func (g *GossipService) Stop() { g.engine.Stop() }
@@ -130,10 +151,6 @@ func (g *GossipService) Stop() { g.engine.Stop() }
 // SetPeers replaces the gossip peer set (the shard fleet's addresses;
 // self is filtered by the engine).
 func (g *GossipService) SetPeers(addrs []string) { g.engine.SetPeers(addrs) }
-
-// Learn merges a locally originated entry (the publish path on the
-// owning shard calls this directly).
-func (g *GossipService) Learn(e gossip.Entry) gossip.ApplyResult { return g.engine.Learn(e) }
 
 // servePush / serveSync / serveDelta adapt the engine's frame handlers
 // onto resolver queries.

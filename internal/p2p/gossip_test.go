@@ -28,16 +28,14 @@ func newGossipHarness(t *testing.T, n int) *gossipHarness {
 		addrs[i] = p.Addr()
 	}
 	for i, p := range g.peers {
-		d := NewDiscoveryService(p)
-		svc, err := NewGossipService(p, GossipConfig{
-			Disco:    d,
+		svc, err := NewIndexNode(p, GossipConfig{
 			Seed:     int64(i + 1),
 			Interval: 5 * time.Millisecond,
 		})
 		if err != nil {
-			t.Fatalf("gossip service %d: %v", i, err)
+			t.Fatalf("index node %d: %v", i, err)
 		}
-		g.discos = append(g.discos, d)
+		g.discos = append(g.discos, svc.Discovery())
 		g.svcs = append(g.svcs, svc)
 		p.Start()
 	}

@@ -21,6 +21,9 @@ type FailureDetector struct {
 
 	mu      sync.Mutex
 	watched map[string]*watchState
+	// lastTick is when the ping loop last ran (zero before the first
+	// tick).
+	lastTick time.Time
 	// onFailure and onRecovery are invoked outside the lock.
 	onFailure  func(addr string)
 	onRecovery func(addr string)
@@ -150,20 +153,29 @@ func (d *FailureDetector) loop() {
 	for {
 		select {
 		case <-ticker.C:
-			d.tick()
+			d.tick(time.Now())
 		case <-d.stop:
 			return
 		}
 	}
 }
 
-func (d *FailureDetector) tick() {
-	now := time.Now()
+func (d *FailureDetector) tick(now time.Time) {
 	var failures []string
 
 	d.mu.Lock()
+	// A detector that did not run — the process was paused, the host
+	// stalled — cannot tell a silent peer from its own absence: acks
+	// were neither asked for nor read meanwhile, so the time a tick is
+	// late by is not held against the watched addresses.
+	late := now.Sub(d.lastTick) - d.interval
+	if d.lastTick.IsZero() || late < d.interval {
+		late = 0
+	}
+	d.lastTick = now
 	targets := make([]string, 0, len(d.watched))
 	for addr, st := range d.watched {
+		st.lastAck = st.lastAck.Add(late)
 		if !st.failed && now.Sub(st.lastAck) > d.timeout {
 			st.failed = true
 			failures = append(failures, addr)

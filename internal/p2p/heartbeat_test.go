@@ -57,6 +57,41 @@ func TestFailureDetectorDetectsCrash(t *testing.T) {
 	}
 }
 
+// A detector that was itself paused (SIGSTOP, a stalled host) must not
+// accuse a peer of the silence it slept through — only of silence it
+// was awake to observe.
+func TestFailureDetectorForgivesItsOwnPause(t *testing.T) {
+	h := newHarness(t, 2)
+	a, b := h.peers[0], h.peers[1]
+	var failures []string
+	d := NewFailureDetector(a, FailureDetectorConfig{
+		Interval:  50 * time.Millisecond,
+		Timeout:   200 * time.Millisecond,
+		OnFailure: func(addr string) { failures = append(failures, addr) },
+	})
+	a.Start()
+	// b never starts, so no ack ever moves lastAck: the test drives the
+	// ticks by hand and owns the clock.
+	d.Watch(b.Addr())
+	t0 := time.Now()
+	d.tick(t0)
+	d.tick(t0.Add(50 * time.Millisecond))
+	// The process stops for 300 ms: the next tick comes 350 ms later.
+	at := t0.Add(400 * time.Millisecond)
+	d.tick(at)
+	if len(failures) != 0 {
+		t.Fatalf("accused %v after a pause of the detector itself", failures)
+	}
+	// Awake again, silence counts: 200 ms of it in all is the timeout.
+	for i := 0; i < 3 && len(failures) == 0; i++ {
+		at = at.Add(50 * time.Millisecond)
+		d.tick(at)
+	}
+	if len(failures) != 1 || failures[0] != b.Addr() {
+		t.Fatalf("failures = %v, want [%s] once the observed silence passes the timeout", failures, b.Addr())
+	}
+}
+
 func TestFailureDetectorRecovery(t *testing.T) {
 	h := newHarness(t, 2)
 	a, b := h.peers[0], h.peers[1]

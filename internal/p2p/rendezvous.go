@@ -11,9 +11,9 @@ import (
 
 // RendezvousService runs on a designated peer and maintains the group
 // membership index: edge peers join groups with a lease and query the
-// rendezvous for the current member set. Combined with the peer's
-// DiscoveryService cache (which edge peers push advertisements into
-// via RemotePublish), this reproduces the JXTA rendezvous/SRDI role.
+// rendezvous for the current member set. Combined with the index node
+// on the same peer (NewIndexNode, which edge peers publish
+// advertisements to), this reproduces the JXTA rendezvous/SRDI role.
 type RendezvousService struct {
 	peer     *Peer
 	resolver *Resolver

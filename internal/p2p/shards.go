@@ -12,10 +12,12 @@ import (
 // shard crash without scatter-gathering the whole fleet.
 const DefaultShardReplicas = 2
 
-// ShardRouter maps discovery index triples onto the shard fleet via a
-// consistent-hash ring. It is the read-side counterpart of the gossip
-// replication: gossip makes every shard eventually hold every
-// advertisement, while the router decides which shard is the freshest
+// ShardRouter maps discovery index triples onto the index nodes of the
+// discovery plane via a consistent-hash ring; a ring of one (the
+// paper's single rendezvous) owns every triple. It is the read-side
+// counterpart of the gossip replication: gossip makes every shard
+// eventually hold every advertisement, while the router decides which
+// shard is the freshest
 // authority for a given triple — publishes land on the owner first, so
 // exact-match queries routed to the owners see new advertisements
 // before the epidemic has finished spreading them.

@@ -109,7 +109,11 @@ func TestResolverQueryRecordsServerSpan(t *testing.T) {
 	}
 	span.End()
 
+	// The server ends its span after sending the reply.
 	recs := serverCol.Snapshot()
+	for deadline := time.Now().Add(time.Second); len(recs) == 0 && time.Now().Before(deadline); recs = serverCol.Snapshot() {
+		time.Sleep(time.Millisecond)
+	}
 	if len(recs) != 1 {
 		t.Fatalf("server recorded %d spans, want 1", len(recs))
 	}

@@ -49,10 +49,10 @@ type Config struct {
 	Name string
 	// RendezvousAddr is the rendezvous peer to discover through.
 	RendezvousAddr string
-	// ShardAddrs, when non-empty, enables sharded discovery: remote
-	// queries route to the consistent-hash owners of the requested
-	// (advType, attr, value) triple, falling back to scatter-gather
-	// over every shard. Empty keeps the single-rendezvous path.
+	// ShardAddrs lists the index nodes of the discovery plane; empty
+	// selects the ring of one, [RendezvousAddr]. Remote queries route to
+	// the consistent-hash owners of the requested (advType, attr, value)
+	// triple, falling back to scatter-gather over every node.
 	ShardAddrs []string
 	// ShardReplicas is how many shard owners each exact query consults;
 	// zero selects p2p.DefaultShardReplicas.
@@ -143,6 +143,9 @@ func (c *Config) applyDefaults() {
 	if c.Translator == nil {
 		c.Translator = IdentityTranslator{}
 	}
+	if len(c.ShardAddrs) == 0 {
+		c.ShardAddrs = []string{c.RendezvousAddr}
+	}
 }
 
 // SWSProxy forwards semantic Web service requests to b-peer groups.
@@ -208,9 +211,7 @@ func New(tr simnet.Transport, cfg Config) (*SWSProxy, error) {
 		p2p.ServeTraces(p.peer, col)
 	}
 	p.disco = p2p.NewDiscoveryService(p.peer)
-	if len(cfg.ShardAddrs) > 0 {
-		p.shards = p2p.NewShardRouter(cfg.ShardAddrs, cfg.ShardReplicas)
-	}
+	p.shards = p2p.NewShardRouter(cfg.ShardAddrs, cfg.ShardReplicas)
 	p.pipes = p2p.NewPipeService(p.peer, cfg.IDGen)
 	p.rdv = p2p.NewRendezvousClient(p.peer, cfg.RendezvousAddr)
 	p.bindRes = p2p.NewResolverOn(p.peer, bpeer.ProtoBinding)
@@ -421,27 +422,26 @@ func (p *SWSProxy) FindPeerGroupAdv(ctx context.Context, sig ontology.Signature)
 }
 
 // discover is the discovery ladder: the local advertisement cache
-// first, then — on a sharded fleet — the ring owners of the exact
-// (attr, value) triple (the shards publishes land on first, so they
-// are the freshest authority for it), then the full set: scatter-gather
-// over every shard, or the single rendezvous on the legacy path, which
-// also finds a synonym living under another concept URI. collect
-// searches the local cache and reports whether it found anything; each
-// remote step re-fills the cache before collect runs again.
+// first, then the ring owners of the exact (attr, value) triple (the
+// nodes publishes land on first, so they are the freshest authority for
+// it), then the full set scatter-gathered over every index node, which
+// also finds a synonym living under another concept URI. When the owners
+// already are the whole fleet — always, on a ring of one — the exact
+// step would ask the same nodes twice and is skipped. collect searches
+// the local cache and reports whether it found anything; each remote
+// step re-fills the cache before collect runs again.
 func (p *SWSProxy) discover(ctx context.Context, attr, value string, collect func() bool) error {
 	if collect() {
 		return nil
 	}
-	all := []string{p.cfg.RendezvousAddr}
-	if p.shards != nil {
-		owners := p.shards.AppendOwners(nil, bpeer.SemanticAdvType, attr, value)
+	all := p.shards.All()
+	if owners := p.shards.AppendOwners(nil, bpeer.SemanticAdvType, attr, value); len(owners) < len(all) {
 		if err := p.fillFromRemote(ctx, owners, attr, value); err != nil {
 			return err
 		}
 		if collect() {
 			return nil
 		}
-		all = p.shards.All()
 	}
 	if err := p.fillFromRemote(ctx, all, "", ""); err != nil {
 		return err

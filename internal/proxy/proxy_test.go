@@ -51,8 +51,12 @@ func newFixture(t *testing.T) *fixture {
 	}
 	f.rdvPeer = p2p.NewPeer("rdv", f.gen.New(p2p.PeerIDKind), port)
 	p2p.NewRendezvousService(f.rdvPeer, 2*time.Second)
-	p2p.NewDiscoveryService(f.rdvPeer)
+	index, err := p2p.NewIndexNode(f.rdvPeer, p2p.GossipConfig{})
+	if err != nil {
+		t.Fatalf("rdv index node: %v", err)
+	}
 	f.rdvPeer.Start()
+	index.Run()
 	t.Cleanup(func() { _ = f.rdvPeer.Close() })
 	return f
 }
