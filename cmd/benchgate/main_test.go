@@ -1,8 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,38 +9,28 @@ import (
 	"whisper/internal/bench"
 )
 
-// writeGossipReport writes a BENCH_gossip.json with the given metrics
-// and returns its path.
-func writeGossipReport(t *testing.T, metrics map[string]bench.Metric) string {
+// writeGossipReport writes a BENCH_gossip.json for a healthy E14 result
+// whose 10000-ad point has the given flood/gossip ratio, and returns
+// its path.
+func writeGossipReport(t *testing.T, ratio float64) string {
 	t.Helper()
-	r := &bench.Report{Experiment: "gossip", Metrics: metrics}
-	data, err := json.Marshal(r)
-	if err != nil {
-		t.Fatalf("marshal report: %v", err)
+	res := &bench.GossipResult{
+		Points: []bench.GossipPoint{
+			{Ads: 1000, Shards: 4, Ratio: 11.5, Convergence: 2 * time.Second},
+			{Ads: 10000, Shards: 4, Ratio: ratio, Convergence: 3 * time.Second},
+		},
+		Sweep: []bench.GossipSweepPoint{{Peers: 2, Rounds: 2}, {Peers: 16, Rounds: 5}},
 	}
-	path := filepath.Join(t.TempDir(), "BENCH_gossip.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	path, err := bench.GossipReport(&bench.Table{Title: "test"}, res).WriteFile(t.TempDir())
+	if err != nil {
 		t.Fatalf("write report: %v", err)
 	}
 	return path
 }
 
-func healthyGossipMetrics() map[string]bench.Metric {
-	return map[string]bench.Metric{
-		"gossip.1000.ratio":        {Unit: "x", Mean: 11.5},
-		"gossip.1000.convergence":  {Unit: "ns", Mean: float64(2 * time.Second)},
-		"gossip.10000.ratio":       {Unit: "x", Mean: 12.1},
-		"gossip.10000.convergence": {Unit: "ns", Mean: float64(3 * time.Second)},
-		"sweep.2.spread":           {Unit: "ns", Mean: float64(50 * time.Millisecond)},
-		"sweep.16.spread":          {Unit: "ns", Mean: float64(120 * time.Millisecond)},
-		"sweep.interval":           {Unit: "ns", Mean: float64(25 * time.Millisecond)},
-	}
-}
-
 func TestGossipGatePasses(t *testing.T) {
-	path := writeGossipReport(t, healthyGossipMetrics())
 	var out strings.Builder
-	if err := run([]string{"-gossip", path}, &out); err != nil {
+	if err := run([]string{"-report", writeGossipReport(t, 12.1)}, &out); err != nil {
 		t.Fatalf("healthy report failed the gate: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "gossip gate passed") {
@@ -51,12 +39,8 @@ func TestGossipGatePasses(t *testing.T) {
 }
 
 func TestGossipGateCatchesWeakRatio(t *testing.T) {
-	metrics := healthyGossipMetrics()
-	metrics["gossip.10000.ratio"] = bench.Metric{Unit: "x", Mean: 4}
-	path := writeGossipReport(t, metrics)
 	var out strings.Builder
-	err := run([]string{"-gossip", path}, &out)
-	if err == nil {
+	if err := run([]string{"-report", writeGossipReport(t, 4)}, &out); err == nil {
 		t.Fatal("weak ratio passed the gate")
 	}
 	if !strings.Contains(out.String(), "GOSSIP GATE") {
@@ -66,7 +50,19 @@ func TestGossipGateCatchesWeakRatio(t *testing.T) {
 
 func TestGossipGateMissingReport(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-gossip", filepath.Join(t.TempDir(), "nope.json")}, &out); err == nil {
+	if err := run([]string{"-report", filepath.Join(t.TempDir(), "nope.json")}, &out); err == nil {
 		t.Fatal("missing report should fail")
+	}
+}
+
+// TestCommittedReportsPassTheirBounds holds the three gated reports in
+// the repository root to the bounds they carry, so tier-1 notices a
+// committed report that no longer passes (or lost its rows).
+func TestCommittedReportsPassTheirBounds(t *testing.T) {
+	for _, name := range []string{"BENCH_overload.json", "BENCH_followers.json", "BENCH_gossip.json"} {
+		var out strings.Builder
+		if err := run([]string{"-report", filepath.Join("..", "..", name)}, &out); err != nil {
+			t.Errorf("%s: %v\n%s", name, err, out.String())
+		}
 	}
 }

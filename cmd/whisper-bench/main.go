@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -28,278 +29,40 @@ func main() {
 }
 
 func run(args []string) error {
+	names := make([]string, len(bench.Experiments))
+	for i, e := range bench.Experiments {
+		names[i] = e.Name
+	}
 	fs := flag.NewFlagSet("whisper-bench", flag.ContinueOnError)
+	var f bench.Flags
 	var (
-		exp      = fs.String("exp", "all", "experiment: all|figure4|rtt|failover|throughput|discovery|discovery-live|backend|qos|availability|election|chaos|exactlyonce|overload|followers|gossip")
-		peers    = fs.String("peers", "", "comma-separated peer counts for sweeps (experiment-specific default)")
-		window   = fs.Duration("window", 0, "measurement window for figure4/throughput")
-		samples  = fs.Int("samples", 0, "sample count for rtt")
-		requests = fs.Int("requests", 0, "request count for figure4/backend/qos")
-		trials   = fs.Int("trials", 0, "trial count for failover/election")
-		seed     = fs.Int64("seed", 1, "random seed")
-		format   = fs.String("format", "table", "output format: table|csv")
-		jsonDir  = fs.String("json", "", "also write machine-readable BENCH_<exp>.json files into this directory")
-		traced   = fs.Bool("trace", false, "for failover: record a distributed trace of the recovery request and print its span-tree breakdown")
-		mtbf     = fs.Duration("mtbf", 0, "for chaos: mean time between failures per replica (default 2s)")
-		mttr     = fs.Duration("mttr", 0, "for chaos: mean time to repair a crashed replica (default 500ms)")
-		netChaos = fs.Bool("net-faults", false, "for chaos: also inject rolling partitions and link degradation (drops, duplication, corruption)")
-		baseRate = fs.Float64("base-rate", 0, "for overload: the 1x offered load in req/s (default: calibrate against measured capacity)")
-		mults    = fs.String("multipliers", "", "for overload: comma-separated offered-load multipliers (default 1,5,10)")
+		exp     = fs.String("exp", "all", "experiment: all|"+strings.Join(names, "|"))
+		peers   = fs.String("peers", "", "comma-separated peer counts for sweeps (experiment-specific default)")
+		format  = fs.String("format", "table", "output format: table|csv")
+		jsonDir = fs.String("json", "", "also write machine-readable BENCH_<exp>.json files into this directory")
 	)
+	fs.DurationVar(&f.Window, "window", 0, "measurement window for figure4/throughput")
+	fs.IntVar(&f.Trials, "trials", 0, "trial count for failover/election")
+	fs.Int64Var(&f.Seed, "seed", 1, "random seed")
+	fs.BoolVar(&f.Trace, "trace", false, "for failover: record a distributed trace of the recovery request and print its span-tree breakdown")
+	fs.DurationVar(&f.MTBF, "mtbf", 0, "for chaos: mean time between failures per replica (default 2s)")
+	fs.DurationVar(&f.MTTR, "mttr", 0, "for chaos: mean time to repair a crashed replica (default 500ms)")
+	fs.BoolVar(&f.NetFaults, "net-faults", false, "for chaos: also inject rolling partitions and link degradation (drops, duplication, corruption)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	counts, err := parseCounts(*peers)
-	if err != nil {
+	var err error
+	if f.Peers, err = parseCounts(*peers); err != nil {
 		return err
 	}
 
-	// traceReport holds the failover experiment's span-tree breakdown
-	// when -trace is set; it is printed after the experiment's table.
-	// Each runner returns the printable table plus a machine-readable
-	// report (written as BENCH_<exp>.json under -json).
-	// The experiments inherit the process root context; individual
-	// phases derive their own timeouts from it.
-	ctx := context.Background()
-
-	var traceReport string
-	runners := map[string]func() (*bench.Table, *bench.Report, error){
-		"figure4": func() (*bench.Table, *bench.Report, error) {
-			t, _, err := bench.Figure4(ctx, bench.Figure4Options{
-				PeerCounts: counts, Window: *window, Requests: *requests, Seed: *seed,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			return t, bench.NewReport("figure4", t), nil
-		},
-		"rtt": func() (*bench.Table, *bench.Report, error) {
-			t, res, err := bench.RTT(ctx, bench.RTTOptions{Samples: *samples, Seed: *seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			r := bench.NewReport("rtt", t)
-			r.AddHistogram("transport", res.Transport)
-			r.AddHistogram("invocation", res.Invocation)
-			return t, r, nil
-		},
-		"failover": func() (*bench.Table, *bench.Report, error) {
-			opts := bench.FailoverOptions{Trials: *trials, Seed: *seed, Trace: *traced}
-			if len(counts) > 0 {
-				opts.Peers = counts[0]
-			}
-			t, res, err := bench.Failover(ctx, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			if res.Trace != nil {
-				traceReport = res.Trace.Report
-			}
-			r := bench.NewReport("failover", t)
-			r.AddHistogram("steady_rtt", res.SteadyRTT)
-			r.AddHistogram("detect_elect", res.DetectElect)
-			r.AddHistogram("unavailability", res.Unavailability)
-			r.AddScalar("worst_rtt", "ns", float64(res.WorstRTT))
-			return t, r, nil
-		},
-		"throughput": func() (*bench.Table, *bench.Report, error) {
-			t, points, err := bench.Throughput(ctx, bench.ThroughputOptions{
-				PeerCounts: counts, Duration: *window, Seed: *seed,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			r := bench.NewReport("throughput", t)
-			for _, p := range points {
-				key := fmt.Sprintf("%s.%dpeers", p.Policy, p.Peers)
-				r.AddScalar(key+".throughput", "req/s", p.Throughput)
-				r.AddHistogram(key+".latency", p.Latency)
-			}
-			return t, r, nil
-		},
-		"discovery": func() (*bench.Table, *bench.Report, error) {
-			t, err := bench.DiscoveryQuality(ctx, bench.DiscoveryOptions{})
-			if err != nil {
-				return nil, nil, err
-			}
-			return t, bench.NewReport("discovery", t), nil
-		},
-		"discovery-live": func() (*bench.Table, *bench.Report, error) {
-			t, err := bench.DiscoveryQualityLive(ctx, bench.DiscoveryOptions{})
-			if err != nil {
-				return nil, nil, err
-			}
-			return t, bench.NewReport("discovery-live", t), nil
-		},
-		"backend": func() (*bench.Table, *bench.Report, error) {
-			t, res, err := bench.BackendFailover(ctx, bench.BackendFailoverOptions{
-				Requests: *requests, Seed: *seed,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			r := bench.NewReport("backend", t)
-			r.AddScalar("succeeded", "count", float64(res.Succeeded))
-			r.AddScalar("failed", "count", float64(res.Failed))
-			r.AddScalar("switch_time", "ns", float64(res.SwitchTime))
-			return t, r, nil
-		},
-		"qos": func() (*bench.Table, *bench.Report, error) {
-			t, res, err := bench.QoSSelection(ctx, bench.QoSOptions{Requests: *requests, Seed: *seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			r := bench.NewReport("qos", t)
-			for _, s := range res {
-				r.AddHistogram(s.Strategy+".latency", s.Latency)
-			}
-			return t, r, nil
-		},
-		"availability": func() (*bench.Table, *bench.Report, error) {
-			t, res, err := bench.Availability(ctx, bench.AvailabilityOptions{Requests: *requests, Seed: *seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			r := bench.NewReport("availability", t)
-			for _, s := range res {
-				r.AddHistogram(s.Strategy+".latency", s.Latency)
-				r.AddScalar(s.Strategy+".errors", "count", float64(s.Errors))
-			}
-			return t, r, nil
-		},
-		"election": func() (*bench.Table, *bench.Report, error) {
-			t, points, err := bench.ElectionCost(ctx, bench.ElectionOptions{
-				GroupSizes: counts, Trials: *trials, Seed: *seed,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			r := bench.NewReport("election", t)
-			for _, p := range points {
-				key := fmt.Sprintf("%dpeers", p.Peers)
-				r.AddScalar(key+".avg_messages", "count", p.AvgMessages)
-				r.AddScalar(key+".avg_converge", "ns", float64(p.AvgConverge))
-			}
-			return t, r, nil
-		},
-		"chaos": func() (*bench.Table, *bench.Report, error) {
-			t, res, err := bench.Chaos(ctx, bench.ChaosOptions{
-				GroupSizes: counts, MTBF: *mtbf, MTTR: *mttr,
-				Window: *window, NetFaults: *netChaos, Seed: *seed,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			r := bench.NewReport("chaos", t)
-			for _, p := range res {
-				key := fmt.Sprintf("%dpeers", p.Peers)
-				r.AddHistogram(key+".latency", p.Latency)
-				r.AddScalar(key+".measured_availability", "ratio", p.Measured)
-				r.AddScalar(key+".predicted_availability", "ratio", p.Predicted)
-				r.AddScalar(key+".crashes", "count", float64(p.Crashes))
-			}
-			return t, r, nil
-		},
-		"exactlyonce": func() (*bench.Table, *bench.Report, error) {
-			t, res, err := bench.ExactlyOnce(ctx, bench.ExactlyOnceOptions{
-				MTBF: *mtbf, MTTR: *mttr, Window: *window, Seed: *seed,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			r := bench.NewReport("exactlyonce", t)
-			for _, p := range res {
-				r.AddHistogram(p.Strategy+".commit", p.Commit)
-				r.AddScalar(p.Strategy+".ops", "count", float64(p.Ops))
-				r.AddScalar(p.Strategy+".acked", "count", float64(p.Acked))
-				r.AddScalar(p.Strategy+".executions", "count", float64(p.Executions))
-				r.AddScalar(p.Strategy+".duplicates", "count", float64(len(p.Duplicates)))
-				r.AddScalar(p.Strategy+".lost_acked", "count", float64(len(p.LostAcked)))
-				r.AddScalar(p.Strategy+".crashes", "count", float64(p.Crashes))
-			}
-			return t, r, nil
-		},
-		"overload": func() (*bench.Table, *bench.Report, error) {
-			multipliers, err := parseMultipliers(*mults)
-			if err != nil {
-				return nil, nil, err
-			}
-			t, res, err := bench.Overload(ctx, bench.OverloadOptions{
-				BaseRate: *baseRate, Multipliers: multipliers, Window: *window, Seed: *seed,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			r := bench.NewReport("overload", t)
-			r.AddScalar("base_rate", "req/s", res.BaseRate)
-			if res.Capacity > 0 {
-				r.AddScalar("capacity", "req/s", res.Capacity)
-			}
-			for _, p := range res.Points {
-				key := fmt.Sprintf("%s.%gx", p.Config, p.Multiplier)
-				r.AddScalar(key+".offered_rate", "req/s", p.Rate)
-				r.AddScalar(key+".offered", "count", float64(p.Offered))
-				r.AddScalar(key+".good", "count", float64(p.Good))
-				r.AddScalar(key+".shed", "count", float64(p.Shed))
-				r.AddScalar(key+".errors", "count", float64(p.Errors))
-				r.AddScalar(key+".violations", "count", float64(p.Violations))
-				r.AddScalar(key+".duplicates", "count", float64(p.Duplicates))
-				r.AddScalar(key+".goodput", "req/s", p.Goodput)
-				r.AddScalar(key+".shed_rate", "ratio", p.ShedRate)
-				r.AddScalar(key+".p50", "ns", float64(p.P50))
-				r.AddScalar(key+".p99", "ns", float64(p.P99))
-				if p.Config == "protected" {
-					r.AddScalar(key+".limit", "count", p.Limit)
-				}
-			}
-			return t, r, nil
-		},
-		"followers": func() (*bench.Table, *bench.Report, error) {
-			t, res, err := bench.Followers(ctx, bench.FollowersOptions{
-				ReplicaCounts: counts, Window: *window, Seed: *seed,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			r := bench.NewReport("followers", t)
-			addPoint := func(key string, p bench.FollowersPoint) {
-				r.AddScalar(key+".goodput", "req/s", p.Goodput)
-				r.AddScalar(key+".reads", "count", float64(p.Reads))
-				r.AddScalar(key+".errors", "count", float64(p.Errors))
-				r.AddScalar(key+".writes", "count", float64(p.Writes))
-				r.AddScalar(key+".p50", "ns", float64(p.P50))
-				r.AddScalar(key+".p99", "ns", float64(p.P99))
-				r.AddScalar(key+".spread", "count", float64(p.Spread))
-				r.AddScalar(key+".checked", "count", float64(p.Checked))
-				r.AddScalar(key+".stale", "count", float64(p.Stale))
-			}
-			addPoint("coordinator", res.Baseline)
-			for _, p := range res.Points {
-				addPoint(fmt.Sprintf("followers.%d", p.Replicas), p)
-			}
-			r.AddScalar("scaling", "ratio", res.Scaling)
-			return t, r, nil
-		},
-		"gossip": func() (*bench.Table, *bench.Report, error) {
-			opts := bench.GossipOptions{PeerCounts: counts, Seed: *seed}
-			if *requests > 0 {
-				opts.AdCounts = []int{*requests}
-			}
-			t, res, err := bench.Gossip(ctx, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			return t, bench.GossipReport(t, res), nil
-		},
-	}
-	order := []string{"figure4", "rtt", "failover", "throughput", "discovery", "discovery-live", "backend", "qos", "availability", "election", "chaos", "exactlyonce", "overload", "followers", "gossip"}
-
-	selected := order
+	selected := bench.Experiments
 	if *exp != "all" {
-		if _, ok := runners[*exp]; !ok {
-			return fmt.Errorf("unknown experiment %q (want one of: all %s)", *exp, strings.Join(order, " "))
+		i := slices.Index(names, *exp)
+		if i < 0 {
+			return fmt.Errorf("unknown experiment %q (want one of: all %s)", *exp, strings.Join(names, " "))
 		}
-		selected = []string{*exp}
+		selected = selected[i : i+1]
 	}
 	if *format != "table" && *format != "csv" {
 		return fmt.Errorf("unknown format %q (want table|csv)", *format)
@@ -309,47 +72,34 @@ func run(args []string) error {
 			return fmt.Errorf("json dir: %w", err)
 		}
 	}
-	for _, name := range selected {
+	// The experiments inherit the process root context; individual
+	// phases derive their own timeouts from it.
+	ctx := context.Background()
+	for _, e := range selected {
 		start := time.Now()
-		table, report, err := runners[name]()
+		report, err := e.Run(ctx, f)
 		if err != nil {
-			return fmt.Errorf("experiment %s: %w", name, err)
+			return fmt.Errorf("experiment %s: %w", e.Name, err)
 		}
 		if *jsonDir != "" {
 			path, err := report.WriteFile(*jsonDir)
 			if err != nil {
-				return fmt.Errorf("experiment %s: %w", name, err)
+				return fmt.Errorf("experiment %s: %w", e.Name, err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}
 		if *format == "csv" {
-			fmt.Print(table.CSV())
+			fmt.Print(report.Table().CSV())
 			fmt.Println()
 			continue
 		}
-		fmt.Println(table.String())
-		if name == "failover" && traceReport != "" {
-			fmt.Println(traceReport)
+		fmt.Println(report.Table().String())
+		if report.Trailer != "" {
+			fmt.Println(report.Trailer)
 		}
-		fmt.Printf("(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s completed in %v)\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
-}
-
-func parseMultipliers(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || f <= 0 {
-			return nil, fmt.Errorf("bad multiplier %q", p)
-		}
-		out = append(out, f)
-	}
-	return out, nil
 }
 
 func parseCounts(s string) ([]int, error) {

@@ -263,3 +263,22 @@ func chaosRun(ctx context.Context, opts ChaosOptions, peers int) (ChaosResult, e
 	res.Health = c.Service.Proxy().Health().Snapshot()
 	return res, nil
 }
+
+func runChaos(ctx context.Context, f Flags) (*Report, error) {
+	t, res, err := Chaos(ctx, ChaosOptions{
+		GroupSizes: f.Peers, MTBF: f.MTBF, MTTR: f.MTTR,
+		Window: f.Window, NetFaults: f.NetFaults, Seed: f.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	r := NewReport("chaos", t)
+	for _, p := range res {
+		key := fmt.Sprintf("%dpeers", p.Peers)
+		r.AddHistogram(key+".latency", p.Latency)
+		r.AddScalar(key+".measured_availability", "ratio", p.Measured)
+		r.AddScalar(key+".predicted_availability", "ratio", p.Predicted)
+		r.AddScalar(key+".crashes", "count", float64(p.Crashes))
+	}
+	return r, nil
+}

@@ -7,14 +7,11 @@ import (
 	"time"
 
 	"whisper/internal/baseline"
-	"whisper/internal/bpeer"
 	"whisper/internal/chaos"
 	"whisper/internal/core"
 	"whisper/internal/metrics"
 	"whisper/internal/ontology"
-	"whisper/internal/qos"
 	"whisper/internal/replog"
-	"whisper/internal/simnet"
 )
 
 // ExactlyOnceOptions configures experiment E11: exactly-once execution
@@ -119,26 +116,20 @@ func paymentID(payload []byte) (string, error) {
 	return req.ID, nil
 }
 
-// paymentHandler executes a payment: the state change happens up
-// front (the funds move), then the receipt takes OpDelay to produce —
-// so a crash during processing leaves an executed operation whose
-// reply is lost, exactly the case the journal exists for.
-func paymentHandler(ledger *chaos.OpLedger, delay time.Duration) bpeer.Handler {
-	return bpeer.HandlerFunc(func(ctx context.Context, _ string, payload []byte) ([]byte, error) {
+// recordPayment is the finiteBackend begin step of a payment: the
+// state change happens up front (the funds move, the ledger records the
+// execution), then the receipt takes the service time to produce — so a
+// crash during processing leaves an executed operation whose reply is
+// lost, exactly the case the journal exists for.
+func recordPayment(ledger *chaos.OpLedger) func(string, []byte) ([]byte, error) {
+	return func(_ string, payload []byte) ([]byte, error) {
 		id, err := paymentID(payload)
 		if err != nil {
 			return nil, err
 		}
 		ledger.RecordExec(id)
-		if delay > 0 {
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
 		return []byte("<Receipt><ID>" + id + "</ID></Receipt>"), nil
-	})
+	}
 }
 
 // ExactlyOnce runs E11 and returns the per-strategy comparison table.
@@ -207,33 +198,18 @@ func ExactlyOnceWhisper(ctx context.Context, opts ExactlyOnceOptions, journaled 
 	res := ExactlyOnceResult{Strategy: strategy, Commit: metrics.NewHistogram()}
 	ledger := chaos.NewOpLedger()
 
-	net := simnet.NewNetwork(simnet.WithLatency(simnet.NewLANModel(opts.Seed+1)), simnet.WithSeed(opts.Seed))
-	defer func() { _ = net.Close() }()
-	dep, err := core.NewDeployment(core.Config{
-		Transport: core.SimulatedTransport(net),
-		Seed:      opts.Seed,
-		Timings: core.Timings{
-			HeartbeatInterval: 50 * time.Millisecond,
-			HeartbeatTimeout:  200 * time.Millisecond,
-			ElectionTimeout:   100 * time.Millisecond,
-			LeaseInterval:     500 * time.Millisecond,
-			RendezvousLease:   5 * time.Second,
-			BindTimeout:       time.Second,
-			CallTimeout:       time.Second,
-			RetryDelay:        50 * time.Millisecond,
-		},
-	})
+	bed, err := NewTestBed(ClusterOptions{Seed: opts.Seed})
 	if err != nil {
 		return res, err
 	}
-	defer func() { _ = dep.Close() }()
+	defer func() { _ = bed.Close() }()
 
 	deployCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	group, err := dep.DeployGroup(deployCtx, core.GroupSpec{
+	group, err := bed.Dep.DeployGroup(deployCtx, core.GroupSpec{
 		Name:      "PaymentProcessing",
 		Signature: PaymentSignature(),
-		QoS:       qos.Profile{LatencyMillis: 5, Reliability: 0.99, Availability: 0.99},
-		Handler:   paymentHandler(ledger, opts.OpDelay),
+		QoS:       benchQoS,
+		Handler:   finiteBackend(0, opts.OpDelay, recordPayment(ledger)),
 		NoJournal: !journaled,
 		Count:     opts.Replicas,
 	})
@@ -241,35 +217,47 @@ func ExactlyOnceWhisper(ctx context.Context, opts ExactlyOnceOptions, journaled 
 	if err != nil {
 		return res, err
 	}
-	prox, err := dep.NewProxy("pay-proxy", core.ProxyOptions{})
+	prox, err := bed.NewProxy("pay-proxy", core.ProxyOptions{})
 	if err != nil {
 		return res, err
 	}
-	defer func() { _ = prox.Close() }()
 
-	invoke := func(id, key string, deadline time.Time) error {
+	err = driveExactlyOnce(ctx, opts, &res, ledger, GroupTargets(group), func(cctx context.Context, id string) error {
+		// Every attempt of one logical payment carries the SAME
+		// idempotency key.
+		_, err := prox.Invoke(replog.ContextWithKey(cctx, "pay-"+id), PaymentSignature(), "ProcessPayment", PaymentRequestXML(id))
+		return err
+	})
+	return res, err
+}
+
+// driveExactlyOnce is the client side of one E11 strategy: the
+// steady-state phase, then the churn phase with targets crashing and
+// restarting under it, then the ledger's verdict into res. invoke makes
+// one attempt at the logical payment id under ctx's deadline.
+func driveExactlyOnce(ctx context.Context, opts ExactlyOnceOptions, res *ExactlyOnceResult, ledger *chaos.OpLedger,
+	targets []chaos.Target, invoke func(ctx context.Context, id string) error) error {
+	attempt := func(id string, deadline time.Time) error {
 		cctx, cancel := context.WithDeadline(ctx, deadline)
 		defer cancel()
-		cctx = replog.ContextWithKey(cctx, key)
-		_, err := prox.Invoke(cctx, PaymentSignature(), "ProcessPayment", PaymentRequestXML(id))
-		return err
+		return invoke(cctx, id)
 	}
 
 	// Steady state: churn-free commit latency (the journal's
 	// replication cost shows up here as p50/p95 overhead vs "retry").
 	for i := 0; i < opts.SteadyOps; i++ {
-		id := fmt.Sprintf("steady-%s-%04d", strategy, i)
+		id := fmt.Sprintf("steady-%s-%04d", res.Strategy, i)
 		start := time.Now()
-		if err := invoke(id, "pay-"+id, start.Add(opts.OpTimeout)); err == nil {
+		if err := attempt(id, start.Add(opts.OpTimeout)); err == nil {
 			res.Commit.Observe(time.Since(start))
 			ledger.RecordAck(id)
 		}
 	}
 
-	// Churn: the client re-drives each logical payment under the SAME
-	// idempotency key until it is acknowledged or the operation budget
-	// runs out, while replicas crash and restart underneath it.
-	eng := chaos.New(chaos.Config{Seed: opts.Seed, MTBF: opts.MTBF, MTTR: opts.MTTR}, GroupTargets(group)...)
+	// Churn: the client re-drives each logical payment until it is
+	// acknowledged or the operation budget runs out, while replicas
+	// crash and restart underneath it.
+	eng := chaos.New(chaos.Config{Seed: opts.Seed, MTBF: opts.MTBF, MTTR: opts.MTTR}, targets...)
 	runCtx, stopChaos := context.WithCancel(ctx)
 	chaosDone := make(chan struct{})
 	go func() { eng.Run(runCtx); close(chaosDone) }()
@@ -277,10 +265,10 @@ func ExactlyOnceWhisper(ctx context.Context, opts ExactlyOnceOptions, journaled 
 	deadline := time.Now().Add(opts.Window)
 	for i := 0; time.Now().Before(deadline); i++ {
 		res.Ops++
-		id := fmt.Sprintf("churn-%s-%04d", strategy, i)
+		id := fmt.Sprintf("churn-%s-%04d", res.Strategy, i)
 		opDeadline := time.Now().Add(opts.OpTimeout)
 		for {
-			if err := invoke(id, "pay-"+id, opDeadline); err == nil {
+			if err := attempt(id, opDeadline); err == nil {
 				ledger.RecordAck(id)
 				res.Acked++
 				break
@@ -297,10 +285,14 @@ func ExactlyOnceWhisper(ctx context.Context, opts ExactlyOnceOptions, journaled 
 	quiesceCtx, qCancel := context.WithTimeout(ctx, 30*time.Second)
 	defer qCancel()
 	if err := eng.Quiesce(quiesceCtx); err != nil {
-		return res, fmt.Errorf("quiesce: %w", err)
+		return fmt.Errorf("quiesce: %w", err)
 	}
-	finishExactlyOnce(&res, ledger, eng)
-	return res, nil
+	res.Executed, res.Executions, _ = ledger.Counts()
+	res.Duplicates = ledger.Duplicates()
+	res.LostAcked = ledger.LostAcked()
+	res.Crashes = eng.Counts().Get("crash")
+	res.Restarts = eng.Counts().Get("restart")
+	return nil
 }
 
 // endpointTarget adapts a baseline FuncEndpoint to a chaos target:
@@ -325,93 +317,46 @@ func ExactlyOnceWSFTM(ctx context.Context, opts ExactlyOnceOptions) (ExactlyOnce
 	res := ExactlyOnceResult{Strategy: "wsftm", Commit: metrics.NewHistogram()}
 	ledger := chaos.NewOpLedger()
 
-	endpoints := make([]*baseline.FuncEndpoint, opts.Replicas)
+	pay := finiteBackend(0, opts.OpDelay, recordPayment(ledger))
+	eps := make([]baseline.Endpoint, opts.Replicas)
 	targets := make([]chaos.Target, opts.Replicas)
-	for i := range endpoints {
+	for i := range eps {
 		var ep *baseline.FuncEndpoint
-		ep = baseline.NewFuncEndpoint(func(ctx context.Context, _ string, payload []byte) ([]byte, error) {
-			id, err := paymentID(payload)
-			if err != nil {
-				return nil, err
-			}
-			ledger.RecordExec(id)
-			if opts.OpDelay > 0 {
-				select {
-				case <-time.After(opts.OpDelay):
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			}
-			if !ep.Available() {
+		ep = baseline.NewFuncEndpoint(func(ctx context.Context, op string, payload []byte) ([]byte, error) {
+			receipt, err := pay.Invoke(ctx, op, payload)
+			if err == nil && !ep.Available() {
 				// Crashed while processing: the payment executed, the
 				// receipt is lost.
 				return nil, baseline.ErrEndpointDown
 			}
-			return []byte("<Receipt><ID>" + id + "</ID></Receipt>"), nil
+			return receipt, err
 		})
-		endpoints[i] = ep
-		targets[i] = &endpointTarget{name: fmt.Sprintf("wsftm-%d", i), ep: ep}
-	}
-	eps := make([]baseline.Endpoint, len(endpoints))
-	for i, ep := range endpoints {
 		eps[i] = ep
+		targets[i] = &endpointTarget{name: fmt.Sprintf("wsftm-%d", i), ep: ep}
 	}
 	client := baseline.NewClientRetry(eps...)
 
-	invoke := func(id string, deadline time.Time) error {
-		cctx, cancel := context.WithDeadline(ctx, deadline)
-		defer cancel()
+	err := driveExactlyOnce(ctx, opts, &res, ledger, targets, func(cctx context.Context, id string) error {
 		_, err := client.Invoke(cctx, "ProcessPayment", PaymentRequestXML(id))
 		return err
-	}
-
-	for i := 0; i < opts.SteadyOps; i++ {
-		id := fmt.Sprintf("steady-wsftm-%04d", i)
-		start := time.Now()
-		if err := invoke(id, start.Add(opts.OpTimeout)); err == nil {
-			res.Commit.Observe(time.Since(start))
-			ledger.RecordAck(id)
-		}
-	}
-
-	eng := chaos.New(chaos.Config{Seed: opts.Seed, MTBF: opts.MTBF, MTTR: opts.MTTR}, targets...)
-	runCtx, stopChaos := context.WithCancel(ctx)
-	chaosDone := make(chan struct{})
-	go func() { eng.Run(runCtx); close(chaosDone) }()
-
-	deadline := time.Now().Add(opts.Window)
-	for i := 0; time.Now().Before(deadline); i++ {
-		res.Ops++
-		id := fmt.Sprintf("churn-wsftm-%04d", i)
-		opDeadline := time.Now().Add(opts.OpTimeout)
-		for {
-			if err := invoke(id, opDeadline); err == nil {
-				ledger.RecordAck(id)
-				res.Acked++
-				break
-			}
-			if !time.Now().Before(opDeadline) {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-
-	stopChaos()
-	<-chaosDone
-	quiesceCtx, qCancel := context.WithTimeout(ctx, 30*time.Second)
-	defer qCancel()
-	if err := eng.Quiesce(quiesceCtx); err != nil {
-		return res, fmt.Errorf("quiesce: %w", err)
-	}
-	finishExactlyOnce(&res, ledger, eng)
-	return res, nil
+	})
+	return res, err
 }
 
-func finishExactlyOnce(res *ExactlyOnceResult, ledger *chaos.OpLedger, eng *chaos.Engine) {
-	res.Executed, res.Executions, _ = ledger.Counts()
-	res.Duplicates = ledger.Duplicates()
-	res.LostAcked = ledger.LostAcked()
-	res.Crashes = eng.Counts().Get("crash")
-	res.Restarts = eng.Counts().Get("restart")
+func runExactlyOnce(ctx context.Context, f Flags) (*Report, error) {
+	t, res, err := ExactlyOnce(ctx, ExactlyOnceOptions{MTBF: f.MTBF, MTTR: f.MTTR, Window: f.Window, Seed: f.Seed})
+	if err != nil {
+		return nil, err
+	}
+	r := NewReport("exactlyonce", t)
+	for _, p := range res {
+		r.AddHistogram(p.Strategy+".commit", p.Commit)
+		r.AddScalar(p.Strategy+".ops", "count", float64(p.Ops))
+		r.AddScalar(p.Strategy+".acked", "count", float64(p.Acked))
+		r.AddScalar(p.Strategy+".executions", "count", float64(p.Executions))
+		r.AddScalar(p.Strategy+".duplicates", "count", float64(len(p.Duplicates)))
+		r.AddScalar(p.Strategy+".lost_acked", "count", float64(len(p.LostAcked)))
+		r.AddScalar(p.Strategy+".crashes", "count", float64(p.Crashes))
+	}
+	return r, nil
 }

@@ -3,18 +3,16 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
-	"whisper/internal/bpeer"
 	"whisper/internal/chaos"
 	"whisper/internal/core"
 	"whisper/internal/loadctl"
 	"whisper/internal/loadgen"
 	"whisper/internal/proxy"
-	"whisper/internal/qos"
 	"whisper/internal/replog"
-	"whisper/internal/simnet"
 )
 
 // OverloadOptions configures experiment E12: open-loop overload sweeps
@@ -32,9 +30,6 @@ type OverloadOptions struct {
 	Workers int
 	// ServiceTime is the per-request backend work (default 5ms).
 	ServiceTime time.Duration
-	// BaseRate is the 1× offered load in req/s; <=0 measures the
-	// cluster's closed-loop capacity first and uses 70% of it.
-	BaseRate float64
 	// Multipliers are the offered-load multiples swept
 	// (default 1, 5, 10).
 	Multipliers []float64
@@ -118,92 +113,41 @@ type OverloadResult struct {
 	Points   []OverloadPoint
 }
 
-// overloadHandler models a backend with finite concurrency: Workers
-// slots, ServiceTime of work per request. The execution is recorded in
-// the ledger before the work happens, so a duplicate re-execution of
-// an already-journaled operation is caught even when its reply was
-// lost.
-func overloadHandler(ledger *chaos.OpLedger, workers int, service time.Duration) bpeer.Handler {
-	sem := make(chan struct{}, workers)
-	return bpeer.HandlerFunc(func(ctx context.Context, _ string, payload []byte) ([]byte, error) {
-		id, err := paymentID(payload)
-		if err != nil {
-			return nil, err
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		defer func() { <-sem }()
-		ledger.RecordExec(id)
-		timer := time.NewTimer(service)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return []byte("<Receipt><ID>" + id + "</ID></Receipt>"), nil
-	})
-}
-
 // overloadCluster is one deployment under test: a journaled claim
 // group behind either a protected or an unprotected proxy.
 type overloadCluster struct {
-	net    *simnet.Network
-	dep    *core.Deployment
+	*TestBed
 	group  *core.Group
 	proxy  *proxy.SWSProxy
 	ledger *chaos.OpLedger
-	adm    *loadctl.Controller
 }
 
-func (c *overloadCluster) Close() {
-	_ = c.proxy.Close()
-	_ = c.dep.Close()
-	_ = c.net.Close()
-}
-
-// newOverloadCluster deploys a fresh cluster. adm == nil is the
+// newOverloadCluster deploys a fresh cluster whose backend has Workers
+// slots of ServiceTime each, shared by the group. adm == nil is the
 // unprotected configuration.
 func newOverloadCluster(ctx context.Context, opts OverloadOptions, adm *loadctl.Controller) (*overloadCluster, error) {
-	net := simnet.NewNetwork(simnet.WithLatency(simnet.NewLANModel(opts.Seed+1)), simnet.WithSeed(opts.Seed))
-	dep, err := core.NewDeployment(core.Config{
-		Transport: core.SimulatedTransport(net),
-		Seed:      opts.Seed,
-		Timings: core.Timings{
-			HeartbeatInterval: 50 * time.Millisecond,
-			HeartbeatTimeout:  200 * time.Millisecond,
-			ElectionTimeout:   100 * time.Millisecond,
-			LeaseInterval:     500 * time.Millisecond,
-			RendezvousLease:   5 * time.Second,
-			BindTimeout:       time.Second,
-			CallTimeout:       2 * opts.Timeout,
-			RetryDelay:        25 * time.Millisecond,
-		},
-	})
+	timings := benchTimings()
+	timings.CallTimeout = 2 * opts.Timeout
+	timings.RetryDelay = 25 * time.Millisecond
+	bed, err := NewTestBed(ClusterOptions{Seed: opts.Seed, Timings: timings})
 	if err != nil {
-		_ = net.Close()
 		return nil, err
 	}
-	c := &overloadCluster{net: net, dep: dep, ledger: chaos.NewOpLedger(), adm: adm}
+	c := &overloadCluster{TestBed: bed, ledger: chaos.NewOpLedger()}
 	deployCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	c.group, err = dep.DeployGroup(deployCtx, core.GroupSpec{
+	c.group, err = bed.Dep.DeployGroup(deployCtx, core.GroupSpec{
 		Name:      "ClaimProcessing",
 		Signature: PaymentSignature(),
-		QoS:       qos.Profile{LatencyMillis: 5, Reliability: 0.99, Availability: 0.99},
-		Handler:   overloadHandler(c.ledger, opts.Workers, opts.ServiceTime),
+		QoS:       benchQoS,
+		Handler:   finiteBackend(opts.Workers, opts.ServiceTime, recordPayment(c.ledger)),
 		Count:     opts.Replicas,
 	})
 	cancel()
-	if err != nil {
-		c.Close()
-		return nil, err
+	if err == nil {
+		c.proxy, err = bed.NewProxy("claims-proxy", core.ProxyOptions{Admission: adm})
 	}
-	c.proxy, err = dep.NewProxy("claims-proxy", core.ProxyOptions{Admission: adm})
 	if err != nil {
-		c.Close()
+		_ = c.Close()
 		return nil, err
 	}
 	return c, nil
@@ -246,7 +190,7 @@ func measureCapacity(ctx context.Context, opts OverloadOptions) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	defer c.Close()
+	defer func() { _ = c.Close() }()
 	if err := c.warm(ctx, opts); err != nil {
 		return 0, err
 	}
@@ -322,7 +266,7 @@ func runOverloadPoint(ctx context.Context, opts OverloadOptions, baseRate, mult 
 	if err != nil {
 		return point, err
 	}
-	defer c.Close()
+	defer func() { _ = c.Close() }()
 	if err := c.warm(ctx, opts); err != nil {
 		return point, err
 	}
@@ -365,15 +309,13 @@ func runOverloadPoint(ctx context.Context, opts OverloadOptions, baseRate, mult 
 // Overload runs E12 and returns the sweep table plus the raw points.
 func Overload(ctx context.Context, opts OverloadOptions) (*Table, *OverloadResult, error) {
 	opts.applyDefaults()
-	result := &OverloadResult{BaseRate: opts.BaseRate}
-	if result.BaseRate <= 0 {
-		capacity, err := measureCapacity(ctx, opts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bench: overload calibration: %w", err)
-		}
-		result.Capacity = capacity
-		result.BaseRate = 0.7 * capacity
+	// The 1× offered load is 70% of the cluster's measured closed-loop
+	// capacity, so the sweep saturates the same way on any host.
+	capacity, err := measureCapacity(ctx, opts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bench: overload calibration: %w", err)
 	}
+	result := &OverloadResult{Capacity: capacity, BaseRate: 0.7 * capacity}
 	for _, mult := range opts.Multipliers {
 		for _, protected := range []bool{false, true} {
 			point, err := runOverloadPoint(ctx, opts, result.BaseRate, mult, protected)
@@ -408,9 +350,7 @@ func Overload(ctx context.Context, opts OverloadOptions) (*Table, *OverloadResul
 			fmt.Sprintf("%d", p.Duplicates),
 			limit)
 	}
-	if result.Capacity > 0 {
-		t.AddNote("closed-loop capacity calibrated at %.0f req/s; 1x offered load is 70%% of it", result.Capacity)
-	}
+	t.AddNote("closed-loop capacity calibrated at %.0f req/s; 1x offered load is 70%% of it", result.Capacity)
 	maxMult := opts.Multipliers[len(opts.Multipliers)-1]
 	if prot, unprot := result.Point("protected", maxMult), result.Point("unprotected", maxMult); prot != nil && unprot != nil {
 		t.AddNote("knee at %gx: protected goodput %.0f/s vs unprotected %.0f/s; protected sheds %.0f%% early instead of timing everything out",
@@ -428,4 +368,54 @@ func (r *OverloadResult) Point(config string, mult float64) *OverloadPoint {
 		}
 	}
 	return nil
+}
+
+func runOverload(ctx context.Context, f Flags) (*Report, error) {
+	t, res, err := Overload(ctx, OverloadOptions{Window: f.Window, Seed: f.Seed})
+	if err != nil {
+		return nil, err
+	}
+	return OverloadReport(t, res), nil
+}
+
+// OverloadReport converts an E12 result into BENCH_overload.json: the
+// per-point metrics plus the acceptance rows the gate holds it to.
+func OverloadReport(t *Table, res *OverloadResult) *Report {
+	r := NewReport("overload", t)
+	r.AddScalar("base_rate", "req/s", res.BaseRate)
+	r.AddScalar("capacity", "req/s", res.Capacity)
+	key := func(config string, mult float64) string { return fmt.Sprintf("%s.%gx", config, mult) }
+	lo, hi, mults := math.Inf(1), math.Inf(-1), 0
+	for _, p := range res.Points {
+		k := key(p.Config, p.Multiplier)
+		r.AddScalar(k+".offered_rate", "req/s", p.Rate)
+		r.AddScalar(k+".offered", "count", float64(p.Offered))
+		r.AddScalar(k+".good", "count", float64(p.Good))
+		r.AddScalar(k+".shed", "count", float64(p.Shed))
+		r.AddScalar(k+".errors", "count", float64(p.Errors))
+		r.AddScalar(k+".violations", "count", float64(p.Violations))
+		r.AddScalar(k+".duplicates", "count", float64(p.Duplicates))
+		r.AddScalar(k+".goodput", "req/s", p.Goodput)
+		r.AddScalar(k+".shed_rate", "ratio", p.ShedRate)
+		r.AddScalar(k+".p50", "ns", float64(p.P50))
+		r.AddScalar(k+".p99", "ns", float64(p.P99))
+		// A shed must be a clean rejection, never a duplicate execution.
+		r.AddBound("no duplicate execution", k+".duplicates", "<=", 0)
+		if p.Config != "protected" {
+			continue
+		}
+		r.AddScalar(k+".limit", "count", p.Limit)
+		r.AddBound("no admitted request missed its deadline", k+".violations", "<=", 0)
+		lo, hi, mults = math.Min(lo, p.Multiplier), math.Max(hi, p.Multiplier), mults+1
+	}
+	r.AddScalar("multipliers", "count", float64(mults))
+	r.AddBound("at least two multipliers to locate a knee", "multipliers", ">=", 2)
+	// The knee: past saturation the protected proxy keeps serving at
+	// capacity while the unprotected one times everything out, and the
+	// requests it does admit are as fast as at 1x.
+	r.AddRelativeBound("goodput knee at the top multiplier",
+		key("protected", hi)+".goodput", ">=", 3, key("unprotected", hi)+".goodput")
+	r.AddRelativeBound("admitted p99 holds under overload",
+		key("protected", hi)+".p99", "<=", 2, key("protected", lo)+".p99")
+	return r
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ import (
 // the goodput knee: past saturation the protected proxy keeps serving
 // (shedding the excess early) while the unprotected one collapses. The
 // full-scale knee ratios (≥3× goodput, ≤2× admitted p99) are enforced
-// on BENCH_overload.json by benchgate -overload; here the bounds are
+// on BENCH_overload.json by benchgate -report; here the bounds are
 // the structural ones that must hold at any scale.
 func TestOverloadKnee(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -44,12 +45,12 @@ func TestOverloadKnee(t *testing.T) {
 	if prot10.Shed == 0 {
 		t.Error("protected proxy shed nothing at 10x offered load")
 	}
-	for _, p := range res.Points {
-		if p.Config == "protected" && p.Violations != 0 {
-			t.Errorf("%s %gx: %d deadline-violating admitted requests, want 0", p.Config, p.Multiplier, p.Violations)
-		}
-		if p.Duplicates != 0 {
-			t.Errorf("%s %gx: %d duplicate executions, want 0", p.Config, p.Multiplier, p.Duplicates)
+	// The zero-tolerance rows (no late admitted request, no duplicate
+	// execution) hold at any scale; only the two full-scale ratios are
+	// left to the gate.
+	for _, f := range OverloadReport(table, res).CheckBounds() {
+		if !strings.Contains(f, "goodput knee") && !strings.Contains(f, "admitted p99") {
+			t.Error(f)
 		}
 	}
 	if prot1.ShedRate > 0.05 {
@@ -75,7 +76,7 @@ func TestOverloadSoakExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
-	defer c.Close()
+	defer func() { _ = c.Close() }()
 	if err := c.warm(ctx, opts); err != nil {
 		t.Fatalf("warm: %v", err)
 	}

@@ -7,13 +7,11 @@ import (
 	"sync"
 	"time"
 
-	"whisper/internal/bpeer"
 	"whisper/internal/chaos"
 	"whisper/internal/core"
 	"whisper/internal/metrics"
-	"whisper/internal/qos"
+	"whisper/internal/proxy"
 	"whisper/internal/replog"
-	"whisper/internal/simnet"
 )
 
 // FollowersOptions configures experiment E13: read goodput scaling with
@@ -122,77 +120,42 @@ type FollowersResult struct {
 
 // followersCluster is one deployment under test.
 type followersCluster struct {
-	net     *simnet.Network
-	dep     *core.Deployment
+	*TestBed
 	group   *core.Group
-	proxy   interface{ Close() error }
-	invoke  func(ctx context.Context, op string, payload []byte) ([]byte, error)
+	proxy   *proxy.SWSProxy
 	checker *chaos.Checker
 }
 
-func (c *followersCluster) Close() {
-	_ = c.proxy.Close()
-	_ = c.dep.Close()
-	_ = c.net.Close()
-}
-
-// followerReadHandler models a replica backend with finite concurrency:
-// Workers slots, ServiceTime per request, answering "<replica>:<op>"
-// so the harness can attribute each read to its serving replica. Read
-// handlers run concurrently on follower replicas (see bpeer.Config
-// .ReadOnlyOps), which is exactly what the semaphore bounds.
-func followerReadHandler(name string, workers int, service time.Duration) bpeer.Handler {
-	sem := make(chan struct{}, workers)
-	return bpeer.HandlerFunc(func(ctx context.Context, op string, _ []byte) ([]byte, error) {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		defer func() { <-sem }()
-		timer := time.NewTimer(service)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return []byte(name + ":" + op), nil
-	})
+func (c *followersCluster) invoke(ctx context.Context, op string, payload []byte) ([]byte, error) {
+	return c.proxy.Invoke(ctx, StudentSignature(), op, payload)
 }
 
 // newFollowersCluster deploys one configuration: a journaled group of
 // the given size whose "StudentInformation" op is read-only when
 // followerReads is set, fronted by a bare proxy whose ReadObserver
-// feeds the staleness checker.
+// feeds the staleness checker. Each replica's backend has Workers slots
+// of ServiceTime — read handlers run concurrently on follower replicas
+// (see bpeer.Config.ReadOnlyOps), which is exactly what the slots
+// bound — and answers "<replica>:<op>" so the harness can attribute
+// each read to its serving replica.
 func newFollowersCluster(ctx context.Context, opts FollowersOptions, replicas int, followerReads bool) (*followersCluster, error) {
-	net := simnet.NewNetwork(simnet.WithLatency(simnet.NewLANModel(opts.Seed+1)), simnet.WithSeed(opts.Seed))
-	dep, err := core.NewDeployment(core.Config{
-		Transport: core.SimulatedTransport(net),
-		Seed:      opts.Seed,
-		Timings: core.Timings{
-			HeartbeatInterval: 50 * time.Millisecond,
-			HeartbeatTimeout:  200 * time.Millisecond,
-			ElectionTimeout:   100 * time.Millisecond,
-			LeaseInterval:     500 * time.Millisecond,
-			RendezvousLease:   5 * time.Second,
-			BindTimeout:       time.Second,
-			CallTimeout:       2 * time.Second,
-			RetryDelay:        25 * time.Millisecond,
-		},
-	})
+	timings := benchTimings()
+	timings.CallTimeout = 2 * time.Second
+	timings.RetryDelay = 25 * time.Millisecond
+	bed, err := NewTestBed(ClusterOptions{Seed: opts.Seed, Timings: timings})
 	if err != nil {
-		_ = net.Close()
 		return nil, err
 	}
-	c := &followersCluster{net: net, dep: dep, checker: chaos.NewChecker()}
+	c := &followersCluster{TestBed: bed, checker: chaos.NewChecker()}
 
 	specs := make([]core.ReplicaSpec, replicas)
 	for i := range specs {
 		name := fmt.Sprintf("students-%d", i)
 		specs[i] = core.ReplicaSpec{
-			Name:    name,
-			Handler: followerReadHandler(name, opts.Workers, opts.ServiceTime),
+			Name: name,
+			Handler: finiteBackend(opts.Workers, opts.ServiceTime, func(op string, _ []byte) ([]byte, error) {
+				return []byte(name + ":" + op), nil
+			}),
 		}
 	}
 	var readOps []string
@@ -200,30 +163,20 @@ func newFollowersCluster(ctx context.Context, opts FollowersOptions, replicas in
 		readOps = []string{"StudentInformation"}
 	}
 	deployCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	c.group, err = dep.DeployGroup(deployCtx, core.GroupSpec{
+	c.group, err = bed.Dep.DeployGroup(deployCtx, core.GroupSpec{
 		Name:        "StudentManagement",
 		Signature:   StudentSignature(),
-		QoS:         qos.Profile{LatencyMillis: 5, Reliability: 0.99, Availability: 0.99},
+		QoS:         benchQoS,
 		Replicas:    specs,
 		ReadOnlyOps: readOps,
 	})
 	cancel()
-	if err != nil {
-		_ = dep.Close()
-		_ = net.Close()
-		return nil, err
+	if err == nil {
+		c.proxy, err = bed.NewProxy("students-proxy", core.ProxyOptions{ReadObserver: c.checker.RecordRead})
 	}
-	p, err := dep.NewProxy("students-proxy", core.ProxyOptions{
-		ReadObserver: c.checker.RecordRead,
-	})
 	if err != nil {
-		_ = dep.Close()
-		_ = net.Close()
+		_ = c.Close()
 		return nil, err
-	}
-	c.proxy = p
-	c.invoke = func(ctx context.Context, op string, payload []byte) ([]byte, error) {
-		return p.Invoke(ctx, StudentSignature(), op, payload)
 	}
 	return c, nil
 }
@@ -240,7 +193,7 @@ func runFollowersPoint(ctx context.Context, opts FollowersOptions, replicas int,
 	if err != nil {
 		return point, err
 	}
-	defer c.Close()
+	defer func() { _ = c.Close() }()
 
 	// Warm: one keyed write (so the read index is non-zero) and one
 	// read per client slot to prime discovery and the read set.
@@ -383,4 +336,43 @@ func Followers(ctx context.Context, opts FollowersOptions) (*Table, *FollowersRe
 		last.Replicas, result.Scaling, last.Goodput, baseline.Goodput)
 	t.AddNote("staleness invariant: every follower read carries the read-index it was issued at and the committed seq it observed; stale counts reads where observed < index (must be 0)")
 	return t, result, nil
+}
+
+func runFollowers(ctx context.Context, f Flags) (*Report, error) {
+	t, res, err := Followers(ctx, FollowersOptions{ReplicaCounts: f.Peers, Window: f.Window, Seed: f.Seed})
+	if err != nil {
+		return nil, err
+	}
+	return FollowersReport(t, res), nil
+}
+
+// FollowersReport converts an E13 result into BENCH_followers.json: the
+// per-configuration metrics plus the acceptance rows the gate holds it
+// to.
+func FollowersReport(t *Table, res *FollowersResult) *Report {
+	r := NewReport("followers", t)
+	addPoint := func(key string, p FollowersPoint) {
+		r.AddScalar(key+".goodput", "req/s", p.Goodput)
+		r.AddScalar(key+".reads", "count", float64(p.Reads))
+		r.AddScalar(key+".errors", "count", float64(p.Errors))
+		r.AddScalar(key+".writes", "count", float64(p.Writes))
+		r.AddScalar(key+".p50", "ns", float64(p.P50))
+		r.AddScalar(key+".p99", "ns", float64(p.P99))
+		r.AddScalar(key+".spread", "count", float64(p.Spread))
+		r.AddScalar(key+".checked", "count", float64(p.Checked))
+		r.AddScalar(key+".stale", "count", float64(p.Stale))
+	}
+	addPoint("coordinator", res.Baseline)
+	for i, p := range res.Points {
+		key := fmt.Sprintf("followers.%d", p.Replicas)
+		addPoint(key, p)
+		r.AddBound("read-index barrier held: no stale read", key+".stale", "<=", 0)
+		r.AddBound("staleness invariant was exercised", key+".checked", ">", 0)
+		if i == len(res.Points)-1 {
+			r.AddBound("balancer spreads reads across replicas", key+".spread", ">=", 2)
+		}
+	}
+	r.AddScalar("scaling", "ratio", res.Scaling)
+	r.AddBound("read goodput scales with follower reads", "scaling", ">=", 2.5)
+	return r
 }

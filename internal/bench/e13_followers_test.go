@@ -39,7 +39,7 @@ func followerSoakOneSeed(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
-	t.Cleanup(c.Close)
+	t.Cleanup(func() { _ = c.Close() })
 
 	warmCtx, warmCancel := context.WithTimeout(context.Background(), 30*time.Second)
 	wctx := replog.ContextWithKey(warmCtx, "w-warm")
@@ -131,70 +131,4 @@ func followerSoakOneSeed(t *testing.T, seed int64) {
 	crashes := eng.Counts().Get("crash")
 	t.Logf("seed %d: crashes=%d reads=%d writes=%d checked=%d",
 		seed, crashes, reads, writes, c.checker.Reads())
-}
-
-// followersReport builds a synthetic E13 report for gate tests.
-func followersReport(metrics map[string]float64) *Report {
-	r := &Report{Experiment: "followers", Metrics: make(map[string]Metric)}
-	for k, v := range metrics {
-		r.Metrics[k] = Metric{Unit: "x", Mean: v}
-	}
-	return r
-}
-
-// TestCheckFollowersGate exercises the E13 gate's acceptance logic on
-// synthetic reports.
-func TestCheckFollowersGate(t *testing.T) {
-	good := map[string]float64{
-		"coordinator.goodput": 100,
-		"followers.1.goodput": 120, "followers.1.checked": 400, "followers.1.stale": 0, "followers.1.spread": 1,
-		"followers.3.goodput": 300, "followers.3.checked": 1200, "followers.3.stale": 0, "followers.3.spread": 3,
-	}
-	if findings := CheckFollowers(followersReport(good), FollowerBounds{}); len(findings) != 0 {
-		t.Fatalf("good report failed the gate: %v", findings)
-	}
-
-	shallow := map[string]float64{}
-	for k, v := range good {
-		shallow[k] = v
-	}
-	shallow["followers.3.goodput"] = 200 // 2x < 2.5x
-	findings := CheckFollowers(followersReport(shallow), FollowerBounds{})
-	if len(findings) != 1 || !strings.Contains(findings[0], "scaling too shallow") {
-		t.Fatalf("shallow scaling not caught: %v", findings)
-	}
-
-	stale := map[string]float64{}
-	for k, v := range good {
-		stale[k] = v
-	}
-	stale["followers.3.stale"] = 2
-	findings = CheckFollowers(followersReport(stale), FollowerBounds{})
-	if len(findings) != 1 || !strings.Contains(findings[0], "stale read") {
-		t.Fatalf("stale reads not caught: %v", findings)
-	}
-
-	unchecked := map[string]float64{}
-	for k, v := range good {
-		unchecked[k] = v
-	}
-	unchecked["followers.3.checked"] = 0
-	findings = CheckFollowers(followersReport(unchecked), FollowerBounds{})
-	if len(findings) != 1 || !strings.Contains(findings[0], "staleness invariant") {
-		t.Fatalf("unexercised invariant not caught: %v", findings)
-	}
-
-	narrow := map[string]float64{}
-	for k, v := range good {
-		narrow[k] = v
-	}
-	narrow["followers.3.spread"] = 1
-	findings = CheckFollowers(followersReport(narrow), FollowerBounds{})
-	if len(findings) != 1 || !strings.Contains(findings[0], "balancer not spreading") {
-		t.Fatalf("narrow spread not caught: %v", findings)
-	}
-
-	if findings := CheckFollowers(followersReport(nil), FollowerBounds{}); len(findings) != 1 {
-		t.Fatalf("empty report not caught: %v", findings)
-	}
 }

@@ -43,54 +43,9 @@ func TestGossipExperiment(t *testing.T) {
 			t.Errorf("%d ads: no gossip traffic measured", p.Ads)
 		}
 	}
-	report := GossipReport(table, result)
-	if findings := CheckGossip(report, GossipBounds{}); len(findings) > 0 {
+	if findings := GossipReport(table, result).CheckBounds(); len(findings) > 0 {
 		t.Errorf("gate findings on a healthy run:\n  %s\n%s",
 			strings.Join(findings, "\n  "), table.String())
-	}
-}
-
-// TestCheckGossipFindsViolations feeds the gate doctored reports and
-// checks each bound actually bites.
-func TestCheckGossipFindsViolations(t *testing.T) {
-	healthy := func() *Report {
-		r := &Report{Experiment: "gossip", Metrics: map[string]Metric{}}
-		for _, ads := range []int{1000, 10000} {
-			r.Metrics[fmt.Sprintf("gossip.%d.ratio", ads)] = Metric{Unit: "x", Mean: 11.5}
-			r.Metrics[fmt.Sprintf("gossip.%d.convergence", ads)] = Metric{Unit: "ns", Mean: float64(2 * time.Second)}
-		}
-		r.Metrics["sweep.2.spread"] = Metric{Unit: "ns", Mean: float64(50 * time.Millisecond)}
-		r.Metrics["sweep.16.spread"] = Metric{Unit: "ns", Mean: float64(120 * time.Millisecond)}
-		r.Metrics["sweep.interval"] = Metric{Unit: "ns", Mean: float64(25 * time.Millisecond)}
-		return r
-	}
-	if findings := CheckGossip(healthy(), GossipBounds{}); len(findings) > 0 {
-		t.Fatalf("healthy report produced findings: %v", findings)
-	}
-
-	weak := healthy()
-	weak.Metrics["gossip.10000.ratio"] = Metric{Unit: "x", Mean: 6}
-	if findings := CheckGossip(weak, GossipBounds{}); len(findings) != 1 || !strings.Contains(findings[0], "ratio") {
-		t.Errorf("weak ratio not caught: %v", findings)
-	}
-
-	slow := healthy()
-	slow.Metrics["gossip.1000.convergence"] = Metric{Unit: "ns", Mean: float64(3 * time.Minute)}
-	if findings := CheckGossip(slow, GossipBounds{}); len(findings) != 1 || !strings.Contains(findings[0], "convergence") {
-		t.Errorf("slow convergence not caught: %v", findings)
-	}
-
-	linear := healthy()
-	// 16 peers needing 16 rounds is linear dissemination; the log
-	// bound allows 2 × (1 + log2 16) = 10 rounds.
-	linear.Metrics["sweep.16.spread"] = Metric{Unit: "ns", Mean: float64(400 * time.Millisecond)}
-	if findings := CheckGossip(linear, GossipBounds{}); len(findings) != 1 || !strings.Contains(findings[0], "O(log n)") {
-		t.Errorf("linear sweep not caught: %v", findings)
-	}
-
-	empty := &Report{Experiment: "gossip", Metrics: map[string]Metric{}}
-	if findings := CheckGossip(empty, GossipBounds{}); len(findings) == 0 {
-		t.Error("empty report passed the gate")
 	}
 }
 

@@ -172,3 +172,11 @@ func linearFit(points []Figure4Point) (r2, slope float64) {
 	r := (n*sxy - sx*sy) / (math.Sqrt(den) * math.Sqrt(varY))
 	return r * r, slope
 }
+
+func runFigure4(ctx context.Context, f Flags) (*Report, error) {
+	t, _, err := Figure4(ctx, Figure4Options{PeerCounts: f.Peers, Window: f.Window, Seed: f.Seed})
+	if err != nil {
+		return nil, err
+	}
+	return NewReport("figure4", t), nil
+}

@@ -132,3 +132,14 @@ func measureTransportRTT(ctx context.Context, opts RTTOptions) (*metrics.Histogr
 	}
 	return hist, nil
 }
+
+func runRTT(ctx context.Context, f Flags) (*Report, error) {
+	t, res, err := RTT(ctx, RTTOptions{Seed: f.Seed})
+	if err != nil {
+		return nil, err
+	}
+	r := NewReport("rtt", t)
+	r.AddHistogram("transport", res.Transport)
+	r.AddHistogram("invocation", res.Invocation)
+	return r, nil
+}

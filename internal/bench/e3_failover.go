@@ -185,3 +185,23 @@ func failoverTrial(ctx context.Context, opts FailoverOptions, trial int64, res *
 	close(stopWatch)
 	return nil
 }
+
+func runFailover(ctx context.Context, f Flags) (*Report, error) {
+	opts := FailoverOptions{Trials: f.Trials, Seed: f.Seed, Trace: f.Trace}
+	if len(f.Peers) > 0 {
+		opts.Peers = f.Peers[0]
+	}
+	t, res, err := Failover(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	r := NewReport("failover", t)
+	if res.Trace != nil {
+		r.Trailer = res.Trace.Report
+	}
+	r.AddHistogram("steady_rtt", res.SteadyRTT)
+	r.AddHistogram("detect_elect", res.DetectElect)
+	r.AddHistogram("unavailability", res.Unavailability)
+	r.AddScalar("worst_rtt", "ns", float64(res.WorstRTT))
+	return r, nil
+}

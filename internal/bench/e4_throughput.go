@@ -134,3 +134,17 @@ func throughputPoint(ctx context.Context, peers int, loadSharing bool, opts Thro
 	point.Throughput = float64(point.Requests) / opts.Duration.Seconds()
 	return point, nil
 }
+
+func runThroughput(ctx context.Context, f Flags) (*Report, error) {
+	t, points, err := Throughput(ctx, ThroughputOptions{PeerCounts: f.Peers, Duration: f.Window, Seed: f.Seed})
+	if err != nil {
+		return nil, err
+	}
+	r := NewReport("throughput", t)
+	for _, p := range points {
+		key := fmt.Sprintf("%s.%dpeers", p.Policy, p.Peers)
+		r.AddScalar(key+".throughput", "req/s", p.Throughput)
+		r.AddHistogram(key+".latency", p.Latency)
+	}
+	return r, nil
+}

@@ -207,13 +207,11 @@ func DiscoveryQuality(ctx context.Context, opts DiscoveryOptions) (*Table, error
 // what each returns.
 func DiscoveryQualityLive(ctx context.Context, opts DiscoveryOptions) (*Table, error) {
 	opts.applyDefaults()
-	net := simnet.NewNetwork(simnet.WithLatency(simnet.ZeroLatency()), simnet.WithSeed(1))
-	defer func() { _ = net.Close() }()
-	dep, err := core.NewDeployment(core.Config{Transport: core.SimulatedTransport(net), Seed: 1})
+	bed, err := NewTestBed(ClusterOptions{Seed: 1, Latency: simnet.ZeroLatency()})
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = dep.Close() }()
+	defer func() { _ = bed.Close() }()
 
 	corpus := discoveryCorpus()
 	ctx, cancel := context.WithTimeout(ctx, 120*time.Second)
@@ -230,7 +228,7 @@ func DiscoveryQualityLive(ctx context.Context, opts DiscoveryOptions) (*Table, e
 			gname = fmt.Sprintf("%s#%d", e.Name, i)
 		}
 		used[e.Name]++
-		g, derr := dep.DeployGroup(ctx, core.GroupSpec{
+		g, derr := bed.Dep.DeployGroup(ctx, core.GroupSpec{
 			Name:      gname,
 			Signature: e.Sig,
 			Handler: bpeer.HandlerFunc(func(_ context.Context, _ string, _ []byte) ([]byte, error) {
@@ -244,11 +242,10 @@ func DiscoveryQualityLive(ctx context.Context, opts DiscoveryOptions) (*Table, e
 		relevantByGID[string(g.ID())] = e.Relevant
 	}
 
-	p, err := dep.NewProxy("e5-proxy", core.ProxyOptions{MinDegree: opts.MinDegree})
+	p, err := bed.NewProxy("e5-proxy", core.ProxyOptions{MinDegree: opts.MinDegree})
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = p.Close() }()
 
 	// Semantic discovery through the proxy.
 	semTP, semFP := 0, 0
@@ -306,4 +303,20 @@ func DiscoveryQualityLive(ctx context.Context, opts DiscoveryOptions) (*Table, e
 		fmt.Sprintf("%.2f", f1), fmt.Sprintf("%d", semTP), fmt.Sprintf("%d", semFP), fmt.Sprintf("%d", semFN))
 	t.AddNote("same corpus as the matcher-level table, but deployed as real groups and discovered through the rendezvous")
 	return t, nil
+}
+
+func runDiscovery(ctx context.Context, _ Flags) (*Report, error) {
+	t, err := DiscoveryQuality(ctx, DiscoveryOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return NewReport("discovery", t), nil
+}
+
+func runDiscoveryLive(ctx context.Context, _ Flags) (*Report, error) {
+	t, err := DiscoveryQualityLive(ctx, DiscoveryOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return NewReport("discovery-live", t), nil
 }

@@ -10,7 +10,6 @@ import (
 	"whisper/internal/backend"
 	"whisper/internal/core"
 	"whisper/internal/qos"
-	"whisper/internal/simnet"
 	"whisper/internal/wsdl"
 )
 
@@ -52,25 +51,17 @@ type BackendFailoverResult struct {
 // BackendFailover runs E6.
 func BackendFailover(ctx context.Context, opts BackendFailoverOptions) (*Table, *BackendFailoverResult, error) {
 	opts.applyDefaults()
-	net := simnet.NewNetwork(simnet.WithLatency(simnet.NewLANModel(opts.Seed)), simnet.WithSeed(opts.Seed))
-	defer func() { _ = net.Close() }()
-	dep, err := core.NewDeployment(core.Config{
-		Transport: core.SimulatedTransport(net),
-		Seed:      opts.Seed,
-		Timings: core.Timings{
-			HeartbeatInterval: 30 * time.Millisecond,
-			HeartbeatTimeout:  120 * time.Millisecond,
-			ElectionTimeout:   60 * time.Millisecond,
-			LeaseInterval:     300 * time.Millisecond,
-			RendezvousLease:   5 * time.Second,
-			CallTimeout:       time.Second,
-			RetryDelay:        30 * time.Millisecond,
-		},
-	})
+	timings := benchTimings()
+	timings.HeartbeatInterval = 30 * time.Millisecond
+	timings.HeartbeatTimeout = 120 * time.Millisecond
+	timings.ElectionTimeout = 60 * time.Millisecond
+	timings.LeaseInterval = 300 * time.Millisecond
+	timings.RetryDelay = 30 * time.Millisecond
+	bed, err := NewTestBed(ClusterOptions{Seed: opts.Seed, Timings: timings})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer func() { _ = dep.Close() }()
+	defer func() { _ = bed.Close() }()
 
 	records := backend.SeedStudents(50, opts.Seed)
 	db := backend.NewOperationalDB(records, 0)
@@ -79,7 +70,7 @@ func BackendFailover(ctx context.Context, opts BackendFailoverOptions) (*Table, 
 
 	ctx, cancel := context.WithTimeout(ctx, 120*time.Second)
 	defer cancel()
-	_, err = dep.DeployGroup(ctx, core.GroupSpec{
+	_, err = bed.Dep.DeployGroup(ctx, core.GroupSpec{
 		Name:      "StudentManagement",
 		Signature: StudentSignature(),
 		QoS:       qos.Profile{Reliability: 0.99, Availability: 0.99},
@@ -93,7 +84,7 @@ func BackendFailover(ctx context.Context, opts BackendFailoverOptions) (*Table, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("bench: deploy: %w", err)
 	}
-	svc, err := dep.DeployService(wsdl.StudentManagement(), core.ServiceOptions{})
+	svc, err := bed.Dep.DeployService(wsdl.StudentManagement(), core.ServiceOptions{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("bench: deploy service: %w", err)
 	}
@@ -135,4 +126,16 @@ func BackendFailover(ctx context.Context, opts BackendFailoverOptions) (*Table, 
 	t.AddRow("first warehouse answer at request", fmt.Sprintf("%d", res.FirstWHIndex))
 	t.AddNote("paper §4.1: \"a semantically equivalent peer can automatically and transparently handle the service request by retrieving the same information from a data warehouse\"")
 	return t, res, nil
+}
+
+func runBackend(ctx context.Context, f Flags) (*Report, error) {
+	t, res, err := BackendFailover(ctx, BackendFailoverOptions{Seed: f.Seed})
+	if err != nil {
+		return nil, err
+	}
+	r := NewReport("backend", t)
+	r.AddScalar("succeeded", "count", float64(res.Succeeded))
+	r.AddScalar("failed", "count", float64(res.Failed))
+	r.AddScalar("switch_time", "ns", float64(res.SwitchTime))
+	return r, nil
 }

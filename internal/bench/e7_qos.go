@@ -10,7 +10,6 @@ import (
 	"whisper/internal/core"
 	"whisper/internal/metrics"
 	"whisper/internal/qos"
-	"whisper/internal/simnet"
 )
 
 // QoSOptions configures experiment E7: QoS-aware peer-group selection
@@ -58,16 +57,11 @@ type QoSStrategyResult struct {
 // QoSSelection runs E7.
 func QoSSelection(ctx context.Context, opts QoSOptions) (*Table, []QoSStrategyResult, error) {
 	opts.applyDefaults()
-	net := simnet.NewNetwork(simnet.WithLatency(simnet.NewLANModel(opts.Seed)), simnet.WithSeed(opts.Seed))
-	defer func() { _ = net.Close() }()
-	dep, err := core.NewDeployment(core.Config{
-		Transport: core.SimulatedTransport(net),
-		Seed:      opts.Seed,
-	})
+	bed, err := NewTestBed(ClusterOptions{Seed: opts.Seed})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer func() { _ = dep.Close() }()
+	defer func() { _ = bed.Close() }()
 
 	sig := StudentSignature()
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -83,7 +77,7 @@ func QoSSelection(ctx context.Context, opts QoSOptions) (*Table, []QoSStrategyRe
 
 	ctx, cancel := context.WithTimeout(ctx, 180*time.Second)
 	defer cancel()
-	if _, derr := dep.DeployGroup(ctx, core.GroupSpec{
+	if _, derr := bed.Dep.DeployGroup(ctx, core.GroupSpec{
 		Name:      "premium",
 		Signature: sig,
 		QoS:       qos.Profile{LatencyMillis: 1, CostPerCall: 2, Reliability: 0.999, Availability: 0.999},
@@ -92,7 +86,7 @@ func QoSSelection(ctx context.Context, opts QoSOptions) (*Table, []QoSStrategyRe
 	}); derr != nil {
 		return nil, nil, fmt.Errorf("bench: premium group: %w", derr)
 	}
-	if _, derr := dep.DeployGroup(ctx, core.GroupSpec{
+	if _, derr := bed.Dep.DeployGroup(ctx, core.GroupSpec{
 		Name:      "budget",
 		Signature: sig,
 		QoS:       qos.Profile{LatencyMillis: 15, CostPerCall: 0.1, Reliability: 0.8, Availability: 0.9},
@@ -102,11 +96,10 @@ func QoSSelection(ctx context.Context, opts QoSOptions) (*Table, []QoSStrategyRe
 		return nil, nil, fmt.Errorf("bench: budget group: %w", derr)
 	}
 
-	p, err := dep.NewProxy("qos-proxy", core.ProxyOptions{})
+	p, err := bed.NewProxy("qos-proxy", core.ProxyOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer func() { _ = p.Close() }()
 
 	matches, err := p.FindPeerGroupAdv(ctx, sig)
 	if err != nil {
@@ -156,4 +149,16 @@ func QoSSelection(ctx context.Context, opts QoSOptions) (*Table, []QoSStrategyRe
 	}
 	t.AddNote("both groups match the request semantics exactly; only the §2.4 QoS model separates them")
 	return t, results, nil
+}
+
+func runQoS(ctx context.Context, f Flags) (*Report, error) {
+	t, res, err := QoSSelection(ctx, QoSOptions{Seed: f.Seed})
+	if err != nil {
+		return nil, err
+	}
+	r := NewReport("qos", t)
+	for _, s := range res {
+		r.AddHistogram(s.Strategy+".latency", s.Latency)
+	}
+	return r, nil
 }

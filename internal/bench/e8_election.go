@@ -146,3 +146,17 @@ func electionTrial(ctx context.Context, n int, seed int64) (msgs, bytes int64, c
 	el := stats.PerProto[p2p.ProtoElection]
 	return el.Messages, el.Bytes, converge, nil
 }
+
+func runElection(ctx context.Context, f Flags) (*Report, error) {
+	t, points, err := ElectionCost(ctx, ElectionOptions{GroupSizes: f.Peers, Trials: f.Trials, Seed: f.Seed})
+	if err != nil {
+		return nil, err
+	}
+	r := NewReport("election", t)
+	for _, p := range points {
+		key := fmt.Sprintf("%dpeers", p.Peers)
+		r.AddScalar(key+".avg_messages", "count", p.AvgMessages)
+		r.AddScalar(key+".avg_converge", "ns", float64(p.AvgConverge))
+	}
+	return r, nil
+}

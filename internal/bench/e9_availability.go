@@ -179,3 +179,16 @@ func availabilitySingle(ctx context.Context, opts AvailabilityOptions) Availabil
 	}
 	return res
 }
+
+func runAvailability(ctx context.Context, f Flags) (*Report, error) {
+	t, res, err := Availability(ctx, AvailabilityOptions{Seed: f.Seed})
+	if err != nil {
+		return nil, err
+	}
+	r := NewReport("availability", t)
+	for _, s := range res {
+		r.AddHistogram(s.Strategy+".latency", s.Latency)
+		r.AddScalar(s.Strategy+".errors", "count", float64(s.Errors))
+	}
+	return r, nil
+}

@@ -252,10 +252,16 @@ func LoadGateBaseline(path string) (*GateBaseline, error) {
 	return &b, nil
 }
 
+// GatePackages are the packages whose benchmarks the baseline covers.
+// The CI bench-gate job runs exactly this list (TestGateBaselineRoundTrip
+// holds ci.yml to it): a regenerate note that named fewer would drop the
+// missing packages' benchmarks from the next baseline.
+const GatePackages = "./internal/p2p ./internal/proxy ./internal/soap ./internal/replog ./internal/gossip"
+
 // WriteGateBaseline writes the aggregates as a fresh baseline file.
 func WriteGateBaseline(path string, benchmarks map[string]GateBenchmark) error {
 	b := GateBaseline{
-		Note:       "regenerate with: go test -bench . -benchmem -count=6 ./internal/p2p ./internal/proxy ./internal/soap ./internal/replog | go run ./cmd/benchgate -update " + path,
+		Note:       "regenerate with: go test -bench . -benchmem -count=6 " + GatePackages + " | go run ./cmd/benchgate -update " + path,
 		Benchmarks: benchmarks,
 	}
 	data, err := json.MarshalIndent(&b, "", "  ")

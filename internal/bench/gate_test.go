@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -101,6 +102,18 @@ func TestGateBaselineRoundTrip(t *testing.T) {
 	regs, missing, fresh := CompareToBaseline(loaded.Benchmarks, agg, 0.20)
 	if len(regs)+len(missing)+len(fresh) != 0 {
 		t.Errorf("self-comparison not clean: regs=%v missing=%v fresh=%v", regs, missing, fresh)
+	}
+	// The regenerate note must name the packages the CI bench-gate job
+	// runs, or following it drops benchmarks from the baseline.
+	if !strings.Contains(loaded.Note, "-count=6 "+GatePackages+" | go run ./cmd/benchgate -update") {
+		t.Errorf("regenerate note does not run GatePackages: %q", loaded.Note)
+	}
+	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(ci), GatePackages+" | tee bench-output.txt") {
+		t.Errorf("ci.yml's bench-gate job does not run GatePackages (%s)", GatePackages)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"whisper/internal/bpeer"
 	"whisper/internal/core"
 	"whisper/internal/ontology"
+	"whisper/internal/proxy"
 	"whisper/internal/qos"
 	"whisper/internal/simnet"
 	"whisper/internal/wsdl"
@@ -53,33 +54,42 @@ func (o *ClusterOptions) applyDefaults() {
 		o.Students = 100
 	}
 	if o.Timings == (core.Timings{}) {
-		o.Timings = core.Timings{
-			HeartbeatInterval: 50 * time.Millisecond,
-			HeartbeatTimeout:  200 * time.Millisecond,
-			ElectionTimeout:   100 * time.Millisecond,
-			LeaseInterval:     500 * time.Millisecond,
-			RendezvousLease:   5 * time.Second,
-			BindTimeout:       time.Second,
-			CallTimeout:       time.Second,
-			RetryDelay:        50 * time.Millisecond,
-		}
+		o.Timings = benchTimings()
 	}
 }
 
-// Cluster is a deployed experiment topology: network, deployment,
-// the student service and its backing group.
-type Cluster struct {
-	Net     *simnet.Network
-	Dep     *core.Deployment
-	Group   *core.Group
-	Service *core.Service
-	opts    ClusterOptions
+// benchTimings returns the bench-default protocol timings (50ms
+// heartbeats, 200ms detection). An experiment that differs changes the
+// fields it needs on the copy and passes it as ClusterOptions.Timings.
+func benchTimings() core.Timings {
+	return core.Timings{
+		HeartbeatInterval: 50 * time.Millisecond,
+		HeartbeatTimeout:  200 * time.Millisecond,
+		ElectionTimeout:   100 * time.Millisecond,
+		LeaseInterval:     500 * time.Millisecond,
+		RendezvousLease:   5 * time.Second,
+		BindTimeout:       time.Second,
+		CallTimeout:       time.Second,
+		RetryDelay:        50 * time.Millisecond,
+	}
 }
 
-// NewCluster builds the student-management topology used by most
-// experiments: one rendezvous, N b-peers (alternating operational-DB
-// and data-warehouse backends) and one SOAP-fronted semantic service.
-func NewCluster(ctx context.Context, opts ClusterOptions) (*Cluster, error) {
+// benchQoS is the profile the experiments' groups advertise unless QoS
+// is what they measure.
+var benchQoS = qos.Profile{LatencyMillis: 5, Reliability: 0.99, Availability: 0.99}
+
+// TestBed is the part of a deployment every experiment needs: a
+// simulated network, a core.Deployment on it, and one Close.
+type TestBed struct {
+	Net     *simnet.Network
+	Dep     *core.Deployment
+	proxies []*proxy.SWSProxy
+}
+
+// NewTestBed builds a test bed from the Seed, Latency, Timings and
+// Tracing fields of opts (zero values select the LAN model and the
+// bench-default timings); the topology fields are NewCluster's.
+func NewTestBed(opts ClusterOptions) (*TestBed, error) {
 	opts.applyDefaults()
 	net := simnet.NewNetwork(simnet.WithLatency(opts.Latency), simnet.WithSeed(opts.Seed))
 	dep, err := core.NewDeployment(core.Config{
@@ -92,7 +102,49 @@ func NewCluster(ctx context.Context, opts ClusterOptions) (*Cluster, error) {
 		_ = net.Close()
 		return nil, err
 	}
-	c := &Cluster{Net: net, Dep: dep, opts: opts}
+	return &TestBed{Net: net, Dep: dep}, nil
+}
+
+// NewProxy starts a bare SWS-proxy on the deployment; Close stops it.
+func (b *TestBed) NewProxy(name string, opts core.ProxyOptions) (*proxy.SWSProxy, error) {
+	p, err := b.Dep.NewProxy(name, opts)
+	if err == nil {
+		b.proxies = append(b.proxies, p)
+	}
+	return p, err
+}
+
+// Close tears the test bed down: proxies, deployment, network.
+func (b *TestBed) Close() error {
+	for _, p := range b.proxies {
+		_ = p.Close()
+	}
+	err := b.Dep.Close()
+	if cerr := b.Net.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Cluster is the student-management topology on a test bed: the
+// student service and its backing group.
+type Cluster struct {
+	*TestBed
+	Group   *core.Group
+	Service *core.Service
+	opts    ClusterOptions
+}
+
+// NewCluster builds the student-management topology used by most
+// experiments: one rendezvous, N b-peers (alternating operational-DB
+// and data-warehouse backends) and one SOAP-fronted semantic service.
+func NewCluster(ctx context.Context, opts ClusterOptions) (*Cluster, error) {
+	opts.applyDefaults()
+	bed, err := NewTestBed(opts)
+	if err != nil {
+		return nil, err
+	}
+	c := &Cluster{TestBed: bed, opts: opts}
 
 	records := backend.SeedStudents(opts.Students, opts.Seed)
 	specs := make([]core.ReplicaSpec, opts.Peers)
@@ -107,10 +159,10 @@ func NewCluster(ctx context.Context, opts ClusterOptions) (*Cluster, error) {
 	}
 	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	c.Group, err = dep.DeployGroup(ctx, core.GroupSpec{
+	c.Group, err = c.Dep.DeployGroup(ctx, core.GroupSpec{
 		Name:        "StudentManagement",
 		Signature:   StudentSignature(),
-		QoS:         qos.Profile{LatencyMillis: 5, Reliability: 0.99, Availability: 0.99},
+		QoS:         benchQoS,
 		LoadSharing: opts.LoadSharing,
 		Replicas:    specs,
 	})
@@ -118,21 +170,12 @@ func NewCluster(ctx context.Context, opts ClusterOptions) (*Cluster, error) {
 		_ = c.Close()
 		return nil, fmt.Errorf("bench: deploy group: %w", err)
 	}
-	c.Service, err = dep.DeployService(wsdl.StudentManagement(), core.ServiceOptions{})
+	c.Service, err = c.Dep.DeployService(wsdl.StudentManagement(), core.ServiceOptions{})
 	if err != nil {
 		_ = c.Close()
 		return nil, fmt.Errorf("bench: deploy service: %w", err)
 	}
 	return c, nil
-}
-
-// Close tears the topology down.
-func (c *Cluster) Close() error {
-	err := c.Dep.Close()
-	if cerr := c.Net.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Invoke performs one student lookup through the full semantic path.
@@ -179,5 +222,40 @@ func StudentHandler(store backend.StudentStore) bpeer.Handler {
 			XMLName xml.Name `xml:"StudentInfo"`
 			backend.StudentRecord
 		}{StudentRecord: rec})
+	})
+}
+
+// finiteBackend models a replica backend with finite concurrency:
+// workers slots (<= 0: unbounded) and service of work per request,
+// both honouring the request context. begin runs once a slot is held
+// and BEFORE the work happens, and produces the reply the request gets
+// when the work completes — so a state change made in begin (see
+// recordPayment) stands even when a crash mid-request loses the reply.
+func finiteBackend(workers int, service time.Duration, begin func(op string, payload []byte) ([]byte, error)) bpeer.Handler {
+	var sem chan struct{}
+	if workers > 0 {
+		sem = make(chan struct{}, workers)
+	}
+	return bpeer.HandlerFunc(func(ctx context.Context, op string, payload []byte) ([]byte, error) {
+		if sem != nil {
+			select {
+			case sem <- struct{}{}:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			defer func() { <-sem }()
+		}
+		reply, err := begin(op, payload)
+		if err != nil {
+			return nil, err
+		}
+		timer := time.NewTimer(service)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return reply, nil
 	})
 }

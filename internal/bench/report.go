@@ -44,6 +44,83 @@ type Report struct {
 	Notes   []string   `json:"notes,omitempty"`
 	// Metrics holds structured distributions keyed by name.
 	Metrics map[string]Metric `json:"metrics,omitempty"`
+	// Bounds are the experiment's acceptance rows over Metrics; see
+	// CheckBounds.
+	Bounds []Bound `json:"bounds,omitempty"`
+	// Trailer is printed below the table in table format (E3's span
+	// tree under -trace); it is not part of the written report.
+	Trailer string `json:"-"`
+}
+
+// Bound is one acceptance row of a report: the Mean of Metric must
+// stand in relation Op (">=", "<=" or ">") to Limit + Factor × the Mean
+// of metric Of — a constant, a multiple of a baseline measured in the
+// same run, or both. The experiment emits its rows from its typed
+// result, so a gated report carries its own acceptance criteria and one
+// checker serves every experiment.
+type Bound struct {
+	// Name says what the row protects, for the finding.
+	Name   string  `json:"name"`
+	Metric string  `json:"metric"`
+	Op     string  `json:"op"`
+	Limit  float64 `json:"limit"`
+	Factor float64 `json:"factor,omitempty"`
+	Of     string  `json:"of,omitempty"`
+}
+
+// AddBound appends an absolute acceptance row.
+func (r *Report) AddBound(name, metric, op string, limit float64) {
+	r.Bounds = append(r.Bounds, Bound{Name: name, Metric: metric, Op: op, Limit: limit})
+}
+
+// AddRelativeBound appends a row comparing metric against factor × of.
+func (r *Report) AddRelativeBound(name, metric, op string, factor float64, of string) {
+	r.Bounds = append(r.Bounds, Bound{Name: name, Metric: metric, Op: op, Factor: factor, Of: of})
+}
+
+// CheckBounds evaluates every bound row against the report's own
+// metrics and returns one finding per row that does not hold (empty =
+// the gate passes). A row naming a metric the report lacks is a
+// finding, and so is a report with no rows: a gate that checked nothing
+// must not pass.
+func (r *Report) CheckBounds() []string {
+	if len(r.Bounds) == 0 {
+		return []string{"report carries no bounds: nothing to hold it to"}
+	}
+	var findings []string
+	for _, b := range r.Bounds {
+		// mean reads one referenced metric, reporting its absence.
+		mean := func(key string) (float64, bool) {
+			m, ok := r.Metrics[key]
+			if !ok {
+				findings = append(findings, fmt.Sprintf("%s: metric %s is not in the report", b.Name, key))
+			}
+			return m.Mean, ok
+		}
+		got, ok := mean(b.Metric)
+		if !ok {
+			continue
+		}
+		limit, basis := b.Limit, ""
+		if b.Of != "" {
+			of, ok := mean(b.Of)
+			if !ok {
+				continue
+			}
+			limit, basis = limit+b.Factor*of, fmt.Sprintf(" (%g + %g x %s)", b.Limit, b.Factor, b.Of)
+		}
+		// An unknown operator holds for nothing, so it is a finding too.
+		holds := map[string]bool{">=": got >= limit, "<=": got <= limit, ">": got > limit}[b.Op]
+		if !holds {
+			findings = append(findings, fmt.Sprintf("%s: %s = %.6g, want %s %.6g%s", b.Name, b.Metric, got, b.Op, limit, basis))
+		}
+	}
+	return findings
+}
+
+// Table returns the printable form of the report.
+func (r *Report) Table() *Table {
+	return &Table{Title: r.Title, Columns: r.Columns, Rows: r.Rows, Notes: r.Notes}
 }
 
 // NewReport wraps a finished experiment table.
@@ -93,4 +170,20 @@ func (r *Report) WriteFile(dir string) (string, error) {
 		return "", fmt.Errorf("bench: write report: %w", err)
 	}
 	return path, nil
+}
+
+// LoadReport reads a BENCH_<exp>.json report file.
+func LoadReport(path string) (*Report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("bench: read report: %w", err)
+	}
+	var r Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("bench: parse report %s: %w", path, err)
+	}
+	if r.Metrics == nil {
+		r.Metrics = make(map[string]Metric)
+	}
+	return &r, nil
 }

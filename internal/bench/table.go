@@ -4,8 +4,12 @@
 // RTT, worst-case failover RTT, throughput scaling, discovery
 // precision/recall, backend failover, QoS selection and Bully election
 // cost. Each experiment returns a Table whose rows mirror what the
-// paper reports; cmd/whisper-bench prints them and EXPERIMENTS.md
-// records paper-vs-measured values.
+// paper reports and, through its entry in Experiments, a Report (the
+// table, structured metrics and — for E12–E14 — acceptance bounds);
+// cmd/whisper-bench loops over that list, cmd/benchgate checks a
+// written report against its bounds, and EXPERIMENTS.md records
+// paper-vs-measured values. Performance claims about the request path
+// are benchmarks/e2e's, not this package's.
 package bench
 
 import (

@@ -3,6 +3,7 @@ package bpeer
 import (
 	"context"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -207,6 +208,9 @@ type BPeer struct {
 	leaseDone  chan struct{}
 	serveDone  chan struct{}
 	replogDone chan struct{}
+	// reads counts marked reads being served off the serve loop;
+	// teardown joins them so none outlives into a Restart.
+	reads sync.WaitGroup
 }
 
 // New assembles a b-peer over the given transport. Call Start to make
@@ -467,6 +471,7 @@ func (b *BPeer) teardown(started bool) error {
 	err := b.peer.Close()
 	if started {
 		<-b.serveDone
+		b.reads.Wait()
 		if b.journal != nil {
 			<-b.replogDone
 		}
@@ -798,13 +803,22 @@ func (b *BPeer) handleRequest(pm p2p.PipeMessage) {
 	span := b.cfg.Tracer.StartRemote(pm.Trace, "bpeer.request")
 	span.SetAttr("peer", b.cfg.Name)
 	resp := peerResponse{Status: statusError}
+	// failingOver: the backend is gone, so after replying the replica
+	// fail-stops and the election promotes one with a working backend.
+	var failingOver bool
 	reply := func() {
 		if resp.Status == statusError {
 			span.SetAttr("error", resp.Error)
 		}
 		span.SetAttr("status", resp.Status)
 		span.End()
-		b.reply(pm, resp)
+		if data, err := xml.Marshal(resp); err == nil {
+			// Best effort: the caller may have timed out.
+			_ = b.input.Reply(pm, data)
+		}
+		if failingOver {
+			go func() { _ = b.Close() }()
+		}
 	}
 	if err := xml.Unmarshal(pm.Payload, &req); err != nil {
 		resp.Error = fmt.Sprintf("bad request: %v", err)
@@ -817,21 +831,24 @@ func (b *BPeer) handleRequest(pm p2p.PipeMessage) {
 		// locally behind the read-index barrier. Served off the request
 		// loop so a barrier wait (lagging apply) never blocks writes or
 		// other reads.
-		go b.serveRead(span, pm, req)
-		return //lint:allow spanend span ownership transfers to serveRead, which ends it on every reply path
+		b.reads.Add(1)
+		go func() {
+			defer b.reads.Done()
+			resp, failingOver = b.readResponse(span, req)
+			reply()
+		}()
+		return //lint:allow spanend span ownership transfers to the read goroutine, whose reply ends it
 	}
 	// §4.2: "the b-peer found may not be the coordinator. Therefore,
 	// additional processing may need to be done to find the current
 	// coordinator." Load-sharing groups serve from any live replica.
 	if !b.cfg.LoadSharing && !b.elect.IsCoordinator() {
-		coord := b.elect.Coordinator()
-		if coord == "" {
+		if coord := b.elect.Coordinator(); coord == "" {
 			resp.Error = ErrMsgNoCoordinator
-			reply()
-			return
+		} else {
+			resp.Status = statusRedirect
+			resp.Coordinator = coord
 		}
-		resp.Status = statusRedirect
-		resp.Coordinator = coord
 		reply()
 		return
 	}
@@ -839,44 +856,61 @@ func (b *BPeer) handleRequest(pm p2p.PipeMessage) {
 		// Keyed request on a journaling group: the exactly-once path
 		// (claim → replicate → execute once → replicate → ack)
 		// computes the response; the reply closure above acks it.
-		var failingOver bool
 		resp, failingOver = b.journaledResponse(span, req)
-		reply()
-		if failingOver {
-			go func() { _ = b.Close() }()
-		}
-		return
+	} else {
+		ctx, cancel := context.WithTimeout(trace.ContextWith(b.lifecycleCtx(), span), handlerTimeout)
+		resp, failingOver = b.unjournaledResponse(ctx, req)
+		cancel()
 	}
-	ctx, cancel := context.WithTimeout(trace.ContextWith(b.lifecycleCtx(), span), handlerTimeout)
-	defer cancel()
-	hctx, hspan := b.cfg.Tracer.StartSpan(ctx, "backend")
-	out, err := b.cfg.Handler.Invoke(hctx, req.Op, req.Payload)
-	hspan.EndWith(err)
-	if err != nil {
-		if b.cfg.FailStop != nil && b.cfg.FailStop(err) {
-			// Backend gone: answer retryably and fail-stop so the
-			// election promotes a replica with a working backend.
-			resp.Error = ErrMsgFailingOver
-			reply()
-			go func() { _ = b.Close() }()
-			return
-		}
-		resp.Error = err.Error()
-		reply()
-		return
-	}
-	resp.Status = statusOK
-	resp.Payload = out
 	reply()
 }
 
-func (b *BPeer) reply(pm p2p.PipeMessage, resp peerResponse) {
-	data, err := xml.Marshal(resp)
-	if err != nil {
-		return
+// execOutcome classifies one handler execution.
+type execOutcome int
+
+const (
+	execOK          execOutcome = iota
+	execAppError                // a deterministic application error: an outcome
+	execFailStop                // Config.FailStop matched: the backend is gone, the operation did not execute
+	execInterrupted             // replica going down or handler timed out mid-execution: outcome unknown
+)
+
+// execute runs the handler under a "backend" span and classifies its
+// error, once for every serve path.
+func (b *BPeer) execute(ctx context.Context, req peerRequest) ([]byte, execOutcome, error) {
+	hctx, hspan := b.cfg.Tracer.StartSpan(ctx, "backend")
+	out, err := b.cfg.Handler.Invoke(hctx, req.Op, req.Payload)
+	hspan.EndWith(err)
+	switch {
+	case err == nil:
+		return out, execOK, nil
+	case b.cfg.FailStop != nil && b.cfg.FailStop(err):
+		return nil, execFailStop, err
+	case ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return nil, execInterrupted, err
 	}
-	// Best effort: the caller may have timed out.
-	_ = b.input.Reply(pm, data)
+	return nil, execAppError, err
+}
+
+// unjournaledResponse executes a request that bypasses the journal (an
+// unkeyed request or a marked read). Only an application error reaches
+// the client: a fail-stop or an interrupted execution is this replica's
+// trouble and is answered retryably, so the proxy tries elsewhere.
+func (b *BPeer) unjournaledResponse(ctx context.Context, req peerRequest) (resp peerResponse, failingOver bool) {
+	resp = peerResponse{Status: statusError}
+	out, outcome, err := b.execute(ctx, req)
+	switch outcome {
+	case execOK:
+		resp.Status = statusOK
+		resp.Payload = out
+	case execFailStop:
+		resp.Error = ErrMsgFailingOver
+	case execInterrupted:
+		resp.Error = ErrMsgOutcomeUnknown
+	case execAppError:
+		resp.Error = err.Error()
+	}
+	return resp, outcome == execFailStop
 }
 
 // answerCoordinator serves coordinator-lookup queries from proxies and

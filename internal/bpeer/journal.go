@@ -3,7 +3,6 @@ package bpeer
 import (
 	"context"
 	"encoding/xml"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -256,48 +255,42 @@ func (b *BPeer) journaledResponse(span *trace.Span, req peerRequest) (resp peerR
 		return resp, false
 	}
 
-	hctx, hspan := b.cfg.Tracer.StartSpan(ctx, "backend")
-	out, err := b.cfg.Handler.Invoke(hctx, req.Op, req.Payload)
-	hspan.EndWith(err)
-	if err != nil {
-		if b.cfg.FailStop != nil && b.cfg.FailStop(err) {
-			// The fail-stop contract means the backend operation did
-			// not execute: abort the claim (locally and on the
-			// followers) so a surviving replica can re-own the key,
-			// then take this replica offline.
-			_ = b.journal.MarkAborted(req.Key)
-			abortCtx, abortCancel := context.WithTimeout(b.lifecycleCtx(), b.cfg.HeartbeatTimeout)
-			b.replicate(abortCtx, replKindAbort, req.Key)
-			abortCancel()
-			resp.Error = ErrMsgFailingOver
-			return resp, true
-		}
-		if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Interrupted mid-execution (the replica is going down or
-			// the handler timed out): the outcome is unknown. Leave the
-			// entry Executing — the post-restart revisit poisons it —
-			// and answer retryably without caching anything.
-			resp.Error = ErrMsgOutcomeUnknown
-			return resp, false
-		}
+	out, outcome, err := b.execute(ctx, req)
+	appErr := ""
+	switch outcome {
+	case execFailStop:
+		// The fail-stop contract means the backend operation did
+		// not execute: abort the claim (locally and on the
+		// followers) so a surviving replica can re-own the key,
+		// then take this replica offline.
+		_ = b.journal.MarkAborted(req.Key)
+		abortCtx, abortCancel := context.WithTimeout(b.lifecycleCtx(), b.cfg.HeartbeatTimeout)
+		b.replicate(abortCtx, replKindAbort, req.Key)
+		abortCancel()
+		resp.Error = ErrMsgFailingOver
+		return resp, true
+	case execInterrupted:
+		// The outcome is unknown. Leave the entry Executing — the
+		// post-restart revisit poisons it — and answer retryably
+		// without caching anything.
+		resp.Error = ErrMsgOutcomeUnknown
+		return resp, false
+	case execAppError:
 		// A deterministic application error is an outcome: journal it
 		// so every retry replays the same rejection instead of
 		// re-executing.
-		if mErr := b.journal.MarkExecuted(req.Key, nil, err.Error()); mErr != nil {
-			resp.Error = ErrMsgOutcomeUnknown
-			return resp, false
-		}
-		b.commitAndReplicate(ctx, req.Key)
-		resp.Error = err.Error()
-		return resp, false
+		appErr = err.Error()
 	}
-	if mErr := b.journal.MarkExecuted(req.Key, out, ""); mErr != nil {
+	if mErr := b.journal.MarkExecuted(req.Key, out, appErr); mErr != nil {
 		resp.Error = ErrMsgOutcomeUnknown
 		return resp, false
 	}
 	b.commitAndReplicate(ctx, req.Key)
-	resp.Status = statusOK
-	resp.Payload = out
+	resp.Error = appErr
+	if appErr == "" {
+		resp.Status = statusOK
+		resp.Payload = out
+	}
 	return resp, false
 }
 
@@ -430,28 +423,23 @@ func (b *BPeer) journalCatchUp(ctx context.Context) {
 		span.SetAttr("result", "marshal-failed")
 		return
 	}
-	ch, err := b.bind.Propagate(targets, replogStateHandler, announce)
-	if err != nil {
-		span.SetAttr("result", "propagate-failed")
-		return
-	}
 	merged := 0
 	silent := targets
-collect:
-	for outstanding := len(targets); outstanding > 0; outstanding-- {
-		select {
-		case resp := <-ch:
-			if resp.Err != nil || resp.Payload == nil {
-				continue
-			}
+	err = b.bind.Propagate(ctx, targets, replogStateHandler, announce, func(resp p2p.Response) bool {
+		if resp.Err == nil && resp.Payload != nil {
 			silent = without(silent, resp.From)
 			if n, err := b.journal.MergeState(resp.Payload); err == nil {
 				merged += n
 			}
-		case <-ctx.Done():
-			span.SetAttr("result", "timeout")
-			break collect
 		}
+		return false
+	})
+	if err != nil {
+		if ctx.Err() == nil {
+			span.SetAttr("result", "propagate-failed")
+			return
+		}
+		span.SetAttr("result", "timeout")
 	}
 	// A member that did not hand over its state is down as far as this
 	// replica can tell: a coordinator fresh from this barrier must not

@@ -64,30 +64,22 @@ func (b *BPeer) isReadOnlyOp(op string) bool {
 	return false
 }
 
-// serveRead serves one marked read locally: obtain a read index, wait
-// for the local committed prefix to reach it, execute the handler, and
-// reply with the (index, observed seq) pair the staleness invariant is
-// checked against. Runs on its own goroutine — the caller's serve loop
-// must never block on a lagging apply loop.
-func (b *BPeer) serveRead(span *trace.Span, pm p2p.PipeMessage, req peerRequest) {
-	resp := peerResponse{Status: statusError}
+// readResponse serves one marked read locally: obtain a read index,
+// wait for the local committed prefix to reach it, execute the handler,
+// and answer with the (index, observed seq) pair the staleness
+// invariant is checked against. Runs on its own goroutine — the serve
+// loop must never block on a lagging apply loop; the caller sends the
+// response and ends the request span.
+func (b *BPeer) readResponse(span *trace.Span, req peerRequest) (resp peerResponse, failingOver bool) {
+	resp = peerResponse{Status: statusError}
 	span.SetAttr("read", "local")
-	reply := func() {
-		if resp.Status == statusError {
-			span.SetAttr("error", resp.Error)
-		}
-		span.SetAttr("status", resp.Status)
-		span.End()
-		b.reply(pm, resp)
-	}
 	ctx, cancel := context.WithTimeout(trace.ContextWith(b.lifecycleCtx(), span), handlerTimeout)
 	defer cancel()
 
 	idx, err := b.readIndex(ctx)
 	if err != nil {
 		resp.Error = err.Error()
-		reply()
-		return
+		return resp, false
 	}
 	span.SetAttr("read.index", strconv.FormatUint(idx, 10))
 	if err := b.journal.WaitCommitted(ctx, idx); err != nil {
@@ -95,32 +87,18 @@ func (b *BPeer) serveRead(span *trace.Span, pm p2p.PipeMessage, req peerRequest)
 		// lagging badly. Never serve stale — answer retryably so the
 		// proxy redirects to a caught-up replica.
 		resp.Error = ErrMsgReadUnavailable
-		reply()
-		return
+		return resp, false
 	}
 	// The prefix only grows, so sampling after the barrier gives the
 	// smallest sequence this read could have observed.
 	seq := b.journal.ReadIndex()
 
-	hctx, hspan := b.cfg.Tracer.StartSpan(ctx, "backend")
-	out, err := b.cfg.Handler.Invoke(hctx, req.Op, req.Payload)
-	hspan.EndWith(err)
-	if err != nil {
-		if b.cfg.FailStop != nil && b.cfg.FailStop(err) {
-			resp.Error = ErrMsgFailingOver
-			reply()
-			go func() { _ = b.Close() }()
-			return
-		}
-		resp.Error = err.Error()
-		reply()
-		return
+	resp, failingOver = b.unjournaledResponse(ctx, req)
+	if resp.Status == statusOK {
+		resp.ReadIndex = idx
+		resp.ReadSeq = seq
 	}
-	resp.Status = statusOK
-	resp.Payload = out
-	resp.ReadIndex = idx
-	resp.ReadSeq = seq
-	reply()
+	return resp, failingOver
 }
 
 // readIndex returns the committed sequence a read issued now must

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -231,4 +232,65 @@ func TestQueryReadIndex(t *testing.T) {
 			t.Fatalf("QueryReadIndex(%s) = %d, want >= 1", p.Name(), idx)
 		}
 	}
+}
+
+// TestInterruptedReadIsAnsweredRetryably: an execution cut short — the
+// handler reports a cancelled context, as one that honours its context
+// does when the replica goes down under it — says nothing about the
+// service. A marked read must answer it with an infrastructure message,
+// which the proxy retries on a sibling replica, never with an
+// application error, which the proxy hands to the client.
+func TestInterruptedReadIsAnsweredRetryably(t *testing.T) {
+	check := func(t *testing.T, resp Response) {
+		t.Helper()
+		if resp.Status != statusError || !IsInfraErrMsg(resp.Error) {
+			t.Fatalf("interrupted read answered status=%s error=%q, want an infrastructure message", resp.Status, resp.Error)
+		}
+	}
+	t.Run("handler reports cancellation", func(t *testing.T) {
+		d := newBareDeployment(t, func(string) Handler {
+			return HandlerFunc(func(context.Context, string, []byte) ([]byte, error) {
+				return nil, fmt.Errorf("backend query: %w", context.Canceled)
+			})
+		})
+		d.readOps = []string{"Read"}
+		d.addPeer(t, 0)
+		resp, err := d.readCall(t, coordOf(t, d).ServicePipe(), "Read", 2*time.Second)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		check(t, resp)
+	})
+	t.Run("replica closed mid-read", func(t *testing.T) {
+		entered := make(chan struct{}, 1)
+		var exited atomic.Bool
+		d := newBareDeployment(t, func(string) Handler {
+			return HandlerFunc(func(ctx context.Context, _ string, _ []byte) ([]byte, error) {
+				entered <- struct{}{}
+				<-ctx.Done()
+				time.Sleep(20 * time.Millisecond)
+				exited.Store(true)
+				return nil, ctx.Err()
+			})
+		})
+		d.readOps = []string{"Read"}
+		d.addPeer(t, 0)
+		bp := coordOf(t, d)
+		joined := make(chan bool, 1)
+		go func() {
+			<-entered
+			_ = bp.Close()
+			joined <- exited.Load()
+		}()
+		// The reply races the teardown of the transport under it: no
+		// answer at all is fine (the caller times out and retries).
+		if resp, err := d.readCall(t, bp.ServicePipe(), "Read", 300*time.Millisecond); err == nil {
+			check(t, resp)
+		}
+		// Reads are served off the serve loop; teardown must still join
+		// them, or a Restart rebuilds the replica under a live read.
+		if !<-joined {
+			t.Error("Close returned while the marked read was still executing")
+		}
+	})
 }

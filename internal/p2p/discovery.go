@@ -428,39 +428,31 @@ func (d *DiscoveryService) RemoteGetAdvertisements(
 	if err != nil {
 		return nil, fmt.Errorf("discovery: marshal query: %w", err)
 	}
-	ch, err := d.resolver.Propagate(targets, discoveryQueryHandler, q)
-	if err != nil {
-		return nil, fmt.Errorf("discovery: propagate: %w", err)
-	}
 	seen := make(map[ID]bool)
 	var out []Advertisement
-	for answered := 0; answered < len(targets); answered++ {
-		select {
-		case resp := <-ch:
-			if resp.Err != nil {
-				continue
-			}
-			var doc discoveryResponseDoc
-			if err := xml.Unmarshal(resp.Payload, &doc); err != nil {
-				continue
-			}
-			for _, raw := range doc.Advs {
-				adv, err := ParseAdvertisement(raw)
-				if err != nil || seen[adv.AdvID()] {
-					continue
-				}
-				seen[adv.AdvID()] = true
-				out = append(out, adv)
-				if limit > 0 && len(out) >= limit {
-					return out, nil
-				}
-			}
-		case <-ctx.Done():
-			if len(out) > 0 {
-				return out, nil
-			}
-			return nil, fmt.Errorf("discovery: remote query: %w", ctx.Err())
+	err = d.resolver.Propagate(ctx, targets, discoveryQueryHandler, q, func(resp Response) bool {
+		if resp.Err != nil {
+			return false
 		}
+		var doc discoveryResponseDoc
+		if err := xml.Unmarshal(resp.Payload, &doc); err != nil {
+			return false
+		}
+		for _, raw := range doc.Advs {
+			adv, err := ParseAdvertisement(raw)
+			if err != nil || seen[adv.AdvID()] {
+				continue
+			}
+			seen[adv.AdvID()] = true
+			out = append(out, adv)
+			if limit > 0 && len(out) >= limit {
+				return true
+			}
+		}
+		return false
+	})
+	if err != nil && len(out) == 0 {
+		return nil, fmt.Errorf("discovery: remote query: %w", err)
 	}
 	return out, nil
 }

@@ -150,6 +150,51 @@ func TestDiscoveryRemoteQueryLimit(t *testing.T) {
 	}
 }
 
+// TestDiscoveryRemoteQueryRetiresPending: however a remote query's
+// collection ends — every target answered, the context expired on a
+// silent target, or the limit was reached early — the querier's
+// resolver forgets the query. A long-lived proxy pays one remote query
+// per cold find; an entry left behind each time is a leak.
+func TestDiscoveryRemoteQueryRetiresPending(t *testing.T) {
+	h := newHarness(t, 3)
+	querier := NewDiscoveryService(h.peers[0])
+	d1 := NewDiscoveryService(h.peers[1])
+	for i := 0; i < 5; i++ {
+		_ = d1.Publish(&ServiceAdvertisement{SvcID: ID(rune('0' + i)), Name: "S"}, 0)
+	}
+	h.peers[0].Start()
+	h.peers[1].Start()
+	// h.peers[2] never starts: queries to it are never answered.
+	live, silent := h.peers[1].Addr(), h.peers[2].Addr()
+
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		got, err := querier.RemoteGetAdvertisements(ctx, []string{live}, ServiceAdvType, "Name", "S", 0)
+		cancel()
+		if err != nil || len(got) != 5 {
+			t.Fatalf("answered query %d: %d advs, err %v", i, len(got), err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	if _, err := querier.RemoteGetAdvertisements(ctx, []string{silent}, ServiceAdvType, "Name", "S", 0); err == nil {
+		t.Error("query to a silent target: expected the context's error")
+	}
+	cancel()
+	ctx, cancel = context.WithTimeout(context.Background(), 2*time.Second)
+	got, err := querier.RemoteGetAdvertisements(ctx, []string{live, silent}, ServiceAdvType, "Name", "S", 2)
+	cancel()
+	if err != nil || len(got) != 2 {
+		t.Fatalf("limited query: %d advs, err %v", len(got), err)
+	}
+
+	querier.resolver.mu.Lock()
+	left := len(querier.resolver.pending)
+	querier.resolver.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d pending entries left after 22 finished queries, want 0", left)
+	}
+}
+
 func TestDiscoveryRemoteQueryDeduplicates(t *testing.T) {
 	h := newHarness(t, 3)
 	querier := NewDiscoveryService(h.peers[0])

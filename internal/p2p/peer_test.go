@@ -185,22 +185,18 @@ func TestResolverPropagateCollectsAll(t *testing.T) {
 		p.Start()
 	}
 
-	ch, err := rq.Propagate(targets, "who", nil)
-	if err != nil {
-		t.Fatalf("propagate: %v", err)
-	}
 	got := map[string]bool{}
-	timeout := time.After(2 * time.Second)
-	for i := 0; i < len(targets); i++ {
-		select {
-		case resp := <-ch:
-			if resp.Err != nil {
-				t.Fatalf("response error: %v", resp.Err)
-			}
-			got[string(resp.Payload)] = true
-		case <-timeout:
-			t.Fatalf("collected %d/%d responses", len(got), len(targets))
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	err := rq.Propagate(ctx, targets, "who", nil, func(resp Response) bool {
+		if resp.Err != nil {
+			t.Errorf("response error: %v", resp.Err)
 		}
+		got[string(resp.Payload)] = true
+		return false
+	})
+	if err != nil {
+		t.Fatalf("propagate: collected %d/%d responses: %v", len(got), len(targets), err)
 	}
 	if len(got) != 3 {
 		t.Errorf("unique responders = %d, want 3", len(got))

@@ -104,11 +104,14 @@ func (r *Resolver) Query(ctx context.Context, to, handler string, payload []byte
 	}
 }
 
-// Propagate sends the query to every target and returns a channel on
-// which up to len(targets) responses arrive. The channel is never
-// closed; callers bound collection with the context.
-func (r *Resolver) Propagate(targets []string, handler string, payload []byte) (<-chan Response, error) {
+// Propagate sends the query to every target and hands each response to
+// each as it arrives, until every target has answered, each returns
+// true (the caller has enough) or ctx ends — whichever way collection
+// ends, the pending entry is retired with it. It fails when no target
+// could be sent to, or with ctx's error when ctx ended first.
+func (r *Resolver) Propagate(ctx context.Context, targets []string, handler string, payload []byte, each func(Response) (done bool)) error {
 	ch, qid := r.newPending(len(targets))
+	defer r.dropPending(qid)
 	msg := simnet.Message{
 		Proto:   r.proto,
 		Kind:    kindQuery,
@@ -127,10 +130,19 @@ func (r *Resolver) Propagate(targets []string, handler string, payload []byte) (
 		sent++
 	}
 	if sent == 0 && firstErr != nil {
-		r.dropPending(qid)
-		return nil, firstErr
+		return firstErr
 	}
-	return ch, nil
+	for outstanding := len(targets); outstanding > 0; outstanding-- {
+		select {
+		case resp := <-ch:
+			if each(resp) {
+				return nil
+			}
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
 }
 
 func (r *Resolver) newPending(buffer int) (chan Response, string) {
