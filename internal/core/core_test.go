@@ -300,6 +300,53 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 }
 
+// TestFailoverOverTCP: on real sockets a crashed coordinator is a closed
+// listener and closed connections. The survivors' sends to it must fail
+// (detector evidence) and the proxy must re-bind within the caller's
+// context, as on the simulated LAN.
+func TestFailoverOverTCP(t *testing.T) {
+	d, err := NewDeployment(Config{
+		Transport: TCPTransport("127.0.0.1:0"),
+		Seed:      1,
+		Timings:   fastTimings(),
+	})
+	if err != nil {
+		t.Fatalf("deployment: %v", err)
+	}
+	t.Cleanup(func() { _ = d.Close() })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	g, err := d.DeployGroup(ctx, GroupSpec{
+		Name:      "StudentManagement",
+		Signature: studentSig(),
+		Handler:   studentHandler(backend.NewOperationalDB(backend.SeedStudents(5, 1), 0)),
+		Count:     3,
+	})
+	if err != nil {
+		t.Fatalf("deploy group: %v", err)
+	}
+	svc, err := d.DeployService(wsdl.StudentManagement(), ServiceOptions{})
+	if err != nil {
+		t.Fatalf("deploy service: %v", err)
+	}
+	invoke := func(phase string) {
+		t.Helper()
+		out, err := svc.Invoke(ctx, "StudentInformation", studentRequestXML("S0002"))
+		if err != nil {
+			t.Fatalf("invoke %s: %v", phase, err)
+		}
+		if !strings.Contains(string(out), "<ID>S0002</ID>") {
+			t.Errorf("%s: out = %q", phase, out)
+		}
+	}
+	invoke("before the crash")
+	if _, err := g.CrashCoordinator(); err != nil {
+		t.Fatalf("crash: %v", err)
+	}
+	invoke("after the crash")
+}
+
 func TestDeployGroupValidation(t *testing.T) {
 	d := newSimDeployment(t)
 	ctx := context.Background()

@@ -1,9 +1,6 @@
 package p2p
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"sync"
 
 	"whisper/internal/simnet"
@@ -67,21 +64,10 @@ func (s *RelayService) handleMessage(msg simnet.Message) {
 	})
 }
 
-func encodeRelayed(msg simnet.Message) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&msg); err != nil {
-		return nil, fmt.Errorf("p2p: encode relayed message: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+// A relayed message travels as its wire frame (simnet/frame.go).
+func encodeRelayed(msg simnet.Message) ([]byte, error) { return simnet.AppendFrame(nil, &msg) }
 
-func decodeRelayed(data []byte) (simnet.Message, error) {
-	var msg simnet.Message
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&msg); err != nil {
-		return simnet.Message{}, fmt.Errorf("p2p: decode relayed message: %w", err)
-	}
-	return msg, nil
-}
+func decodeRelayed(data []byte) (simnet.Message, error) { return simnet.DecodeFrame(data) }
 
 // RelayPolicy decides whether a destination is reached via the relay.
 type RelayPolicy func(dst string) bool
@@ -111,10 +97,10 @@ type RelayTransport struct {
 	policy    RelayPolicy
 
 	out  chan simnet.Message
-	done chan struct{}
+	stop chan struct{} // closed by Close: pump gives up an undelivered message
+	done chan struct{} // closed when pump has exited
 
-	mu     sync.Mutex
-	closed bool
+	closeOnce sync.Once
 }
 
 var _ simnet.Transport = (*RelayTransport)(nil)
@@ -130,6 +116,7 @@ func NewRelayTransport(inner simnet.Transport, relayAddr string, policy RelayPol
 		relayAddr: relayAddr,
 		policy:    policy,
 		out:       make(chan simnet.Message),
+		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
 	go t.pump()
@@ -162,15 +149,12 @@ func (t *RelayTransport) Recv() <-chan simnet.Message { return t.out }
 
 // Close implements simnet.Transport.
 func (t *RelayTransport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	t.mu.Unlock()
-	err := t.inner.Close()
-	<-t.done
+	var err error
+	t.closeOnce.Do(func() {
+		close(t.stop)
+		err = t.inner.Close()
+		<-t.done
+	})
 	return err
 }
 
@@ -186,6 +170,10 @@ func (t *RelayTransport) pump() {
 			}
 			msg = inner
 		}
-		t.out <- msg
+		select {
+		case t.out <- msg:
+		case <-t.stop:
+			return
+		}
 	}
 }

@@ -284,14 +284,16 @@ func (n *Network) send(msg Message) error {
 
 	msg.SentAt = n.clock.Now()
 	size := msg.Size()
-	n.deliverAfter(msg, dst, n.latency.Delay(msg.Src, msg.Dst, size)+extra)
+	// Count before handing over: a receiver that has seen the message
+	// (or its sender, the reply) finds it in Stats.
 	n.stats.recordDelivered(msg.Proto, size)
+	n.deliverAfter(msg, dst, n.latency.Delay(msg.Src, msg.Dst, size)+extra)
 	if duplicated {
 		// The duplicate takes its own latency sample, so copies can
 		// arrive out of order — receivers must tolerate replays.
-		n.deliverAfter(msg, dst, n.latency.Delay(msg.Src, msg.Dst, size)+extra)
 		n.stats.recordDelivered(msg.Proto, size)
 		n.stats.recordDuplicated(msg.Proto)
+		n.deliverAfter(msg, dst, n.latency.Delay(msg.Src, msg.Dst, size)+extra)
 	}
 	return nil
 }
