@@ -33,10 +33,10 @@
 // The journal command asks a running b-peer replica (its address via
 // -peer) for its replicated operation journal: sequence numbers,
 // per-entry status, and the journal/snapshot counters behind the
-// group's exactly-once guarantee — plus the replica's group view: the
-// replication set (members it would replicate to, with unresolved or
-// unanswered pipes marked), the age of the installed member list, and
-// the view.refresh / view.evict / replicate.miss counters.
+// group's exactly-once guarantee — plus the replica's group record: the
+// replication set (suspects marked), the age of the installed member
+// list, the coordinator it follows with its term, and the view.* /
+// replicate.miss counters.
 //
 // The readindex command asks every group member for its local
 // committed sequence (the index follower reads barrier on) and prints

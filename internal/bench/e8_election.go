@@ -92,11 +92,11 @@ func electionTrial(ctx context.Context, n int, seed int64) (msgs, bytes int64, c
 
 	var mu sync.Mutex
 	members := make([]election.Member, 0, n)
-	membersFn := func() []election.Member {
+	membersFn := election.MembersFunc(func() []election.Member {
 		mu.Lock()
 		defer mu.Unlock()
 		return append([]election.Member(nil), members...)
-	}
+	})
 
 	nodes := make([]*election.Node, 0, n)
 	peers := make([]*p2p.Peer, 0, n)
@@ -130,13 +130,13 @@ func electionTrial(ctx context.Context, n int, seed int64) (msgs, bytes int64, c
 	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	want := peers[n-1].Addr()
-	for _, node := range nodes {
+	for i, node := range nodes {
 		coord, werr := node.WaitForCoordinator(ctx)
 		if werr != nil {
 			return 0, 0, 0, werr
 		}
 		if coord != want {
-			return 0, 0, 0, fmt.Errorf("node %s elected %s, want %s", node.Addr(), coord, want)
+			return 0, 0, 0, fmt.Errorf("node %s elected %s, want %s", peers[i].Addr(), coord, want)
 		}
 	}
 	converge = time.Since(start)

@@ -162,7 +162,6 @@ type BPeer struct {
 	pipes *p2p.PipeService
 	rdv   *p2p.RendezvousClient
 	bind  *p2p.Resolver
-	elect *election.Node
 	fd    *p2p.FailureDetector
 	input *p2p.InputPipe
 
@@ -180,21 +179,21 @@ type BPeer struct {
 	journal  *replog.Journal
 	replogIn *p2p.InputPipe
 
-	// view is the group membership this replica elects among and
-	// replicates to (view.go). Rebuilt on restart — addresses and pipes
-	// may all have changed while it was down; viewStats outlives it.
-	view      *groupView
+	// group is what this replica knows of its group — members, who is
+	// alive, who coordinates (group.go) — and what it elects among and
+	// replicates to. Rebuilt on restart — addresses and pipes may all
+	// have changed while it was down; viewStats outlives it.
+	group     *group
 	viewStats *metrics.Counter
 
 	// lease caches the coordinator's read index for cfg.ReadLease
 	// (follower read protocol, read.go). Rebuilt on restart.
 	lease *readLease
 
-	mu       sync.Mutex
-	watching string // coordinator address currently monitored
-	started  bool
-	closed   bool
-	crashed  bool
+	mu      sync.Mutex
+	started bool
+	closed  bool
+	crashed bool
 
 	// runCtx is the replica's lifecycle context: derived in Start from
 	// the caller's context (minus its cancellation — the replica's
@@ -258,7 +257,6 @@ func (b *BPeer) assemble(tr simnet.Transport) {
 	b.gossipCli = p2p.NewGossipClient(b.peer)
 	b.pipes = p2p.NewPipeService(b.peer, cfg.IDGen)
 	b.rdv = p2p.NewRendezvousClient(b.peer, cfg.RendezvousAddr)
-	b.view = newGroupView(b.rdv, cfg.GroupID, b.viewStats)
 	b.bind = p2p.NewResolverOn(b.peer, ProtoBinding)
 	b.bind.RegisterHandler(coordinatorHandler, b.answerCoordinator)
 	b.bind.RegisterHandler(pipeHandler, b.answerPipe)
@@ -273,16 +271,12 @@ func (b *BPeer) assemble(tr simnet.Transport) {
 		b.replogIn = b.pipes.Bind(cfg.GroupName+"/replog", p2p.PropagatePipe)
 	}
 
-	b.elect = election.NewNode(b.peer, cfg.Rank, b.electionMembers, election.Config{
+	self := member{name: cfg.Name, addr: b.peer.Addr(), rank: cfg.Rank}
+	b.group = newGroup(b.peer, self, election.Config{
 		AnswerTimeout: cfg.ElectionTimeout,
-		OnCoordinator: b.onCoordinator,
 		Barrier:       b.journalBarrier,
-	})
-	b.fd = p2p.NewFailureDetector(b.peer, p2p.FailureDetectorConfig{
-		Interval:  cfg.HeartbeatInterval,
-		Timeout:   cfg.HeartbeatTimeout,
-		OnFailure: b.onPeerFailure,
-	})
+	}, b.viewStats)
+	b.fd = p2p.NewFailureDetector(b.peer, b.group, cfg.HeartbeatInterval, cfg.HeartbeatTimeout)
 }
 
 // Addr returns the b-peer's transport address.
@@ -299,11 +293,11 @@ func (b *BPeer) GroupID() p2p.ID { return b.cfg.GroupID }
 
 // IsCoordinator reports whether this replica is the elected
 // coordinator.
-func (b *BPeer) IsCoordinator() bool { return b.elect.IsCoordinator() }
+func (b *BPeer) IsCoordinator() bool { return b.group.elect.IsCoordinator() }
 
 // Coordinator returns the currently known coordinator address ("" when
 // unknown).
-func (b *BPeer) Coordinator() string { return b.elect.Coordinator() }
+func (b *BPeer) Coordinator() string { return b.group.elect.Coordinator() }
 
 // ServicePipe returns the advertisement of this replica's request
 // pipe.
@@ -323,10 +317,12 @@ func (b *BPeer) SemanticAdvertisement() *SemanticAdvertisement {
 }
 
 // advertisement returns this peer's membership advertisement with its
-// rank.
+// rank and the election term it follows, which is where a replica that
+// joins later learns the term from.
 func (b *BPeer) advertisement() *p2p.PeerAdvertisement {
 	adv := b.peer.Advertisement()
 	adv.Rank = b.cfg.Rank
+	adv.Term = b.group.elect.Term()
 	return adv
 }
 
@@ -369,7 +365,7 @@ func (b *BPeer) Start(ctx context.Context) error {
 		b.journalCatchUp(catchCtx)
 		catchCancel()
 	}
-	b.elect.Trigger()
+	b.group.elect.Trigger()
 	return nil
 }
 
@@ -403,7 +399,7 @@ func (b *BPeer) Close() error {
 
 	if started {
 		// Farewell traffic while the transport is still up: leave the
-		// group first so hand-off elections exclude this replica.
+		// group first so that no later list shows this replica.
 		ctx, cancel := context.WithTimeout(b.lifecycleCtx(), b.cfg.HeartbeatTimeout)
 		_ = b.rdv.Leave(ctx, b.cfg.GroupID, b.pid)
 		// Last replica out unpublishes the group: a tombstone at the
@@ -415,7 +411,7 @@ func (b *BPeer) Close() error {
 			_ = b.gossipSend(ctx, adv, b.gossipPub.Tombstone(string(adv.AdvID())))
 		}
 		cancel()
-		b.elect.Resign()
+		b.group.elect.Resign()
 	}
 	return b.teardown(started)
 }
@@ -458,7 +454,7 @@ func (b *BPeer) teardown(started bool) error {
 		// transport under them is about to go away regardless.
 		cancel()
 	}
-	b.elect.Close()
+	b.group.elect.Close()
 	if started {
 		close(b.stopLease)
 		<-b.leaseDone
@@ -494,7 +490,6 @@ func (b *BPeer) Restart(ctx context.Context, tr simnet.Transport) error {
 	b.closed = false
 	b.crashed = false
 	b.started = false
-	b.watching = ""
 	b.stopLease = make(chan struct{})
 	b.leaseDone = make(chan struct{})
 	b.serveDone = make(chan struct{})
@@ -521,87 +516,19 @@ func (b *BPeer) Crashed() bool {
 	return b.crashed
 }
 
-// --- membership & election wiring --------------------------------------
+// --- membership ----------------------------------------------------------
 
 // joinGroup registers (or renews) this replica at the rendezvous and
-// installs the member list the reply carries as the group view.
+// takes in the member list the reply carries: the one read of the
+// rendezvous this replica makes while it runs.
 func (b *BPeer) joinGroup(ctx context.Context) error {
-	since := b.view.generation()
+	asked := time.Now()
 	advs, err := b.rdv.Join(ctx, b.cfg.GroupID, b.advertisement())
 	if err != nil {
 		return err
 	}
-	b.view.install(advs, since)
+	b.group.install(advs, asked)
 	return nil
-}
-
-// electionMembers supplies the Bully node with the group as the
-// rendezvous lists it now; an election must not run on a cached list,
-// so what it read also becomes the new view.
-func (b *BPeer) electionMembers() []election.Member {
-	ctx, cancel := context.WithTimeout(b.lifecycleCtx(), b.cfg.HeartbeatTimeout)
-	defer cancel()
-	self := election.Member{Addr: b.peer.Addr(), Rank: b.cfg.Rank}
-	view, err := b.view.Refresh(ctx)
-	if err != nil {
-		// Rendezvous unreachable: fall back to self, so a lone
-		// survivor still elects itself.
-		return []election.Member{self}
-	}
-	members := make([]election.Member, 0, len(view)+1)
-	seenSelf := false
-	for _, m := range view {
-		members = append(members, election.Member{Addr: m.addr, Rank: m.rank})
-		if m.addr == self.Addr {
-			seenSelf = true
-		}
-	}
-	if !seenSelf {
-		members = append(members, self)
-	}
-	return members
-}
-
-// onCoordinator re-points the failure detector at the new coordinator.
-func (b *BPeer) onCoordinator(addr string) {
-	b.mu.Lock()
-	prev := b.watching
-	self := b.peer.Addr()
-	if addr == self {
-		b.watching = ""
-	} else {
-		b.watching = addr
-	}
-	watch := b.watching
-	b.mu.Unlock()
-
-	if prev != "" && prev != watch {
-		b.fd.Unwatch(prev)
-	}
-	if watch != "" && watch != prev {
-		b.fd.Watch(watch)
-	}
-}
-
-// onPeerFailure reacts to the coordinator's death: invalidate and
-// re-elect (§4.2: "If one replica fails another replica is elected
-// using the Bully algorithm").
-func (b *BPeer) onPeerFailure(addr string) {
-	b.mu.Lock()
-	isCoord := addr == b.watching
-	if isCoord {
-		// Nobody is watched from here on: if the report was premature and
-		// the same coordinator announces itself again, onCoordinator must
-		// see a change and re-arm the detector.
-		b.watching = ""
-	}
-	b.mu.Unlock()
-	if !isCoord {
-		return
-	}
-	b.fd.Unwatch(addr)
-	b.elect.InvalidateCoordinator()
-	b.elect.Trigger()
 }
 
 // leaseLoop renews membership at the rendezvous and the semantic
@@ -842,8 +769,8 @@ func (b *BPeer) handleRequest(pm p2p.PipeMessage) {
 	// §4.2: "the b-peer found may not be the coordinator. Therefore,
 	// additional processing may need to be done to find the current
 	// coordinator." Load-sharing groups serve from any live replica.
-	if !b.cfg.LoadSharing && !b.elect.IsCoordinator() {
-		if coord := b.elect.Coordinator(); coord == "" {
+	if !b.cfg.LoadSharing && !b.IsCoordinator() {
+		if coord := b.Coordinator(); coord == "" {
 			resp.Error = ErrMsgNoCoordinator
 		} else {
 			resp.Status = statusRedirect
@@ -917,7 +844,7 @@ func (b *BPeer) unjournaledResponse(ctx context.Context, req peerRequest) (resp 
 // other peers: it returns "<addr> <rank> <pipeID>" for the current
 // coordinator, or an error while no coordinator is known.
 func (b *BPeer) answerCoordinator(_ string, _ []byte) ([]byte, error) {
-	coord := b.elect.Coordinator()
+	coord := b.Coordinator()
 	if coord == "" {
 		return nil, fmt.Errorf("no coordinator elected")
 	}

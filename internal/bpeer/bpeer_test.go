@@ -311,10 +311,7 @@ func TestPrematureFailureReportRearmsDetector(t *testing.T) {
 	coord := waitCoordinator(t, d.peers, 3*time.Second)
 	followers := d.peers[:2]
 	for _, f := range followers {
-		f.onPeerFailure(coord) // the coordinator is alive
-	}
-	if got := waitCoordinator(t, d.peers, 3*time.Second); got != coord {
-		t.Fatalf("coordinator = %s after the spurious election, want %s again", got, coord)
+		f.group.Silent(coord) // the coordinator is alive
 	}
 	eventually := func(what string, ok func(f *BPeer) bool) {
 		t.Helper()
@@ -322,14 +319,14 @@ func TestPrematureFailureReportRearmsDetector(t *testing.T) {
 		for _, f := range followers {
 			for !ok(f) {
 				if time.Now().After(deadline) {
-					t.Fatalf("%s: %s (watches %v, coordinator %s)", f.Name(), what, f.fd.Watched(), f.Coordinator())
+					t.Fatalf("%s: %s (%s)", f.Name(), what, f.group.status())
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
 		}
 	}
 	eventually("does not watch the re-announced coordinator", func(f *BPeer) bool {
-		w := f.fd.Watched()
+		w := f.group.Beat()
 		return len(w) == 1 && w[0] == coord
 	})
 	// The real crash is detected and survived.

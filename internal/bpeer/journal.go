@@ -21,7 +21,7 @@ const (
 	// replogStateHandler answers the full encoded journal for state
 	// transfer (election catch-up, post-restart rejoin). The request
 	// announces the requester (stateRequest), and the answering member
-	// admits it to its group view before taking the snapshot.
+	// admits it to its group before taking the snapshot.
 	replogStateHandler = "bpeer.replog.state"
 	// replogResolveHandler resolves a pending entry at its origin: the
 	// origin atomically aborts a still-Prepared claim and reports the
@@ -116,11 +116,16 @@ func (b *BPeer) applyReplicated(pm p2p.PipeMessage) {
 
 // --- coordinator replication --------------------------------------------
 
-// replicate fans one journal entry out to every follower in the group
-// view and waits for their acks (bounded by ctx). Unreachable followers
-// are skipped — they catch up via state transfer when they rejoin; the
-// entry is already durable in the coordinator's own journal. In the
-// steady state the only messages sent are the entry and its acks.
+// replicate fans one journal entry out to every live follower in the
+// group and waits for their acks (bounded by ctx). A follower that
+// misses one becomes a suspect and is skipped until it is heard from —
+// safe because the entry is already durable in the coordinator's own
+// journal, entries travel whole (a COMMIT carries the reply, not a
+// reference to its PREPARE), and a replica that wins an election or
+// restarts state-transfers before it serves. The only messages sent are
+// the entry and its acks.
+//
+//lint:hotpath
 func (b *BPeer) replicate(ctx context.Context, kind, key string) {
 	entry, ok := b.journal.Entry(key)
 	if !ok {
@@ -131,18 +136,8 @@ func (b *BPeer) replicate(ctx context.Context, kind, key string) {
 	span.SetAttr("key", key)
 	defer span.End()
 
-	members, settled := b.view.Current()
-	if !settled {
-		// A follower missed an entry since the last member list: ask the
-		// rendezvous who is left. If it cannot be reached, the cached
-		// list (minus the evicted member) is the best knowledge there is.
-		//lint:allow allocbudget runs once after an eviction, not per write
-		if fresh, err := b.view.Refresh(ctx); err == nil {
-			members = fresh
-		}
-	}
-	//lint:allow allocbudget a member's pipe is looked up once, then cached in the view
-	advs := b.replogPipes(ctx, members)
+	//lint:allow allocbudget a member's pipe is looked up once, then cached in the group
+	advs := b.replogPipes(ctx, b.group.current())
 	span.SetAttr("followers", strconv.Itoa(len(advs)))
 	if len(advs) == 0 {
 		return
@@ -155,32 +150,30 @@ func (b *BPeer) replicate(ctx context.Context, kind, key string) {
 	for _, r := range b.pipes.CallAll(ctx, advs, payload) {
 		if r.Err != nil {
 			// The follower is likely down (or restarted under a fresh
-			// pipe ID): out of the view until it shows up again.
-			b.view.evict(r.Addr)
+			// pipe ID).
+			b.group.Silent(r.Addr)
 			b.journal.Counters().Add("replicate.miss", 1)
 		}
 	}
 }
 
-// replogPipes returns the replication pipes of the members other than
-// self. A member whose pipe is not known yet is asked for it once; one
-// that does not answer is skipped until the view learns of it again.
+// replogPipes returns the replication pipes of the live members other
+// than self (members[0]). A member whose pipe is not known yet is asked
+// for it once; one that does not answer is a suspect.
 func (b *BPeer) replogPipes(ctx context.Context, members []member) []*p2p.PipeAdvertisement {
-	self := b.peer.Addr()
 	advs := make([]*p2p.PipeAdvertisement, 0, len(members))
-	for _, m := range members {
-		if m.addr == self || m.unanswered {
+	for _, m := range members[1:] {
+		if m.suspect {
 			continue
 		}
-		adv := m.replog
-		if adv == nil {
-			adv = b.queryReplogPipe(ctx, m.addr)
-			b.view.setReplog(m.addr, adv)
-			if adv == nil {
+		if m.replog == nil {
+			if m.replog = b.queryReplogPipe(ctx, m.addr); m.replog == nil {
+				b.group.Silent(m.addr)
 				continue
 			}
+			b.group.admit(m) // its answer is word from the member itself
 		}
-		advs = append(advs, adv)
+		advs = append(advs, m.replog)
 	}
 	return advs
 }
@@ -317,7 +310,12 @@ func (b *BPeer) resolvePending(ctx context.Context, req peerRequest, pending rep
 	span.SetAttr("origin", pending.Origin)
 	defer span.End()
 
-	addr := b.originAddr(ctx, pending)
+	// The origin may have restarted on a fresh transport: where the
+	// group knows it now beats the address stored in the entry.
+	addr := b.group.addrOf(pending.Origin)
+	if addr == "" {
+		addr = pending.OriginAddr
+	}
 	if addr == "" || addr == b.peer.Addr() {
 		// The origin is gone from the group view (or is ourselves with
 		// a stale entry): we cannot prove the outcome.
@@ -358,18 +356,6 @@ func (b *BPeer) resolvePending(ctx context.Context, req peerRequest, pending rep
 	}
 }
 
-// originAddr locates the preparing origin: prefer the rendezvous's
-// current list (the origin may have restarted on a fresh transport),
-// fall back to the address stored in the entry.
-func (b *BPeer) originAddr(ctx context.Context, pending replog.BeginResult) string {
-	if members, err := b.view.Refresh(ctx); err == nil {
-		if i := indexName(members, pending.Origin); i >= 0 {
-			return members[i].addr
-		}
-	}
-	return pending.OriginAddr
-}
-
 // --- catch-up / state transfer ------------------------------------------
 
 // journalBarrier is the election catch-up barrier: before a freshly
@@ -389,25 +375,20 @@ func (b *BPeer) journalBarrier() error {
 }
 
 // journalCatchUp merges the journal state of every reachable group
-// member into the local journal. The request announces this replica,
-// which puts it in each answering member's replication set from the
-// snapshot it receives onward.
+// member into the local journal — every member not known to have left
+// is asked, a suspect included: a coordinator that was only cut off may
+// hold the newest entries. The request announces this replica, which
+// puts it in each answering member's replication set from the snapshot
+// it receives onward.
 func (b *BPeer) journalCatchUp(ctx context.Context) {
 	ctx, span := b.cfg.Tracer.StartSpan(ctx, "replog.catchup")
 	span.SetAttr("peer", b.cfg.Name)
 	defer span.End()
 
-	members, err := b.view.Refresh(ctx)
-	if err != nil {
-		span.SetAttr("result", "no-members")
-		return
-	}
 	self := b.peer.Addr()
 	var targets []string
-	for _, m := range members {
-		if m.addr != self {
-			targets = append(targets, m.addr)
-		}
+	for _, m := range b.group.current()[1:] {
+		targets = append(targets, m.addr)
 	}
 	if len(targets) == 0 {
 		span.SetAttr("result", "alone")
@@ -424,10 +405,8 @@ func (b *BPeer) journalCatchUp(ctx context.Context) {
 		return
 	}
 	merged := 0
-	silent := targets
 	err = b.bind.Propagate(ctx, targets, replogStateHandler, announce, func(resp p2p.Response) bool {
 		if resp.Err == nil && resp.Payload != nil {
-			silent = without(silent, resp.From)
 			if n, err := b.journal.MergeState(resp.Payload); err == nil {
 				merged += n
 			}
@@ -441,24 +420,7 @@ func (b *BPeer) journalCatchUp(ctx context.Context) {
 		}
 		span.SetAttr("result", "timeout")
 	}
-	// A member that did not hand over its state is down as far as this
-	// replica can tell: a coordinator fresh from this barrier must not
-	// start by replicating to it.
-	for _, addr := range silent {
-		b.view.evict(addr)
-	}
 	span.SetAttr("merged", strconv.Itoa(merged))
-}
-
-// without returns addrs minus addr (a fresh slice; addrs is not touched).
-func without(addrs []string, addr string) []string {
-	out := make([]string, 0, len(addrs))
-	for _, a := range addrs {
-		if a != addr {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // --- resolver handlers ---------------------------------------------------
@@ -472,7 +434,7 @@ func (b *BPeer) answerReplogPipe(_ string, _ []byte) ([]byte, error) {
 }
 
 // answerReplogState serves the encoded journal for state transfer. The
-// requester joins this replica's view BEFORE the snapshot is taken: an
+// requester joins this replica's group BEFORE the snapshot is taken: an
 // entry journaled earlier is in the snapshot, one journaled later is
 // replicated to the requester, so it never has a gap.
 func (b *BPeer) answerReplogState(_ string, payload []byte) ([]byte, error) {
@@ -481,7 +443,7 @@ func (b *BPeer) answerReplogState(_ string, payload []byte) ([]byte, error) {
 	}
 	var req stateRequest
 	if err := xml.Unmarshal(payload, &req); err == nil && req.Addr != "" && req.Pipe != "" {
-		b.view.admit(member{
+		b.group.admit(member{
 			name:   req.Name,
 			addr:   req.Addr,
 			rank:   req.Rank,
@@ -517,8 +479,8 @@ func (b *BPeer) answerReplogStatus(_ string, _ []byte) ([]byte, error) {
 	st := b.journal.Stats()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "peer=%s coordinator=%v next_seq=%d highest_committed=%d live=%d snapshotted=%d snapshot_up_to=%d\n",
-		b.cfg.Name, b.elect.IsCoordinator(), st.NextSeq, st.HighestCommitted, st.Live, st.Snapshotted, st.SnapshotUpTo)
-	fmt.Fprintf(&sb, "%s replicate.miss=%d\n", b.view.status(b.peer.Addr()), b.journal.Counters().Get("replicate.miss"))
+		b.cfg.Name, b.IsCoordinator(), st.NextSeq, st.HighestCommitted, st.Live, st.Snapshotted, st.SnapshotUpTo)
+	fmt.Fprintf(&sb, "%s replicate.miss=%d\n", b.group.status(), b.journal.Counters().Get("replicate.miss"))
 	for status, n := range st.ByStatus {
 		fmt.Fprintf(&sb, "status %s: %d\n", status, n)
 	}

@@ -105,10 +105,10 @@ func (b *BPeer) readResponse(span *trace.Span, req peerRequest) (resp peerRespon
 // observe. The coordinator answers from its own journal; a follower
 // asks the coordinator, reusing a lease-fresh answer when it has one.
 func (b *BPeer) readIndex(ctx context.Context) (uint64, error) {
-	if b.elect.IsCoordinator() {
+	if b.IsCoordinator() {
 		return b.journal.ReadIndex(), nil
 	}
-	coord := b.elect.Coordinator()
+	coord := b.Coordinator()
 	if coord == "" {
 		return 0, fmt.Errorf("%s", ErrMsgNoCoordinator)
 	}

@@ -29,7 +29,7 @@ func newCluster(t *testing.T, n int) *cluster {
 	}
 	t.Cleanup(func() { _ = c.net.Close() })
 	gen := p2p.NewIDGen(1)
-	cfg := Config{AnswerTimeout: 50 * time.Millisecond, CoordTimeout: 150 * time.Millisecond}
+	cfg := Config{AnswerTimeout: 50 * time.Millisecond}
 	for i := 0; i < n; i++ {
 		addr := string(rune('a' + i))
 		port, err := c.net.NewPort(addr)
@@ -38,7 +38,8 @@ func newCluster(t *testing.T, n int) *cluster {
 		}
 		peer := p2p.NewPeer(addr, gen.New(p2p.PeerIDKind), port)
 		t.Cleanup(func() { _ = peer.Close() })
-		node := NewNode(peer, int64(i+1), c.members, cfg)
+		node := NewNode(peer, int64(i+1), MembersFunc(c.members), cfg)
+		t.Cleanup(node.Close)
 		c.peers = append(c.peers, peer)
 		c.nodes = append(c.nodes, node)
 		c.alive[addr] = true
@@ -77,9 +78,27 @@ func waitCoord(t *testing.T, n *Node, d time.Duration) string {
 	defer cancel()
 	coord, err := n.WaitForCoordinator(ctx)
 	if err != nil {
-		t.Fatalf("node %s: %v", n.Addr(), err)
+		t.Fatalf("wait for coordinator: %v", err)
 	}
 	return coord
+}
+
+// settle waits until every live node follows want.
+func (c *cluster) settle(t *testing.T, want string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for i, n := range c.nodes {
+		addr := c.peers[i].Addr()
+		c.mu.Lock()
+		alive := c.alive[addr]
+		c.mu.Unlock()
+		for alive && n.Coordinator() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %s coordinator = %q, want %s", addr, n.Coordinator(), want)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
 }
 
 func TestBullyElectsHighestRank(t *testing.T) {
@@ -111,45 +130,35 @@ func TestBullySingleNode(t *testing.T) {
 func TestBullyReElectionAfterCoordinatorCrash(t *testing.T) {
 	c := newCluster(t, 3)
 	c.nodes[0].Trigger()
-	first := waitCoord(t, c.nodes[0], 3*time.Second)
-	if first != c.peers[2].Addr() {
-		t.Fatalf("first coordinator = %s, want %s", first, c.peers[2].Addr())
-	}
+	c.settle(t, c.peers[2].Addr())
 
-	// Crash the coordinator; survivors must elect rank 2.
+	// Crash the coordinator; the survivors' detectors report it silent
+	// and they must elect rank 2.
+	dead := c.peers[2].Addr()
 	c.kill(t, 2)
 	for _, n := range c.nodes[:2] {
-		n.InvalidateCoordinator()
+		n.Suspect(dead)
 	}
-	c.nodes[0].Trigger()
 
 	want := c.peers[1].Addr()
-	for i, n := range c.nodes[:2] {
-		if got := waitCoord(t, n, 3*time.Second); got != want {
-			t.Errorf("node %d new coordinator = %s, want %s", i, got, want)
-		}
-	}
+	c.settle(t, want)
 }
 
 func TestBullyCascadingFailures(t *testing.T) {
 	c := newCluster(t, 4)
 	c.nodes[0].Trigger()
-	waitCoord(t, c.nodes[0], 3*time.Second)
+	c.settle(t, c.peers[3].Addr())
 
 	// Kill ranks 4 then 3; rank 2 must end up coordinator.
+	dead := c.peers[3].Addr()
 	c.kill(t, 3)
 	c.kill(t, 2)
 	for _, n := range c.nodes[:2] {
-		n.InvalidateCoordinator()
+		n.Suspect(dead)
 	}
-	c.nodes[0].Trigger()
 
 	want := c.peers[1].Addr()
-	for i, n := range c.nodes[:2] {
-		if got := waitCoord(t, n, 5*time.Second); got != want {
-			t.Errorf("node %d coordinator = %s, want %s", i, got, want)
-		}
-	}
+	c.settle(t, want)
 }
 
 func TestBullyConcurrentTriggers(t *testing.T) {
@@ -180,8 +189,9 @@ func TestBullyCoordinatorChangeCallback(t *testing.T) {
 
 	got := make(chan string, 1)
 	n := NewNode(peer, 1,
-		func() []Member { return []Member{{Addr: "solo", Rank: 1}} },
+		MembersFunc(func() []Member { return []Member{{Addr: "solo", Rank: 1}} }),
 		Config{AnswerTimeout: 20 * time.Millisecond, OnCoordinator: func(a string) { got <- a }})
+	t.Cleanup(n.Close)
 	n.Trigger()
 	select {
 	case addr := <-got:
@@ -204,13 +214,31 @@ func TestBullyTriggerIsIdempotentWhileElecting(t *testing.T) {
 	}
 }
 
-func TestBullyInvalidateCoordinator(t *testing.T) {
+// TestBullySuspectedCoordinatorIsForgotten: a coordinator reported
+// silent is given up at once and challenged; if it was alive after all
+// it is followed again only on announcing itself for a later term — the
+// claim it held stays behind as the floor.
+func TestBullySuspectedCoordinatorIsForgotten(t *testing.T) {
 	c := newCluster(t, 2)
 	c.nodes[0].Trigger()
-	waitCoord(t, c.nodes[0], 3*time.Second)
-	c.nodes[0].InvalidateCoordinator()
-	if c.nodes[0].Coordinator() != "" {
-		t.Error("coordinator not cleared")
+	coord := waitCoord(t, c.nodes[0], 3*time.Second)
+	term := c.nodes[0].Term()
+	c.nodes[0].Suspect(c.peers[0].Addr()) // not the coordinator: no effect
+	if got := c.nodes[0].Coordinator(); got != coord {
+		t.Fatalf("coordinator = %q after an unrelated suspicion, want %s", got, coord)
+	}
+	c.nodes[0].Suspect(coord)
+	if got := c.nodes[0].Coordinator(); got != "" {
+		t.Fatalf("coordinator = %q right after it was reported silent, want none", got)
+	}
+	if c.nodes[0].Observe(coord, 2, term) || c.nodes[0].Coordinator() != "" {
+		t.Fatal("the claim just given up on was taken up again, want it ignored")
+	}
+	if got := waitCoord(t, c.nodes[0], 3*time.Second); got != coord {
+		t.Fatalf("coordinator = %s, want the challenged %s back", got, coord)
+	}
+	if got := c.nodes[0].Term(); got <= term {
+		t.Fatalf("term = %d after the re-announcement, want above %d", got, term)
 	}
 }
 
@@ -302,9 +330,9 @@ func TestBullyBarrierRunsBeforeCoordinatorship(t *testing.T) {
 		}
 		return nil
 	}
-	node = NewNode(peer, 1, func() []Member {
+	node = NewNode(peer, 1, MembersFunc(func() []Member {
 		return []Member{{Addr: peer.Addr(), Rank: 1}}
-	}, Config{AnswerTimeout: 20 * time.Millisecond, Barrier: barrier})
+	}), Config{AnswerTimeout: 20 * time.Millisecond, Barrier: barrier})
 	t.Cleanup(node.Close)
 	peer.Start()
 
@@ -344,9 +372,9 @@ func TestBullyWinningRoundAnswersTriggersItOverlapped(t *testing.T) {
 		rounds <- struct{}{}
 		return nil
 	}
-	node = NewNode(peer, 1, func() []Member {
+	node = NewNode(peer, 1, MembersFunc(func() []Member {
 		return []Member{{Addr: peer.Addr(), Rank: 1}}
-	}, Config{AnswerTimeout: 20 * time.Millisecond, Barrier: barrier})
+	}), Config{AnswerTimeout: 20 * time.Millisecond, Barrier: barrier})
 	t.Cleanup(node.Close)
 	peer.Start()
 
@@ -372,12 +400,14 @@ type staleRig struct {
 	a, b, c *p2p.Peer
 	node    *Node
 
-	mu      sync.Mutex
-	aHeard  []string // kinds of election messages peer a received from b
-	members []Member // what the node's member view returns
+	mu         sync.Mutex
+	aHeard     []string // kinds of election messages peer a received from b
+	challenges int      // challenges peer c received from b
+	cAnswers   bool     // whether c answers them
+	members    []Member // what the node's member view returns
 }
 
-func newStaleRig(t *testing.T, cfg Config, lookup func()) *staleRig {
+func newStaleRig(t *testing.T, cfg Config) *staleRig {
 	t.Helper()
 	net := simnet.NewNetwork(simnet.WithLatency(simnet.ZeroLatency()), simnet.WithSeed(1))
 	t.Cleanup(func() { _ = net.Close() })
@@ -398,16 +428,25 @@ func newStaleRig(t *testing.T, cfg Config, lookup func()) *staleRig {
 		r.aHeard = append(r.aHeard, msg.Kind)
 		r.mu.Unlock()
 	})
+	r.c.Handle(p2p.ProtoElection, func(msg simnet.Message) {
+		r.mu.Lock()
+		answer := r.cAnswers && msg.Kind == kindElection
+		if msg.Kind == kindElection {
+			r.challenges++
+		}
+		r.mu.Unlock()
+		if answer {
+			r.say(t, r.c, kindAnswer, 3, 0)
+		}
+	})
 	r.members = []Member{{Addr: "a", Rank: 1}, {Addr: "b", Rank: 2}}
 	cfg.AnswerTimeout = 20 * time.Millisecond
-	r.node = NewNode(r.b, 2, func() []Member {
-		if lookup != nil {
-			lookup()
-		}
+	r.node = NewNode(r.b, 2, MembersFunc(func() []Member {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		return append([]Member(nil), r.members...)
-	}, cfg)
+	}), cfg)
+	t.Cleanup(r.node.Close)
 	for _, p := range []*p2p.Peer{r.a, r.b, r.c} {
 		p.Start()
 		t.Cleanup(func() { _ = p.Close() })
@@ -415,15 +454,19 @@ func newStaleRig(t *testing.T, cfg Config, lookup func()) *staleRig {
 	return r
 }
 
-func (r *staleRig) announce(t *testing.T, from *p2p.Peer, rank int64) {
+// say sends b one election message from a bare peer.
+func (r *staleRig) say(t *testing.T, from *p2p.Peer, kind string, rank int64, term uint64) {
 	t.Helper()
 	err := from.Send("b", simnet.Message{
-		Proto:   p2p.ProtoElection,
-		Kind:    kindCoordinator,
-		Headers: map[string]string{hdrRank: strconv.FormatInt(rank, 10)},
+		Proto: p2p.ProtoElection,
+		Kind:  kind,
+		Headers: map[string]string{
+			hdrRank: strconv.FormatInt(rank, 10),
+			hdrTerm: strconv.FormatUint(term, 10),
+		},
 	})
 	if err != nil {
-		t.Fatalf("announce from %s: %v", from.Addr(), err)
+		t.Errorf("%s from %s: %v", kind, from.Addr(), err)
 	}
 }
 
@@ -433,43 +476,44 @@ func (r *staleRig) admit(m Member) {
 	r.mu.Unlock()
 }
 
-// TestBullyOvertakenAnnouncementIsDropped: every election message is
-// handled on its own goroutine and checking the sender's membership is
-// a network round trip, so a lower-ranked announcement can finish its
-// check after a higher-ranked one was already accepted. Applying it
-// then leaves this node following a peer that itself follows the
-// higher-ranked coordinator — nothing fails, no detector fires, the
-// group stays split (the formation wedge of ROADMAP open item 1).
-func TestBullyOvertakenAnnouncementIsDropped(t *testing.T) {
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	// Only the first member lookup — the one checking a's announcement —
-	// is slow.
-	rig := newStaleRig(t, Config{}, func() {
-		first := false
-		once.Do(func() { first = true })
-		if first {
-			close(entered)
-			<-release
+func (r *staleRig) announcedItself() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, kind := range r.aHeard {
+		if kind == kindCoordinator {
+			return true
 		}
-	})
+	}
+	return false
+}
+
+// TestBullyOvertakenAnnouncementIsDropped: every election message is
+// handled on its own goroutine, so the announcement of a node that
+// crowned itself in the same term as a higher-ranked one can arrive
+// after the higher one's. Applying it then leaves this node following a
+// peer that itself follows the higher-ranked coordinator — nothing
+// fails, no detector fires, the group stays split (the formation wedge
+// of ROADMAP open item 1). By (term, rank) it is simply not newer, and
+// neither is a late broadcast for a term already past.
+func TestBullyOvertakenAnnouncementIsDropped(t *testing.T) {
+	rig := newStaleRig(t, Config{})
 	rig.admit(Member{Addr: "c", Rank: 3})
-	// An announcement is only considered from a rank at or above the
-	// node's own, so a speaks with rank 2 here.
-	rig.announce(t, rig.a, 2)
-	<-entered
-	rig.announce(t, rig.c, 3)
+	rig.say(t, rig.c, kindCoordinator, 3, 2)
 	if got := waitCoord(t, rig.node, 3*time.Second); got != "c" {
 		t.Fatalf("coordinator = %s, want c", got)
 	}
-	close(release)
-	// Closing the peer joins the handler still holding a's announcement.
-	if err := rig.b.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+	// An announcement is only considered from a rank at or above the
+	// node's own, so a speaks with rank 2 here.
+	rig.say(t, rig.a, kindCoordinator, 2, 2)
+	time.Sleep(50 * time.Millisecond) // well past AnswerTimeout, had it started a round
+	if got, term := rig.node.Coordinator(), rig.node.Term(); got != "c" || term != 2 {
+		t.Fatalf("coordinator = %s term %d after the overtaken announcement, want still c term 2", got, term)
 	}
-	if got := rig.node.Coordinator(); got != "c" {
-		t.Fatalf("coordinator = %s after the overtaken announcement completed, want still c", got)
+
+	rig.say(t, rig.a, kindCoordinator, 3, 1) // a term already past
+	time.Sleep(50 * time.Millisecond)
+	if got, term := rig.node.Coordinator(), rig.node.Term(); got != "c" || term != 2 {
+		t.Fatalf("coordinator = %s term %d after an announcement for a past term, want still c term 2", got, term)
 	}
 }
 
@@ -485,12 +529,12 @@ func TestBullyOutrankedDuringBarrierDoesNotCrown(t *testing.T) {
 		once.Do(func() { close(entered) })
 		<-release
 		return nil
-	}}, nil)
+	}})
 
 	rig.node.Trigger() // members = {a, b}: b wins the round and enters the barrier
 	<-entered
 	rig.admit(Member{Addr: "c", Rank: 3})
-	rig.announce(t, rig.c, 3)
+	rig.say(t, rig.c, kindCoordinator, 3, 1)
 	if got := waitCoord(t, rig.node, 3*time.Second); got != "c" {
 		t.Fatalf("coordinator = %s, want c", got)
 	}
@@ -503,65 +547,53 @@ func TestBullyOutrankedDuringBarrierDoesNotCrown(t *testing.T) {
 		if got := rig.node.Coordinator(); got != "c" {
 			t.Fatalf("coordinator = %s after the barrier, want still c", got)
 		}
-		rig.mu.Lock()
-		heard := append([]string(nil), rig.aHeard...)
-		rig.mu.Unlock()
-		for _, kind := range heard {
-			if kind == kindCoordinator {
-				t.Fatalf("outranked node still announced itself: a heard %v", heard)
-			}
+		if rig.announcedItself() {
+			t.Fatal("outranked node still announced itself")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestBullyCrownWaitsForAnnouncementBeingVerified: the announcement
-// that outranks a node may have arrived but still be in its membership
-// check when the node's own round comes out of the barrier. Crowning
-// then — and telling the lower ranks — is how a follower ends up on a
-// node that a moment later follows someone else.
-func TestBullyCrownWaitsForAnnouncementBeingVerified(t *testing.T) {
-	atBarrier := make(chan struct{})
-	leaveBarrier := make(chan struct{})
-	checking := make(chan struct{})
-	finishCheck := make(chan struct{})
-	var mu sync.Mutex
-	lookups := 0
-	rig := newStaleRig(t, Config{Barrier: func() error {
-		close(atBarrier)
-		<-leaveBarrier
-		return nil
-	}}, func() {
-		mu.Lock()
-		lookups++
-		second := lookups == 2 // 1: the round's own read; 2: checking c
-		mu.Unlock()
-		if second {
-			close(checking)
-			<-finishCheck
-		}
-	})
+// TestBullyAnsweredButNeverAnnouncedIsChallengedAgain: a higher-ranked
+// peer that answers every challenge and never announces itself keeps
+// the node waiting, round after round, for as long as it answers — and
+// no longer: once it falls silent the node takes over. No bound on the
+// rounds may end the election with nobody in charge.
+func TestBullyAnsweredButNeverAnnouncedIsChallengedAgain(t *testing.T) {
+	rig := newStaleRig(t, Config{})
+	rig.admit(Member{Addr: "c", Rank: 3})
+	rig.mu.Lock()
+	rig.cAnswers = true
+	rig.mu.Unlock()
 
 	rig.node.Trigger()
-	<-atBarrier
-	rig.admit(Member{Addr: "c", Rank: 3})
-	rig.announce(t, rig.c, 3)
-	<-checking
-	close(leaveBarrier) // the round is past the barrier, c still unchecked
-	time.Sleep(20 * time.Millisecond)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rig.mu.Lock()
+		challenges := rig.challenges
+		rig.mu.Unlock()
+		if challenges >= 12 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("c was challenged %d times, want the node to keep challenging while it answers", challenges)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if got := rig.node.Coordinator(); got != "" {
-		t.Fatalf("coordinator = %q while c's announcement is being verified, want none yet", got)
+		t.Fatalf("coordinator = %s while c still answers, want none", got)
 	}
-	close(finishCheck)
-	if got := waitCoord(t, rig.node, 3*time.Second); got != "c" {
-		t.Fatalf("coordinator = %s, want c", got)
-	}
-	rig.node.Close()
 	rig.mu.Lock()
-	defer rig.mu.Unlock()
-	for _, kind := range rig.aHeard {
-		if kind == kindCoordinator {
-			t.Fatalf("node announced itself although c outranks it: a heard %v", rig.aHeard)
+	rig.cAnswers = false
+	rig.mu.Unlock()
+	if got := waitCoord(t, rig.node, 3*time.Second); got != "b" {
+		t.Fatalf("coordinator = %s, want b once c fell silent", got)
+	}
+	if !rig.announcedItself() {
+		// The announcement is sent right after the crown.
+		time.Sleep(50 * time.Millisecond)
+		if !rig.announcedItself() {
+			t.Fatal("b never announced itself to a")
 		}
 	}
 }

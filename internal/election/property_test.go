@@ -48,7 +48,7 @@ func TestBullyUnderLANLatency(t *testing.T) {
 	net := simnet.NewNetwork(simnet.WithLatency(simnet.NewLANModel(1)), simnet.WithSeed(1))
 	t.Cleanup(func() { _ = net.Close() })
 	gen := p2p.NewIDGen(1)
-	cfg := Config{AnswerTimeout: 50 * time.Millisecond, CoordTimeout: 150 * time.Millisecond}
+	cfg := Config{AnswerTimeout: 50 * time.Millisecond}
 
 	var members []Member
 	var nodes []*Node
@@ -61,7 +61,8 @@ func TestBullyUnderLANLatency(t *testing.T) {
 		peer := p2p.NewPeer(addr, gen.New(p2p.PeerIDKind), port)
 		t.Cleanup(func() { _ = peer.Close() })
 		members = append(members, Member{Addr: addr, Rank: int64(i + 1)})
-		node := NewNode(peer, int64(i+1), func() []Member { return members }, cfg)
+		node := NewNode(peer, int64(i+1), MembersFunc(func() []Member { return members }), cfg)
+		t.Cleanup(node.Close)
 		nodes = append(nodes, node)
 		peer.Start()
 	}

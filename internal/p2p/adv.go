@@ -95,13 +95,16 @@ const (
 
 // PeerAdvertisement describes a peer and its transport address. Rank
 // carries the peer's Bully election priority so group members learn
-// each other's ranks from the rendezvous membership view.
+// each other's ranks from the rendezvous membership view; Term is the
+// highest election term the peer had seen when it published, so a
+// joining member learns that too.
 type PeerAdvertisement struct {
 	XMLName xml.Name `xml:"jxta PA"`
 	PID     ID       `xml:"PID"`
 	Name    string   `xml:"Name"`
 	Addr    string   `xml:"Addr"`
 	Rank    int64    `xml:"Rank,omitempty"`
+	Term    uint64   `xml:"Term,omitempty"`
 	Desc    string   `xml:"Desc,omitempty"`
 }
 

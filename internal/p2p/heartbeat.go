@@ -1,21 +1,40 @@
 package p2p
 
 import (
+	"slices"
 	"sync"
 	"time"
 
 	"whisper/internal/simnet"
 )
 
-// FailureDetector is a ping/ack failure detector: it periodically pings
-// every watched address and declares an address failed when no ack
-// arrives within the timeout. It also answers inbound pings, so every
-// peer that attaches a FailureDetector is observable. The b-peers use
-// it to detect coordinator crashes and trigger Bully elections; its
+// Liveness is the party a FailureDetector works for: it says whom to
+// ping, receives what the heartbeats show, and supplies the one value
+// they all carry. The b-peers' group membership implements it.
+type Liveness interface {
+	// Beat is called once per interval and returns the addresses to
+	// ping until the next.
+	Beat() []string
+	// Stamp returns the value every ping and pong carries ("" for
+	// none). It is called per message and must be cheap.
+	Stamp() string
+	// Heard reports a ping or pong from src and the stamp it carried.
+	Heard(src, stamp string)
+	// Silent reports, once per silence, a pinged address that has not
+	// answered for the timeout.
+	Silent(addr string)
+}
+
+// FailureDetector is a ping/ack failure detector: every interval it
+// pings the addresses its Liveness names and declares one silent when
+// no ack arrives within the timeout. It also answers inbound pings, so
+// every peer that attaches a FailureDetector is observable. The b-peers
+// use it to detect coordinator crashes and trigger Bully elections; its
 // traffic is what the paper's Figure 4 accounts under steady-state
 // group maintenance.
 type FailureDetector struct {
 	peer     *Peer
+	lv       Liveness
 	interval time.Duration
 	timeout  time.Duration
 
@@ -24,15 +43,15 @@ type FailureDetector struct {
 	// lastTick is when the ping loop last ran (zero before the first
 	// tick).
 	lastTick time.Time
-	// onFailure and onRecovery are invoked outside the lock.
-	onFailure  func(addr string)
-	onRecovery func(addr string)
+	// stamp is the value the cached headers carry; the map is shared by
+	// every message sent until the stamp changes and never written.
+	stamp   string
+	headers map[string]string
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
-	started  bool
-	stopped  bool
+	// startOnce is spent by whichever comes first: Start, which launches
+	// the loop, or Stop, which then has no loop to wait for.
+	startOnce, stopOnce sync.Once
+	stop, done          chan struct{}
 }
 
 type watchState struct {
@@ -46,104 +65,38 @@ const (
 	kindPong = "pong"
 )
 
-// FailureDetectorConfig tunes the detector.
-type FailureDetectorConfig struct {
-	// Interval between pings to each watched address.
-	Interval time.Duration
-	// Timeout after which a silent address is declared failed. Must
-	// exceed Interval; typical configurations use 3-4 intervals.
-	Timeout time.Duration
-	// OnFailure is invoked once when a watched address transitions to
-	// failed. Optional.
-	OnFailure func(addr string)
-	// OnRecovery is invoked once when a failed address acks again.
-	// Optional.
-	OnRecovery func(addr string)
-}
+// hdrStamp is the heartbeat header carrying Liveness.Stamp.
+const hdrStamp = "c"
 
-// NewFailureDetector attaches a failure detector to the peer. Call
-// Start to begin pinging; Stop to shut down.
-func NewFailureDetector(peer *Peer, cfg FailureDetectorConfig) *FailureDetector {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 200 * time.Millisecond
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 3 * cfg.Interval
-	}
+// NewFailureDetector attaches a failure detector to the peer: it pings
+// every interval and declares an address silent after timeout, which
+// must exceed the interval (typically 3-4 of them). Call Start to begin
+// pinging; Stop to shut down.
+func NewFailureDetector(peer *Peer, lv Liveness, interval, timeout time.Duration) *FailureDetector {
 	d := &FailureDetector{
-		peer:       peer,
-		interval:   cfg.Interval,
-		timeout:    cfg.Timeout,
-		watched:    make(map[string]*watchState),
-		onFailure:  cfg.OnFailure,
-		onRecovery: cfg.OnRecovery,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		peer:     peer,
+		lv:       lv,
+		interval: interval,
+		timeout:  timeout,
+		watched:  make(map[string]*watchState),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	peer.Handle(ProtoHeartbeat, d.handleMessage)
 	return d
 }
 
-// Watch begins monitoring the address. The address starts healthy.
-func (d *FailureDetector) Watch(addr string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.watched[addr]; !ok {
-		d.watched[addr] = &watchState{lastAck: time.Now()}
-	}
-}
-
-// Unwatch stops monitoring the address.
-func (d *FailureDetector) Unwatch(addr string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.watched, addr)
-}
-
-// Watched returns the monitored addresses.
-func (d *FailureDetector) Watched() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.watched))
-	for a := range d.watched {
-		out = append(out, a)
-	}
-	return out
-}
-
-// Healthy reports whether the address is currently considered alive.
-// Unwatched addresses report false.
-func (d *FailureDetector) Healthy(addr string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st, ok := d.watched[addr]
-	return ok && !st.failed
-}
-
-// Start launches the ping loop. Idempotent.
+// Start launches the ping loop. Idempotent; a no-op after Stop.
 func (d *FailureDetector) Start() {
-	d.mu.Lock()
-	if d.started {
-		d.mu.Unlock()
-		return
-	}
-	d.started = true
-	d.mu.Unlock()
-	go d.loop()
+	d.startOnce.Do(func() { go d.loop() })
 }
 
 // Stop terminates the ping loop and waits for it to exit. Safe to
-// call concurrently and more than once; Start after Stop is a no-op.
+// call concurrently and more than once.
 func (d *FailureDetector) Stop() {
-	d.mu.Lock()
-	waitForLoop := d.started && !d.stopped
-	d.stopped = true
-	d.started = true // prevent a later Start
-	d.mu.Unlock()
 	d.stopOnce.Do(func() { close(d.stop) })
-	if waitForLoop {
-		<-d.done
-	}
+	d.startOnce.Do(func() { close(d.done) })
+	<-d.done
 }
 
 func (d *FailureDetector) loop() {
@@ -161,7 +114,8 @@ func (d *FailureDetector) loop() {
 }
 
 func (d *FailureDetector) tick(now time.Time) {
-	var failures []string
+	targets := d.lv.Beat()
+	var silent []string
 
 	d.mu.Lock()
 	// A detector that did not run — the process was paused, the host
@@ -173,45 +127,64 @@ func (d *FailureDetector) tick(now time.Time) {
 		late = 0
 	}
 	d.lastTick = now
-	targets := make([]string, 0, len(d.watched))
-	for addr, st := range d.watched {
+	for addr := range d.watched {
+		if !slices.Contains(targets, addr) {
+			delete(d.watched, addr)
+		}
+	}
+	for _, addr := range targets {
+		st := d.watched[addr]
+		if st == nil {
+			// A new target starts healthy.
+			d.watched[addr] = &watchState{lastAck: now}
+			continue
+		}
 		st.lastAck = st.lastAck.Add(late)
 		if !st.failed && now.Sub(st.lastAck) > d.timeout {
 			st.failed = true
-			failures = append(failures, addr)
+			silent = append(silent, addr)
 		}
-		targets = append(targets, addr)
 	}
 	d.mu.Unlock()
 
+	headers := d.stampHeaders()
 	for _, addr := range targets {
 		// Ping regardless of failed state so recovery is observable.
-		_ = d.peer.Send(addr, simnet.Message{Proto: ProtoHeartbeat, Kind: kindPing})
+		_ = d.peer.Send(addr, simnet.Message{Proto: ProtoHeartbeat, Kind: kindPing, Headers: headers})
 	}
-	for _, addr := range failures {
-		if d.onFailure != nil {
-			d.onFailure(addr)
+	for _, addr := range silent {
+		d.lv.Silent(addr)
+	}
+}
+
+// stampHeaders returns the headers of an outgoing heartbeat, rebuilt
+// only when the stamp has changed since the last one.
+func (d *FailureDetector) stampHeaders() map[string]string {
+	stamp := d.lv.Stamp()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if stamp != d.stamp {
+		d.stamp, d.headers = stamp, nil
+		if stamp != "" {
+			d.headers = map[string]string{hdrStamp: stamp}
 		}
 	}
+	return d.headers
 }
 
 func (d *FailureDetector) handleMessage(msg simnet.Message) {
 	switch msg.Kind {
 	case kindPing:
-		_ = d.peer.Send(msg.Src, simnet.Message{Proto: ProtoHeartbeat, Kind: kindPong})
+		_ = d.peer.Send(msg.Src, simnet.Message{Proto: ProtoHeartbeat, Kind: kindPong, Headers: d.stampHeaders()})
 	case kindPong:
-		var recovered bool
 		d.mu.Lock()
 		if st, ok := d.watched[msg.Src]; ok {
 			st.lastAck = time.Now()
-			if st.failed {
-				st.failed = false
-				recovered = true
-			}
+			st.failed = false
 		}
 		d.mu.Unlock()
-		if recovered && d.onRecovery != nil {
-			d.onRecovery(msg.Src)
-		}
+	default:
+		return
 	}
+	d.lv.Heard(msg.Src, msg.Header(hdrStamp))
 }

@@ -6,37 +6,103 @@ import (
 	"time"
 )
 
+// beats is a scripted Liveness: a settable target list and stamp, and a
+// record of what the detector reported.
+type beats struct {
+	mu      sync.Mutex
+	targets []string
+	stamp   string
+	silent  []string
+	heard   []string // "src stamp" per heartbeat received
+}
+
+func (b *beats) watch(addrs ...string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.targets = addrs
+}
+
+func (b *beats) Beat() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]string(nil), b.targets...)
+}
+
+func (b *beats) Stamp() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.stamp
+}
+
+func (b *beats) Heard(src, stamp string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.heard = append(b.heard, src+" "+stamp)
+}
+
+func (b *beats) Silent(addr string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.silent = append(b.silent, addr)
+}
+
+func (b *beats) silences() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]string(nil), b.silent...)
+}
+
+func (b *beats) heardFrom() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]string(nil), b.heard...)
+}
+
+func waitFor(t *testing.T, what string, ok func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !ok() {
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestFailureDetectorHealthyPeerStaysHealthy(t *testing.T) {
 	h := newHarness(t, 2)
 	a, b := h.peers[0], h.peers[1]
-	da := NewFailureDetector(a, FailureDetectorConfig{Interval: 20 * time.Millisecond})
-	NewFailureDetector(b, FailureDetectorConfig{Interval: 20 * time.Millisecond})
+	la, lb := &beats{stamp: "3 7"}, &beats{stamp: "2 6"}
+	la.watch(b.Addr())
+	da := NewFailureDetector(a, la, 20*time.Millisecond, 80*time.Millisecond)
+	NewFailureDetector(b, lb, 20*time.Millisecond, 80*time.Millisecond)
 	a.Start()
 	b.Start()
-	da.Watch(b.Addr())
 	da.Start()
 	t.Cleanup(da.Stop)
 
 	time.Sleep(200 * time.Millisecond)
-	if !da.Healthy(b.Addr()) {
-		t.Error("responsive peer marked failed")
+	if got := la.silences(); len(got) != 0 {
+		t.Errorf("responsive peer reported silent: %v", got)
+	}
+	// Every ping and pong carries its sender's stamp.
+	if got := lb.heardFrom(); len(got) == 0 || got[0] != a.Addr()+" 3 7" {
+		t.Errorf("pinged side heard %v, want pings from %s stamped 3 7", got, a.Addr())
+	}
+	if got := la.heardFrom(); len(got) == 0 || got[0] != b.Addr()+" 2 6" {
+		t.Errorf("pinging side heard %v, want pongs from %s stamped 2 6", got, b.Addr())
 	}
 }
 
 func TestFailureDetectorDetectsCrash(t *testing.T) {
 	h := newHarness(t, 2)
 	a, b := h.peers[0], h.peers[1]
-
-	failed := make(chan string, 1)
-	da := NewFailureDetector(a, FailureDetectorConfig{
-		Interval:  20 * time.Millisecond,
-		Timeout:   80 * time.Millisecond,
-		OnFailure: func(addr string) { failed <- addr },
-	})
-	NewFailureDetector(b, FailureDetectorConfig{Interval: 20 * time.Millisecond})
+	la := &beats{}
+	la.watch(b.Addr())
+	da := NewFailureDetector(a, la, 20*time.Millisecond, 80*time.Millisecond)
+	NewFailureDetector(b, &beats{}, 20*time.Millisecond, 80*time.Millisecond)
 	a.Start()
 	b.Start()
-	da.Watch(b.Addr())
 	da.Start()
 	t.Cleanup(da.Stop)
 
@@ -44,16 +110,10 @@ func TestFailureDetectorDetectsCrash(t *testing.T) {
 	bAddr := b.Addr()
 	_ = b.Close() // crash
 
-	select {
-	case addr := <-failed:
-		if addr != bAddr {
-			t.Errorf("failed addr = %s, want %s", addr, bAddr)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("failure never detected")
-	}
-	if da.Healthy(bAddr) {
-		t.Error("crashed peer still healthy")
+	waitFor(t, "failure never detected", func() bool { return len(la.silences()) > 0 })
+	time.Sleep(100 * time.Millisecond)
+	if got := la.silences(); len(got) != 1 || got[0] != bAddr {
+		t.Errorf("silences = %v, want [%s] reported once", got, bAddr)
 	}
 }
 
@@ -63,111 +123,86 @@ func TestFailureDetectorDetectsCrash(t *testing.T) {
 func TestFailureDetectorForgivesItsOwnPause(t *testing.T) {
 	h := newHarness(t, 2)
 	a, b := h.peers[0], h.peers[1]
-	var failures []string
-	d := NewFailureDetector(a, FailureDetectorConfig{
-		Interval:  50 * time.Millisecond,
-		Timeout:   200 * time.Millisecond,
-		OnFailure: func(addr string) { failures = append(failures, addr) },
-	})
+	la := &beats{}
+	la.watch(b.Addr())
+	d := NewFailureDetector(a, la, 50*time.Millisecond, 200*time.Millisecond)
 	a.Start()
 	// b never starts, so no ack ever moves lastAck: the test drives the
 	// ticks by hand and owns the clock.
-	d.Watch(b.Addr())
 	t0 := time.Now()
 	d.tick(t0)
 	d.tick(t0.Add(50 * time.Millisecond))
 	// The process stops for 300 ms: the next tick comes 350 ms later.
 	at := t0.Add(400 * time.Millisecond)
 	d.tick(at)
-	if len(failures) != 0 {
-		t.Fatalf("accused %v after a pause of the detector itself", failures)
+	if got := la.silences(); len(got) != 0 {
+		t.Fatalf("accused %v after a pause of the detector itself", got)
 	}
 	// Awake again, silence counts: 200 ms of it in all is the timeout.
-	for i := 0; i < 3 && len(failures) == 0; i++ {
+	for i := 0; i < 3 && len(la.silences()) == 0; i++ {
 		at = at.Add(50 * time.Millisecond)
 		d.tick(at)
 	}
-	if len(failures) != 1 || failures[0] != b.Addr() {
-		t.Fatalf("failures = %v, want [%s] once the observed silence passes the timeout", failures, b.Addr())
+	if got := la.silences(); len(got) != 1 || got[0] != b.Addr() {
+		t.Fatalf("silences = %v, want [%s] once the observed silence passes the timeout", got, b.Addr())
 	}
 }
 
+// A target reported silent keeps being pinged, so its return is heard
+// of; once it has answered, a second silence is reported again.
 func TestFailureDetectorRecovery(t *testing.T) {
 	h := newHarness(t, 2)
 	a, b := h.peers[0], h.peers[1]
-
-	var mu sync.Mutex
-	events := []string{}
-	record := func(tag string) func(string) {
-		return func(string) {
-			mu.Lock()
-			events = append(events, tag)
-			mu.Unlock()
-		}
-	}
-	da := NewFailureDetector(a, FailureDetectorConfig{
-		Interval:   20 * time.Millisecond,
-		Timeout:    80 * time.Millisecond,
-		OnFailure:  record("fail"),
-		OnRecovery: record("recover"),
-	})
-	NewFailureDetector(b, FailureDetectorConfig{Interval: 20 * time.Millisecond})
+	la := &beats{}
+	la.watch(b.Addr())
+	da := NewFailureDetector(a, la, 20*time.Millisecond, 80*time.Millisecond)
+	NewFailureDetector(b, &beats{}, 20*time.Millisecond, 80*time.Millisecond)
 	a.Start()
 	b.Start()
-	da.Watch(b.Addr())
 	da.Start()
 	t.Cleanup(da.Stop)
 
-	// Partition b away, wait for failure, then heal.
 	h.net.Partition(a.Addr(), b.Addr())
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(events)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, "partitioned peer never reported silent", func() bool { return len(la.silences()) == 1 })
+	heard := len(la.heardFrom())
 	h.net.Heal(a.Addr(), b.Addr())
-	deadline = time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if da.Healthy(b.Addr()) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, "healed peer never heard from", func() bool { return len(la.heardFrom()) > heard })
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) < 2 || events[0] != "fail" || events[len(events)-1] != "recover" {
-		t.Errorf("events = %v, want fail then recover", events)
-	}
+	h.net.Partition(a.Addr(), b.Addr())
+	waitFor(t, "second silence never reported", func() bool { return len(la.silences()) == 2 })
 }
 
+// An address the Liveness stops naming is neither pinged nor reported.
 func TestFailureDetectorUnwatch(t *testing.T) {
 	h := newHarness(t, 2)
 	a, b := h.peers[0], h.peers[1]
-	da := NewFailureDetector(a, FailureDetectorConfig{Interval: 20 * time.Millisecond})
+	la := &beats{}
+	la.watch(b.Addr())
+	d := NewFailureDetector(a, la, 20*time.Millisecond, 80*time.Millisecond)
 	a.Start()
-	b.Start()
-	da.Watch(b.Addr())
-	if got := len(da.Watched()); got != 1 {
-		t.Fatalf("watched = %d, want 1", got)
+	// b never starts: it is silent from the first ping on.
+	t0 := time.Now()
+	d.tick(t0)
+	la.watch()
+	before := h.net.Stats().PerProto[ProtoHeartbeat].Messages
+	d.tick(t0.Add(time.Second))
+	if got := h.net.Stats().PerProto[ProtoHeartbeat].Messages - before; got != 0 {
+		t.Errorf("%d pings sent to an address no longer watched", got)
 	}
-	da.Unwatch(b.Addr())
-	if got := len(da.Watched()); got != 0 {
-		t.Fatalf("after unwatch = %d, want 0", got)
+	if got := la.silences(); len(got) != 0 {
+		t.Errorf("silences = %v for an address no longer watched", got)
 	}
-	if da.Healthy(b.Addr()) {
-		t.Error("unwatched address should not report healthy")
+	// Watched again, it starts healthy.
+	la.watch(b.Addr())
+	d.tick(t0.Add(2 * time.Second))
+	if got := la.silences(); len(got) != 0 {
+		t.Errorf("silences = %v on the first beat of a new watch", got)
 	}
 }
 
 func TestFailureDetectorStopWithoutStart(t *testing.T) {
 	h := newHarness(t, 1)
-	d := NewFailureDetector(h.peers[0], FailureDetectorConfig{})
+	d := NewFailureDetector(h.peers[0], &beats{}, time.Second, 3*time.Second)
 	d.Stop() // must not deadlock or panic
 	d.Stop()
 	d.Start() // no-op after stop
