@@ -1,18 +1,12 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/xml"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"whisper/internal/bpeer"
-	"whisper/internal/gossip"
-	"whisper/internal/p2p"
-	"whisper/internal/qos"
 	"whisper/internal/simnet"
 )
 
@@ -255,80 +249,6 @@ func TestDiscoveryQualityLiveShape(t *testing.T) {
 	synF1, semF1 := tab.Rows[0][3], tab.Rows[1][3]
 	if !(semF1 > synF1) {
 		t.Errorf("live: semantic F1 %s should beat syntactic F1 %s", semF1, synF1)
-	}
-}
-
-// TestDiscoveryReplyBytesE5Corpus: an index node answers a wildcard
-// query with the payload bytes its store received, and for the E5
-// corpus those are byte for byte what parsing every advertisement and
-// marshalling it again per query used to send.
-func TestDiscoveryReplyBytesE5Corpus(t *testing.T) {
-	bpeer.EnsureAdvTypes()
-	net := simnet.NewNetwork(simnet.WithLatency(simnet.ZeroLatency()), simnet.WithSeed(1))
-	defer func() { _ = net.Close() }()
-	gen := p2p.NewIDGen(1)
-	peer := func(name string) *p2p.Peer {
-		port, err := net.NewPort(name)
-		if err != nil {
-			t.Fatalf("port %s: %v", name, err)
-		}
-		p := p2p.NewPeer(name, gen.New(p2p.PeerIDKind), port)
-		t.Cleanup(func() { _ = p.Close() })
-		return p
-	}
-	rdv, pub, probe := peer("rdv"), peer("pub"), peer("probe")
-	index, err := p2p.NewIndexNode(rdv, p2p.GossipConfig{})
-	if err != nil {
-		t.Fatalf("index node: %v", err)
-	}
-	client := p2p.NewGossipClient(pub)
-	query := p2p.NewResolverOn(probe, p2p.ProtoDiscovery)
-	for _, p := range []*p2p.Peer{rdv, pub, probe} {
-		p.Start()
-	}
-	index.Run()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	minter := gossip.NewPublisher("pub", nil)
-	for i, e := range discoveryCorpus() {
-		adv := bpeer.NewSemanticAdvertisement(gen.New(p2p.GroupIDKind), fmt.Sprintf("%s#%d", e.Name, i), e.Sig,
-			qos.Profile{LatencyMillis: 5, Reliability: 0.99, Availability: 0.99})
-		raw, err := adv.MarshalAdv()
-		if err != nil {
-			t.Fatalf("marshal %s: %v", adv.Name, err)
-		}
-		if ok, err := client.Publish(ctx, rdv.Addr(), minter.Entry(string(adv.AdvID()), raw, time.Hour)); err != nil || !ok {
-			t.Fatalf("publish %s: applied=%v err=%v", adv.Name, ok, err)
-		}
-	}
-
-	got, err := query.Query(ctx, rdv.Addr(), "discovery.query",
-		[]byte("<DiscoveryQuery><Type>"+bpeer.SemanticAdvType+"</Type></DiscoveryQuery>"))
-	if err != nil {
-		t.Fatalf("query: %v", err)
-	}
-	var ref struct {
-		XMLName xml.Name `xml:"DiscoveryResponse"`
-		Advs    [][]byte `xml:"Adv"`
-	}
-	advs := index.Discovery().GetLocalAdvertisements(bpeer.SemanticAdvType, "", "")
-	if len(advs) != len(discoveryCorpus()) {
-		t.Fatalf("index holds %d advertisements, want %d", len(advs), len(discoveryCorpus()))
-	}
-	for _, adv := range advs {
-		raw, err := adv.MarshalAdv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.Advs = append(ref.Advs, raw)
-	}
-	want, err := xml.Marshal(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("reply differs from the re-marshalled reference:\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"whisper/internal/ontology"
 	"whisper/internal/p2p"
 	"whisper/internal/proxy"
+	"whisper/internal/qos"
 	"whisper/internal/simnet"
 )
 
@@ -270,6 +271,130 @@ func TestDiscoveryPlaneRingOfOneCounts(t *testing.T) {
 				first = counts
 			} else if !reflect.DeepEqual(counts, first) {
 				t.Errorf("per-protocol messages differ between Shards 0 and 1:\n got %v\nwant %v", counts, first)
+			}
+		})
+	}
+}
+
+// TestDiscoveryFindIndependentOfHistory: what a find answers depends on
+// the request and the plane, not on the ring size or on what the proxy
+// asked before. general advertises AcademicAction, students its
+// subclass StudentInformation, enrollment the sibling subclass
+// EnrollmentManagement, all over the same data concepts — so every
+// request matches one group exactly and others by plug-in or
+// subsumption, under other index keys than its own.
+func TestDiscoveryFindIndependentOfHistory(t *testing.T) {
+	uni := func(name string) ontology.Signature {
+		s := studentSig()
+		s.Action = ontology.UniversityNS + "#" + name
+		return s
+	}
+	const academic, student, enrollment = "AcademicAction", "StudentInformation", "EnrollmentManagement"
+	type found struct {
+		Name   string
+		Degree ontology.MatchDegree
+	}
+	var ringOfOne map[string][]found
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			d, net := newPlaneDeployment(t, shards, time.Hour)
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			// Distinct latencies make the rank of two equal-degree
+			// groups a property of the catalogue, not of ID minting.
+			for i, g := range []struct{ name, action string }{
+				{"general", academic}, {"students", student}, {"enrollment", enrollment},
+			} {
+				_, err := d.DeployGroup(ctx, GroupSpec{
+					Name:      g.name,
+					Signature: uni(g.action),
+					QoS:       qos.Profile{LatencyMillis: float64(5 * (i + 1)), Reliability: 0.99, Availability: 0.99},
+					NoJournal: true,
+					Count:     1,
+					Handler: bpeer.HandlerFunc(func(context.Context, string, []byte) ([]byte, error) {
+						return []byte("<ok/>"), nil
+					}),
+				})
+				if err != nil {
+					t.Fatalf("deploy %s: %v", g.name, err)
+				}
+				waitAdvEverywhere(t, d, g.name, true)
+			}
+			pp := &planeProbe{t: t, d: d}
+			find := func(p *proxy.SWSProxy, action string) []found {
+				t.Helper()
+				matches, err := p.FindPeerGroupAdv(ctx, uni(action))
+				if err != nil && !errors.Is(err, proxy.ErrNoMatch) {
+					t.Fatalf("find %s: %v", action, err)
+				}
+				var out []found
+				for _, m := range matches {
+					out = append(out, found{m.Adv.Name, m.Match.Degree})
+				}
+				return out
+			}
+
+			fresh := map[string][]found{}
+			for _, action := range []string{academic, student, enrollment} {
+				fresh[action] = find(pp.proxy(), action)
+			}
+			want := map[string][]found{
+				academic:   {{"general", ontology.MatchExact}, {"students", ontology.MatchPlugin}, {"enrollment", ontology.MatchPlugin}},
+				student:    {{"students", ontology.MatchExact}, {"general", ontology.MatchSubsume}},
+				enrollment: {{"enrollment", ontology.MatchExact}, {"general", ontology.MatchSubsume}},
+			}
+			if !reflect.DeepEqual(fresh, want) {
+				t.Errorf("fresh proxies:\n got %v\nwant %v", fresh, want)
+			}
+			if ringOfOne == nil {
+				ringOfOne = fresh
+			} else if !reflect.DeepEqual(fresh, ringOfOne) {
+				t.Errorf("ring of %d answers differ from the ring of one:\n got %v\nwant %v", shards, fresh, ringOfOne)
+			}
+
+			// Asked first for one action, then for another, a proxy
+			// answers the second as a fresh proxy would: never a weaker
+			// match out of what the first answer left in its cache.
+			for _, first := range []string{academic, student, enrollment} {
+				for _, second := range []string{academic, student, enrollment} {
+					p := pp.proxy()
+					find(p, first)
+					if got := find(p, second); !reflect.DeepEqual(got, fresh[second]) {
+						t.Errorf("%s asked after %s: got %v, a fresh proxy %v", second, first, got, fresh[second])
+					}
+				}
+			}
+
+			// An action nobody satisfies costs one round per rung of the
+			// ladder — the owners of its one key where they are fewer
+			// than the fleet, then the fleet — and ships no advertisement.
+			rungs, queried := uint64(1), int64(1)
+			if shards > 1 {
+				rungs, queried = 2, 2+int64(shards)
+			}
+			p := pp.proxy()
+			before := net.Stats().PerProto[p2p.ProtoDiscovery].Messages
+			if _, err := p.FindPeerGroupAdv(ctx, uni("NoSuchAction")); !errors.Is(err, proxy.ErrNoMatch) {
+				t.Errorf("unsatisfiable action: err = %v, want ErrNoMatch", err)
+			}
+			s := p.DiscoveryStats()
+			if s.RemoteQueries != rungs || s.RemoteAdvs != 0 || s.Size != 0 {
+				t.Errorf("unsatisfiable action: %d rounds, %d advertisements shipped, %d cached; want %d, 0, 0",
+					s.RemoteQueries, s.RemoteAdvs, s.Size, rungs)
+			}
+			if got := net.Stats().PerProto[p2p.ProtoDiscovery].Messages - before; got != 2*queried {
+				t.Errorf("unsatisfiable action: %d discovery messages, want %d", got, 2*queried)
+			}
+			// A declared action whose whole closure is unadvertised
+			// ships nothing either.
+			p = pp.proxy()
+			care := ontology.Signature{Action: ontology.ConceptCarePlanning,
+				Inputs: []string{ontology.ConceptPatientID}, Outputs: []string{ontology.ConceptTreatmentPlan}}
+			if _, err := p.FindPeerGroupAdv(ctx, care); !errors.Is(err, proxy.ErrNoMatch) {
+				t.Errorf("unadvertised closure: err = %v, want ErrNoMatch", err)
+			}
+			if s := p.DiscoveryStats(); s.RemoteAdvs != 0 {
+				t.Errorf("unadvertised closure: %d advertisements shipped, want 0", s.RemoteAdvs)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package ontology
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // MatchDegree grades how well an advertised concept satisfies a
@@ -212,4 +213,69 @@ func (r *Reasoner) MatchSignature(advertised, requested Signature) SignatureMatc
 		result.Score = 0
 	}
 	return result
+}
+
+// closureKey addresses one memoised MatchingConcepts result.
+type closureKey struct {
+	requested string
+	min       MatchDegree
+}
+
+// MatchingConcepts returns, sorted, every spelling of every concept c
+// the ontology declares with MatchConcepts(c, requested).Satisfies(min),
+// plus requested itself: verbatim and as Ontology.Term spells it. A
+// spelling of a URI is the URI and, when it lives in the ontology's own
+// namespace, the bare local name Term resolves to it.
+//
+// A signature's degree is its weakest pair, so an advertisement whose
+// action is spelled outside this set cannot satisfy min: the set is the
+// complete list of exact "action" index keys worth asking a discovery
+// index for. Results for declared concepts are memoised on the reasoner
+// (there are finitely many); callers must not modify the slice.
+func (r *Reasoner) MatchingConcepts(requested string, min MatchDegree) []string {
+	key := closureKey{requested: requested, min: min}
+	r.closureMu.RLock()
+	out, ok := r.closures[key]
+	r.closureMu.RUnlock()
+	if ok {
+		return out
+	}
+	full := r.onto.Term(requested)
+	seen := map[string]bool{requested: true}
+	out = []string{requested}
+	add := func(uri string) {
+		for _, s := range [...]string{uri, r.bareName(uri)} {
+			if s != "" && !seen[s] {
+				seen[s] = true
+				out = append(out, s)
+			}
+		}
+	}
+	add(full)
+	if !r.Knows(full) {
+		// An undeclared concept matches nothing but itself; there is no
+		// bound on how many a caller can name, so they are not memoised.
+		sort.Strings(out)
+		return out
+	}
+	for uri := range r.rep {
+		if r.MatchConcepts(uri, full).Satisfies(min) {
+			add(uri)
+		}
+	}
+	sort.Strings(out)
+	r.closureMu.Lock()
+	r.closures[key] = out
+	r.closureMu.Unlock()
+	return out
+}
+
+// bareName returns the local name Ontology.Term expands to uri, or ""
+// when uri is outside the ontology's own namespace.
+func (r *Reasoner) bareName(uri string) string {
+	name, ok := strings.CutPrefix(uri, r.onto.BaseURI+"#")
+	if !ok || name == "" || strings.ContainsAny(name, ":/#") {
+		return ""
+	}
+	return name
 }

@@ -2,6 +2,7 @@ package ontology
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -38,6 +39,11 @@ type Reasoner struct {
 	depth map[string]int
 	// disjoint maps representative to directly-declared disjoint reps.
 	disjoint map[string]map[string]bool
+
+	// closures memoises MatchingConcepts; it is the only state that
+	// changes after compilation.
+	closureMu sync.RWMutex
+	closures  map[closureKey][]string
 }
 
 // NewReasoner compiles an ontology. The ontology must not be mutated
@@ -51,6 +57,7 @@ func NewReasoner(o *Ontology) *Reasoner {
 		ancestors: make(map[string]map[string]bool),
 		depth:     make(map[string]int),
 		disjoint:  make(map[string]map[string]bool),
+		closures:  make(map[closureKey][]string),
 	}
 	r.compile()
 	return r

@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"context"
+	"encoding/xml"
 	"fmt"
 	"testing"
 	"time"
@@ -32,7 +33,7 @@ func BenchmarkAdvertisementRoundTrip(b *testing.B) {
 
 // benchDiscovery builds a discovery cache holding n service
 // advertisements.
-func benchDiscovery(b *testing.B, n int) *DiscoveryService {
+func benchDiscovery(b testing.TB, n int) *DiscoveryService {
 	b.Helper()
 	net := simnet.NewNetwork(simnet.WithLatency(simnet.ZeroLatency()))
 	b.Cleanup(func() { _ = net.Close() })
@@ -116,6 +117,39 @@ func BenchmarkResolverQueryZeroLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ra.Query(ctx, c.Addr(), "echo", payload); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDiscoveryAnswerKeys is the index node's side of a cold
+// find: one query carrying a four-value key set, answered from a
+// 64-advertisement catalogue spread over eight operations — decode the
+// query, union four posting sets, frame the published bytes.
+func BenchmarkDiscoveryAnswerKeys(b *testing.B) {
+	d := benchDiscovery(b, 0)
+	for i := 0; i < 64; i++ {
+		_ = d.Publish(&ServiceAdvertisement{
+			SvcID:     ID(fmt.Sprintf("urn:svc-%02d", i)),
+			Name:      fmt.Sprintf("Service%d", i),
+			Operation: fmt.Sprintf("http://example.org/ontology#Operation%d", i%8),
+		}, time.Hour)
+	}
+	q := discoveryQueryDoc{Type: ServiceAdvType, Attr: "Operation"}
+	for _, op := range []int{1, 3, 5, 9} { // the last one nobody advertises
+		q.Values = append(q.Values, fmt.Sprintf("http://example.org/ontology#Operation%d", op))
+	}
+	payload, err := xml.Marshal(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := d.answerQuery("", payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if docs, err := decodeDiscoveryResponse(out); err != nil || len(docs) != 24 {
+			b.Fatalf("answered %d documents, %v; want 24", len(docs), err)
 		}
 	}
 }

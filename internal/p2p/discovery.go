@@ -3,6 +3,7 @@ package p2p
 import (
 	"context"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -104,6 +105,11 @@ type DiscoveryStats struct {
 	Flushed uint64
 	// Sweeps counts FlushExpired runs (janitor ticks included).
 	Sweeps uint64
+	// RemoteQueries counts query rounds this service sent to other
+	// peers' caches; RemoteAdvs the advertisement documents their
+	// answers carried; RemoteRejected the answers, and the documents
+	// inside well-formed answers, that failed to decode.
+	RemoteQueries, RemoteAdvs, RemoteRejected uint64
 }
 
 // discoveryQueryHandler is the discovery resolver handler name.
@@ -329,41 +335,49 @@ func (d *DiscoveryService) GetLocalAdvertisements(advType, attr, value string) [
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.now()
-
-	collect := func(entries map[ID]*cacheEntry, check func(*cacheEntry) bool) []Advertisement {
-		out := make([]Advertisement, 0, len(entries))
-		for id, e := range entries {
-			if e.expires.Before(now) {
-				d.expireLocked(id, e)
-				continue
-			}
-			if check != nil && !check(e) {
-				continue
-			}
+	entries, scan := d.candidatesLocked(advType, attr, value)
+	out := make([]Advertisement, 0, len(entries))
+	for id, e := range entries {
+		if d.selectsLocked(id, e, now, scan, attr, value) {
 			out = append(out, e.adv)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].AdvID() < out[j].AdvID() })
-		return out
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].AdvID() < out[j].AdvID() })
+	return out
+}
 
+// candidatesLocked returns the entries one (advType, attr, value) query
+// selects from, and whether each still has to pass matchAttr (scan) or
+// the set already is the answer. Callers hold d.mu.
+func (d *DiscoveryService) candidatesLocked(advType, attr, value string) (entries map[ID]*cacheEntry, scan bool) {
 	switch {
 	case advType == "":
 		// Untyped query: full scan (peerctl-style introspection).
 		d.stats.Misses++
-		return collect(d.cache, func(e *cacheEntry) bool { return matchAttr(e.attrs, attr, value) })
+		return d.cache, true
 	case attr == "":
 		// Type-only query: the type set IS the result set.
 		d.stats.Hits++
-		return collect(d.byType[advType], nil)
+		return d.byType[advType], false
 	case hasWildcard(value):
 		// Wildcard value: scan the type's entries only.
 		d.stats.Misses++
-		return collect(d.byType[advType], func(e *cacheEntry) bool { return matchAttr(e.attrs, attr, value) })
+		return d.byType[advType], true
 	default:
 		// Exact query: straight index lookup.
 		d.stats.Hits++
-		return collect(d.index[indexKey{advType: advType, attr: attr, value: value}], nil)
+		return d.index[indexKey{advType: advType, attr: attr, value: value}], false
 	}
+}
+
+// selectsLocked reports whether a candidate entry belongs in the
+// answer, evicting it if its lifetime passed. Callers hold d.mu.
+func (d *DiscoveryService) selectsLocked(id ID, e *cacheEntry, now time.Time, scan bool, attr, value string) bool {
+	if e.expires.Before(now) {
+		d.expireLocked(id, e)
+		return false
+	}
+	return !scan || matchAttr(e.attrs, attr, value)
 }
 
 // hasWildcard reports whether the predicate value uses '*' matching.
@@ -399,18 +413,23 @@ func matchAttr(attrs map[string]string, attr, value string) bool {
 
 // --- remote operations ------------------------------------------------
 
+// discoveryQueryDoc is the query document. Values lists the attribute
+// values asked for: none or "*" selects every advertisement carrying
+// the attribute, one value may use the '*' wildcards of
+// GetLocalAdvertisements, and several select the union of their
+// matches — how a proxy asks for the subsumption closure of an action
+// in one round.
 type discoveryQueryDoc struct {
 	XMLName xml.Name `xml:"DiscoveryQuery"`
 	Type    string   `xml:"Type"`
 	Attr    string   `xml:"Attr,omitempty"`
-	Value   string   `xml:"Value,omitempty"`
+	Values  []string `xml:"Value,omitempty"`
 	Limit   int      `xml:"Limit,omitempty"`
 }
 
-type discoveryResponseDoc struct {
-	XMLName xml.Name `xml:"DiscoveryResponse"`
-	Advs    [][]byte `xml:"Adv"`
-}
+// ErrDiscoveryResponse marks an answer to a remote discovery query
+// that could not be decoded.
+var ErrDiscoveryResponse = errors.New("p2p: malformed discovery response")
 
 // RemoteGetAdvertisements queries the target peers' caches and returns
 // up to limit unique advertisements (0 = unlimited), waiting for
@@ -421,62 +440,134 @@ func (d *DiscoveryService) RemoteGetAdvertisements(
 	advType, attr, value string,
 	limit int,
 ) ([]Advertisement, error) {
-	if len(targets) == 0 {
-		return nil, nil
+	q := discoveryQueryDoc{Type: advType, Attr: attr, Limit: limit}
+	if value != "" {
+		q.Values = []string{value}
 	}
-	q, err := xml.Marshal(discoveryQueryDoc{Type: advType, Attr: attr, Value: value, Limit: limit})
-	if err != nil {
-		return nil, fmt.Errorf("discovery: marshal query: %w", err)
-	}
-	seen := make(map[ID]bool)
 	var out []Advertisement
-	err = d.resolver.Propagate(ctx, targets, discoveryQueryHandler, q, func(resp Response) bool {
+	err := d.remoteQuery(ctx, targets, q, func(adv Advertisement, _ []byte) bool {
+		out = append(out, adv)
+		return limit > 0 && len(out) >= limit
+	})
+	return out, err
+}
+
+// Fetch asks the targets for the advertisements of advType whose attr
+// equals any of values and caches each for lifetime with the bytes it
+// arrived in, like JXTA's discovery response handling. It reports how
+// many documents it cached.
+func (d *DiscoveryService) Fetch(ctx context.Context, targets []string, advType, attr string, values []string, lifetime time.Duration) (int, error) {
+	n := 0
+	q := discoveryQueryDoc{Type: advType, Attr: attr, Values: values}
+	err := d.remoteQuery(ctx, targets, q, func(adv Advertisement, raw []byte) bool {
+		d.ingest(adv, raw, lifetime)
+		n++
+		return false
+	})
+	return n, err
+}
+
+// remoteQuery sends q to every target and hands each advertisement
+// answered (the first copy, when several targets answer the same ID),
+// with its document as it arrived, to each until each returns true,
+// every target answered or ctx ends. A target whose answer is an
+// error or does not decode counts as failed: that is the query's error
+// when no target answered validly and is ignored when another did. A
+// document inside a valid answer that does not parse is skipped.
+func (d *DiscoveryService) remoteQuery(ctx context.Context, targets []string, q discoveryQueryDoc, each func(adv Advertisement, raw []byte) (done bool)) error {
+	if len(targets) == 0 {
+		return nil
+	}
+	payload, err := xml.Marshal(q)
+	if err != nil {
+		return fmt.Errorf("discovery: marshal query: %w", err)
+	}
+	var (
+		answered, advs, rejected uint64
+		nodeErr                  error
+		seen                     = make(map[ID]bool)
+	)
+	err = d.resolver.Propagate(ctx, targets, discoveryQueryHandler, payload, func(resp Response) bool {
+		docs, err := decodeDiscoveryResponse(resp.Payload)
 		if resp.Err != nil {
+			err = resp.Err
+		}
+		if err != nil {
+			rejected++
+			if nodeErr == nil {
+				nodeErr = fmt.Errorf("%s: %w", resp.From, err)
+			}
 			return false
 		}
-		var doc discoveryResponseDoc
-		if err := xml.Unmarshal(resp.Payload, &doc); err != nil {
-			return false
-		}
-		for _, raw := range doc.Advs {
+		answered++
+		for _, raw := range docs {
 			adv, err := ParseAdvertisement(raw)
-			if err != nil || seen[adv.AdvID()] {
+			if err != nil {
+				rejected++
+				continue
+			}
+			advs++
+			if seen[adv.AdvID()] {
 				continue
 			}
 			seen[adv.AdvID()] = true
-			out = append(out, adv)
-			if limit > 0 && len(out) >= limit {
+			if each(adv, raw) {
 				return true
 			}
 		}
 		return false
 	})
-	if err != nil && len(out) == 0 {
-		return nil, fmt.Errorf("discovery: remote query: %w", err)
+	d.mu.Lock()
+	d.stats.RemoteQueries++
+	d.stats.RemoteAdvs += advs
+	d.stats.RemoteRejected += rejected
+	d.mu.Unlock()
+	if err == nil && answered == 0 {
+		err = nodeErr
 	}
-	return out, nil
+	// A query cut short after advertisements arrived keeps them.
+	if err != nil && advs == 0 {
+		return fmt.Errorf("discovery: remote query: %w", err)
+	}
+	return nil
 }
 
-// answerQuery serves a remote discovery query from the local cache,
-// replying with each advertisement's bytes as they were published.
+// answerQuery serves a remote discovery query from the local cache:
+// the union of what each asked value selects, in ID order, each
+// advertisement as the bytes it was published with.
 func (d *DiscoveryService) answerQuery(_ string, payload []byte) ([]byte, error) {
 	var q discoveryQueryDoc
 	if err := xml.Unmarshal(payload, &q); err != nil {
 		return nil, fmt.Errorf("bad discovery query: %w", err)
 	}
-	advs := d.GetLocalAdvertisements(q.Type, q.Attr, q.Value)
-	if q.Limit > 0 && len(advs) > q.Limit {
-		advs = advs[:q.Limit]
+	values := q.Values
+	if len(values) == 0 {
+		values = []string{""}
 	}
-	resp := discoveryResponseDoc{Advs: make([][]byte, 0, len(advs))}
 	d.mu.Lock()
-	for _, adv := range advs {
-		// An entry flushed since the lookup is left out; one replaced
-		// since is answered with its newer bytes.
-		if e, ok := d.cache[adv.AdvID()]; ok {
-			resp.Advs = append(resp.Advs, e.raw)
+	defer d.mu.Unlock()
+	now := d.now()
+	var hits []*cacheEntry
+	for _, value := range values {
+		entries, scan := d.candidatesLocked(q.Type, q.Attr, value)
+		for id, e := range entries {
+			if d.selectsLocked(id, e, now, scan, q.Attr, value) {
+				hits = append(hits, e)
+			}
 		}
 	}
-	d.mu.Unlock()
-	return xml.Marshal(resp)
+	sort.Slice(hits, func(i, j int) bool { return hits[i].adv.AdvID() < hits[j].adv.AdvID() })
+	// Two values can select one advertisement (overlapping wildcards, a
+	// value listed twice): the cache holds one entry per ID, so equal
+	// neighbours are the same entry.
+	docs := make([][]byte, 0, len(hits))
+	for i, e := range hits {
+		if q.Limit > 0 && len(docs) == q.Limit {
+			break
+		}
+		if i == 0 || e != hits[i-1] {
+			docs = append(docs, e.raw)
+		}
+	}
+	return encodeDiscoveryResponse(docs), nil
 }

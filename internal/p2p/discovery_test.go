@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -219,9 +220,10 @@ func TestDiscoveryRemoteQueryDeduplicates(t *testing.T) {
 }
 
 // TestDiscoveryAnswerSendsPublishedBytes: a remote query is answered
-// with the bytes each advertisement was published with, and those are
-// the bytes re-marshalling every advertisement per query used to
-// produce.
+// with the bytes each advertisement was published with — framed, never
+// re-marshalled or escaped — and those are the bytes marshalling every
+// selected advertisement per query would produce. Several values select
+// the union of their matches, each advertisement once.
 func TestDiscoveryAnswerSendsPublishedBytes(t *testing.T) {
 	h := newHarness(t, 1)
 	d := NewDiscoveryService(h.peers[0])
@@ -235,41 +237,144 @@ func TestDiscoveryAnswerSendsPublishedBytes(t *testing.T) {
 			t.Fatalf("publish: %v", err)
 		}
 	}
-	for _, q := range []discoveryQueryDoc{
-		{Type: ServiceAdvType},
-		{Type: ServiceAdvType, Attr: "Name", Value: "Student*"},
-		{Type: ServiceAdvType, Attr: "Name", Value: "StudentRegistry"},
-		{Type: ServiceAdvType, Limit: 2},
-		{Type: ServiceAdvType, Attr: "Name", Value: "nobody"},
+	for _, tc := range []struct {
+		q    discoveryQueryDoc
+		want []ID
+	}{
+		{q: discoveryQueryDoc{Type: ServiceAdvType}, want: []ID{"urn:1", "urn:2", "urn:3"}},
+		{q: discoveryQueryDoc{Type: ServiceAdvType, Attr: "Name", Values: []string{"*"}}, want: []ID{"urn:1", "urn:2", "urn:3"}},
+		{q: discoveryQueryDoc{Type: ServiceAdvType, Attr: "Name", Values: []string{"Student*"}}, want: []ID{"urn:1", "urn:3"}},
+		{q: discoveryQueryDoc{Type: ServiceAdvType, Attr: "Name", Values: []string{"StudentRegistry"}}, want: []ID{"urn:3"}},
+		{q: discoveryQueryDoc{Type: ServiceAdvType, Attr: "Name", Values: []string{"Claim & <Service>"}}, want: []ID{"urn:2"}},
+		{q: discoveryQueryDoc{Type: ServiceAdvType, Limit: 2}, want: []ID{"urn:1", "urn:2"}},
+		{q: discoveryQueryDoc{Type: ServiceAdvType, Attr: "Name", Values: []string{"nobody"}}},
+		// Union of exact values; an unknown value contributes nothing.
+		{q: discoveryQueryDoc{Type: ServiceAdvType, Attr: "Name",
+			Values: []string{"StudentRegistry", "nobody", "Claim & <Service>"}}, want: []ID{"urn:2", "urn:3"}},
+		// One advertisement selected twice is answered once.
+		{q: discoveryQueryDoc{Type: ServiceAdvType, Attr: "Name",
+			Values: []string{"StudentRegistry", "Student*", "StudentRegistry"}}, want: []ID{"urn:1", "urn:3"}},
+		{q: discoveryQueryDoc{Type: ServiceAdvType, Attr: "Name",
+			Values: []string{"StudentRegistry", "StudentManagement", "Claim & <Service>"}, Limit: 2}, want: []ID{"urn:1", "urn:2"}},
 	} {
-		payload, err := xml.Marshal(q)
+		payload, err := xml.Marshal(tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := d.answerQuery("", payload)
 		if err != nil {
-			t.Fatalf("answer %+v: %v", q, err)
+			t.Fatalf("answer %+v: %v", tc.q, err)
 		}
 		// Reference: marshal each selected advertisement again.
-		selected := d.GetLocalAdvertisements(q.Type, q.Attr, q.Value)
-		if q.Limit > 0 && len(selected) > q.Limit {
-			selected = selected[:q.Limit]
-		}
-		var ref discoveryResponseDoc
-		for _, adv := range selected {
-			raw, err := adv.MarshalAdv()
-			if err != nil {
-				t.Fatal(err)
+		var ref [][]byte
+		for _, id := range tc.want {
+			for _, adv := range advs {
+				if adv.AdvID() == id {
+					raw, err := adv.MarshalAdv()
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref = append(ref, raw)
+				}
 			}
-			ref.Advs = append(ref.Advs, raw)
 		}
-		want, err := xml.Marshal(ref)
-		if err != nil {
-			t.Fatal(err)
+		if want := encodeDiscoveryResponse(ref); !bytes.Equal(got, want) {
+			t.Errorf("query %+v:\n got %q\nwant %q", tc.q, got, want)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("query %+v:\n got %s\nwant %s", q, got, want)
+		docs, err := decodeDiscoveryResponse(got)
+		if err != nil || len(docs) != len(ref) {
+			t.Fatalf("query %+v: answer decodes to %d documents, %v; want %d", tc.q, len(docs), err, len(ref))
 		}
+		for i := range docs {
+			if !bytes.Equal(docs[i], ref[i]) {
+				t.Errorf("query %+v: document %d is not the published bytes", tc.q, i)
+			}
+		}
+	}
+}
+
+// respondWith attaches a peer whose discovery handler answers every
+// query with payload, whatever it is.
+func respondWith(peer *Peer, payload []byte) {
+	NewResolverOn(peer, ProtoDiscovery).RegisterHandler(discoveryQueryHandler,
+		func(string, []byte) ([]byte, error) { return payload, nil })
+}
+
+// TestDiscoveryMalformedResponseIsAnError: an answer that does not
+// decode is that node's failure, not "no advertisements": it is the
+// query's error when no node answered validly and is ignored when
+// another did.
+func TestDiscoveryMalformedResponseIsAnError(t *testing.T) {
+	h := newHarness(t, 4)
+	querier := NewDiscoveryService(h.peers[0])
+	good := NewDiscoveryService(h.peers[1])
+	_ = good.Publish(&ServiceAdvertisement{SvcID: "urn:1", Name: "S"}, 0)
+	valid := encodeDiscoveryResponse([][]byte{[]byte("<x/>")})
+	respondWith(h.peers[2], valid[:len(valid)-2]) // truncated inside the document
+	respondWith(h.peers[3], []byte("<DiscoveryResponse></DiscoveryResponse>"))
+	for _, p := range h.peers {
+		p.Start()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	live, truncated, legacy := h.peers[1].Addr(), h.peers[2].Addr(), h.peers[3].Addr()
+
+	for _, bad := range []string{truncated, legacy} {
+		advs, err := querier.RemoteGetAdvertisements(ctx, []string{bad}, ServiceAdvType, "Name", "S", 0)
+		if !errors.Is(err, ErrDiscoveryResponse) || advs != nil {
+			t.Errorf("only %s answered: got %v, %v; want ErrDiscoveryResponse", bad, advs, err)
+		}
+		if n, err := querier.Fetch(ctx, []string{bad}, ServiceAdvType, "Name", []string{"S"}, time.Hour); !errors.Is(err, ErrDiscoveryResponse) || n != 0 {
+			t.Errorf("fetch from %s: got %d, %v; want ErrDiscoveryResponse", bad, n, err)
+		}
+	}
+	advs, err := querier.RemoteGetAdvertisements(ctx, []string{truncated, live, legacy}, ServiceAdvType, "Name", "S", 0)
+	if err != nil || len(advs) != 1 {
+		t.Errorf("a valid answer beside two malformed ones: got %d advertisements, %v; want 1, nil", len(advs), err)
+	}
+	// A valid empty answer beside a malformed one is still an answer.
+	advs, err = querier.RemoteGetAdvertisements(ctx, []string{truncated, live}, ServiceAdvType, "Name", "nobody", 0)
+	if err != nil || len(advs) != 0 {
+		t.Errorf("a valid empty answer beside a malformed one: got %d advertisements, %v; want 0, nil", len(advs), err)
+	}
+	if s := querier.Stats(); s.RemoteQueries != 6 || s.RemoteAdvs != 1 || s.RemoteRejected != 7 {
+		t.Errorf("stats = %d queries, %d advs, %d rejected; want 6, 1, 7", s.RemoteQueries, s.RemoteAdvs, s.RemoteRejected)
+	}
+}
+
+// TestDiscoveryUnparsableDocumentIsSkipped: a document inside a valid
+// frame that is no advertisement is skipped and counted; its
+// neighbours are delivered, and cached as the bytes they arrived in.
+func TestDiscoveryUnparsableDocumentIsSkipped(t *testing.T) {
+	h := newHarness(t, 2)
+	querier := NewDiscoveryService(h.peers[0])
+	a, err := (&ServiceAdvertisement{SvcID: "urn:a", Name: "S & <T>"}).MarshalAdv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := (&ServiceAdvertisement{SvcID: "urn:b", Name: "S & <T>"}).MarshalAdv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	respondWith(h.peers[1], encodeDiscoveryResponse([][]byte{a, []byte("<unknown:Adv/>"), []byte("not xml"), b}))
+	for _, p := range h.peers {
+		p.Start()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	n, err := querier.Fetch(ctx, []string{h.peers[1].Addr()}, ServiceAdvType, "Name", []string{"S & <T>"}, time.Hour)
+	if err != nil || n != 2 {
+		t.Fatalf("fetch: cached %d, %v; want 2, nil", n, err)
+	}
+	if s := querier.Stats(); s.RemoteAdvs != 2 || s.RemoteRejected != 2 || s.Size != 2 {
+		t.Errorf("stats = %d advs, %d rejected, size %d; want 2, 2, 2", s.RemoteAdvs, s.RemoteRejected, s.Size)
+	}
+	// What was cached is what arrived: asked in turn, the querier
+	// answers the same bytes.
+	q, _ := xml.Marshal(discoveryQueryDoc{Type: ServiceAdvType, Attr: "Name", Values: []string{"S & <T>"}})
+	got, err := querier.answerQuery("", q)
+	if err != nil || !bytes.Equal(got, encodeDiscoveryResponse([][]byte{a, b})) {
+		t.Errorf("re-answered bytes differ from the bytes fetched (err %v)", err)
 	}
 }
 
@@ -397,7 +502,10 @@ func TestDiscoveryIndexConcurrency(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// The janitor started above reads the clock under d.mu.
+	d.mu.Lock()
 	d.now = func() time.Time { return time.Now().Add(time.Hour) }
+	d.mu.Unlock()
 	d.FlushExpired()
 	if got := d.Stats().Size; got != 0 {
 		t.Errorf("cache size = %d after flushing everything, want 0", got)

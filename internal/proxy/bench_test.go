@@ -12,34 +12,60 @@ import (
 	"whisper/internal/simnet"
 )
 
-// benchProxy builds a proxy whose local discovery cache holds n
-// semantic group advertisements, all matching studentSig. No b-peers
-// run: the benchmarks target the discovery + matchmaking path only.
-func benchProxy(b *testing.B, n int) *SWSProxy {
+// benchPlane starts an index node "rdv" on a zero-latency network and
+// publishes advs to it. No b-peers run: the benchmarks target the
+// discovery + matchmaking path only.
+func benchPlane(b *testing.B, advs []*bpeer.SemanticAdvertisement) *simnet.Network {
 	b.Helper()
+	bpeer.EnsureAdvTypes()
 	net := simnet.NewNetwork(simnet.WithLatency(simnet.ZeroLatency()))
 	b.Cleanup(func() { _ = net.Close() })
-	port, err := net.NewPort("bench-proxy")
+	port, err := net.NewPort("rdv")
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := New(port, Config{
-		Name:           "bench-proxy",
-		RendezvousAddr: "rdv",
-		Reasoner:       ontology.NewReasoner(ontology.Combined()),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = p.Close() })
-	sig := studentSig()
-	for i := 0; i < n; i++ {
-		adv := bpeer.NewSemanticAdvertisement(
-			p2p.ID(fmt.Sprintf("urn:whisper:bench-g%d", i)),
-			fmt.Sprintf("bench-group-%d", i), sig, qos.Profile{})
-		if err := p.disco.Publish(adv, time.Hour); err != nil {
+	rdv := p2p.NewPeer("rdv", "urn:whisper:bench-rdv", port)
+	b.Cleanup(func() { _ = rdv.Close() })
+	index := p2p.NewDiscoveryService(rdv)
+	for _, adv := range advs {
+		if err := index.Publish(adv, time.Hour); err != nil {
 			b.Fatal(err)
 		}
+	}
+	rdv.Start()
+	return net
+}
+
+func benchProxyOn(b *testing.B, net *simnet.Network, name string, r *ontology.Reasoner) *SWSProxy {
+	b.Helper()
+	port, err := net.NewPort(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := New(port, Config{Name: name, RendezvousAddr: "rdv", Reasoner: r})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.Start()
+	return p
+}
+
+// benchProxy builds a proxy whose local discovery cache holds n
+// semantic group advertisements, all matching studentSig and all
+// fetched from the plane by one cold find.
+func benchProxy(b *testing.B, n int) *SWSProxy {
+	b.Helper()
+	sig := studentSig()
+	advs := make([]*bpeer.SemanticAdvertisement, n)
+	for i := range advs {
+		advs[i] = bpeer.NewSemanticAdvertisement(
+			p2p.ID(fmt.Sprintf("urn:whisper:bench-g%d", i)),
+			fmt.Sprintf("bench-group-%d", i), sig, qos.Profile{})
+	}
+	p := benchProxyOn(b, benchPlane(b, advs), "bench-proxy", ontology.NewReasoner(ontology.Combined()))
+	b.Cleanup(func() { _ = p.Close() })
+	if got, err := p.FindPeerGroupAdv(b.Context(), sig); err != nil || len(got) != n {
+		b.Fatalf("cold find matched %d groups, %v", len(got), err)
 	}
 	return p
 }
@@ -51,12 +77,12 @@ func benchProxy(b *testing.B, n int) *SWSProxy {
 func BenchmarkSemanticMatchCached(b *testing.B) {
 	p := benchProxy(b, 50)
 	sig := studentSig()
-	if got := p.matchLocal(sig); len(got) != 50 {
+	if got := p.matchLocal(p.Reasoner(), sig); len(got) != 50 {
 		b.Fatalf("warm-up matched %d groups", len(got))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := p.matchLocal(sig); len(got) != 50 {
+		if got := p.matchLocal(p.Reasoner(), sig); len(got) != 50 {
 			b.Fatalf("matched %d groups", len(got))
 		}
 	}
@@ -78,19 +104,68 @@ func BenchmarkSemanticMatchUncached(b *testing.B) {
 }
 
 // BenchmarkFindPeerGroupAdv is the full local discovery call the
-// paper's findPeerGroupAdv pseudocode describes: match (cached) plus
-// QoS ranking.
+// paper's findPeerGroupAdv pseudocode describes: the plane has been
+// asked, so the cache answers — match (cached) plus QoS ranking.
 func BenchmarkFindPeerGroupAdv(b *testing.B) {
 	p := benchProxy(b, 50)
 	sig := studentSig()
 	ctx := b.Context()
-	if _, err := p.FindPeerGroupAdv(ctx, sig); err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.FindPeerGroupAdv(ctx, sig); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if got := p.DiscoveryStats().RemoteQueries; got != 1 {
+		b.Fatalf("%d remote queries, want the warm-up's one", got)
+	}
+}
+
+// benchCatalogue is a 64-group catalogue over both domain ontologies,
+// its groups dealt round-robin over nine advertised actions; three of
+// them (and so a third of the groups) are in studentSig's closure.
+func benchCatalogue() []*bpeer.SemanticAdvertisement {
+	student, claim := studentSig(), ontology.Signature{
+		Inputs: []string{ontology.ConceptClaimID}, Outputs: []string{ontology.ConceptClaimStatus},
+	}
+	var sigs []ontology.Signature
+	for _, name := range []string{"StudentInformation", "StudentLookup", "EnrollmentManagement", "GradeSubmission", "AcademicAction"} {
+		student.Action = ontology.UniversityNS + "#" + name
+		sigs = append(sigs, student)
+	}
+	for _, name := range []string{"ClaimProcessing", "LoanApproval", "CarePlanning", "BusinessAction"} {
+		claim.Action = ontology.B2BNS + "#" + name
+		sigs = append(sigs, claim)
+	}
+	advs := make([]*bpeer.SemanticAdvertisement, 64)
+	for i := range advs {
+		advs[i] = bpeer.NewSemanticAdvertisement(p2p.ID(fmt.Sprintf("urn:whisper:cat-g%02d", i)),
+			fmt.Sprintf("G%02d", i), sigs[i%len(sigs)], qos.Profile{LatencyMillis: 5, Reliability: 0.99, Availability: 0.99})
+	}
+	return advs
+}
+
+// BenchmarkFindPeerGroupAdvCold is the first find of a proxy's life:
+// closure lookup, one keyed query to an index node holding the
+// 64-group catalogue, ingest of the candidates it answers, uncached
+// match and rank. Each iteration uses a fresh proxy; only its find is
+// timed.
+func BenchmarkFindPeerGroupAdvCold(b *testing.B) {
+	net := benchPlane(b, benchCatalogue())
+	r := ontology.NewReasoner(ontology.Combined())
+	sig := studentSig()
+	ctx := b.Context()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := benchProxyOn(b, net, fmt.Sprintf("cold-%d", i), r)
+		b.StartTimer()
+		got, err := p.FindPeerGroupAdv(ctx, sig)
+		b.StopTimer()
+		if err != nil || len(got) == 0 {
+			b.Fatalf("cold find: %d groups, %v", len(got), err)
+		}
+		_ = p.Close()
+		b.StartTimer()
 	}
 }

@@ -2,7 +2,11 @@ package proxy
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +16,7 @@ import (
 	"whisper/internal/ontology"
 	"whisper/internal/p2p"
 	"whisper/internal/qos"
+	"whisper/internal/trace"
 )
 
 func TestSigKeyCanonical(t *testing.T) {
@@ -218,7 +223,7 @@ func TestProxyMatchCacheConcurrency(t *testing.T) {
 						p2p.ID(fmt.Sprintf("urn:g%d-%d", w, i%10)),
 						fmt.Sprintf("g%d", i%10), sig, qos.Profile{}), time.Hour)
 				} else {
-					got := p.matchLocal(sig)
+					got := p.matchLocal(p.Reasoner(), sig)
 					// rank sorts hits in place; it must never corrupt
 					// the cache (hits are copies).
 					p.rank(got)
@@ -228,7 +233,7 @@ func TestProxyMatchCacheConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 	// Writers 0 and 2 each publish 10 distinct groups.
-	if got := p.matchLocal(sig); len(got) != 20 {
+	if got := p.matchLocal(p.Reasoner(), sig); len(got) != 20 {
 		t.Errorf("final match count = %d, want 20", len(got))
 	}
 }
@@ -362,12 +367,134 @@ func TestQueryCache(t *testing.T) {
 	if err != nil {
 		t.Fatalf("QueryCache: %v", err)
 	}
+	// Two invocations, one cold lookup: one query round that shipped the
+	// one candidate.
 	for _, want := range []string{
-		"discovery.size", "discovery.hits", "match.entries",
+		"discovery.size 1\n", "discovery.hits", "match.entries",
 		"match.hits", "bindings.coordinators",
+		"discovery.remote_queries 1\n", "discovery.remote_advs 1\n", "discovery.remote_rejected 0\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cache report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestProxySetReasonerRecomputesKeys: the index keys of a find are the
+// action's closure under the ontology in force. "records" advertises an
+// action the first ontology does not know and the second declares
+// equivalent to the requested one: after the swap the next find must
+// ask the plane again, with the new closure — neither the closure nor
+// the record of what was already asked may outlive the ontology they
+// were computed under.
+func TestProxySetReasonerRecomputesKeys(t *testing.T) {
+	f := newFixture(t)
+	f.addGroup(t, "students", studentSig(), qos.Profile{}, 1, echo("students"))
+	recordSig := studentSig()
+	recordSig.Action = ontology.UniversityNS + "#RecordFetch"
+	f.addGroup(t, "records", recordSig, qos.Profile{}, 1, echo("records"))
+	p := f.addProxy(t, Config{})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	find := func() []string {
+		t.Helper()
+		matches, err := p.FindPeerGroupAdv(ctx, studentSig())
+		if err != nil {
+			t.Fatalf("find: %v", err)
+		}
+		var names []string
+		for _, m := range matches {
+			names = append(names, m.Adv.Name)
+		}
+		sort.Strings(names)
+		return names
+	}
+	for i := 0; i < 2; i++ {
+		if got := find(); !reflect.DeepEqual(got, []string{"students"}) {
+			t.Fatalf("find %d under the first ontology = %v, want [students]", i, got)
+		}
+	}
+	if got := p.DiscoveryStats().RemoteQueries; got != 1 {
+		t.Fatalf("%d remote rounds for two finds, want 1 (the second is answered locally)", got)
+	}
+
+	o := ontology.Combined()
+	o.AddClass(recordSig.Action, ontology.EquivalentTo(ontology.ConceptStudentInformation))
+	p.SetReasoner(ontology.NewReasoner(o))
+	for i := 0; i < 2; i++ {
+		if got := find(); !reflect.DeepEqual(got, []string{"records", "students"}) {
+			t.Fatalf("find %d after the swap = %v, want [records students]", i, got)
+		}
+	}
+	if got := p.DiscoveryStats().RemoteQueries; got != 2 {
+		t.Errorf("%d remote rounds, want 2: one per ontology", got)
+	}
+}
+
+// TestProxyMalformedDiscoveryAnswerIsAnError: an index node whose
+// answer does not decode is a discovery failure, not an empty plane.
+func TestProxyMalformedDiscoveryAnswerIsAnError(t *testing.T) {
+	f := newFixture(t)
+	bad := p2p.NewPeer("bad", f.gen.New(p2p.PeerIDKind), f.port(t, "bad"))
+	t.Cleanup(func() { _ = bad.Close() })
+	p2p.NewResolverOn(bad, p2p.ProtoDiscovery).RegisterHandler("discovery.query",
+		func(string, []byte) ([]byte, error) { return []byte{0x05, 0x03, '<', 'a'}, nil })
+	bad.Start()
+	p, err := New(f.port(t, "proxy"), Config{Name: "sws-proxy", RendezvousAddr: bad.Addr(), Reasoner: f.reasoner})
+	if err != nil {
+		t.Fatalf("proxy: %v", err)
+	}
+	p.Start()
+	t.Cleanup(func() { _ = p.Close() })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err = p.FindPeerGroupAdv(ctx, studentSig())
+	if !errors.Is(err, p2p.ErrDiscoveryResponse) || errors.Is(err, ErrNoMatch) {
+		t.Errorf("find: err = %v, want a discovery error wrapping p2p.ErrDiscoveryResponse", err)
+	}
+	if _, err := p.FindByName(ctx, "students"); !errors.Is(err, p2p.ErrDiscoveryResponse) {
+		t.Errorf("find by name: err = %v, want a discovery error wrapping p2p.ErrDiscoveryResponse", err)
+	}
+	if s := p.DiscoveryStats(); s.RemoteQueries != 2 || s.RemoteRejected != 2 {
+		t.Errorf("stats = %d rounds, %d rejected; want 2, 2", s.RemoteQueries, s.RemoteRejected)
+	}
+}
+
+// TestProxyDiscoverySpanCountsKeysAndCandidates: a traced invocation's
+// discovery span says how many index keys the lookup sent and how many
+// candidates came back, beside how many matched; a warm one sent none.
+func TestProxyDiscoverySpanCountsKeysAndCandidates(t *testing.T) {
+	f := newFixture(t)
+	f.addGroup(t, "students", studentSig(), qos.Profile{}, 1, echo("students"))
+	claimSig := ontology.Signature{Action: ontology.ConceptClaimProcessing,
+		Inputs: []string{ontology.ConceptClaimID}, Outputs: []string{ontology.ConceptClaimStatus}}
+	f.addGroup(t, "claims", claimSig, qos.Profile{}, 1, echo("claims"))
+	col := trace.NewCollector(64)
+	p := f.addProxy(t, Config{Tracer: trace.New(col)})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	discoverySpan := func() map[string]string {
+		t.Helper()
+		col.Reset()
+		if _, err := p.Invoke(ctx, studentSig(), "Op", nil); err != nil {
+			t.Fatalf("invoke: %v", err)
+		}
+		for _, r := range col.Snapshot() {
+			if r.Name == "discovery" {
+				return r.Attrs
+			}
+		}
+		t.Fatal("no discovery span")
+		return nil
+	}
+	keys := strconv.Itoa(len(f.reasoner.MatchingConcepts(studentSig().Action, ontology.MatchSubsume)))
+	if got := discoverySpan(); got["keys"] != keys || got["candidates"] != "1" || got["matches"] != "1" {
+		t.Errorf("cold discovery span = %v, want keys=%s candidates=1 matches=1", got, keys)
+	}
+	if got := discoverySpan(); got["keys"] != "" || got["candidates"] != "" || got["matches"] != "1" {
+		t.Errorf("warm discovery span = %v, want matches=1 and no remote round", got)
 	}
 }

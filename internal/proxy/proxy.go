@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -175,6 +176,10 @@ type SWSProxy struct {
 	// groups holds what the proxy knows about each group it has invoked:
 	// breakers, coordinator binding, replica set (replicas.go).
 	groups map[p2p.ID]*groupState
+	// asked maps each lookup the plane has answered to the earliest
+	// expiry of the advertisements that answer put in the cache (see
+	// discover).
+	asked map[lookup]time.Time
 	// rng drives backoff jitter (seeded, so retries are reproducible).
 	rng *rand.Rand
 	// rebinds counts coordinator re-bindings (observable in benches).
@@ -202,6 +207,7 @@ func New(tr simnet.Transport, cfg Config) (*SWSProxy, error) {
 		health:  metrics.NewCounter(),
 		matches: newMatchCache(),
 		groups:  make(map[p2p.ID]*groupState),
+		asked:   make(map[lookup]time.Time),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 	p.reasoner.Store(cfg.Reasoner)
@@ -373,6 +379,9 @@ func (p *SWSProxy) answerCache(_ string, _ []byte) ([]byte, error) {
 	fmt.Fprintf(&b, "discovery.expired %d\n", ds.Expired)
 	fmt.Fprintf(&b, "discovery.flushed %d\n", ds.Flushed)
 	fmt.Fprintf(&b, "discovery.sweeps %d\n", ds.Sweeps)
+	fmt.Fprintf(&b, "discovery.remote_queries %d\n", ds.RemoteQueries)
+	fmt.Fprintf(&b, "discovery.remote_advs %d\n", ds.RemoteAdvs)
+	fmt.Fprintf(&b, "discovery.remote_rejected %d\n", ds.RemoteRejected)
 	fmt.Fprintf(&b, "match.entries %d\n", ms.Entries)
 	fmt.Fprintf(&b, "match.hits %d\n", ms.Hits)
 	fmt.Fprintf(&b, "match.misses %d\n", ms.Misses)
@@ -400,17 +409,21 @@ type GroupMatch struct {
 }
 
 // FindPeerGroupAdv locates semantic peer-group advertisements matching
-// the signature, mirroring the paper's findPeerGroupAdv pseudocode:
-// first the local advertisement cache is searched by the action
-// attribute, then input/output semantics are checked; a remote
-// discovery against the rendezvous fills the cache on a miss. Results
-// are sorted best-first by (degree, QoS-weighted score).
+// the signature, mirroring the paper's findPeerGroupAdv pseudocode: the
+// advertisement cache is searched by the action attribute, then
+// input/output semantics are checked; a remote discovery against the
+// index fills the cache first unless it already holds the plane's
+// answer for this action (see discover). Results are sorted best-first
+// by (degree, QoS-weighted score).
 func (p *SWSProxy) FindPeerGroupAdv(ctx context.Context, sig ontology.Signature) ([]GroupMatch, error) {
+	r := p.reasoner.Load()
 	var matches []GroupMatch
-	err := p.discover(ctx, "action", sig.Action, func() bool {
-		matches = p.matchLocal(sig)
-		return len(matches) > 0
-	})
+	err := p.discover(ctx, lookup{attr: "action", value: sig.Action, reasoner: r.Version()},
+		func() []string { return r.MatchingConcepts(sig.Action, p.cfg.MinDegree) },
+		func() bool {
+			matches = p.matchLocal(r, sig)
+			return len(matches) > 0
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -421,47 +434,108 @@ func (p *SWSProxy) FindPeerGroupAdv(ctx context.Context, sig ontology.Signature)
 	return matches, nil
 }
 
-// discover is the discovery ladder: the local advertisement cache
-// first, then the ring owners of the exact (attr, value) triple (the
-// nodes publishes land on first, so they are the freshest authority for
-// it), then the full set scatter-gathered over every index node, which
-// also finds a synonym living under another concept URI. When the owners
-// already are the whole fleet — always, on a ring of one — the exact
-// step would ask the same nodes twice and is skipped. collect searches
-// the local cache and reports whether it found anything; each remote
-// step re-fills the cache before collect runs again.
-func (p *SWSProxy) discover(ctx context.Context, attr, value string, collect func() bool) error {
-	if collect() {
+// lookup names one question put to the discovery ladder: the attribute,
+// the value the caller asked about and, when the index keys are derived
+// from that value through the ontology, the reasoner version they were
+// derived under (so a swapped ontology asks again).
+type lookup struct {
+	attr, value string
+	reasoner    uint64
+}
+
+// discover is the discovery ladder: the local advertisement cache,
+// then the ring owners of the keys (the nodes publishes land on first,
+// so they are the freshest authority for them), then every index node.
+// When the owners already are the whole fleet — always, on a ring of
+// one — the owners step would ask the same nodes twice and is skipped.
+//
+// keys lists the exact values of q.attr whose advertisements can answer
+// q — for an action its subsumption closure — and every remote step
+// sends all of them, so an index node answers with candidates only and
+// the cache holds what this proxy asked for, never the catalogue. That
+// changes what a local hit means: the cache answers q only if the plane
+// has been asked q's keys and the advertisements that fetched are still
+// alive (p.asked); a hit left behind by another question would make the
+// answer depend on the proxy's history. collect searches the local
+// cache and reports whether it found anything; an empty result always
+// asks again.
+func (p *SWSProxy) discover(ctx context.Context, q lookup, keys func() []string, collect func() bool) error {
+	if p.hasAsked(q) && collect() {
+		return nil
+	}
+	ks := keys()
+	// The advertisements fetched below live at least this long.
+	until := time.Now().Add(p2p.DefaultLifetime)
+	span := trace.FromContext(ctx)
+	span.SetAttr("keys", strconv.Itoa(len(ks)))
+	candidates := 0
+	fetch := func(targets []string) error {
+		n, err := p.disco.Fetch(ctx, targets, bpeer.SemanticAdvType, q.attr, ks, p2p.DefaultLifetime)
+		if err != nil {
+			return fmt.Errorf("proxy: remote discovery: %w", err)
+		}
+		candidates += n
+		span.SetAttr("candidates", strconv.Itoa(candidates))
 		return nil
 	}
 	all := p.shards.All()
-	if owners := p.shards.AppendOwners(nil, bpeer.SemanticAdvType, attr, value); len(owners) < len(all) {
-		if err := p.fillFromRemote(ctx, owners, attr, value); err != nil {
+	if owners := p.ownersOf(q.attr, ks, len(all)); len(owners) < len(all) {
+		if err := fetch(owners); err != nil {
 			return err
 		}
 		if collect() {
+			p.setAsked(q, until)
 			return nil
 		}
 	}
-	if err := p.fillFromRemote(ctx, all, "", ""); err != nil {
+	if err := fetch(all); err != nil {
 		return err
 	}
+	p.setAsked(q, until)
 	collect()
 	return nil
 }
 
-// fillFromRemote queries the targets' caches and re-publishes the
-// results into the local cache with a finite lifetime, like JXTA's
-// discovery response handling.
-func (p *SWSProxy) fillFromRemote(ctx context.Context, targets []string, attr, value string) error {
-	advs, err := p.disco.RemoteGetAdvertisements(ctx, targets, bpeer.SemanticAdvType, attr, value, 0)
-	if err != nil {
-		return fmt.Errorf("proxy: remote discovery: %w", err)
+// ownersOf returns the ring owners of the keys' (attr, key) triples,
+// each node once; it stops at fleet nodes, when the union can grow no
+// further.
+func (p *SWSProxy) ownersOf(attr string, keys []string, fleet int) []string {
+	var owners, replicas []string
+	for _, k := range keys {
+		replicas = p.shards.AppendOwners(replicas[:0], bpeer.SemanticAdvType, attr, k)
+		for _, node := range replicas {
+			if !slices.Contains(owners, node) {
+				owners = append(owners, node)
+			}
+		}
+		if len(owners) >= fleet {
+			break
+		}
 	}
-	for _, adv := range advs {
-		_ = p.disco.Publish(adv, p2p.DefaultLifetime)
+	return owners
+}
+
+// hasAsked reports whether the plane's answer to q is still in the
+// cache: it was fetched and none of it has reached its lifetime.
+func (p *SWSProxy) hasAsked(q lookup) bool {
+	p.mu.Lock()
+	until, ok := p.asked[q]
+	p.mu.Unlock()
+	return ok && time.Now().Before(until)
+}
+
+// setAsked records that the plane answered q with advertisements that
+// live until at least until, and forgets the answers that have run out.
+func (p *SWSProxy) setAsked(q lookup, until time.Time) {
+	now := time.Now()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for old, t := range p.asked {
+		if !now.Before(t) {
+			delete(p.asked, old)
+		}
 	}
-	return nil
+	p.asked[q] = until
 }
 
 // FindByName is the syntactic baseline the paper contrasts against
@@ -471,15 +545,17 @@ func (p *SWSProxy) fillFromRemote(ctx context.Context, targets []string, attr, v
 // the precision/recall gap live through the proxy.
 func (p *SWSProxy) FindByName(ctx context.Context, name string) ([]*bpeer.SemanticAdvertisement, error) {
 	var found []*bpeer.SemanticAdvertisement
-	err := p.discover(ctx, "Name", name, func() bool {
-		found = found[:0]
-		for _, a := range p.disco.GetLocalAdvertisements(bpeer.SemanticAdvType, "Name", name) {
-			if sem, ok := a.(*bpeer.SemanticAdvertisement); ok {
-				found = append(found, sem)
+	err := p.discover(ctx, lookup{attr: "Name", value: name},
+		func() []string { return []string{name} },
+		func() bool {
+			found = found[:0]
+			for _, a := range p.disco.GetLocalAdvertisements(bpeer.SemanticAdvType, "Name", name) {
+				if sem, ok := a.(*bpeer.SemanticAdvertisement); ok {
+					found = append(found, sem)
+				}
 			}
-		}
-		return len(found) > 0
-	})
+			return len(found) > 0
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +567,9 @@ func (p *SWSProxy) Reasoner() *ontology.Reasoner { return p.reasoner.Load() }
 
 // SetReasoner swaps in a newly compiled ontology. Match results
 // memoised against the old ontology version stop validating on the
-// next lookup, so no stale semantic decision survives the swap.
+// next lookup, and the next find asks the plane for the action's
+// closure under the new ontology, so no stale semantic decision
+// survives the swap.
 func (p *SWSProxy) SetReasoner(r *ontology.Reasoner) {
 	if r != nil {
 		p.reasoner.Store(r)
@@ -513,8 +591,7 @@ func (p *SWSProxy) DiscoveryStats() p2p.DiscoveryStats { return p.disco.Stats() 
 // advertisements and ontology swaps invalidate memoised results
 // before they can be served, while unrelated expiry churn leaves them
 // alone.
-func (p *SWSProxy) matchLocal(sig ontology.Signature) []GroupMatch {
-	r := p.reasoner.Load()
+func (p *SWSProxy) matchLocal(r *ontology.Reasoner, sig ontology.Signature) []GroupMatch {
 	gen := p.disco.MemberGen()
 	key := sigKey(sig)
 	if cached, ok := p.matches.get(key, gen, r.Version(), p.disco.PartitionGen); ok {
