@@ -22,8 +22,9 @@
 // counters, so a live run shows open/half-open transitions.
 //
 // The cache command asks a running SWS-proxy for its cache
-// statistics: discovery index size and hit/miss/eviction counters,
-// semantic match-cache counters, and cached binding counts.
+// statistics: the lookup memo's candidates, hit/miss and match
+// counters, the remote query rounds behind them, and cached binding
+// counts.
 //
 // The loadctl command asks a running SWS-proxy for its admission
 // pipeline: the AIMD concurrency limit, inflight and queued requests,
@@ -208,13 +209,13 @@ func showShards(ctx context.Context, peer *p2p.Peer, addrs []string) error {
 		return errors.New("no shard answered")
 	}
 
-	router := p2p.NewShardRouter(addrs, 0)
-	disco := p2p.NewDiscoveryService(peer)
+	router := p2p.NewShardRouter(addrs)
+	disco := p2p.NewDiscoveryClient(peer)
 	advs, err := disco.RemoteGetAdvertisements(ctx, up[:1], "", "", "", 0)
 	if err != nil {
 		return fmt.Errorf("advertisements from shard %s: %w", up[0], err)
 	}
-	fmt.Printf("\nring: %d shards, %d replica owners per slot\n", len(addrs), router.Replicas())
+	fmt.Printf("\nring: %d shards, %d replica owners per slot\n", len(addrs), p2p.DefaultShardReplicas)
 	fmt.Printf("%-30s %-34s %s\n", "NAME", "ACTION", "OWNERS")
 	for _, adv := range advs {
 		sem, ok := adv.(*bpeer.SemanticAdvertisement)
@@ -332,7 +333,7 @@ func showMembers(ctx context.Context, peer *p2p.Peer, rdvAddr string, gid p2p.ID
 }
 
 func showAdvertisements(ctx context.Context, peer *p2p.Peer, rdvAddr string) error {
-	disco := p2p.NewDiscoveryService(peer)
+	disco := p2p.NewDiscoveryClient(peer)
 	advs, err := disco.RemoteGetAdvertisements(ctx, []string{rdvAddr}, "", "", "", 0)
 	if err != nil {
 		return err

@@ -105,12 +105,12 @@ func TestAllocBudgetGolden(t *testing.T) {
 	RunGolden(t, AllocBudget, "whisper/internal/hotfix", td("allocbudget"))
 }
 
-func TestReadBalanceCleanGolden(t *testing.T) {
-	// The follower-read balancer idioms (snapshot under lock, network
-	// call outside the critical section, cancellable backoff) must read
-	// clean under the whole suite.
+func TestReplicasCleanGolden(t *testing.T) {
+	// The replica-policy idioms (snapshot under lock, network call
+	// outside the critical section, cancellable backoff) must read clean
+	// under the whole suite.
 	for _, a := range All() {
-		RunGolden(t, a, "whisper/internal/proxy", td("readbalance_clean"))
+		RunGolden(t, a, "whisper/internal/proxy", td("replicas_clean"))
 	}
 }
 

@@ -178,7 +178,7 @@ func newGossipFleet(opts GossipOptions, n int, interval time.Duration) (*gossipF
 		f.svcs = append(f.svcs, svc)
 		addrs[i] = peer.Addr()
 	}
-	f.router = p2p.NewShardRouter(addrs, 0)
+	f.router = p2p.NewShardRouter(addrs)
 	port, err := f.net.NewPort("bench-publisher")
 	if err != nil {
 		f.Close()

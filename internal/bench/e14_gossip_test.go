@@ -105,15 +105,14 @@ func gossipSoakOneSeed(t *testing.T, seed int64, shards int) {
 			RendezvousLease:   2 * time.Second,
 			GossipInterval:    5 * time.Millisecond,
 		},
-		Shards:        shards,
-		ShardReplicas: 2,
+		Shards: shards,
 	})
 	if err != nil {
 		t.Fatalf("deployment: %v", err)
 	}
 	t.Cleanup(func() { _ = d.Close() })
 	addrs := d.ShardAddrs()
-	router := p2p.NewShardRouter(addrs, 2)
+	router := p2p.NewShardRouter(addrs)
 
 	ctlTr, err := core.SimulatedTransport(net)("soak-ctl")
 	if err != nil {

@@ -76,9 +76,6 @@ type Config struct {
 	// this replica's). Group membership (join/leave/members) stays at
 	// RendezvousAddr.
 	ShardAddrs []string
-	// ShardReplicas is how many ring owners take each publish; zero
-	// selects p2p.DefaultShardReplicas.
-	ShardReplicas int
 	// Handler implements the service functionality.
 	Handler Handler
 	// IDGen mints IDs (shared per deployment for determinism).
@@ -239,7 +236,7 @@ func New(tr simnet.Transport, cfg Config) (*BPeer, error) {
 	if !cfg.NoJournal && !cfg.LoadSharing {
 		b.journal = replog.New(cfg.Name, cfg.Name)
 	}
-	b.shards = p2p.NewShardRouter(cfg.ShardAddrs, cfg.ShardReplicas)
+	b.shards = p2p.NewShardRouter(cfg.ShardAddrs)
 	b.gossipPub = gossip.NewPublisher(cfg.Name, nil)
 	b.assemble(tr)
 	return b, nil

@@ -115,9 +115,6 @@ type Config struct {
 	// the other Shards-1 get dedicated peers. Zero means one: the
 	// paper's single-rendezvous layout is the ring with one member.
 	Shards int
-	// ShardReplicas is how many ring owners each exact discovery query
-	// consults; zero selects p2p.DefaultShardReplicas.
-	ShardReplicas int
 }
 
 // Deployment is one Whisper installation: a rendezvous, any number of
@@ -506,7 +503,6 @@ func (d *Deployment) DeployGroup(ctx context.Context, spec GroupSpec) (*Group, e
 			QoS:               profile,
 			RendezvousAddr:    d.rdvPeer.Addr(),
 			ShardAddrs:        d.shardAddrs,
-			ShardReplicas:     d.cfg.ShardReplicas,
 			Handler:           handler,
 			IDGen:             d.gen,
 			HeartbeatInterval: d.cfg.Timings.HeartbeatInterval,
@@ -704,7 +700,6 @@ func (d *Deployment) NewProxy(name string, opts ProxyOptions) (*proxy.SWSProxy, 
 		Name:             name,
 		RendezvousAddr:   d.rdvPeer.Addr(),
 		ShardAddrs:       d.shardAddrs,
-		ShardReplicas:    d.cfg.ShardReplicas,
 		Reasoner:         d.reasoner,
 		MinDegree:        opts.MinDegree,
 		Translator:       opts.Translator,

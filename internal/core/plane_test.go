@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -52,11 +53,10 @@ func newPlaneDeployment(t *testing.T, shards int, lease time.Duration) (*Deploym
 	timings.LeaseInterval = lease
 	timings.GossipInterval = 5 * time.Millisecond
 	d, err := NewDeployment(Config{
-		Transport:     SimulatedTransport(net),
-		Seed:          1,
-		Timings:       timings,
-		Shards:        shards,
-		ShardReplicas: 2,
+		Transport: SimulatedTransport(net),
+		Seed:      1,
+		Timings:   timings,
+		Shards:    shards,
 	})
 	if err != nil {
 		t.Fatalf("deployment: %v", err)
@@ -144,7 +144,7 @@ func (pp *planeProbe) byName(name string) []string {
 // the nodes a publish or tombstone for it is written to — serves the
 // named group's advertisement.
 func servedByOwner(d *Deployment, action, name string) bool {
-	owners := p2p.NewShardRouter(d.ShardAddrs(), 2).AppendOwners(nil, bpeer.SemanticAdvType, "action", action)
+	owners := p2p.NewShardRouter(d.ShardAddrs()).AppendOwners(nil, bpeer.SemanticAdvType, "action", action)
 	for _, s := range d.Shards() {
 		for _, owner := range owners {
 			if s.Addr() == owner && len(s.Discovery().GetLocalAdvertisements(bpeer.SemanticAdvType, "Name", name)) > 0 {
@@ -395,6 +395,55 @@ func TestDiscoveryFindIndependentOfHistory(t *testing.T) {
 			}
 			if s := p.DiscoveryStats(); s.RemoteAdvs != 0 {
 				t.Errorf("unadvertised closure: %d advertisements shipped, want 0", s.RemoteAdvs)
+			}
+		})
+	}
+}
+
+// TestDiscoveryFindForgetsDepartedGroup: a group that one lookup
+// fetched and that has left since is not in another lookup's answer.
+// The proxy asks for AcademicAction, whose answer holds students;
+// students' last replica closes, which tombstones it at once; asked for
+// StudentInformation next, the same proxy answers what a fresh proxy
+// answers, not what the first answer left behind.
+func TestDiscoveryFindForgetsDepartedGroup(t *testing.T) {
+	academic := studentSig()
+	academic.Action = ontology.UniversityNS + "#AcademicAction"
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			d, _ := newPlaneDeployment(t, shards, time.Hour)
+			deployPlaneGroup(t, d, "general", academic, 1)
+			students := deployPlaneGroup(t, d, planeStudents, studentSig(), 1)
+			waitAdvEverywhere(t, d, "general", true)
+			waitAdvEverywhere(t, d, planeStudents, true)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			find := func(p *proxy.SWSProxy, sig ontology.Signature) []string {
+				t.Helper()
+				matches, err := p.FindPeerGroupAdv(ctx, sig)
+				if err != nil && !errors.Is(err, proxy.ErrNoMatch) {
+					t.Fatalf("find %s: %v", sig.Action, err)
+				}
+				var names []string
+				for _, m := range matches {
+					names = append(names, m.Adv.Name)
+				}
+				return names
+			}
+
+			pp := &planeProbe{t: t, d: d}
+			p := pp.proxy()
+			if got := find(p, academic); !slices.Contains(got, planeStudents) {
+				t.Fatalf("AcademicAction answered %v, want it to hold %s", got, planeStudents)
+			}
+			if err := students.Peers()[0].Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			waitAdvEverywhere(t, d, planeStudents, false)
+			got, fresh := find(p, studentSig()), find(pp.proxy(), studentSig())
+			if !reflect.DeepEqual(got, []string{"general"}) || !reflect.DeepEqual(fresh, got) {
+				t.Errorf("StudentInformation after %s left: this proxy %v, a fresh proxy %v; want [general] from both",
+					planeStudents, got, fresh)
 			}
 		})
 	}

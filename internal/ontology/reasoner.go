@@ -7,7 +7,7 @@ import (
 )
 
 // reasonerVersions mints a unique version per compiled Reasoner, so
-// downstream caches (the proxy's semantic match cache) can detect an
+// downstream caches (the proxy's lookup memo) can detect an
 // ontology change by comparing versions instead of deep-comparing
 // ontologies.
 var reasonerVersions atomic.Uint64

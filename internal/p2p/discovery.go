@@ -5,20 +5,17 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"whisper/internal/gossip"
 )
 
-// DiscoveryService implements JXTA's discovery protocol: a local
-// advertisement cache with expirations and remote queries answered from
-// other peers' caches (remote publication is the discovery plane's job,
-// see NewIndexNode). Queries select by advertisement type plus an
+// DiscoveryService implements JXTA's discovery protocol on an index
+// node: a local advertisement cache with expirations whose entries
+// answer remote queries (remote publication is the discovery plane's
+// job, see NewIndexNode). Queries select by advertisement type plus an
 // optional attribute/value predicate, where the value may use a leading
 // or trailing '*' wildcard — exactly the getLocalAdvertisements(type,
 // attr, value) surface the paper's SWS-proxy pseudocode is written
@@ -28,42 +25,19 @@ import (
 // entries grouped by advertisement type, and an exact-match index keyed
 // by (advType, attr, value) over every attribute an advertisement
 // exposes. Exact queries are answered from the index without scanning;
-// wildcard queries scan only the requested type's entries. Expired
-// entries are evicted lazily on lookup and proactively by a jittered
-// janitor tied to the peer's lifetime, so the index never serves a
-// stale advertisement.
+// wildcard queries scan only the requested type's entries. An expired
+// entry is evicted the moment a lookup touches it, so the index never
+// serves a stale advertisement; on an index node the gossip store's
+// sweep flushes it even when no lookup does (GossipService.mirror).
 type DiscoveryService struct {
-	peer     *Peer
-	resolver *Resolver
+	*DiscoveryClient
 
 	mu     sync.Mutex
 	cache  map[ID]*cacheEntry
 	byType map[string]map[ID]*cacheEntry
 	index  map[indexKey]map[ID]*cacheEntry
-	// Generations are split so derived caches can validate at the right
-	// granularity: memberGen moves on membership-shaped mutations
-	// (publish, explicit flush), while expiry churn only moves the
-	// generation of the evicted entry's action partition. A hot shard
-	// evicting thousands of leases per sweep then invalidates only the
-	// match-cache results that could actually contain them, not the
-	// whole cache.
-	memberGen uint64
-	partGen   [GenPartitions]uint64
-	stats     DiscoveryStats
-	now       func() time.Time
-}
-
-// GenPartitions is how many expiry-generation partitions the cache
-// tracks. Entries hash onto a partition by their (advType, action)
-// pair — see ActionPartition.
-const GenPartitions = 16
-
-// ActionPartition maps an (advType, action-attribute) pair onto its
-// expiry-generation partition. Derived caches stamp their results with
-// the partitions of the advertisements they contain and revalidate
-// against PartitionGen.
-func ActionPartition(advType, action string) uint32 {
-	return uint32(gossip.HashTriple(advType, "action", action) % GenPartitions)
+	stats  DiscoveryStats
+	now    func() time.Time
 }
 
 type cacheEntry struct {
@@ -103,8 +77,6 @@ type DiscoveryStats struct {
 	Expired uint64
 	// Flushed counts entries removed by explicit Flush.
 	Flushed uint64
-	// Sweeps counts FlushExpired runs (janitor ticks included).
-	Sweeps uint64
 	// RemoteQueries counts query rounds this service sent to other
 	// peers' caches; RemoteAdvs the advertisement documents their
 	// answers carried; RemoteRejected the answers, and the documents
@@ -115,56 +87,18 @@ type DiscoveryStats struct {
 // discoveryQueryHandler is the discovery resolver handler name.
 const discoveryQueryHandler = "discovery.query"
 
-// DefaultJanitorInterval is the base period of the expired-entry
-// sweeper; each tick is jittered ±25% so co-located peers don't sweep
-// in lockstep.
-const DefaultJanitorInterval = time.Second
-
-// NewDiscoveryService attaches a discovery service to the peer. It
-// claims the ProtoDiscovery protocol tag so discovery traffic is
-// accounted separately from other resolver traffic, and starts the
-// expired-advertisement janitor, which stops when the peer closes.
+// NewDiscoveryService attaches a discovery cache to the peer and
+// answers remote queries from it.
 func NewDiscoveryService(peer *Peer) *DiscoveryService {
-	return newDiscoveryService(peer, DefaultJanitorInterval)
-}
-
-func newDiscoveryService(peer *Peer, janitorEvery time.Duration) *DiscoveryService {
-	EnsureBuiltinAdvTypes()
 	d := &DiscoveryService{
-		peer:     peer,
-		resolver: NewResolverOn(peer, ProtoDiscovery),
-		cache:    make(map[ID]*cacheEntry),
-		byType:   make(map[string]map[ID]*cacheEntry),
-		index:    make(map[indexKey]map[ID]*cacheEntry),
-		now:      time.Now,
+		DiscoveryClient: NewDiscoveryClient(peer),
+		cache:           make(map[ID]*cacheEntry),
+		byType:          make(map[string]map[ID]*cacheEntry),
+		index:           make(map[indexKey]map[ID]*cacheEntry),
+		now:             time.Now,
 	}
 	d.resolver.RegisterHandler(discoveryQueryHandler, d.answerQuery)
-	if janitorEvery > 0 {
-		go d.janitor(janitorEvery)
-	}
 	return d
-}
-
-// janitor sweeps expired advertisements on a jittered ticker so an
-// entry whose lifetime passed is removed from the index even when no
-// query ever touches it. The jitter is seeded from the peer's ID, so a
-// deployment of many peers spreads its sweeps deterministically.
-func (d *DiscoveryService) janitor(every time.Duration) {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(d.peer.ID()))
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	for {
-		// every ± 25% jitter.
-		jitter := time.Duration(rng.Int63n(int64(every)/2+1)) - every/4
-		t := time.NewTimer(every + jitter)
-		select {
-		case <-t.C:
-			d.FlushExpired()
-		case <-d.peer.Done():
-			t.Stop()
-			return
-		}
-	}
 }
 
 // Publish stores the advertisement in the local cache for the given
@@ -197,7 +131,6 @@ func (d *DiscoveryService) ingest(adv Advertisement, raw []byte, lifetime time.D
 	e := &cacheEntry{adv: adv, raw: raw, attrs: adv.Attributes(), expires: d.now().Add(lifetime)}
 	d.cache[id] = e
 	d.indexLocked(id, e)
-	d.memberGen++
 }
 
 // indexLocked inserts the entry into the type set and the exact-match
@@ -222,9 +155,7 @@ func (d *DiscoveryService) indexLocked(id ID, e *cacheEntry) {
 }
 
 // unindexLocked removes the entry from the cache, the type set and the
-// exact-match index. Callers hold d.mu and bump the generation
-// matching the mutation's cause (memberGen for publish/flush, the
-// entry's action partition for expiry).
+// exact-match index. Callers hold d.mu.
 func (d *DiscoveryService) unindexLocked(id ID, e *cacheEntry) {
 	delete(d.cache, id)
 	advType := e.adv.AdvType()
@@ -245,14 +176,6 @@ func (d *DiscoveryService) unindexLocked(id ID, e *cacheEntry) {
 	}
 }
 
-// expireLocked evicts an entry whose lifetime passed: only the entry's
-// action partition generation moves. Callers hold d.mu.
-func (d *DiscoveryService) expireLocked(id ID, e *cacheEntry) {
-	d.unindexLocked(id, e)
-	d.partGen[ActionPartition(e.adv.AdvType(), e.attrs["action"])]++
-	d.stats.Expired++
-}
-
 // Flush removes the advertisement with the given ID from the cache and
 // the index.
 func (d *DiscoveryService) Flush(id ID) {
@@ -260,65 +183,18 @@ func (d *DiscoveryService) Flush(id ID) {
 	defer d.mu.Unlock()
 	if e, ok := d.cache[id]; ok {
 		d.unindexLocked(id, e)
-		d.memberGen++
 		d.stats.Flushed++
 	}
 }
 
-// FlushExpired drops expired entries and reports how many were
-// removed.
-func (d *DiscoveryService) FlushExpired() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats.Sweeps++
-	now := d.now()
-	removed := 0
-	for id, e := range d.cache {
-		if e.expires.Before(now) {
-			d.expireLocked(id, e)
-			removed++
-		}
-	}
-	return removed
-}
-
-// Gen returns the cache's aggregate generation: a counter that moves
-// on every mutation (publish, flush, expiry). Callers wanting coarse
-// "did anything change" validation use it; callers that can afford
-// finer invalidation combine MemberGen with PartitionGen instead.
-func (d *DiscoveryService) Gen() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	g := d.memberGen
-	for _, p := range d.partGen {
-		g += p
-	}
-	return g
-}
-
-// MemberGen returns the membership generation: bumped on publish and
-// explicit flush, but not on expiry.
-func (d *DiscoveryService) MemberGen() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.memberGen
-}
-
-// PartitionGen returns the expiry generation of one action partition
-// (see ActionPartition). part is taken modulo GenPartitions.
-func (d *DiscoveryService) PartitionGen(part uint32) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.partGen[part%GenPartitions]
-}
-
-// Stats snapshots the cache counters.
+// Stats snapshots the cache counters and the remote-query counters.
 func (d *DiscoveryService) Stats() DiscoveryStats {
+	remote := d.DiscoveryClient.Stats()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := d.stats
-	s.Size = len(d.cache)
-	s.IndexKeys = len(d.index)
+	s.Size, s.IndexKeys = len(d.cache), len(d.index)
+	s.RemoteQueries, s.RemoteAdvs, s.RemoteRejected = remote.RemoteQueries, remote.RemoteAdvs, remote.RemoteRejected
 	return s
 }
 
@@ -327,10 +203,9 @@ func (d *DiscoveryService) Stats() DiscoveryStats {
 // everything of the type. Results are sorted by advertisement ID for
 // determinism.
 //
-// Exact attribute queries — the hot path of the proxy's
-// findPeerGroupAdv — are answered from the (advType, attr, value)
-// index in O(results). Wildcard values scan only the type's entries;
-// an empty advType scans the whole cache (introspection tooling only).
+// Exact attribute queries are answered from the (advType, attr, value)
+// index in O(results). Wildcard values scan only the type's entries; an
+// empty advType scans the whole cache (introspection tooling only).
 func (d *DiscoveryService) GetLocalAdvertisements(advType, attr, value string) []Advertisement {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -374,7 +249,8 @@ func (d *DiscoveryService) candidatesLocked(advType, attr, value string) (entrie
 // answer, evicting it if its lifetime passed. Callers hold d.mu.
 func (d *DiscoveryService) selectsLocked(id ID, e *cacheEntry, now time.Time, scan bool, attr, value string) bool {
 	if e.expires.Before(now) {
-		d.expireLocked(id, e)
+		d.unindexLocked(id, e)
+		d.stats.Expired++
 		return false
 	}
 	return !scan || matchAttr(e.attrs, attr, value)
@@ -413,6 +289,30 @@ func matchAttr(attrs map[string]string, attr, value string) bool {
 
 // --- remote operations ------------------------------------------------
 
+// DiscoveryClient asks other peers' discovery caches — the index nodes
+// — and keeps no cache of its own: what a query returns is the
+// caller's. An SWS-proxy holds one; every DiscoveryService embeds one.
+type DiscoveryClient struct {
+	resolver *Resolver
+
+	queries, advs, rejected atomic.Uint64
+}
+
+// NewDiscoveryClient attaches a discovery client to the peer. It claims
+// the ProtoDiscovery protocol tag so discovery traffic is accounted
+// separately from other resolver traffic; a peer carries one client or
+// one DiscoveryService, not both.
+func NewDiscoveryClient(peer *Peer) *DiscoveryClient {
+	EnsureBuiltinAdvTypes()
+	return &DiscoveryClient{resolver: NewResolverOn(peer, ProtoDiscovery)}
+}
+
+// Stats snapshots the remote-query counters; only the Remote* fields
+// are set.
+func (c *DiscoveryClient) Stats() DiscoveryStats {
+	return DiscoveryStats{RemoteQueries: c.queries.Load(), RemoteAdvs: c.advs.Load(), RemoteRejected: c.rejected.Load()}
+}
+
 // discoveryQueryDoc is the query document. Values lists the attribute
 // values asked for: none or "*" selects every advertisement carrying
 // the attribute, one value may use the '*' wildcards of
@@ -434,7 +334,7 @@ var ErrDiscoveryResponse = errors.New("p2p: malformed discovery response")
 // RemoteGetAdvertisements queries the target peers' caches and returns
 // up to limit unique advertisements (0 = unlimited), waiting for
 // responses until every target answered or ctx expires.
-func (d *DiscoveryService) RemoteGetAdvertisements(
+func (c *DiscoveryClient) RemoteGetAdvertisements(
 	ctx context.Context,
 	targets []string,
 	advType, attr, value string,
@@ -444,50 +344,38 @@ func (d *DiscoveryService) RemoteGetAdvertisements(
 	if value != "" {
 		q.Values = []string{value}
 	}
-	var out []Advertisement
-	err := d.remoteQuery(ctx, targets, q, func(adv Advertisement, _ []byte) bool {
-		out = append(out, adv)
-		return limit > 0 && len(out) >= limit
-	})
-	return out, err
+	return c.remoteQuery(ctx, targets, q)
 }
 
 // Fetch asks the targets for the advertisements of advType whose attr
-// equals any of values and caches each for lifetime with the bytes it
-// arrived in, like JXTA's discovery response handling. It reports how
-// many documents it cached.
-func (d *DiscoveryService) Fetch(ctx context.Context, targets []string, advType, attr string, values []string, lifetime time.Duration) (int, error) {
-	n := 0
-	q := discoveryQueryDoc{Type: advType, Attr: attr, Values: values}
-	err := d.remoteQuery(ctx, targets, q, func(adv Advertisement, raw []byte) bool {
-		d.ingest(adv, raw, lifetime)
-		n++
-		return false
-	})
-	return n, err
+// equals any of values and returns them, each ID once, in the order
+// they arrived.
+func (c *DiscoveryClient) Fetch(ctx context.Context, targets []string, advType, attr string, values []string) ([]Advertisement, error) {
+	return c.remoteQuery(ctx, targets, discoveryQueryDoc{Type: advType, Attr: attr, Values: values})
 }
 
-// remoteQuery sends q to every target and hands each advertisement
+// remoteQuery sends q to every target and returns the advertisements
 // answered (the first copy, when several targets answer the same ID),
-// with its document as it arrived, to each until each returns true,
-// every target answered or ctx ends. A target whose answer is an
-// error or does not decode counts as failed: that is the query's error
-// when no target answered validly and is ignored when another did. A
-// document inside a valid answer that does not parse is skipped.
-func (d *DiscoveryService) remoteQuery(ctx context.Context, targets []string, q discoveryQueryDoc, each func(adv Advertisement, raw []byte) (done bool)) error {
+// up to q.Limit when it is positive, once every target answered or ctx
+// ends. A target whose answer is an error or does not decode counts as
+// failed: that is the query's error when no target answered validly and
+// is ignored when another did. A document inside a valid answer that
+// does not parse is skipped.
+func (c *DiscoveryClient) remoteQuery(ctx context.Context, targets []string, q discoveryQueryDoc) ([]Advertisement, error) {
 	if len(targets) == 0 {
-		return nil
+		return nil, nil
 	}
 	payload, err := xml.Marshal(q)
 	if err != nil {
-		return fmt.Errorf("discovery: marshal query: %w", err)
+		return nil, fmt.Errorf("discovery: marshal query: %w", err)
 	}
 	var (
+		out                      []Advertisement
 		answered, advs, rejected uint64
 		nodeErr                  error
 		seen                     = make(map[ID]bool)
 	)
-	err = d.resolver.Propagate(ctx, targets, discoveryQueryHandler, payload, func(resp Response) bool {
+	err = c.resolver.Propagate(ctx, targets, discoveryQueryHandler, payload, func(resp Response) bool {
 		docs, err := decodeDiscoveryResponse(resp.Payload)
 		if resp.Err != nil {
 			err = resp.Err
@@ -511,25 +399,24 @@ func (d *DiscoveryService) remoteQuery(ctx context.Context, targets []string, q 
 				continue
 			}
 			seen[adv.AdvID()] = true
-			if each(adv, raw) {
+			out = append(out, adv)
+			if q.Limit > 0 && len(out) >= q.Limit {
 				return true
 			}
 		}
 		return false
 	})
-	d.mu.Lock()
-	d.stats.RemoteQueries++
-	d.stats.RemoteAdvs += advs
-	d.stats.RemoteRejected += rejected
-	d.mu.Unlock()
+	c.queries.Add(1)
+	c.advs.Add(advs)
+	c.rejected.Add(rejected)
 	if err == nil && answered == 0 {
 		err = nodeErr
 	}
 	// A query cut short after advertisements arrived keeps them.
 	if err != nil && advs == 0 {
-		return fmt.Errorf("discovery: remote query: %w", err)
+		return nil, fmt.Errorf("discovery: remote query: %w", err)
 	}
-	return nil
+	return out, nil
 }
 
 // answerQuery serves a remote discovery query from the local cache:

@@ -81,19 +81,6 @@ func TestDiscoveryExpiration(t *testing.T) {
 	}
 }
 
-func TestDiscoveryFlushExpired(t *testing.T) {
-	h := newHarness(t, 1)
-	d := NewDiscoveryService(h.peers[0])
-	now := time.Now()
-	d.now = func() time.Time { return now }
-	_ = d.Publish(&ServiceAdvertisement{SvcID: "urn:1"}, 10*time.Millisecond)
-	_ = d.Publish(&ServiceAdvertisement{SvcID: "urn:2"}, time.Hour)
-	now = now.Add(time.Minute)
-	if removed := d.FlushExpired(); removed != 1 {
-		t.Errorf("FlushExpired = %d, want 1", removed)
-	}
-}
-
 func TestDiscoveryFlushByID(t *testing.T) {
 	h := newHarness(t, 1)
 	d := NewDiscoveryService(h.peers[0])
@@ -324,8 +311,8 @@ func TestDiscoveryMalformedResponseIsAnError(t *testing.T) {
 		if !errors.Is(err, ErrDiscoveryResponse) || advs != nil {
 			t.Errorf("only %s answered: got %v, %v; want ErrDiscoveryResponse", bad, advs, err)
 		}
-		if n, err := querier.Fetch(ctx, []string{bad}, ServiceAdvType, "Name", []string{"S"}, time.Hour); !errors.Is(err, ErrDiscoveryResponse) || n != 0 {
-			t.Errorf("fetch from %s: got %d, %v; want ErrDiscoveryResponse", bad, n, err)
+		if advs, err := querier.Fetch(ctx, []string{bad}, ServiceAdvType, "Name", []string{"S"}); !errors.Is(err, ErrDiscoveryResponse) || advs != nil {
+			t.Errorf("fetch from %s: got %v, %v; want ErrDiscoveryResponse", bad, advs, err)
 		}
 	}
 	advs, err := querier.RemoteGetAdvertisements(ctx, []string{truncated, live, legacy}, ServiceAdvType, "Name", "S", 0)
@@ -344,7 +331,7 @@ func TestDiscoveryMalformedResponseIsAnError(t *testing.T) {
 
 // TestDiscoveryUnparsableDocumentIsSkipped: a document inside a valid
 // frame that is no advertisement is skipped and counted; its
-// neighbours are delivered, and cached as the bytes they arrived in.
+// neighbours are delivered.
 func TestDiscoveryUnparsableDocumentIsSkipped(t *testing.T) {
 	h := newHarness(t, 2)
 	querier := NewDiscoveryService(h.peers[0])
@@ -362,19 +349,15 @@ func TestDiscoveryUnparsableDocumentIsSkipped(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	n, err := querier.Fetch(ctx, []string{h.peers[1].Addr()}, ServiceAdvType, "Name", []string{"S & <T>"}, time.Hour)
-	if err != nil || n != 2 {
-		t.Fatalf("fetch: cached %d, %v; want 2, nil", n, err)
+	advs, err := querier.Fetch(ctx, []string{h.peers[1].Addr()}, ServiceAdvType, "Name", []string{"S & <T>"})
+	if err != nil || len(advs) != 2 || advs[0].AdvID() != "urn:a" || advs[1].AdvID() != "urn:b" {
+		t.Fatalf("fetch: %v, %v; want urn:a and urn:b", advs, err)
 	}
-	if s := querier.Stats(); s.RemoteAdvs != 2 || s.RemoteRejected != 2 || s.Size != 2 {
-		t.Errorf("stats = %d advs, %d rejected, size %d; want 2, 2, 2", s.RemoteAdvs, s.RemoteRejected, s.Size)
+	if name := advs[0].Attributes()["Name"]; name != "S & <T>" {
+		t.Errorf("fetched name = %q, want %q", name, "S & <T>")
 	}
-	// What was cached is what arrived: asked in turn, the querier
-	// answers the same bytes.
-	q, _ := xml.Marshal(discoveryQueryDoc{Type: ServiceAdvType, Attr: "Name", Values: []string{"S & <T>"}})
-	got, err := querier.answerQuery("", q)
-	if err != nil || !bytes.Equal(got, encodeDiscoveryResponse([][]byte{a, b})) {
-		t.Errorf("re-answered bytes differ from the bytes fetched (err %v)", err)
+	if s := querier.Stats(); s.RemoteAdvs != 2 || s.RemoteRejected != 2 || s.Size != 0 {
+		t.Errorf("stats = %d advs, %d rejected, size %d; want 2, 2, 0 (a fetch caches nothing)", s.RemoteAdvs, s.RemoteRejected, s.Size)
 	}
 }
 
@@ -437,50 +420,11 @@ func TestDiscoveryIndexNeverServesExpired(t *testing.T) {
 	}
 }
 
-// TestDiscoveryGenerationAdvancesOnMutation: the generation counter
-// must move on publish, flush and expiry (the proxy's match cache keys
-// its validity on it) and stay put on pure queries.
-func TestDiscoveryGenerationAdvancesOnMutation(t *testing.T) {
-	h := newHarness(t, 1)
-	d := NewDiscoveryService(h.peers[0])
-	g0 := d.Gen()
-	_ = d.Publish(&ServiceAdvertisement{SvcID: "urn:1", Name: "A"}, 0)
-	g1 := d.Gen()
-	if g1 == g0 {
-		t.Error("generation did not advance on publish")
-	}
-	_ = d.GetLocalAdvertisements(ServiceAdvType, "Name", "A")
-	if d.Gen() != g1 {
-		t.Error("generation advanced on a pure query")
-	}
-	d.Flush("urn:1")
-	if d.Gen() == g1 {
-		t.Error("generation did not advance on flush")
-	}
-}
-
-// TestDiscoveryJanitorSweepsExpired: the jittered janitor owned by the
-// peer must evict expired advertisements without any query traffic.
-func TestDiscoveryJanitorSweepsExpired(t *testing.T) {
-	h := newHarness(t, 1)
-	d := newDiscoveryService(h.peers[0], 10*time.Millisecond)
-	_ = d.Publish(&ServiceAdvertisement{SvcID: "urn:1", Name: "Ephemeral"}, time.Millisecond)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if s := d.Stats(); s.Size == 0 && s.Expired > 0 && s.Sweeps > 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("janitor never evicted the expired advertisement: %+v", d.Stats())
-}
-
-// TestDiscoveryIndexConcurrency hammers publish, flush, expiry sweeps
+// TestDiscoveryIndexConcurrency hammers publish, flush, lazy expiry
 // and every query path concurrently (run under -race).
 func TestDiscoveryIndexConcurrency(t *testing.T) {
 	h := newHarness(t, 1)
-	d := newDiscoveryService(h.peers[0], 5*time.Millisecond)
+	d := NewDiscoveryService(h.peers[0])
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -502,11 +446,11 @@ func TestDiscoveryIndexConcurrency(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// The janitor started above reads the clock under d.mu.
-	d.mu.Lock()
+	// A full scan touches, and so evicts, every expired entry.
 	d.now = func() time.Time { return time.Now().Add(time.Hour) }
-	d.mu.Unlock()
-	d.FlushExpired()
+	if got := len(d.GetLocalAdvertisements("", "", "")); got != 0 {
+		t.Errorf("%d advertisements served an hour past every lifetime, want 0", got)
+	}
 	if got := d.Stats().Size; got != 0 {
 		t.Errorf("cache size = %d after flushing everything, want 0", got)
 	}
@@ -530,90 +474,10 @@ func TestDiscoveryConcurrentPublishQuery(t *testing.T) {
 	}()
 	for i := 0; i < 200; i++ {
 		_ = d.GetLocalAdvertisements(ServiceAdvType, "Name", "Concurrent")
-		d.FlushExpired()
+		_ = d.GetLocalAdvertisements(ServiceAdvType, "", "")
 	}
 	<-done
 	if got := len(d.GetLocalAdvertisements(ServiceAdvType, "Name", "Concurrent")); got != 200 {
 		t.Errorf("final advs = %d, want 200", got)
 	}
-}
-
-// TestDiscoverySplitGenerations: publish and flush move the membership
-// generation; expiry moves only the evicted entry's action partition,
-// leaving the membership generation and unrelated partitions alone —
-// so derived caches can evict per-result instead of flushing wholesale.
-func TestDiscoverySplitGenerations(t *testing.T) {
-	h := newHarness(t, 1)
-	d := NewDiscoveryService(h.peers[0])
-	now := time.Now()
-	d.now = func() time.Time { return now }
-
-	m0 := d.MemberGen()
-	_ = d.Publish(&ServiceAdvertisement{SvcID: "urn:1", Name: "Ephemeral", Operation: "OpA"}, 100*time.Millisecond)
-	_ = d.Publish(&ServiceAdvertisement{SvcID: "urn:2", Name: "Durable", Operation: "OpB"}, time.Hour)
-	if d.MemberGen() != m0+2 {
-		t.Fatalf("member gen = %d, want %d after two publishes", d.MemberGen(), m0+2)
-	}
-
-	part := ActionPartition(ServiceAdvType, "")
-	p0 := d.PartitionGen(part)
-	var others []uint64
-	for i := uint32(0); i < GenPartitions; i++ {
-		if i != part%GenPartitions {
-			others = append(others, d.PartitionGen(i))
-		}
-	}
-	g0 := d.Gen()
-
-	// Lazy eviction on query: urn:1 expires.
-	now = now.Add(time.Second)
-	if got := len(d.GetLocalAdvertisements(ServiceAdvType, "", "")); got != 1 {
-		t.Fatalf("post-expiry = %d, want 1", got)
-	}
-	if d.MemberGen() != m0+2 {
-		t.Error("expiry moved the membership generation")
-	}
-	if d.PartitionGen(part) != p0+1 {
-		t.Errorf("partition gen = %d, want %d after expiry", d.PartitionGen(part), p0+1)
-	}
-	idx := 0
-	for i := uint32(0); i < GenPartitions; i++ {
-		if i != part%GenPartitions {
-			if d.PartitionGen(i) != others[idx] {
-				t.Errorf("unrelated partition %d moved on expiry", i)
-			}
-			idx++
-		}
-	}
-	// The aggregate generation still observes every mutation.
-	if d.Gen() != g0+1 {
-		t.Errorf("aggregate gen = %d, want %d", d.Gen(), g0+1)
-	}
-	d.Flush("urn:2")
-	if d.MemberGen() != m0+3 {
-		t.Error("flush did not move the membership generation")
-	}
-}
-
-// TestDiscoveryJanitorBumpsPartitionGen: the janitor's background
-// sweep attributes evictions to expiry partitions, not membership.
-func TestDiscoveryJanitorBumpsPartitionGen(t *testing.T) {
-	h := newHarness(t, 1)
-	d := newDiscoveryService(h.peers[0], 10*time.Millisecond)
-	m0 := d.MemberGen()
-	_ = d.Publish(&ServiceAdvertisement{SvcID: "urn:1", Name: "Ephemeral"}, time.Millisecond)
-
-	part := ActionPartition(ServiceAdvType, "")
-	p0 := d.PartitionGen(part)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if d.PartitionGen(part) > p0 {
-			if got := d.MemberGen(); got != m0+1 {
-				t.Errorf("member gen = %d, want %d (publish only)", got, m0+1)
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("janitor sweep never bumped the expiry partition: %+v", d.Stats())
 }

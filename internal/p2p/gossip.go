@@ -40,23 +40,16 @@ const (
 	gossipStatsHandler   = "gossip.stats"
 )
 
-// GossipConfig tunes a GossipService.
+// GossipConfig tunes an index node's gossip engine.
 type GossipConfig struct {
-	// Disco receives the projected advertisement set; NewIndexNode
-	// supplies it.
-	Disco *DiscoveryService
 	// Clock supplies time; nil selects the wall clock.
 	Clock simnet.Clock
 	// Seed makes the engine's peer selection and jitter deterministic.
 	Seed int64
-	// Interval / ReconcileInterval / Fanout tune the engine (zero
-	// values select the engine defaults).
+	// Interval / ReconcileInterval tune the engine (zero values select
+	// the engine defaults).
 	Interval          time.Duration
 	ReconcileInterval time.Duration
-	Fanout            int
-	// TombstoneTTL bounds how long tombstones are retained (zero
-	// selects gossip.DefaultTombstoneTTL).
-	TombstoneTTL time.Duration
 }
 
 // NewIndexNode makes the peer a member of the discovery plane: a
@@ -65,16 +58,6 @@ type GossipConfig struct {
 // built here. Start the peer, SetPeers the fleet (a ring of one needs
 // none) and Run.
 func NewIndexNode(peer *Peer, cfg GossipConfig) (*GossipService, error) {
-	cfg.Disco = NewDiscoveryService(peer)
-	return NewGossipService(peer, cfg)
-}
-
-// NewGossipService attaches a gossip service feeding cfg.Disco to the
-// peer.
-func NewGossipService(peer *Peer, cfg GossipConfig) (*GossipService, error) {
-	if cfg.Disco == nil {
-		return nil, fmt.Errorf("gossip service: config requires a DiscoveryService")
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = simnet.WallClock{}
@@ -82,10 +65,10 @@ func NewGossipService(peer *Peer, cfg GossipConfig) (*GossipService, error) {
 	g := &GossipService{
 		peer:     peer,
 		resolver: NewResolverOn(peer, ProtoGossip),
-		disco:    cfg.Disco,
+		disco:    NewDiscoveryService(peer),
 		clock:    clock,
 	}
-	store := gossip.NewStore(clock, cfg.TombstoneTTL)
+	store := gossip.NewStore(clock, 0)
 	store.OnApply(g.mirror)
 	engine, err := gossip.NewEngine(gossip.Config{
 		Self:              peer.Addr(),
@@ -95,7 +78,6 @@ func NewGossipService(peer *Peer, cfg GossipConfig) (*GossipService, error) {
 		Seed:              cfg.Seed,
 		Interval:          cfg.Interval,
 		ReconcileInterval: cfg.ReconcileInterval,
-		Fanout:            cfg.Fanout,
 	})
 	if err != nil {
 		return nil, err
@@ -136,7 +118,7 @@ func (g *GossipService) Discovery() *DiscoveryService { return g.disco }
 func (g *GossipService) Engine() *gossip.Engine { return g.engine }
 
 // Run starts the engine's rumor and reconciliation rounds. They stop
-// with Stop or, like the discovery janitor, when the peer closes.
+// with Stop or when the peer closes.
 func (g *GossipService) Run() {
 	g.engine.Run()
 	go func() {

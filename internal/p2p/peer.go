@@ -131,8 +131,8 @@ func (p *Peer) recvLoop() {
 
 // Done returns a channel that is closed once the peer has shut down
 // (the receive loop has drained after Close). Long-running maintenance
-// goroutines owned by services attached to the peer — the discovery
-// cache janitor, for example — select on it to stop with the peer.
+// goroutines owned by services attached to the peer — an index node's
+// gossip engine, for example — select on it to stop with the peer.
 func (p *Peer) Done() <-chan struct{} { return p.done }
 
 // Send transmits a message to the given transport address.

@@ -36,111 +36,106 @@ func TestSigKeyCanonical(t *testing.T) {
 	}
 }
 
-// Stubs for tests that do not care about expiry partitions.
-func zeroPartGen(uint32) uint64    { return 0 }
-func zeroPartOf(GroupMatch) uint32 { return 0 }
+// memoise installs candidates as the plane's live answer to the
+// action's lookup, as a fetch would, and returns the answer.
+func memoise(p *SWSProxy, action string, candidates ...*bpeer.SemanticAdvertisement) *answer {
+	a := &answer{candidates: candidates, matches: map[string][]GroupMatch{}, until: time.Now().Add(time.Hour)}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.memo[lookup{attr: "action", value: action, reasoner: p.Reasoner().Version()}] = a
+	return a
+}
 
-func TestMatchCacheGenAndVersionInvalidation(t *testing.T) {
-	c := newMatchCache()
-	m := []GroupMatch{{Adv: &bpeer.SemanticAdvertisement{GID: "urn:g1"}}}
-
-	if _, ok := c.get("k", 1, 1, zeroPartGen); ok {
-		t.Fatal("hit on empty cache")
-	}
-	c.put("k", 1, 1, m, zeroPartOf, zeroPartGen)
-	if got, ok := c.get("k", 1, 1, zeroPartGen); !ok || len(got) != 1 {
-		t.Fatal("expected hit at the same (gen, version)")
-	}
-	// Advertisement set moved: everything memoised must go.
-	if _, ok := c.get("k", 2, 1, zeroPartGen); ok {
-		t.Error("stale hit after generation bump")
-	}
-	// A result computed against the old world must not be cached.
-	c.put("k", 1, 1, m, zeroPartOf, zeroPartGen)
-	if _, ok := c.get("k", 2, 1, zeroPartGen); ok {
-		t.Error("stale put survived into the new generation")
-	}
-	// Ontology change invalidates too.
-	c.put("k", 2, 1, m, zeroPartOf, zeroPartGen)
-	if _, ok := c.get("k", 2, 2, zeroPartGen); ok {
-		t.Error("stale hit after ontology version change")
-	}
-	s := c.stats()
-	if s.Invalidations < 2 {
-		t.Errorf("invalidations = %d, want >= 2", s.Invalidations)
-	}
-	if s.Hits != 1 {
-		t.Errorf("hits = %d, want 1", s.Hits)
+// expireMemo ends the lifetime of every answer the proxy holds.
+func expireMemo(p *SWSProxy) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, a := range p.memo {
+		a.until = time.Now()
 	}
 }
 
+// studentGroups builds n semantic advertisements for studentSig, in ID
+// order.
+func studentGroups(n int) []*bpeer.SemanticAdvertisement {
+	advs := make([]*bpeer.SemanticAdvertisement, n)
+	for i := range advs {
+		advs[i] = bpeer.NewSemanticAdvertisement(p2p.ID(fmt.Sprintf("urn:whisper:g%02d", i)),
+			fmt.Sprintf("g%02d", i), studentSig(), qos.Profile{})
+	}
+	return advs
+}
+
+// TestLookupMemoMissRules: a lookup asks the plane when it has no
+// answer, when its answer's lifetime has run out, and when its answer
+// matches nothing; a live answer that matches is answered locally.
+func TestLookupMemoMissRules(t *testing.T) {
+	f := newFixture(t)
+	f.addGroup(t, "students", studentSig(), qos.Profile{}, 1, echo("students"))
+	p := f.addProxy(t, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rounds := func() uint64 { return p.DiscoveryStats().RemoteQueries }
+	find := func(sig ontology.Signature) {
+		t.Helper()
+		if _, err := p.FindPeerGroupAdv(ctx, sig); err != nil && !errors.Is(err, ErrNoMatch) {
+			t.Fatalf("find %s: %v", sig.Action, err)
+		}
+	}
+
+	find(studentSig())
+	find(studentSig())
+	if got := rounds(); got != 1 {
+		t.Fatalf("%d remote rounds for a cold and a warm find, want 1", got)
+	}
+	expireMemo(p)
+	find(studentSig())
+	if got := rounds(); got != 2 {
+		t.Errorf("%d remote rounds after the answer's lifetime ran out, want 2", got)
+	}
+	nobody := studentSig()
+	nobody.Action = ontology.UniversityNS + "#NoSuchAction"
+	find(nobody)
+	find(nobody)
+	if got := rounds(); got != 4 {
+		t.Errorf("%d remote rounds after two finds nothing answers, want 4: an empty answer asks again", got)
+	}
+	if s := p.DiscoveryStats(); s.Hits != 1 || s.Misses != 4 || s.Size != 1 {
+		t.Errorf("lookups = %d hits, %d misses, %d candidates; want 1, 4, 1", s.Hits, s.Misses, s.Size)
+	}
+}
+
+// TestMatchCacheHitsAreCopies: rank sorts a find's result in place, so
+// a memo hit must hand out a copy and leave the memoised matches alone.
 func TestMatchCacheHitsAreCopies(t *testing.T) {
-	c := newMatchCache()
-	c.get("k", 1, 1, zeroPartGen) // validate the cache at (1, 1) so put stores
-	c.put("k", 1, 1, []GroupMatch{
-		{Adv: &bpeer.SemanticAdvertisement{GID: "urn:a"}},
-		{Adv: &bpeer.SemanticAdvertisement{GID: "urn:b"}},
-	}, zeroPartOf, zeroPartGen)
-	got1, _ := c.get("k", 1, 1, zeroPartGen)
-	got1[0], got1[1] = got1[1], got1[0] // rank sorts in place
-	got2, _ := c.get("k", 1, 1, zeroPartGen)
-	if got2[0].Adv.GID != "urn:a" {
-		t.Error("sorting a cache hit mutated the cached slice")
+	f := newFixture(t)
+	p := f.addProxy(t, Config{})
+	a := memoise(p, studentSig().Action, studentGroups(2)...)
+	ctx := context.Background()
+	got1, err := p.FindPeerGroupAdv(ctx, studentSig())
+	if err != nil || len(got1) != 2 {
+		t.Fatalf("find: %d matches, %v", len(got1), err)
+	}
+	got1[0], got1[1] = GroupMatch{}, GroupMatch{}
+	got2, err := p.FindPeerGroupAdv(ctx, studentSig())
+	if err != nil || len(got2) != 2 || got2[0].Adv == nil || got2[1].Adv == nil {
+		t.Fatalf("second find after the first result was overwritten: %v, %v", got2, err)
+	}
+	p.mu.Lock()
+	memoised := a.matches[sigKey(studentSig())]
+	p.mu.Unlock()
+	if len(memoised) != 2 || memoised[0].Adv.GID != "urn:whisper:g00" {
+		t.Errorf("memoised matches changed: %v", memoised)
+	}
+	if s := p.MatchCacheStats(); s.Entries != 1 || s.Hits != 1 || s.Misses != 1 {
+		t.Errorf("match stats = %+v, want 1 entry, 1 hit, 1 miss", s)
 	}
 }
 
-// TestMatchCachePartitionEviction: expiry churn in a partition a result
-// depends on evicts just that result; churn in unrelated partitions
-// leaves the cache intact, and misses (which depend on no partition)
-// survive any expiry.
-func TestMatchCachePartitionEviction(t *testing.T) {
-	c := newMatchCache()
-	gens := map[uint32]uint64{}
-	partGen := func(p uint32) uint64 { return gens[p] }
-	partOf := func(m GroupMatch) uint32 {
-		if m.Adv.GID == "urn:a" {
-			return 3
-		}
-		return 7
-	}
-
-	c.get("a", 1, 1, partGen) // validate
-	c.put("a", 1, 1, []GroupMatch{{Adv: &bpeer.SemanticAdvertisement{GID: "urn:a"}}}, partOf, partGen)
-	c.put("b", 1, 1, []GroupMatch{{Adv: &bpeer.SemanticAdvertisement{GID: "urn:b"}}}, partOf, partGen)
-	c.put("empty", 1, 1, nil, partOf, partGen)
-
-	// Unrelated partition moves: everything still hits.
-	gens[11]++
-	for _, k := range []string{"a", "b", "empty"} {
-		if _, ok := c.get(k, 1, 1, partGen); !ok {
-			t.Errorf("%q evicted by unrelated partition churn", k)
-		}
-	}
-
-	// Partition 3 moves: only "a" (whose match hashes there) goes.
-	gens[3]++
-	if _, ok := c.get("a", 1, 1, partGen); ok {
-		t.Error("result survived expiry in its own partition")
-	}
-	if _, ok := c.get("b", 1, 1, partGen); !ok {
-		t.Error("result in partition 7 evicted by partition 3 churn")
-	}
-	if _, ok := c.get("empty", 1, 1, partGen); !ok {
-		t.Error("empty result evicted by expiry (only publishes can turn a miss into a hit)")
-	}
-	s := c.stats()
-	if s.PartitionEvictions != 1 {
-		t.Errorf("partition evictions = %d, want 1", s.PartitionEvictions)
-	}
-	if s.Invalidations != 0 {
-		t.Errorf("whole-cache invalidations = %d, want 0", s.Invalidations)
-	}
-}
-
-// TestProxyMatchCacheServesRepeatsAndInvalidates drives the cache
-// through the real proxy: the second discovery is a hit, a newly
-// published advertisement invalidates, and the fresh group appears in
-// results (no stale negative).
+// TestProxyMatchCacheServesRepeatsAndInvalidates drives the memo
+// through the real proxy: repeated finds are answered locally, a group
+// published later is not seen until the answer's lifetime runs out, and
+// then the next find asks again and finds it (no stale negative).
 func TestProxyMatchCacheServesRepeatsAndInvalidates(t *testing.T) {
 	f := newFixture(t)
 	f.addGroup(t, "students", studentSig(), qos.Profile{}, 1, echo("students"))
@@ -153,18 +148,15 @@ func TestProxyMatchCacheServesRepeatsAndInvalidates(t *testing.T) {
 			t.Fatalf("find %d: %v", i, err)
 		}
 	}
-	s := p.MatchCacheStats()
-	if s.Hits == 0 {
-		t.Errorf("no match-cache hits after repeated discovery: %+v", s)
+	if s := p.MatchCacheStats(); s.Hits != 2 || s.Misses != 1 {
+		t.Errorf("match stats after three finds = %+v, want 2 hits, 1 miss", s)
 	}
 
-	// A new advertisement lands in the local cache: the memoised
-	// result must not mask it.
-	_ = p.disco.Publish(bpeer.NewSemanticAdvertisement(
-		"urn:whisper:fresh", "fresh", studentSig(), qos.Profile{}), time.Hour)
+	f.addGroup(t, "fresh", studentSig(), qos.Profile{}, 1, echo("fresh"))
+	expireMemo(p)
 	matches, err := p.FindPeerGroupAdv(ctx, studentSig())
 	if err != nil {
-		t.Fatalf("find after publish: %v", err)
+		t.Fatalf("find after expiry: %v", err)
 	}
 	var sawFresh bool
 	for _, m := range matches {
@@ -173,15 +165,15 @@ func TestProxyMatchCacheServesRepeatsAndInvalidates(t *testing.T) {
 		}
 	}
 	if !sawFresh {
-		t.Error("newly published group missing: match cache served a stale result")
+		t.Error("newly published group missing after the memoised answer expired")
 	}
-	if p.MatchCacheStats().Invalidations == 0 {
-		t.Error("publish did not invalidate the match cache")
+	if got := p.DiscoveryStats().RemoteQueries; got != 2 {
+		t.Errorf("%d remote rounds, want 2", got)
 	}
 }
 
-// TestProxySetReasonerInvalidatesMatches swaps the ontology and
-// checks memoised results do not survive the swap.
+// TestProxySetReasonerInvalidatesMatches swaps the ontology and checks
+// memoised results do not survive the swap.
 func TestProxySetReasonerInvalidatesMatches(t *testing.T) {
 	f := newFixture(t)
 	f.addGroup(t, "students", studentSig(), qos.Profile{}, 1, echo("students"))
@@ -201,40 +193,40 @@ func TestProxySetReasonerInvalidatesMatches(t *testing.T) {
 		t.Fatalf("find after reasoner swap: %v", err)
 	}
 	after := p.MatchCacheStats()
-	if after.Invalidations <= before.Invalidations {
-		t.Error("reasoner swap did not invalidate the match cache")
+	if after.Hits != before.Hits || after.Misses != before.Misses+1 {
+		t.Errorf("match stats %+v → %+v: the swap should cost one match and serve no memoised one", before, after)
 	}
 }
 
-// TestProxyMatchCacheConcurrency hammers matchLocal against
-// concurrent advertisement publishes (run under -race).
+// TestProxyMatchCacheConcurrency hammers one memoised answer with finds
+// for two signatures, so both match it for the first time concurrently
+// (run under -race).
 func TestProxyMatchCacheConcurrency(t *testing.T) {
 	f := newFixture(t)
 	p := f.addProxy(t, Config{})
-	sig := studentSig()
+	memoise(p, studentSig().Action, studentGroups(20)...)
+	wide := studentSig()
+	wide.Inputs = append(wide.Inputs, ontology.ConceptStudentInfo)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			sig := studentSig()
+			if w%2 == 1 {
+				sig = wide
+			}
 			for i := 0; i < 100; i++ {
-				if w%2 == 0 {
-					_ = p.disco.Publish(bpeer.NewSemanticAdvertisement(
-						p2p.ID(fmt.Sprintf("urn:g%d-%d", w, i%10)),
-						fmt.Sprintf("g%d", i%10), sig, qos.Profile{}), time.Hour)
-				} else {
-					got := p.matchLocal(p.Reasoner(), sig)
-					// rank sorts hits in place; it must never corrupt
-					// the cache (hits are copies).
-					p.rank(got)
+				if got, err := p.FindPeerGroupAdv(context.Background(), sig); err != nil || len(got) != 20 {
+					t.Errorf("find: %d matches, %v", len(got), err)
+					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	// Writers 0 and 2 each publish 10 distinct groups.
-	if got := p.matchLocal(p.Reasoner(), sig); len(got) != 20 {
-		t.Errorf("final match count = %d, want 20", len(got))
+	if s := p.MatchCacheStats(); s.Entries != 2 || s.Hits+s.Misses != 400 {
+		t.Errorf("match stats = %+v, want 2 entries and 400 finds", s)
 	}
 }
 
@@ -368,10 +360,10 @@ func TestQueryCache(t *testing.T) {
 		t.Fatalf("QueryCache: %v", err)
 	}
 	// Two invocations, one cold lookup: one query round that shipped the
-	// one candidate.
+	// one candidate, and one lookup answered from the memo.
 	for _, want := range []string{
-		"discovery.size 1\n", "discovery.hits", "match.entries",
-		"match.hits", "bindings.coordinators",
+		"lookup.candidates 1\n", "lookup.hits 1\n", "lookup.misses 1\n",
+		"match.entries 1\n", "match.hits 1\n", "match.misses 1\n", "bindings.coordinators 1\n",
 		"discovery.remote_queries 1\n", "discovery.remote_advs 1\n", "discovery.remote_rejected 0\n",
 	} {
 		if !strings.Contains(out, want) {

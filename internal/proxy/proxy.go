@@ -7,9 +7,11 @@
 package proxy
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -55,9 +57,6 @@ type Config struct {
 	// the consistent-hash owners of the requested (advType, attr, value)
 	// triple, falling back to scatter-gather over every node.
 	ShardAddrs []string
-	// ShardReplicas is how many shard owners each exact query consults;
-	// zero selects p2p.DefaultShardReplicas.
-	ShardReplicas int
 	// Reasoner performs the semantic matching.
 	Reasoner *ontology.Reasoner
 	// MinDegree is the weakest acceptable signature match degree;
@@ -153,7 +152,7 @@ func (c *Config) applyDefaults() {
 type SWSProxy struct {
 	cfg     Config
 	peer    *p2p.Peer
-	disco   *p2p.DiscoveryService
+	disco   *p2p.DiscoveryClient
 	shards  *p2p.ShardRouter
 	pipes   *p2p.PipeService
 	rdv     *p2p.RendezvousClient
@@ -162,11 +161,12 @@ type SWSProxy struct {
 	sel     *qos.Selector
 	rtt     *metrics.RTTMonitor
 
-	// reasoner is the live compiled ontology; SetReasoner swaps it
-	// (invalidating the match cache via the version in its keys).
+	// reasoner is the live compiled ontology; SetReasoner swaps it (a
+	// find under the new one is a new lookup: its version is in the key).
 	reasoner atomic.Pointer[ontology.Reasoner]
-	// matches memoises semantic match results per signature.
-	matches *matchCache
+	// Lookup memo counters: lookups answered from the memo or asked of
+	// the plane, finds served memoised matches, candidate sets matched.
+	lookupHits, lookupMisses, matchHits, matchMisses atomic.Uint64
 
 	// health counts resilience events: breaker transitions and
 	// rejections, backoff sleeps, call attempts.
@@ -176,10 +176,8 @@ type SWSProxy struct {
 	// groups holds what the proxy knows about each group it has invoked:
 	// breakers, coordinator binding, replica set (replicas.go).
 	groups map[p2p.ID]*groupState
-	// asked maps each lookup the plane has answered to the earliest
-	// expiry of the advertisements that answer put in the cache (see
-	// discover).
-	asked map[lookup]time.Time
+	// memo holds the plane's answer to each lookup (see find).
+	memo map[lookup]*answer
 	// rng drives backoff jitter (seeded, so retries are reproducible).
 	rng *rand.Rand
 	// rebinds counts coordinator re-bindings (observable in benches).
@@ -205,9 +203,8 @@ func New(tr simnet.Transport, cfg Config) (*SWSProxy, error) {
 		tracker: qos.NewTracker(),
 		rtt:     metrics.NewRTTMonitor(),
 		health:  metrics.NewCounter(),
-		matches: newMatchCache(),
 		groups:  make(map[p2p.ID]*groupState),
-		asked:   make(map[lookup]time.Time),
+		memo:    make(map[lookup]*answer),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 	p.reasoner.Store(cfg.Reasoner)
@@ -216,8 +213,8 @@ func New(tr simnet.Transport, cfg Config) (*SWSProxy, error) {
 	if col := cfg.Tracer.Collector(); col != nil {
 		p2p.ServeTraces(p.peer, col)
 	}
-	p.disco = p2p.NewDiscoveryService(p.peer)
-	p.shards = p2p.NewShardRouter(cfg.ShardAddrs, cfg.ShardReplicas)
+	p.disco = p2p.NewDiscoveryClient(p.peer)
+	p.shards = p2p.NewShardRouter(cfg.ShardAddrs)
 	p.pipes = p2p.NewPipeService(p.peer, cfg.IDGen)
 	p.rdv = p2p.NewRendezvousClient(p.peer, cfg.RendezvousAddr)
 	p.bindRes = p2p.NewResolverOn(p.peer, bpeer.ProtoBinding)
@@ -355,11 +352,10 @@ func QueryLoadctl(ctx context.Context, peer *p2p.Peer, proxyAddr string) (string
 // answers cache introspection queries (peerctl cache).
 const cacheHandler = "proxy.cache"
 
-// answerCache serves "key value" lines describing the discovery
-// index, the semantic match cache and the binding cache.
+// answerCache serves "key value" lines describing the lookup memo and
+// the binding cache.
 func (p *SWSProxy) answerCache(_ string, _ []byte) ([]byte, error) {
-	ds := p.disco.Stats()
-	ms := p.matches.stats()
+	ds, ms := p.DiscoveryStats(), p.MatchCacheStats()
 	p.mu.Lock()
 	var nCoordinators, nReplicaSets int
 	for _, gs := range p.groups {
@@ -372,31 +368,25 @@ func (p *SWSProxy) answerCache(_ string, _ []byte) ([]byte, error) {
 	}
 	p.mu.Unlock()
 	var b strings.Builder
-	fmt.Fprintf(&b, "discovery.size %d\n", ds.Size)
-	fmt.Fprintf(&b, "discovery.index_keys %d\n", ds.IndexKeys)
-	fmt.Fprintf(&b, "discovery.hits %d\n", ds.Hits)
-	fmt.Fprintf(&b, "discovery.misses %d\n", ds.Misses)
-	fmt.Fprintf(&b, "discovery.expired %d\n", ds.Expired)
-	fmt.Fprintf(&b, "discovery.flushed %d\n", ds.Flushed)
-	fmt.Fprintf(&b, "discovery.sweeps %d\n", ds.Sweeps)
+	fmt.Fprintf(&b, "lookup.candidates %d\n", ds.Size)
+	fmt.Fprintf(&b, "lookup.hits %d\n", ds.Hits)
+	fmt.Fprintf(&b, "lookup.misses %d\n", ds.Misses)
 	fmt.Fprintf(&b, "discovery.remote_queries %d\n", ds.RemoteQueries)
 	fmt.Fprintf(&b, "discovery.remote_advs %d\n", ds.RemoteAdvs)
 	fmt.Fprintf(&b, "discovery.remote_rejected %d\n", ds.RemoteRejected)
 	fmt.Fprintf(&b, "match.entries %d\n", ms.Entries)
 	fmt.Fprintf(&b, "match.hits %d\n", ms.Hits)
 	fmt.Fprintf(&b, "match.misses %d\n", ms.Misses)
-	fmt.Fprintf(&b, "match.invalidations %d\n", ms.Invalidations)
-	fmt.Fprintf(&b, "match.partition_evictions %d\n", ms.PartitionEvictions)
 	fmt.Fprintf(&b, "bindings.coordinators %d\n", nCoordinators)
 	fmt.Fprintf(&b, "bindings.replica_sets %d\n", nReplicaSets)
 	return []byte(b.String()), nil
 }
 
-// QueryCache asks a proxy peer for its cache statistics — discovery
-// index size and hit/miss/eviction counters, match-cache counters,
-// binding counts — over the binding protocol (the peerctl "cache"
-// command). The client peer must not already carry a resolver on the
-// binding protocol.
+// QueryCache asks a proxy peer for its cache statistics — the lookup
+// memo's candidates and hit/miss counters, the remote rounds behind
+// them, its match counters, binding counts — over the binding protocol
+// (the peerctl "cache" command). The client peer must not already carry
+// a resolver on the binding protocol.
 func QueryCache(ctx context.Context, peer *p2p.Peer, proxyAddr string) (string, error) {
 	return queryProxy(ctx, peer, proxyAddr, cacheHandler)
 }
@@ -410,20 +400,14 @@ type GroupMatch struct {
 
 // FindPeerGroupAdv locates semantic peer-group advertisements matching
 // the signature, mirroring the paper's findPeerGroupAdv pseudocode: the
-// advertisement cache is searched by the action attribute, then
-// input/output semantics are checked; a remote discovery against the
-// index fills the cache first unless it already holds the plane's
-// answer for this action (see discover). Results are sorted best-first
-// by (degree, QoS-weighted score).
+// advertisement cache — here the lookup memo, see find — is searched by
+// the action attribute, then input/output semantics are checked. Results
+// are sorted best-first by (degree, QoS-weighted score).
 func (p *SWSProxy) FindPeerGroupAdv(ctx context.Context, sig ontology.Signature) ([]GroupMatch, error) {
 	r := p.reasoner.Load()
-	var matches []GroupMatch
-	err := p.discover(ctx, lookup{attr: "action", value: sig.Action, reasoner: r.Version()},
+	matches, err := p.find(ctx, lookup{attr: "action", value: sig.Action, reasoner: r.Version()}, sigKey(sig),
 		func() []string { return r.MatchingConcepts(sig.Action, p.cfg.MinDegree) },
-		func() bool {
-			matches = p.matchLocal(r, sig)
-			return len(matches) > 0
-		})
+		func(candidates []*bpeer.SemanticAdvertisement) []GroupMatch { return p.match(r, sig, candidates) })
 	if err != nil {
 		return nil, err
 	}
@@ -434,66 +418,119 @@ func (p *SWSProxy) FindPeerGroupAdv(ctx context.Context, sig ontology.Signature)
 	return matches, nil
 }
 
-// lookup names one question put to the discovery ladder: the attribute,
-// the value the caller asked about and, when the index keys are derived
-// from that value through the ontology, the reasoner version they were
-// derived under (so a swapped ontology asks again).
+// lookup names one question put to the discovery plane: the attribute,
+// the value asked about and, when the index keys are derived from it
+// through the ontology, the reasoner version (a swap asks again).
 type lookup struct {
 	attr, value string
 	reasoner    uint64
 }
 
-// discover is the discovery ladder: the local advertisement cache,
-// then the ring owners of the keys (the nodes publishes land on first,
-// so they are the freshest authority for them), then every index node.
-// When the owners already are the whole fleet — always, on a ring of
-// one — the owners step would ask the same nodes twice and is skipped.
-//
-// keys lists the exact values of q.attr whose advertisements can answer
-// q — for an action its subsumption closure — and every remote step
-// sends all of them, so an index node answers with candidates only and
-// the cache holds what this proxy asked for, never the catalogue. That
-// changes what a local hit means: the cache answers q only if the plane
-// has been asked q's keys and the advertisements that fetched are still
-// alive (p.asked); a hit left behind by another question would make the
-// answer depend on the proxy's history. collect searches the local
-// cache and reports whether it found anything; an empty result always
-// asks again.
-func (p *SWSProxy) discover(ctx context.Context, q lookup, keys func() []string, collect func() bool) error {
-	if p.hasAsked(q) && collect() {
-		return nil
+// answer is what the plane returned for one lookup: candidates in ID
+// order, matches per sigKey (under SWSProxy.mu), the candidates' expiry.
+type answer struct {
+	candidates []*bpeer.SemanticAdvertisement
+	matches    map[string][]GroupMatch
+	until      time.Time
+}
+
+// matcher picks an answer's matches, in the order rank starts from.
+type matcher func(candidates []*bpeer.SemanticAdvertisement) []GroupMatch
+
+// find answers q for the signature key sig with match's pick among the
+// candidates the plane answered q with: from the memo while that answer
+// lives (memoHit), else asked afresh (ask). Never from another lookup's
+// answer, so a find does not depend on what the proxy asked before.
+func (p *SWSProxy) find(ctx context.Context, q lookup, sig string, keys func() []string, match matcher) ([]GroupMatch, error) {
+	if matches, ok := p.memoHit(q, sig, match); ok {
+		return matches, nil
 	}
+	return p.ask(ctx, q, sig, keys, match)
+}
+
+// memoHit returns a copy of the matches memoised for sig under the live
+// answer to q, matching its candidates first if sig is new to it. It
+// reports false — ask the plane — when q has no answer, the answer's
+// lifetime has run out, or it matches nothing: an empty answer asks
+// again.
+//
+//lint:hotpath
+func (p *SWSProxy) memoHit(q lookup, sig string, match matcher) ([]GroupMatch, bool) {
+	p.mu.Lock()
+	a := p.memo[q]
+	if a == nil || !time.Now().Before(a.until) {
+		p.mu.Unlock()
+		return nil, false
+	}
+	matches, matched := a.matches[sig]
+	p.mu.Unlock()
+	if matched {
+		p.matchHits.Add(1)
+	} else {
+		p.matchMisses.Add(1)
+		matches = match(a.candidates)
+		p.mu.Lock()
+		a.matches[sig] = matches
+		p.mu.Unlock()
+	}
+	if len(matches) == 0 {
+		return nil, false
+	}
+	p.lookupHits.Add(1)
+	return slices.Clone(matches), true
+}
+
+// ask is the discovery ladder: the ring owners of q's keys (publishes
+// land there first), then every index node — the owners step skipped
+// when they already are the whole fleet (always, on a ring of one), the
+// fleet step when the owners' candidates match. Every step sends all of
+// the keys, for an action its subsumption closure, so an index node
+// answers with candidates only. The last step's answer is memoised for
+// q, with its matches for sig, for p2p.DefaultLifetime from the fetch.
+func (p *SWSProxy) ask(ctx context.Context, q lookup, sig string, keys func() []string, match matcher) ([]GroupMatch, error) {
+	p.lookupMisses.Add(1)
 	ks := keys()
-	// The advertisements fetched below live at least this long.
-	until := time.Now().Add(p2p.DefaultLifetime)
+	a := &answer{until: time.Now().Add(p2p.DefaultLifetime)}
 	span := trace.FromContext(ctx)
 	span.SetAttr("keys", strconv.Itoa(len(ks)))
-	candidates := 0
+	fetched := 0
+	var matches []GroupMatch
 	fetch := func(targets []string) error {
-		n, err := p.disco.Fetch(ctx, targets, bpeer.SemanticAdvType, q.attr, ks, p2p.DefaultLifetime)
+		advs, err := p.disco.Fetch(ctx, targets, bpeer.SemanticAdvType, q.attr, ks)
 		if err != nil {
 			return fmt.Errorf("proxy: remote discovery: %w", err)
 		}
-		candidates += n
-		span.SetAttr("candidates", strconv.Itoa(candidates))
+		fetched += len(advs)
+		span.SetAttr("candidates", strconv.Itoa(fetched))
+		a.candidates = a.candidates[:0]
+		for _, adv := range advs {
+			if sem, ok := adv.(*bpeer.SemanticAdvertisement); ok {
+				a.candidates = append(a.candidates, sem)
+			}
+		}
+		slices.SortFunc(a.candidates, func(x, y *bpeer.SemanticAdvertisement) int { return cmp.Compare(x.GID, y.GID) })
+		p.matchMisses.Add(1)
+		matches = match(a.candidates)
 		return nil
 	}
 	all := p.shards.All()
 	if owners := p.ownersOf(q.attr, ks, len(all)); len(owners) < len(all) {
 		if err := fetch(owners); err != nil {
-			return err
-		}
-		if collect() {
-			p.setAsked(q, until)
-			return nil
+			return nil, err
 		}
 	}
-	if err := fetch(all); err != nil {
-		return err
+	if len(matches) == 0 {
+		if err := fetch(all); err != nil {
+			return nil, err
+		}
 	}
-	p.setAsked(q, until)
-	collect()
-	return nil
+	a.matches = map[string][]GroupMatch{sig: matches}
+	now := time.Now()
+	p.mu.Lock()
+	maps.DeleteFunc(p.memo, func(_ lookup, old *answer) bool { return !now.Before(old.until) })
+	p.memo[q] = a
+	p.mu.Unlock()
+	return slices.Clone(matches), nil
 }
 
 // ownersOf returns the ring owners of the keys' (attr, key) triples,
@@ -515,123 +552,120 @@ func (p *SWSProxy) ownersOf(attr string, keys []string, fleet int) []string {
 	return owners
 }
 
-// hasAsked reports whether the plane's answer to q is still in the
-// cache: it was fetched and none of it has reached its lifetime.
-func (p *SWSProxy) hasAsked(q lookup) bool {
-	p.mu.Lock()
-	until, ok := p.asked[q]
-	p.mu.Unlock()
-	return ok && time.Now().Before(until)
-}
-
-// setAsked records that the plane answered q with advertisements that
-// live until at least until, and forgets the answers that have run out.
-func (p *SWSProxy) setAsked(q lookup, until time.Time) {
-	now := time.Now()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for old, t := range p.asked {
-		if !now.Before(t) {
-			delete(p.asked, old)
-		}
-	}
-	p.asked[q] = until
-}
-
 // FindByName is the syntactic baseline the paper contrasts against
 // (§3.1: plain WSDL "provides only syntactical information"): it
 // matches advertisements purely on their advertised Name attribute,
 // with no semantic checking at all. Experiment E5 uses it to quantify
 // the precision/recall gap live through the proxy.
 func (p *SWSProxy) FindByName(ctx context.Context, name string) ([]*bpeer.SemanticAdvertisement, error) {
-	var found []*bpeer.SemanticAdvertisement
-	err := p.discover(ctx, lookup{attr: "Name", value: name},
-		func() []string { return []string{name} },
-		func() bool {
-			found = found[:0]
-			for _, a := range p.disco.GetLocalAdvertisements(bpeer.SemanticAdvType, "Name", name) {
-				if sem, ok := a.(*bpeer.SemanticAdvertisement); ok {
-					found = append(found, sem)
-				}
+	found, err := p.find(ctx, lookup{attr: "Name", value: name}, "", func() []string { return []string{name} },
+		func(candidates []*bpeer.SemanticAdvertisement) []GroupMatch {
+			all := make([]GroupMatch, len(candidates))
+			for i, c := range candidates {
+				all[i].Adv = c
 			}
-			return len(found) > 0
+			return all
 		})
-	if err != nil {
-		return nil, err
+	var advs []*bpeer.SemanticAdvertisement
+	for _, m := range found {
+		advs = append(advs, m.Adv)
 	}
-	return found, nil
+	return advs, err
 }
 
 // Reasoner returns the proxy's live compiled ontology.
 func (p *SWSProxy) Reasoner() *ontology.Reasoner { return p.reasoner.Load() }
 
-// SetReasoner swaps in a newly compiled ontology. Match results
-// memoised against the old ontology version stop validating on the
-// next lookup, and the next find asks the plane for the action's
-// closure under the new ontology, so no stale semantic decision
-// survives the swap.
+// SetReasoner swaps in a newly compiled ontology. The ontology version
+// is part of every lookup, so the next find asks the plane for the
+// action's closure under the new ontology.
 func (p *SWSProxy) SetReasoner(r *ontology.Reasoner) {
 	if r != nil {
 		p.reasoner.Store(r)
 	}
 }
 
-// MatchCacheStats snapshots the semantic match cache counters.
-func (p *SWSProxy) MatchCacheStats() MatchCacheStats { return p.matches.stats() }
+// MatchCacheStats counts the lookup memo's matching (peerctl cache):
+// Entries is the signatures matched against live answers, Hits the finds
+// served memoised matches, Misses the candidate sets matched.
+type MatchCacheStats struct {
+	Entries      int
+	Hits, Misses uint64
+}
 
-// DiscoveryStats snapshots the proxy's local discovery cache/index.
-func (p *SWSProxy) DiscoveryStats() p2p.DiscoveryStats { return p.disco.Stats() }
+// MatchCacheStats snapshots the lookup memo's match counters.
+func (p *SWSProxy) MatchCacheStats() MatchCacheStats {
+	_, signatures := p.memoSize()
+	return MatchCacheStats{Entries: signatures, Hits: p.matchHits.Load(), Misses: p.matchMisses.Load()}
+}
 
-// matchLocal resolves the signature against the local advertisement
-// cache, memoising through the match cache: a hit skips the reasoner
-// entirely. Memoised results validate against the discovery cache's
-// membership generation and the ontology version (whole-cache flush),
-// plus the expiry-partition generations of the advertisements they
-// contain (per-result eviction) — so published/flushed/expired
-// advertisements and ontology swaps invalidate memoised results
-// before they can be served, while unrelated expiry churn leaves them
-// alone.
-func (p *SWSProxy) matchLocal(r *ontology.Reasoner, sig ontology.Signature) []GroupMatch {
-	gen := p.disco.MemberGen()
-	key := sigKey(sig)
-	if cached, ok := p.matches.get(key, gen, r.Version(), p.disco.PartitionGen); ok {
-		return cached
+// DiscoveryStats snapshots the proxy's lookups: Size is the candidates
+// live answers hold, Hits the lookups answered from the memo, Misses
+// those asked of the plane; Remote* count the query rounds behind them.
+func (p *SWSProxy) DiscoveryStats() p2p.DiscoveryStats {
+	s := p.disco.Stats()
+	s.Size, _ = p.memoSize()
+	s.Hits, s.Misses = p.lookupHits.Load(), p.lookupMisses.Load()
+	return s
+}
+
+// memoSize counts the candidates live answers hold and the signatures
+// matched against them.
+func (p *SWSProxy) memoSize() (candidates, signatures int) {
+	now := time.Now()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, a := range p.memo {
+		if now.Before(a.until) {
+			candidates += len(a.candidates)
+			signatures += len(a.matches)
+		}
 	}
-	out := p.matchUncached(r, sig)
-	p.matches.put(key, gen, r.Version(), out, matchPartition, p.disco.PartitionGen)
-	return out
+	return candidates, signatures
 }
 
-// matchPartition maps one matched advertisement onto its discovery
-// expiry partition.
-func matchPartition(m GroupMatch) uint32 {
-	return p2p.ActionPartition(m.Adv.AdvType(), m.Adv.Attributes()["action"])
-}
-
-// matchUncached scans the local cache: the fast path queries the
-// "action" attribute exactly (the paper's pseudocode, now served from
-// the discovery index); the slow path runs the reasoner over every
-// semantic advertisement so synonym actions (equivalent concepts with
-// different URIs) still match.
-func (p *SWSProxy) matchUncached(r *ontology.Reasoner, sig ontology.Signature) []GroupMatch {
-	seen := make(map[p2p.ID]bool)
+// match runs the reasoner over an answer's candidates: those
+// advertising the requested action first, then the rest, each in ID
+// order — the paper's exact action lookup, then the semantic scan that
+// finds synonyms and subsumed actions. An answer holds each group once,
+// so each group matches at most once.
+func (p *SWSProxy) match(r *ontology.Reasoner, sig ontology.Signature, candidates []*bpeer.SemanticAdvertisement) []GroupMatch {
 	var out []GroupMatch
-	consider := func(advs []p2p.Advertisement) {
-		for _, a := range advs {
-			sem, ok := a.(*bpeer.SemanticAdvertisement)
-			if !ok || seen[sem.GID] {
+	for _, exact := range [2]bool{true, false} {
+		for _, sem := range candidates {
+			if (sem.Action == sig.Action) != exact {
 				continue
 			}
-			m := r.MatchSignature(sem.Signature(), sig)
-			if m.Degree.Satisfies(p.cfg.MinDegree) {
-				seen[sem.GID] = true
+			if m := r.MatchSignature(sem.Signature(), sig); m.Degree.Satisfies(p.cfg.MinDegree) {
 				out = append(out, GroupMatch{Adv: sem, Match: m})
 			}
 		}
 	}
-	consider(p.disco.GetLocalAdvertisements(bpeer.SemanticAdvType, "action", sig.Action))
-	consider(p.disco.GetLocalAdvertisements(bpeer.SemanticAdvType, "", ""))
 	return out
+}
+
+// sigKey canonicalises a signature: concept order within inputs and
+// outputs does not affect matching, so sorted copies make equivalent
+// signatures share one memo entry.
+func sigKey(sig ontology.Signature) string {
+	var b strings.Builder
+	b.WriteString(sig.Action)
+	joinSorted := func(sep byte, ss []string) {
+		b.WriteByte(sep)
+		if len(ss) > 1 {
+			ss = append([]string(nil), ss...)
+			sort.Strings(ss)
+		}
+		for i, s := range ss {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(s)
+		}
+	}
+	joinSorted('\x00', sig.Inputs)
+	joinSorted('\x01', sig.Outputs)
+	return b.String()
 }
 
 // rank orders matches best-first by degree then QoS-weighted score.
