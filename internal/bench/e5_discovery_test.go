@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -20,6 +19,7 @@ import (
 	"whisper/internal/proxy"
 	"whisper/internal/qos"
 	"whisper/internal/simnet"
+	"whisper/internal/wire"
 )
 
 // corpusIndex is an index node holding the whole E5 corpus, published
@@ -117,17 +117,22 @@ func TestDiscoveryReplyBytesE5Corpus(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		query   string
+		attr    string
 		actions []string // nil selects every advertisement
 		limit   int
 	}{
-		{name: "wildcard", query: ""},
-		{name: "exact", query: "<Attr>action</Attr><Value>" + closure[0] + "</Value>", actions: closure[:1]},
-		{name: "closure", query: "<Attr>action</Attr><Value>" + strings.Join(closure, "</Value><Value>") + "</Value>", actions: closure},
-		{name: "limit", query: "<Limit>3</Limit>", limit: 3},
+		{name: "wildcard"},
+		{name: "exact", attr: "action", actions: closure[:1]},
+		{name: "closure", attr: "action", actions: closure},
+		{name: "limit", limit: 3},
 	} {
-		got, err := query.Query(ctx, ci.rdv, "discovery.query",
-			[]byte("<DiscoveryQuery><Type>"+bpeer.SemanticAdvType+"</Type>"+tc.query+"</DiscoveryQuery>"))
+		// The query's wire form: type, attribute, values, zigzag limit.
+		q := wire.AppendString(wire.AppendString(nil, bpeer.SemanticAdvType), tc.attr)
+		q = wire.AppendUvarint(q, uint64(len(tc.actions)))
+		for _, action := range tc.actions {
+			q = wire.AppendString(q, action)
+		}
+		got, err := query.Query(ctx, ci.rdv, "discovery.query", wire.AppendVarint(q, int64(tc.limit)))
 		if err != nil {
 			t.Fatalf("%s query: %v", tc.name, err)
 		}

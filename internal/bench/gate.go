@@ -256,7 +256,7 @@ func LoadGateBaseline(path string) (*GateBaseline, error) {
 // The CI bench-gate job runs exactly this list (TestGateBaselineRoundTrip
 // holds ci.yml to it): a regenerate note that named fewer would drop the
 // missing packages' benchmarks from the next baseline.
-const GatePackages = "./internal/p2p ./internal/proxy ./internal/soap ./internal/replog ./internal/gossip"
+const GatePackages = "./internal/p2p ./internal/proxy ./internal/soap ./internal/replog ./internal/gossip ./internal/bpeer"
 
 // WriteGateBaseline writes the aggregates as a fresh baseline file.
 func WriteGateBaseline(path string, benchmarks map[string]GateBenchmark) error {

@@ -2,7 +2,6 @@ package bpeer
 
 import (
 	"context"
-	"encoding/xml"
 	"fmt"
 	"strconv"
 	"strings"
@@ -10,6 +9,7 @@ import (
 	"whisper/internal/p2p"
 	"whisper/internal/replog"
 	"whisper/internal/trace"
+	"whisper/internal/wire"
 )
 
 // Journal resolver handlers (registered on ProtoBinding alongside the
@@ -39,36 +39,87 @@ const (
 // journal guarantees the operation never runs twice.
 const ErrMsgOutcomeUnknown = "operation outcome unknown"
 
-// Replicated journal message kinds.
+// replKind is the kind of a replicated journal message.
+type replKind byte
+
 const (
-	replKindPrepare = "prepare"
-	replKindCommit  = "commit"
-	replKindAbort   = "abort"
+	replKindPrepare replKind = iota + 1
+	replKindCommit
+	replKindAbort
 )
 
+func (k replKind) String() string {
+	switch k {
+	case replKindPrepare:
+		return "prepare"
+	case replKindCommit:
+		return "commit"
+	default:
+		return "abort"
+	}
+}
+
 // replMsg is the replication-pipe payload carrying one journal entry.
+// Wire form (layout: DESIGN.md §5): the kind as a uvarint, then the
+// entry (replog.AppendEntry).
 type replMsg struct {
-	XMLName xml.Name     `xml:"ReplogMsg"`
-	Kind    string       `xml:"Kind,attr"`
-	Entry   replog.Entry `xml:"Entry"`
+	Kind  replKind
+	Entry replog.Entry
+}
+
+func (m *replMsg) encode() []byte {
+	out := make([]byte, 0, 1+replog.EntrySize(&m.Entry))
+	return replog.AppendEntry(wire.AppendUvarint(out, uint64(m.Kind)), &m.Entry)
+}
+
+func decodeReplMsg(data []byte) (replMsg, error) {
+	r := wire.NewReader(data)
+	m := replMsg{Kind: replKind(r.Uvarint())}
+	if m.Kind < replKindPrepare || m.Kind > replKindAbort {
+		r.Fail()
+	}
+	m.Entry = replog.ReadEntry(&r)
+	return m, r.Done()
 }
 
 // stateRequest is the replogStateHandler query payload: who is asking
-// and where its replication pipe is bound.
+// and where its replication pipe is bound. Wire form: name, address,
+// rank as a zigzag varint, pipe ID.
 type stateRequest struct {
-	XMLName xml.Name `xml:"StateRequest"`
-	Name    string   `xml:"Name,attr"`
-	Addr    string   `xml:"Addr,attr"`
-	Rank    int64    `xml:"Rank,attr"`
-	Pipe    p2p.ID   `xml:"Pipe,attr"`
+	Name string
+	Addr string
+	Rank int64
+	Pipe p2p.ID
 }
 
-// resolveAnswer is the reply to a replogResolveHandler query.
+func (q *stateRequest) encode() []byte {
+	out := wire.AppendString(wire.AppendString(nil, q.Name), q.Addr)
+	return wire.AppendString(wire.AppendVarint(out, q.Rank), string(q.Pipe))
+}
+
+func decodeStateRequest(data []byte) (stateRequest, error) {
+	r := wire.NewReader(data)
+	q := stateRequest{Name: r.Str(), Addr: r.Str(), Rank: r.Varint(), Pipe: p2p.ID(r.Str())}
+	return q, r.Done()
+}
+
+// resolveAnswer is the reply to a replogResolveHandler query. Wire
+// form: status, application error, reply (empty unless executed).
 type resolveAnswer struct {
-	XMLName xml.Name `xml:"ResolveAnswer"`
-	Status  int      `xml:"Status,attr"`
-	AppErr  string   `xml:"AppErr,attr,omitempty"`
-	Reply   []byte   `xml:"Reply,omitempty"`
+	Status replog.Status
+	AppErr string
+	Reply  []byte
+}
+
+func (a *resolveAnswer) encode() []byte {
+	out := wire.AppendString(wire.AppendUvarint(nil, uint64(a.Status)), a.AppErr)
+	return wire.AppendBytes(out, a.Reply)
+}
+
+func decodeResolveAnswer(data []byte) (resolveAnswer, error) {
+	r := wire.NewReader(data)
+	a := resolveAnswer{Status: replog.ReadStatus(&r), AppErr: r.Str(), Reply: replog.ReadReply(&r)}
+	return a, r.Done()
 }
 
 // Journal returns the replica's operation journal (nil when journaling
@@ -95,12 +146,12 @@ func (b *BPeer) replogLoop() {
 func (b *BPeer) applyReplicated(pm p2p.PipeMessage) {
 	span := b.cfg.Tracer.StartRemote(pm.Trace, "replog.apply")
 	span.SetAttr("peer", b.cfg.Name)
-	var msg replMsg
-	if err := xml.Unmarshal(pm.Payload, &msg); err != nil {
+	msg, err := decodeReplMsg(pm.Payload)
+	if err != nil {
 		span.EndWith(err)
 		return
 	}
-	span.SetAttr("kind", msg.Kind)
+	span.SetAttr("kind", msg.Kind.String())
 	span.SetAttr("key", msg.Entry.Key)
 	switch msg.Kind {
 	case replKindPrepare:
@@ -126,13 +177,13 @@ func (b *BPeer) applyReplicated(pm p2p.PipeMessage) {
 // the entry and its acks.
 //
 //lint:hotpath
-func (b *BPeer) replicate(ctx context.Context, kind, key string) {
+func (b *BPeer) replicate(ctx context.Context, kind replKind, key string) {
 	entry, ok := b.journal.Entry(key)
 	if !ok {
 		return
 	}
 	ctx, span := b.cfg.Tracer.StartSpan(ctx, "replog.replicate")
-	span.SetAttr("kind", kind)
+	span.SetAttr("kind", kind.String())
 	span.SetAttr("key", key)
 	defer span.End()
 
@@ -142,12 +193,9 @@ func (b *BPeer) replicate(ctx context.Context, kind, key string) {
 	if len(advs) == 0 {
 		return
 	}
-	payload, err := xml.Marshal(replMsg{Kind: kind, Entry: entry})
-	if err != nil {
-		return
-	}
+	msg := replMsg{Kind: kind, Entry: entry}
 	//lint:allow allocbudget one headers map per follower escapes into the wire message; it is the protocol cost of the send
-	for _, r := range b.pipes.CallAll(ctx, advs, payload) {
+	for _, r := range b.pipes.CallAll(ctx, advs, msg.encode()) {
 		if r.Err != nil {
 			// The follower is likely down (or restarted under a fresh
 			// pipe ID).
@@ -331,12 +379,12 @@ func (b *BPeer) resolvePending(ctx context.Context, req peerRequest, pending rep
 		span.SetAttr("result", "query-failed")
 		return replog.BeginResult{Decision: replog.BeginPoisoned, Seq: pending.Seq}
 	}
-	var ans resolveAnswer
-	if err := xml.Unmarshal(payload, &ans); err != nil {
+	ans, err := decodeResolveAnswer(payload)
+	if err != nil {
 		span.SetAttr("result", "bad-answer")
 		return replog.BeginResult{Decision: replog.BeginPoisoned, Seq: pending.Seq}
 	}
-	switch replog.Status(ans.Status) {
+	switch ans.Status {
 	case replog.StatusExecuted, replog.StatusCommitted:
 		span.SetAttr("result", "adopted")
 		b.journal.AdoptReply(req.Key, ans.Reply, ans.AppErr)
@@ -394,18 +442,14 @@ func (b *BPeer) journalCatchUp(ctx context.Context) {
 		span.SetAttr("result", "alone")
 		return
 	}
-	announce, err := xml.Marshal(stateRequest{
+	announce := stateRequest{
 		Name: b.cfg.Name,
 		Addr: self,
 		Rank: b.cfg.Rank,
 		Pipe: b.replogIn.Advertisement().PipeID,
-	})
-	if err != nil {
-		span.SetAttr("result", "marshal-failed")
-		return
 	}
 	merged := 0
-	err = b.bind.Propagate(ctx, targets, replogStateHandler, announce, func(resp p2p.Response) bool {
+	err := b.bind.Propagate(ctx, targets, replogStateHandler, announce.encode(), func(resp p2p.Response) bool {
 		if resp.Err == nil && resp.Payload != nil {
 			if n, err := b.journal.MergeState(resp.Payload); err == nil {
 				merged += n
@@ -441,8 +485,7 @@ func (b *BPeer) answerReplogState(_ string, payload []byte) ([]byte, error) {
 	if b.journal == nil {
 		return nil, fmt.Errorf("journal disabled")
 	}
-	var req stateRequest
-	if err := xml.Unmarshal(payload, &req); err == nil && req.Addr != "" && req.Pipe != "" {
+	if req, err := decodeStateRequest(payload); err == nil && req.Addr != "" && req.Pipe != "" {
 		b.group.admit(member{
 			name:   req.Name,
 			addr:   req.Addr,
@@ -461,14 +504,14 @@ func (b *BPeer) answerReplogResolve(_ string, payload []byte) ([]byte, error) {
 	}
 	key := string(payload)
 	st := b.journal.Resolve(key)
-	ans := resolveAnswer{Status: int(st)}
+	ans := resolveAnswer{Status: st}
 	if st == replog.StatusExecuted || st == replog.StatusCommitted {
 		if reply, appErr, ok := b.journal.CachedReply(key); ok {
 			ans.Reply = reply
 			ans.AppErr = appErr
 		}
 	}
-	return xml.Marshal(ans)
+	return ans.encode(), nil
 }
 
 // answerReplogStatus serves a human-readable journal summary.

@@ -3,6 +3,8 @@ package gossip
 import (
 	"encoding/binary"
 	"fmt"
+
+	"whisper/internal/wire"
 )
 
 // The anti-entropy digest is a per-origin fingerprint: for every
@@ -61,29 +63,19 @@ func (s *Store) AppendDigest(dst []byte) []byte {
 // and returns the extended slice and the bytes consumed. Entries
 // alias b.
 func ParseDigest(dst []DigestEntry, b []byte) ([]DigestEntry, int, error) {
-	count, off := binary.Uvarint(b)
-	if off <= 0 {
-		return dst, 0, fmt.Errorf("gossip: digest count truncated")
+	r := wire.NewReader(b)
+	// A forged count ends the loop when the bytes run out.
+	for n := r.Uvarint(); n > 0 && !r.Bad(); n-- {
+		origin, count, sig := r.Bytes(), r.Uvarint(), r.Take(8)
+		if r.Bad() {
+			break
+		}
+		dst = append(dst, DigestEntry{Origin: origin, Count: count, Sig: binary.LittleEndian.Uint64(sig)})
 	}
-	for i := uint64(0); i < count; i++ {
-		origin, n, err := readBytes(b[off:])
-		if err != nil {
-			return dst, 0, fmt.Errorf("gossip: digest origin: %w", err)
-		}
-		off += n
-		c, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return dst, 0, fmt.Errorf("gossip: digest entry count truncated")
-		}
-		off += n
-		if len(b)-off < 8 {
-			return dst, 0, fmt.Errorf("gossip: digest sig truncated")
-		}
-		sig := binary.LittleEndian.Uint64(b[off:])
-		off += 8
-		dst = append(dst, DigestEntry{Origin: origin, Count: c, Sig: sig})
+	if r.Bad() {
+		return dst, 0, fmt.Errorf("gossip: digest: %w", wire.ErrMalformed)
 	}
-	return dst, off, nil
+	return dst, len(b) - r.Len(), nil
 }
 
 // AppendDelta encodes onto dst the current entry set of every origin

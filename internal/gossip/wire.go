@@ -3,14 +3,15 @@ package gossip
 import (
 	"encoding/binary"
 	"fmt"
+
+	"whisper/internal/wire"
 )
 
-// Wire encoding: length-prefixed binary frames. Advertisement payloads
-// are opaque byte strings (XML documents), so the text-friendly
-// encodings used elsewhere in the codebase would need escaping; the
-// gossip frames instead use uvarint length prefixes throughout, which
-// also keeps the digest and delta encoders allocation-free (they
-// append into caller-owned buffers).
+// Wire encoding: length-prefixed binary frames in the peers' one codec
+// (package wire). Advertisement payloads are opaque byte strings (XML
+// documents) carried without escaping, and the digest and delta
+// encoders stay allocation-free: they append into caller-owned
+// buffers.
 
 // entry flag bits.
 const flagDeleted = 1
@@ -37,47 +38,23 @@ func AppendEntry(dst []byte, e *Entry) []byte {
 // bytes consumed. The entry's strings and payload are copies, safe to
 // retain.
 func DecodeEntry(b []byte) (Entry, int, error) {
-	var e Entry
-	off := 0
-	key, n, err := readBytes(b[off:])
-	if err != nil {
-		return e, 0, fmt.Errorf("gossip: entry key: %w", err)
+	r := wire.NewReader(b)
+	key, origin, version, flags := r.Bytes(), r.Bytes(), r.Uvarint(), r.Take(1)
+	expire, payload := r.Uvarint(), r.Bytes()
+	if r.Bad() {
+		return Entry{}, 0, fmt.Errorf("gossip: entry: %w", wire.ErrMalformed)
 	}
-	off += n
-	origin, n, err := readBytes(b[off:])
-	if err != nil {
-		return e, 0, fmt.Errorf("gossip: entry origin: %w", err)
+	e := Entry{
+		Key:     string(key),
+		Origin:  string(origin),
+		Version: version,
+		Deleted: flags[0]&flagDeleted != 0,
+		Expire:  int64(expire),
 	}
-	off += n
-	version, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return e, 0, fmt.Errorf("gossip: entry version truncated")
-	}
-	off += n
-	if off >= len(b) {
-		return e, 0, fmt.Errorf("gossip: entry flags truncated")
-	}
-	flags := b[off]
-	off++
-	expire, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return e, 0, fmt.Errorf("gossip: entry expire truncated")
-	}
-	off += n
-	payload, n, err := readBytes(b[off:])
-	if err != nil {
-		return e, 0, fmt.Errorf("gossip: entry payload: %w", err)
-	}
-	off += n
-	e.Key = string(key)
-	e.Origin = string(origin)
-	e.Version = version
-	e.Deleted = flags&flagDeleted != 0
-	e.Expire = int64(expire)
 	if len(payload) > 0 {
 		e.Payload = append([]byte(nil), payload...)
 	}
-	return e, off, nil
+	return e, len(b) - r.Len(), nil
 }
 
 // AppendEntryCount prefixes an entry batch with its count.
@@ -92,17 +69,4 @@ func DecodeEntryCount(b []byte) (int, int, error) {
 		return 0, 0, fmt.Errorf("gossip: batch count truncated")
 	}
 	return int(n), sz, nil
-}
-
-// readBytes reads a uvarint length prefix and the bytes that follow.
-// The returned slice aliases b.
-func readBytes(b []byte) ([]byte, int, error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("length truncated")
-	}
-	if uint64(len(b)-n) < l {
-		return nil, 0, fmt.Errorf("body truncated: want %d, have %d", l, len(b)-n)
-	}
-	return b[n : n+int(l)], n + int(l), nil
 }

@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/xml"
-	"fmt"
 	"io"
+
+	"whisper/internal/wire"
 )
 
 // marshalAdv serializes an advertisement struct with an XML header.
@@ -28,47 +29,31 @@ func unmarshalAdv(data []byte, v any) error {
 
 func bytesReader(data []byte) io.Reader { return bytes.NewReader(data) }
 
-// The answer to a discovery query is the selected advertisement
-// documents exactly as they were published, framed (layout: DESIGN.md
-// §8): a uvarint document count, then per document a uvarint length and
-// that many bytes. Count and lengths are checked against the bytes that
-// remain before anything is sized from them.
+// A document list is how a peer ships advertisement documents exactly as
+// they were published: a uvarint document count, then per document a
+// uvarint length and that many bytes (layout: DESIGN.md §8). It answers
+// a discovery query and carries a rendezvous member list.
 
-// encodeDiscoveryResponse frames docs.
-func encodeDiscoveryResponse(docs [][]byte) []byte {
+// encodeDocs frames docs.
+func encodeDocs(docs [][]byte) []byte {
 	size := binary.MaxVarintLen64
 	for _, doc := range docs {
 		size += binary.MaxVarintLen64 + len(doc)
 	}
-	out := binary.AppendUvarint(make([]byte, 0, size), uint64(len(docs)))
+	out := wire.AppendUvarint(make([]byte, 0, size), uint64(len(docs)))
 	for _, doc := range docs {
-		out = append(binary.AppendUvarint(out, uint64(len(doc))), doc...)
+		out = wire.AppendBytes(out, doc)
 	}
 	return out
 }
 
-// decodeDiscoveryResponse splits a frame into its documents, which
-// alias data. Malformed input is an ErrDiscoveryResponse, never a
-// panic.
-func decodeDiscoveryResponse(data []byte) ([][]byte, error) {
-	count, n := binary.Uvarint(data)
-	// Every document spends at least its length byte.
-	if n <= 0 || count > uint64(len(data)-n) {
-		return nil, fmt.Errorf("%w: document count", ErrDiscoveryResponse)
+// decodeDocs splits a document list into its documents, which alias
+// data. Malformed input is wire.ErrMalformed, never a panic.
+func decodeDocs(data []byte) ([][]byte, error) {
+	r := wire.NewReader(data)
+	docs := make([][]byte, r.Count(1))
+	for i := range docs {
+		docs[i] = r.Bytes()
 	}
-	rest := data[n:]
-	docs := make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		size, n := binary.Uvarint(rest)
-		if n <= 0 || size > uint64(len(rest)-n) {
-			return nil, fmt.Errorf("%w: document %d of %d", ErrDiscoveryResponse, i+1, count)
-		}
-		end := n + int(size)
-		docs = append(docs, rest[n:end:end])
-		rest = rest[end:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrDiscoveryResponse, len(rest))
-	}
-	return docs, nil
+	return docs, r.Done()
 }

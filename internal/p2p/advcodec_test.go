@@ -16,14 +16,14 @@ import (
 // lengths.
 func FuzzDecodeDiscoveryResponse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		docs, err := decodeDiscoveryResponse(data)
+		docs, err := decodeDocs(data)
 		if err != nil {
 			return
 		}
 		if cap(docs) > len(data) {
 			t.Fatalf("%d-byte frame sized a %d-document slice", len(data), cap(docs))
 		}
-		again, err := decodeDiscoveryResponse(encodeDiscoveryResponse(docs))
+		again, err := decodeDocs(encodeDocs(docs))
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
@@ -48,7 +48,7 @@ func FuzzAnswerQuery(f *testing.F) {
 		if err != nil {
 			return
 		}
-		docs, err := decodeDiscoveryResponse(out)
+		docs, err := decodeDocs(out)
 		if err != nil {
 			t.Fatalf("answer to %q does not decode: %v", query, err)
 		}
@@ -66,7 +66,7 @@ func FuzzAnswerQuery(f *testing.F) {
 
 // fuzzDiscovery builds a discovery cache holding a few advertisements
 // of several types, with XML metacharacters in an attribute.
-func fuzzDiscovery(f *testing.F) *DiscoveryService {
+func fuzzDiscovery(f testing.TB) *DiscoveryService {
 	d := benchDiscovery(f, 0)
 	for i := 0; i < 6; i++ {
 		_ = d.Publish(&ServiceAdvertisement{
@@ -103,4 +103,36 @@ func FuzzParseAdvertisement(f *testing.F) {
 			t.Fatalf("round trip changed the advertisement:\n first %+v\nsecond %+v", adv, again)
 		}
 	})
+}
+
+// TestDiscoveryQueryCodec: the query survives the trip — a negative limit
+// too, which is a zigzag varint and asks for every match as it does
+// locally — and refuses every strict prefix and a trailing byte.
+func TestDiscoveryQueryCodec(t *testing.T) {
+	for name, q := range map[string]discoveryQueryDoc{
+		"type only":      {Type: ServiceAdvType},
+		"values":         {Type: ServiceAdvType, Attr: "Name", Values: []string{"a & <b>", "Student*", ""}},
+		"limit":          {Type: ServiceAdvType, Limit: 3},
+		"negative limit": {Type: ServiceAdvType, Limit: -1},
+		"zero":           {},
+	} {
+		data := q.encode()
+		got, err := decodeDiscoveryQuery(data)
+		if err != nil || !reflect.DeepEqual(got, q) {
+			t.Errorf("%s: got %+v, %v; want %+v", name, got, err, q)
+		}
+		for i := range data {
+			if _, err := decodeDiscoveryQuery(data[:i]); err == nil {
+				t.Errorf("%s: decoded truncated at byte %d of %d", name, i, len(data))
+			}
+		}
+		if _, err := decodeDiscoveryQuery(append(data, 0)); err == nil {
+			t.Errorf("%s: decoded with a trailing byte", name)
+		}
+	}
+	d := fuzzDiscovery(t)
+	out, err := d.answerQuery("", (&discoveryQueryDoc{Type: ServiceAdvType, Limit: -1}).encode())
+	if docs, derr := decodeDocs(out); err != nil || derr != nil || len(docs) != 6 {
+		t.Errorf("negative limit answered %d documents, %v %v; want all 6", len(docs), err, derr)
+	}
 }

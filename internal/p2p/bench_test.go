@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"context"
-	"encoding/xml"
 	"fmt"
 	"testing"
 	"time"
@@ -138,17 +137,14 @@ func BenchmarkDiscoveryAnswerKeys(b *testing.B) {
 	for _, op := range []int{1, 3, 5, 9} { // the last one nobody advertises
 		q.Values = append(q.Values, fmt.Sprintf("http://example.org/ontology#Operation%d", op))
 	}
-	payload, err := xml.Marshal(q)
-	if err != nil {
-		b.Fatal(err)
-	}
+	payload := q.encode()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := d.answerQuery("", payload)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if docs, err := decodeDiscoveryResponse(out); err != nil || len(docs) != 24 {
+		if docs, err := decodeDocs(out); err != nil || len(docs) != 24 {
 			b.Fatalf("answered %d documents, %v; want 24", len(docs), err)
 		}
 	}

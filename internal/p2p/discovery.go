@@ -2,7 +2,7 @@ package p2p
 
 import (
 	"context"
-	"encoding/xml"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"whisper/internal/wire"
 )
 
 // DiscoveryService implements JXTA's discovery protocol on an index
@@ -320,11 +322,40 @@ func (c *DiscoveryClient) Stats() DiscoveryStats {
 // matches — how a proxy asks for the subsumption closure of an action
 // in one round.
 type discoveryQueryDoc struct {
-	XMLName xml.Name `xml:"DiscoveryQuery"`
-	Type    string   `xml:"Type"`
-	Attr    string   `xml:"Attr,omitempty"`
-	Values  []string `xml:"Value,omitempty"`
-	Limit   int      `xml:"Limit,omitempty"`
+	Type   string
+	Attr   string
+	Values []string
+	Limit  int
+}
+
+// encode writes the query (layout: DESIGN.md §8): type, attribute, the
+// value count and values, then the limit as a zigzag varint. A limit
+// of zero or below asks for every match, as it does locally.
+func (q *discoveryQueryDoc) encode() []byte {
+	size := len(q.Type) + len(q.Attr) + 4*binary.MaxVarintLen64
+	for _, v := range q.Values {
+		size += binary.MaxVarintLen64 + len(v)
+	}
+	out := wire.AppendString(wire.AppendString(make([]byte, 0, size), q.Type), q.Attr)
+	out = wire.AppendUvarint(out, uint64(len(q.Values)))
+	for _, v := range q.Values {
+		out = wire.AppendString(out, v)
+	}
+	return wire.AppendVarint(out, int64(q.Limit))
+}
+
+// decodeDiscoveryQuery reads a query written by encode.
+func decodeDiscoveryQuery(data []byte) (discoveryQueryDoc, error) {
+	r := wire.NewReader(data)
+	q := discoveryQueryDoc{Type: r.Str(), Attr: r.Str()}
+	if n := r.Count(1); n > 0 {
+		q.Values = make([]string, n)
+		for i := range q.Values {
+			q.Values[i] = r.Str()
+		}
+	}
+	q.Limit = int(r.Varint())
+	return q, r.Done()
 }
 
 // ErrDiscoveryResponse marks an answer to a remote discovery query
@@ -365,18 +396,17 @@ func (c *DiscoveryClient) remoteQuery(ctx context.Context, targets []string, q d
 	if len(targets) == 0 {
 		return nil, nil
 	}
-	payload, err := xml.Marshal(q)
-	if err != nil {
-		return nil, fmt.Errorf("discovery: marshal query: %w", err)
-	}
 	var (
 		out                      []Advertisement
 		answered, advs, rejected uint64
 		nodeErr                  error
 		seen                     = make(map[ID]bool)
 	)
-	err = c.resolver.Propagate(ctx, targets, discoveryQueryHandler, payload, func(resp Response) bool {
-		docs, err := decodeDiscoveryResponse(resp.Payload)
+	err := c.resolver.Propagate(ctx, targets, discoveryQueryHandler, q.encode(), func(resp Response) bool {
+		docs, err := decodeDocs(resp.Payload)
+		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrDiscoveryResponse, err)
+		}
 		if resp.Err != nil {
 			err = resp.Err
 		}
@@ -423,8 +453,8 @@ func (c *DiscoveryClient) remoteQuery(ctx context.Context, targets []string, q d
 // the union of what each asked value selects, in ID order, each
 // advertisement as the bytes it was published with.
 func (d *DiscoveryService) answerQuery(_ string, payload []byte) ([]byte, error) {
-	var q discoveryQueryDoc
-	if err := xml.Unmarshal(payload, &q); err != nil {
+	q, err := decodeDiscoveryQuery(payload)
+	if err != nil {
 		return nil, fmt.Errorf("bad discovery query: %w", err)
 	}
 	values := q.Values
@@ -456,5 +486,5 @@ func (d *DiscoveryService) answerQuery(_ string, payload []byte) ([]byte, error)
 			docs = append(docs, e.raw)
 		}
 	}
-	return encodeDiscoveryResponse(docs), nil
+	return encodeDocs(docs), nil
 }

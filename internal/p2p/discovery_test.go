@@ -3,7 +3,6 @@ package p2p
 import (
 	"bytes"
 	"context"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"sync"
@@ -244,11 +243,7 @@ func TestDiscoveryAnswerSendsPublishedBytes(t *testing.T) {
 		{q: discoveryQueryDoc{Type: ServiceAdvType, Attr: "Name",
 			Values: []string{"StudentRegistry", "StudentManagement", "Claim & <Service>"}, Limit: 2}, want: []ID{"urn:1", "urn:2"}},
 	} {
-		payload, err := xml.Marshal(tc.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := d.answerQuery("", payload)
+		got, err := d.answerQuery("", tc.q.encode())
 		if err != nil {
 			t.Fatalf("answer %+v: %v", tc.q, err)
 		}
@@ -265,10 +260,10 @@ func TestDiscoveryAnswerSendsPublishedBytes(t *testing.T) {
 				}
 			}
 		}
-		if want := encodeDiscoveryResponse(ref); !bytes.Equal(got, want) {
+		if want := encodeDocs(ref); !bytes.Equal(got, want) {
 			t.Errorf("query %+v:\n got %q\nwant %q", tc.q, got, want)
 		}
-		docs, err := decodeDiscoveryResponse(got)
+		docs, err := decodeDocs(got)
 		if err != nil || len(docs) != len(ref) {
 			t.Fatalf("query %+v: answer decodes to %d documents, %v; want %d", tc.q, len(docs), err, len(ref))
 		}
@@ -296,7 +291,7 @@ func TestDiscoveryMalformedResponseIsAnError(t *testing.T) {
 	querier := NewDiscoveryService(h.peers[0])
 	good := NewDiscoveryService(h.peers[1])
 	_ = good.Publish(&ServiceAdvertisement{SvcID: "urn:1", Name: "S"}, 0)
-	valid := encodeDiscoveryResponse([][]byte{[]byte("<x/>")})
+	valid := encodeDocs([][]byte{[]byte("<x/>")})
 	respondWith(h.peers[2], valid[:len(valid)-2]) // truncated inside the document
 	respondWith(h.peers[3], []byte("<DiscoveryResponse></DiscoveryResponse>"))
 	for _, p := range h.peers {
@@ -343,7 +338,7 @@ func TestDiscoveryUnparsableDocumentIsSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	respondWith(h.peers[1], encodeDiscoveryResponse([][]byte{a, []byte("<unknown:Adv/>"), []byte("not xml"), b}))
+	respondWith(h.peers[1], encodeDocs([][]byte{a, []byte("<unknown:Adv/>"), []byte("not xml"), b}))
 	for _, p := range h.peers {
 		p.Start()
 	}

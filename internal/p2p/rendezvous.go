@@ -2,11 +2,12 @@ package p2p
 
 import (
 	"context"
-	"encoding/xml"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
+
+	"whisper/internal/wire"
 )
 
 // RendezvousService runs on a designated peer and maintains the group
@@ -57,74 +58,74 @@ func NewRendezvousService(peer *Peer, lease time.Duration) *RendezvousService {
 	return s
 }
 
-type rdvJoinDoc struct {
-	XMLName xml.Name `xml:"RdvJoin"`
-	GID     ID       `xml:"GID"`
-	PeerAdv []byte   `xml:"PeerAdv"`
+// The rendezvous messages are binary (layout: DESIGN.md §5): a join is
+// the group ID and the joiner's peer advertisement document, a leave
+// the group and peer IDs, a members query the group ID alone; both join
+// and members are answered with the live members' documents as a
+// document list (encodeDocs).
+
+func encodeJoin(gid ID, peerAdv []byte) []byte {
+	return wire.AppendBytes(wire.AppendString(nil, string(gid)), peerAdv)
 }
 
-type rdvLeaveDoc struct {
-	XMLName xml.Name `xml:"RdvLeave"`
-	GID     ID       `xml:"GID"`
-	PID     ID       `xml:"PID"`
+func decodeJoin(payload []byte) (gid ID, peerAdv []byte, err error) {
+	r := wire.NewReader(payload)
+	gid, peerAdv = ID(r.Str()), r.Bytes()
+	return gid, peerAdv, r.Done()
 }
 
-type rdvMembersQuery struct {
-	XMLName xml.Name `xml:"RdvMembers"`
-	GID     ID       `xml:"GID"`
+func encodeLeave(gid, pid ID) []byte {
+	return wire.AppendString(wire.AppendString(nil, string(gid)), string(pid))
 }
 
-type rdvMembersResponse struct {
-	XMLName xml.Name `xml:"RdvMembersResponse"`
-	Members [][]byte `xml:"Member"`
+func decodeLeave(payload []byte) (gid, pid ID, err error) {
+	r := wire.NewReader(payload)
+	gid, pid = ID(r.Str()), ID(r.Str())
+	return gid, pid, r.Done()
 }
 
 func (s *RendezvousService) handleJoin(_ string, payload []byte) ([]byte, error) {
-	var doc rdvJoinDoc
-	if err := xml.Unmarshal(payload, &doc); err != nil {
+	gid, peerAdv, err := decodeJoin(payload)
+	if err != nil {
 		return nil, fmt.Errorf("bad join: %w", err)
 	}
 	adv := &PeerAdvertisement{}
-	if err := adv.UnmarshalAdv(doc.PeerAdv); err != nil {
+	if err := adv.UnmarshalAdv(peerAdv); err != nil {
 		return nil, fmt.Errorf("bad peer adv: %w", err)
 	}
 	s.mu.Lock()
-	g, ok := s.groups[doc.GID]
+	g, ok := s.groups[gid]
 	if !ok {
 		g = make(map[ID]*memberEntry)
-		s.groups[doc.GID] = g
+		s.groups[gid] = g
 	}
 	now := s.now()
 	g[adv.PID] = &memberEntry{adv: adv, expires: now.Add(s.lease)}
-	advs := s.liveMembers(doc.GID, now)
+	advs := s.liveMembers(gid, now)
 	s.mu.Unlock()
 	// The reply carries the live member list, so a lease renewal doubles
 	// as a membership refresh at no extra message.
-	return encodeMembers(advs)
+	return encodeMembers(advs), nil
 }
 
 func (s *RendezvousService) handleLeave(_ string, payload []byte) ([]byte, error) {
-	var doc rdvLeaveDoc
-	if err := xml.Unmarshal(payload, &doc); err != nil {
+	gid, pid, err := decodeLeave(payload)
+	if err != nil {
 		return nil, fmt.Errorf("bad leave: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if g, ok := s.groups[doc.GID]; ok {
-		delete(g, doc.PID)
+	if g, ok := s.groups[gid]; ok {
+		delete(g, pid)
 	}
 	return []byte("ok"), nil
 }
 
 func (s *RendezvousService) handleMembers(_ string, payload []byte) ([]byte, error) {
-	var q rdvMembersQuery
-	if err := xml.Unmarshal(payload, &q); err != nil {
-		return nil, fmt.Errorf("bad members query: %w", err)
-	}
 	s.mu.Lock()
-	advs := s.liveMembers(q.GID, s.now())
+	advs := s.liveMembers(ID(payload), s.now())
 	s.mu.Unlock()
-	return encodeMembers(advs)
+	return encodeMembers(advs), nil
 }
 
 // liveMembers sweeps the group's expired leases and returns the
@@ -145,28 +146,29 @@ func (s *RendezvousService) liveMembers(gid ID, now time.Time) []*PeerAdvertisem
 	return advs
 }
 
-// encodeMembers renders a member list as the reply document shared by
+// encodeMembers renders a member list as the reply shared by
 // rdv.members and rdv.join.
-func encodeMembers(advs []*PeerAdvertisement) ([]byte, error) {
-	resp := rdvMembersResponse{}
+func encodeMembers(advs []*PeerAdvertisement) []byte {
+	docs := make([][]byte, 0, len(advs))
 	for _, adv := range advs {
 		raw, err := adv.MarshalAdv()
 		if err != nil {
 			continue
 		}
-		resp.Members = append(resp.Members, raw)
+		docs = append(docs, raw)
 	}
-	return xml.Marshal(resp)
+	return encodeDocs(docs)
 }
 
-// decodeMembers parses a member-list reply document.
+// decodeMembers parses a member-list reply; a member document that does
+// not parse is skipped.
 func decodeMembers(payload []byte) ([]*PeerAdvertisement, error) {
-	var resp rdvMembersResponse
-	if err := xml.Unmarshal(payload, &resp); err != nil {
+	docs, err := decodeDocs(payload)
+	if err != nil {
 		return nil, err
 	}
-	out := make([]*PeerAdvertisement, 0, len(resp.Members))
-	for _, raw := range resp.Members {
+	out := make([]*PeerAdvertisement, 0, len(docs))
+	for _, raw := range docs {
 		adv := &PeerAdvertisement{}
 		if err := adv.UnmarshalAdv(raw); err != nil {
 			continue
@@ -207,11 +209,7 @@ func (c *RendezvousClient) Join(ctx context.Context, gid ID, self *PeerAdvertise
 	if err != nil {
 		return nil, fmt.Errorf("rendezvous: marshal self adv: %w", err)
 	}
-	doc, err := xml.Marshal(rdvJoinDoc{GID: gid, PeerAdv: raw})
-	if err != nil {
-		return nil, fmt.Errorf("rendezvous: marshal join: %w", err)
-	}
-	payload, err := c.resolver.Query(ctx, c.rdvAddr, rdvJoinHandler, doc)
+	payload, err := c.resolver.Query(ctx, c.rdvAddr, rdvJoinHandler, encodeJoin(gid, raw))
 	if err != nil {
 		return nil, fmt.Errorf("rendezvous: join: %w", err)
 	}
@@ -224,11 +222,7 @@ func (c *RendezvousClient) Join(ctx context.Context, gid ID, self *PeerAdvertise
 
 // Leave removes the peer from the group.
 func (c *RendezvousClient) Leave(ctx context.Context, gid, pid ID) error {
-	doc, err := xml.Marshal(rdvLeaveDoc{GID: gid, PID: pid})
-	if err != nil {
-		return fmt.Errorf("rendezvous: marshal leave: %w", err)
-	}
-	if _, err := c.resolver.Query(ctx, c.rdvAddr, rdvLeaveHandler, doc); err != nil {
+	if _, err := c.resolver.Query(ctx, c.rdvAddr, rdvLeaveHandler, encodeLeave(gid, pid)); err != nil {
 		return fmt.Errorf("rendezvous: leave: %w", err)
 	}
 	return nil
@@ -236,11 +230,7 @@ func (c *RendezvousClient) Leave(ctx context.Context, gid, pid ID) error {
 
 // Members returns the current live members of the group.
 func (c *RendezvousClient) Members(ctx context.Context, gid ID) ([]*PeerAdvertisement, error) {
-	q, err := xml.Marshal(rdvMembersQuery{GID: gid})
-	if err != nil {
-		return nil, fmt.Errorf("rendezvous: marshal members query: %w", err)
-	}
-	payload, err := c.resolver.Query(ctx, c.rdvAddr, rdvMembersHandler, q)
+	payload, err := c.resolver.Query(ctx, c.rdvAddr, rdvMembersHandler, []byte(gid))
 	if err != nil {
 		return nil, fmt.Errorf("rendezvous: members: %w", err)
 	}

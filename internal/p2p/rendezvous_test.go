@@ -1,7 +1,9 @@
 package p2p
 
 import (
+	"bytes"
 	"context"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -161,4 +163,83 @@ func TestRendezvousMembersOfUnknownGroup(t *testing.T) {
 	if len(members) != 0 {
 		t.Errorf("members = %d, want 0", len(members))
 	}
+}
+
+// TestRendezvousCodecs: joins and leaves survive the trip and refuse every strict prefix and a trailing byte; the member
+// list is a document list whose documents come back whole.
+func TestRendezvousCodecs(t *testing.T) {
+	adv := &PeerAdvertisement{PID: "urn:jxta:peer-1", Name: "b & <1>", Addr: "127.0.0.1:7101", Rank: -2, Term: 3}
+	raw, err := adv.MarshalAdv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := encodeJoin("urn:jxta:group-students", raw)
+	if gid, doc, err := decodeJoin(join); err != nil || gid != "urn:jxta:group-students" || !bytes.Equal(doc, raw) {
+		t.Errorf("join: %q, %q, %v", gid, doc, err)
+	}
+	leave := encodeLeave("urn:g", "urn:p")
+	if gid, pid, err := decodeLeave(leave); err != nil || gid != "urn:g" || pid != "urn:p" {
+		t.Errorf("leave: %q, %q, %v", gid, pid, err)
+	}
+	reply := encodeMembers([]*PeerAdvertisement{adv, {PID: "urn:jxta:peer-2", Addr: "a:2"}})
+	members, err := decodeMembers(reply)
+	if err != nil || len(members) != 2 {
+		t.Fatalf("members: %+v, %v", members, err)
+	}
+	if got := *members[0]; got.PID != adv.PID || got.Name != adv.Name || got.Addr != adv.Addr || got.Rank != adv.Rank || got.Term != adv.Term {
+		t.Errorf("first member = %+v, want %+v", got, *adv)
+	}
+	for name, tc := range map[string]struct {
+		data   []byte
+		decode func([]byte) error
+	}{
+		"join":    {join, func(b []byte) error { _, _, err := decodeJoin(b); return err }},
+		"leave":   {leave, func(b []byte) error { _, _, err := decodeLeave(b); return err }},
+		"members": {reply, func(b []byte) error { _, err := decodeMembers(b); return err }},
+	} {
+		for i := range tc.data {
+			if tc.decode(tc.data[:i]) == nil {
+				t.Errorf("%s: decoded truncated at byte %d of %d", name, i, len(tc.data))
+			}
+		}
+		if tc.decode(append(tc.data[:len(tc.data):len(tc.data)], 0)) == nil {
+			t.Errorf("%s: decoded with a trailing byte", name)
+		}
+	}
+	// The retired XML forms are refused, not misread.
+	if _, _, err := decodeJoin([]byte(`<RdvJoin><GID>urn:g</GID><PeerAdv></PeerAdv></RdvJoin>`)); err == nil {
+		t.Error("decoded an XML join")
+	}
+	if _, err := decodeMembers([]byte(`<RdvMembersResponse></RdvMembersResponse>`)); err == nil {
+		t.Error("decoded an XML member list")
+	}
+}
+
+// FuzzRendezvous: a rendezvous answers whatever join it is sent, and a
+// peer decodes whatever member list comes back, so arbitrary bytes must
+// be an error, or a join whose reply lists the joiner, or a member list
+// that encodes and decodes to itself. The corpus in testdata/fuzz holds
+// joins and member lists, truncated and forged.
+func FuzzRendezvous(f *testing.F) {
+	EnsureBuiltinAdvTypes()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := &RendezvousService{groups: make(map[ID]map[ID]*memberEntry), now: time.Now, lease: time.Hour}
+		if reply, err := s.handleJoin("fuzz", data); err == nil {
+			members, err := decodeMembers(reply)
+			if err != nil || len(members) != 1 {
+				t.Fatalf("join %q answered %d members, %v; want the joiner", data, len(members), err)
+			}
+		}
+		members, err := decodeMembers(data)
+		if err != nil {
+			return
+		}
+		again, err := decodeMembers(encodeMembers(members))
+		if err != nil {
+			t.Fatalf("re-encoded member list does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(members, again) {
+			t.Fatalf("round trip changed the member list:\n first %+v\nsecond %+v", members, again)
+		}
+	})
 }

@@ -77,17 +77,17 @@ func (s Status) String() string {
 }
 
 // Entry is one journaled operation. It is the unit of replication and
-// state transfer; all fields are XML-serialisable.
+// state transfer (wire form: AppendEntry).
 type Entry struct {
-	Seq        uint64 `xml:"Seq,attr"`
-	Key        string `xml:"Key,attr"`
-	Op         string `xml:"Op,attr"`
-	Digest     string `xml:"Digest,attr"`
-	Origin     string `xml:"Origin,attr"`
-	OriginAddr string `xml:"OriginAddr,attr"`
-	Status     Status `xml:"Status,attr"`
-	AppErr     string `xml:"AppErr,attr,omitempty"`
-	Reply      []byte `xml:"Reply,omitempty"`
+	Seq        uint64
+	Key        string
+	Op         string
+	Digest     string
+	Origin     string
+	OriginAddr string
+	Status     Status
+	AppErr     string
+	Reply      []byte
 }
 
 // cachedReply is the compacted remnant of a committed entry.

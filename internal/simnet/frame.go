@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"whisper/internal/wire"
 )
 
 // The wire frame of a Message, the one binary format peers exchange on
@@ -24,13 +26,13 @@ func AppendFrame(dst []byte, msg *Message) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
 	for _, s := range [...]string{msg.Proto, msg.Kind, msg.Src, msg.Dst} {
-		dst = appendString(dst, s)
+		dst = wire.AppendString(dst, s)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(msg.Headers)))
 	for k, v := range msg.Headers {
-		dst = appendString(appendString(dst, k), v)
+		dst = wire.AppendString(wire.AppendString(dst, k), v)
 	}
-	dst = append(binary.AppendUvarint(dst, uint64(len(msg.Payload))), msg.Payload...)
+	dst = wire.AppendBytes(dst, msg.Payload)
 	var sentAt int64 // Unix nanoseconds, 0 for the zero Time
 	if !msg.SentAt.IsZero() {
 		sentAt = msg.SentAt.UnixNano()
@@ -44,39 +46,6 @@ func AppendFrame(dst []byte, msg *Message) ([]byte, error) {
 	return dst, nil
 }
 
-func appendString(dst []byte, s string) []byte {
-	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
-}
-
-// frameReader consumes a frame body; the first malformed field sets
-// bad and every later read returns a zero value.
-type frameReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *frameReader) take(n uint64) []byte {
-	if r.bad || n > uint64(len(r.b)) {
-		r.bad = true
-		return nil
-	}
-	out := r.b[:n:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *frameReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if r.bad || n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *frameReader) str() string { return string(r.take(r.uvarint())) }
-
 // DecodeFrame decodes data, which must hold exactly one frame. It
 // returns an error, never panics, on malformed input. The returned
 // Payload aliases data.
@@ -84,25 +53,25 @@ func DecodeFrame(data []byte) (Message, error) {
 	if len(data) < 4 || len(data)-4 > MaxFrame || int(binary.BigEndian.Uint32(data)) != len(data)-4 {
 		return Message{}, errFrame
 	}
-	r := frameReader{b: data[4:]}
-	msg := Message{Proto: r.str(), Kind: r.str(), Src: r.str(), Dst: r.str()}
+	r := wire.NewReader(data[4:])
+	msg := Message{Proto: r.Str(), Kind: r.Str(), Src: r.Str(), Dst: r.Str()}
 	// A forged count ends the loop when the bytes run out, and does not
 	// size the map.
-	for n := r.uvarint(); n > 0 && !r.bad; n-- {
+	for n := r.Uvarint(); n > 0 && !r.Bad(); n-- {
 		if msg.Headers == nil {
 			msg.Headers = make(map[string]string, min(n, 8))
 		}
-		k := r.str()
-		msg.Headers[k] = r.str()
+		k := r.Str()
+		msg.Headers[k] = r.Str()
 	}
-	if p := r.take(r.uvarint()); len(p) > 0 {
+	if p := r.Bytes(); len(p) > 0 {
 		msg.Payload = p
 	}
-	if ns := int64(r.uvarint()); ns != 0 {
+	if ns := int64(r.Uvarint()); ns != 0 {
 		msg.SentAt = time.Unix(0, ns)
 	}
-	msg.Hops = int(r.uvarint())
-	if r.bad || len(r.b) != 0 {
+	msg.Hops = int(r.Uvarint())
+	if r.Done() != nil {
 		return Message{}, errFrame
 	}
 	return msg, nil
