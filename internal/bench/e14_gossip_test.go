@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -74,6 +75,34 @@ func TestGossipSoak(t *testing.T) {
 	}
 }
 
+// soakRounds returns each shard's completed anti-entropy rounds.
+func soakRounds(d *core.Deployment) []uint64 {
+	shards := d.Shards()
+	out := make([]uint64, len(shards))
+	for i, s := range shards {
+		out[i] = s.GossipStats().Reconciles
+	}
+	return out
+}
+
+// soakRoundsSince returns the fewest anti-entropy rounds a running shard
+// has completed since soakRounds returned from. A shard restarted since
+// counts its rounds from the restart.
+func soakRoundsSince(d *core.Deployment, from []uint64) uint64 {
+	least := uint64(math.MaxUint64)
+	for i, s := range d.Shards() {
+		if !s.Running() {
+			continue
+		}
+		n := s.GossipStats().Reconciles
+		if n >= from[i] {
+			n -= from[i]
+		}
+		least = min(least, n)
+	}
+	return least
+}
+
 // soakVisibleEverywhere reports whether the advertisement is present
 // (or, with want=false, absent) on every running shard.
 func soakVisible(d *core.Deployment, name string, want bool) bool {
@@ -90,7 +119,19 @@ func soakVisible(d *core.Deployment, name string, want bool) bool {
 }
 
 func gossipSoakOneSeed(t *testing.T, seed int64, shards int) {
-	const convergenceBound = 15 * time.Second
+	// The convergence bounds count anti-entropy rounds, each live
+	// shard's own (gossip.EngineStats), not wall-clock time: a loaded
+	// host that slows the rounds slows the bounds with them. Every
+	// advertisement must reach every live shard within convergeRounds
+	// of its publish, and settle within settleRounds once the churn
+	// stops; quietRounds more must then pass without a tombstone
+	// resurrecting. Rumor rounds usually get there before the first
+	// anti-entropy round. publishDeadline bounds the retries of one
+	// publish.
+	const (
+		convergeRounds, settleRounds, quietRounds = 20, 20, 3
+		publishDeadline                           = 15 * time.Second
+	)
 
 	net := simnet.NewNetwork(simnet.WithLatency(simnet.ZeroLatency()), simnet.WithSeed(seed))
 	t.Cleanup(func() { _ = net.Close() })
@@ -176,7 +217,7 @@ func gossipSoakOneSeed(t *testing.T, seed int64, shards int) {
 	// pending, and an unbounded attempt would silently eat the whole
 	// retry budget waiting on it.
 	publishEntry := func(id, name string, entry gossip.Entry) {
-		deadline := time.Now().Add(convergenceBound)
+		deadline := time.Now().Add(publishDeadline)
 		for {
 			var lastErr error
 			accepted := 0
@@ -213,21 +254,24 @@ func gossipSoakOneSeed(t *testing.T, seed int64, shards int) {
 		return id, name
 	}
 
-	// Publish under churn, measuring each advertisement's time to full
+	// Publish under churn, measuring each advertisement's rounds to full
 	// visibility on the live fleet.
 	const ads = 20
 	names := make([]string, ads)
 	for i := 0; i < ads; i++ {
 		_, name := publish(i)
 		names[i] = name
-		start := time.Now()
+		published, rounds := soakRounds(d), uint64(0)
 		for !soakVisible(d, name, true) {
-			if time.Since(start) > convergenceBound {
+			if rounds = soakRoundsSince(d, published); rounds > convergeRounds {
 				break
+			}
+			if ctx.Err() != nil {
+				t.Fatalf("%s: still invisible after %d rounds when the soak ran out of time", name, rounds)
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		check.RecordConvergence(name, time.Since(start), convergenceBound)
+		check.RecordConvergence(name, rounds, convergeRounds)
 		time.Sleep(time.Duration(5+pubRng.Intn(15)) * time.Millisecond)
 	}
 
@@ -242,20 +286,19 @@ func gossipSoakOneSeed(t *testing.T, seed int64, shards int) {
 	// Quiesce: stop the churn, let restarts and anti-entropy finish.
 	close(stop)
 	churn.Wait()
-	settle := time.Now().Add(convergenceBound)
-	for time.Now().Before(settle) {
-		ok := true
+	settled := func() bool {
 		for i, name := range names {
 			if !soakVisible(d, name, !dead[i]) {
-				ok = false
-				break
+				return false
 			}
 		}
-		if ok {
-			break
-		}
+		return true
+	}
+	quiesced := soakRounds(d)
+	for !settled() && soakRoundsSince(d, quiesced) < settleRounds && ctx.Err() == nil {
 		time.Sleep(5 * time.Millisecond)
 	}
+	waited := soakRoundsSince(d, quiesced)
 
 	// Final invariants: survivors visible everywhere, tombstoned
 	// advertisements gone everywhere — and they STAY gone through
@@ -263,13 +306,16 @@ func gossipSoakOneSeed(t *testing.T, seed int64, shards int) {
 	for i, name := range names {
 		if !soakVisible(d, name, !dead[i]) {
 			if dead[i] {
-				check.RecordResurrection(name, "post-quiesce fleet")
+				check.RecordResurrection(name, fmt.Sprintf("post-quiesce fleet, %d anti-entropy rounds after quiesce", waited))
 			} else {
-				check.Violationf("advertisement %s missing from a live shard after quiesce", name)
+				check.Violationf("advertisement %s missing from a live shard %d anti-entropy rounds after quiesce", name, waited)
 			}
 		}
 	}
-	time.Sleep(100 * time.Millisecond)
+	checked := soakRounds(d)
+	for soakRoundsSince(d, checked) < quietRounds && ctx.Err() == nil {
+		time.Sleep(5 * time.Millisecond)
+	}
 	for i, name := range names {
 		if dead[i] && !soakVisible(d, name, false) {
 			check.RecordResurrection(name, "late gossip round")

@@ -91,17 +91,18 @@ func TestReplMsgRejectsUnknownKindAndStatus(t *testing.T) {
 }
 
 // TestStateRequestRoundTrip: ranks are zigzag varints, so a negative
-// rank survives the trip.
+// rank survives the trip, and the journal summary travels whole.
 func TestStateRequestRoundTrip(t *testing.T) {
 	for _, q := range []stateRequest{
-		{Name: "b2", Addr: "127.0.0.1:7102", Rank: 2, Pipe: "urn:jxta:pipe-replog-b2"},
-		{Name: "b-1", Addr: "a:1", Rank: -1, Pipe: "p"},
+		{Name: "b2", Addr: "127.0.0.1:7102", Rank: 2, Pipe: "urn:jxta:pipe-replog-b2",
+			Summary: replog.Summary{Committed: 512, Digests: []uint64{1<<64 - 1, 0, 300}, Open: []string{"q1-256", "q2-7"}}},
+		{Name: "b-1", Addr: "a:1", Rank: -1, Pipe: "p", Summary: replog.Summary{Committed: 3, Digests: []uint64{9, 8, 7}}},
 		{Rank: -1 << 63},
 		{},
 	} {
 		data := q.encode()
 		got, err := decodeStateRequest(data)
-		if err != nil || got != q {
+		if err != nil || !reflect.DeepEqual(got, q) {
 			t.Errorf("%+v: got %+v, %v", q, got, err)
 		}
 		for i := range data {
@@ -154,6 +155,47 @@ func FuzzDecodeReplMsg(f *testing.F) {
 		}
 		if !reflect.DeepEqual(msg, again) {
 			t.Fatalf("round trip changed the message:\n first %+v\nsecond %+v", msg, again)
+		}
+	})
+}
+
+// FuzzDecodeStateRequest: a member decodes whatever a catching-up peer
+// sends it, so arbitrary bytes must come back as an error or as a
+// request that encodes and decodes to itself. The corpus in
+// testdata/fuzz holds summaries with and without open keys, the layout
+// before the summary, truncations and forged counts.
+func FuzzDecodeStateRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, err := decodeStateRequest(data)
+		if err != nil {
+			return
+		}
+		again, err := decodeStateRequest(q.encode())
+		if err != nil {
+			t.Fatalf("re-encoded request does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(q, again) {
+			t.Fatalf("round trip changed the request:\n first %+v\nsecond %+v", q, again)
+		}
+	})
+}
+
+// FuzzDecodeResolveAnswer: a successor decodes whatever a pending key's
+// origin answers, so arbitrary bytes must come back as an error or as
+// an answer that encodes and decodes to itself. The corpus in
+// testdata/fuzz holds every status, truncations and forged lengths.
+func FuzzDecodeResolveAnswer(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := decodeResolveAnswer(data)
+		if err != nil {
+			return
+		}
+		again, err := decodeResolveAnswer(a.encode())
+		if err != nil {
+			t.Fatalf("re-encoded answer does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(a, again) {
+			t.Fatalf("round trip changed the answer:\n first %+v\nsecond %+v", a, again)
 		}
 	})
 }

@@ -18,10 +18,11 @@ const (
 	// replogPipeHandler answers this replica's journal-replication pipe
 	// location ("addr pipeID").
 	replogPipeHandler = "bpeer.replog.pipe"
-	// replogStateHandler answers the full encoded journal for state
-	// transfer (election catch-up, post-restart rejoin). The request
-	// announces the requester (stateRequest), and the answering member
-	// admits it to its group before taking the snapshot.
+	// replogStateHandler answers the encoded journal for state transfer
+	// (election catch-up, post-restart rejoin): what the requester's
+	// summary says it lacks, or everything. The request announces the
+	// requester (stateRequest), and the answering member admits it to
+	// its group before taking the snapshot.
 	replogStateHandler = "bpeer.replog.state"
 	// replogResolveHandler resolves a pending entry at its origin: the
 	// origin atomically aborts a still-Prepared claim and reports the
@@ -79,24 +80,28 @@ func decodeReplMsg(data []byte) (replMsg, error) {
 	return m, r.Done()
 }
 
-// stateRequest is the replogStateHandler query payload: who is asking
-// and where its replication pipe is bound. Wire form: name, address,
-// rank as a zigzag varint, pipe ID.
+// stateRequest is the replogStateHandler query payload: who is asking,
+// where its replication pipe is bound, and a summary of its journal, so
+// the answer ships only what it lacks. Wire form: name, address, rank as
+// a zigzag varint, pipe ID, summary (replog.AppendSummary).
 type stateRequest struct {
-	Name string
-	Addr string
-	Rank int64
-	Pipe p2p.ID
+	Name    string
+	Addr    string
+	Rank    int64
+	Pipe    p2p.ID
+	Summary replog.Summary
 }
 
 func (q *stateRequest) encode() []byte {
 	out := wire.AppendString(wire.AppendString(nil, q.Name), q.Addr)
-	return wire.AppendString(wire.AppendVarint(out, q.Rank), string(q.Pipe))
+	out = wire.AppendString(wire.AppendVarint(out, q.Rank), string(q.Pipe))
+	return replog.AppendSummary(out, &q.Summary)
 }
 
 func decodeStateRequest(data []byte) (stateRequest, error) {
 	r := wire.NewReader(data)
 	q := stateRequest{Name: r.Str(), Addr: r.Str(), Rank: r.Varint(), Pipe: p2p.ID(r.Str())}
+	q.Summary = replog.ReadSummary(&r)
 	return q, r.Done()
 }
 
@@ -174,14 +179,10 @@ func (b *BPeer) applyReplicated(pm p2p.PipeMessage) {
 // the entry and its acks.
 //
 //lint:hotpath
-func (b *BPeer) replicate(ctx context.Context, kind replKind, key string) {
-	entry, ok := b.journal.Entry(key)
-	if !ok {
-		return
-	}
+func (b *BPeer) replicate(ctx context.Context, kind replKind, entry replog.Entry) {
 	ctx, span := b.cfg.Tracer.StartSpan(ctx, "replog.replicate")
 	span.SetAttr("kind", kind.String())
-	span.SetAttr("key", key)
+	span.SetAttr("key", entry.Key)
 	defer span.End()
 
 	//lint:allow allocbudget a member's pipe is looked up once, then cached in the group
@@ -282,9 +283,11 @@ func (b *BPeer) journaledResponse(span *trace.Span, req peerRequest) (resp peerR
 	// Replicate the PREPARE before executing, so a successor learns the
 	// claim even if we die mid-execution (and must then resolve it with
 	// us — or poison it — before the key can run anywhere).
-	replCtx, replCancel := context.WithTimeout(ctx, b.cfg.HeartbeatTimeout)
-	b.replicate(replCtx, replKindPrepare, req.Key)
-	replCancel()
+	if prep, ok := b.journal.Entry(req.Key); ok {
+		replCtx, replCancel := context.WithTimeout(ctx, b.cfg.HeartbeatTimeout)
+		b.replicate(replCtx, replKindPrepare, prep)
+		replCancel()
+	}
 
 	if err := b.journal.MarkExecuting(req.Key); err != nil {
 		// Lost ownership between Begin and here (a resolver abort from
@@ -302,9 +305,11 @@ func (b *BPeer) journaledResponse(span *trace.Span, req peerRequest) (resp peerR
 		// followers) so a surviving replica can re-own the key,
 		// then take this replica offline.
 		_ = b.journal.MarkAborted(req.Key)
-		abortCtx, abortCancel := context.WithTimeout(b.lifecycleCtx(), b.cfg.HeartbeatTimeout)
-		b.replicate(abortCtx, replKindAbort, req.Key)
-		abortCancel()
+		if ab, ok := b.journal.Entry(req.Key); ok {
+			abortCtx, abortCancel := context.WithTimeout(b.lifecycleCtx(), b.cfg.HeartbeatTimeout)
+			b.replicate(abortCtx, replKindAbort, ab)
+			abortCancel()
+		}
 		resp.Error = ErrMsgFailingOver
 		return resp, true
 	case execInterrupted:
@@ -332,17 +337,19 @@ func (b *BPeer) journaledResponse(span *trace.Span, req peerRequest) (resp peerR
 	return resp, false
 }
 
-// commitAndReplicate replicates the COMMIT (with the cached reply) to
-// the followers and finalises the local entry. The fan-out is bounded
-// but runs before the client ack: a retry hitting a failed-over
-// follower finds the cached reply there.
+// commitAndReplicate finalises the local entry and replicates the
+// COMMIT (with the cached reply) to the followers. It sends the entry
+// the commit returned: the commit may compact it out of the live set.
+// The fan-out is bounded but runs before the client ack: a retry
+// hitting a failed-over follower finds the cached reply there.
 func (b *BPeer) commitAndReplicate(ctx context.Context, key string) {
-	if err := b.journal.MarkCommitted(key); err != nil {
+	entry, err := b.journal.Commit(key)
+	if err != nil {
 		return
 	}
 	replCtx, cancel := context.WithTimeout(ctx, b.cfg.HeartbeatTimeout)
 	defer cancel()
-	b.replicate(replCtx, replKindCommit, key)
+	b.replicate(replCtx, replKindCommit, entry)
 }
 
 // resolvePending resolves a key prepared by another coordinator: ask
@@ -424,7 +431,10 @@ func (b *BPeer) journalBarrier() error {
 // is asked, a suspect included: a coordinator that was only cut off may
 // hold the newest entries. The request announces this replica, which
 // puts it in each answering member's replication set from the snapshot
-// it receives onward.
+// it receives onward, and summarises its journal, so a member answers
+// with what it lacks. The span records how the members answered (mode:
+// delta, full or mixed), the ranges their deltas sent whole (resent),
+// and the bytes they sent.
 func (b *BPeer) journalCatchUp(ctx context.Context) {
 	ctx, span := b.cfg.Tracer.StartSpan(ctx, "replog.catchup")
 	span.SetAttr("peer", b.cfg.Name)
@@ -440,16 +450,40 @@ func (b *BPeer) journalCatchUp(ctx context.Context) {
 		return
 	}
 	announce := stateRequest{
-		Name: b.cfg.Name,
-		Addr: self,
-		Rank: b.cfg.Rank,
-		Pipe: b.replogIn.Advertisement().PipeID,
+		Name:    b.cfg.Name,
+		Addr:    self,
+		Rank:    b.cfg.Rank,
+		Pipe:    b.replogIn.Advertisement().PipeID,
+		Summary: b.journal.Summary(),
 	}
-	merged := 0
+	merged, received, resent, deltas, fulls := 0, 0, 0, 0, 0
+	defer func() {
+		span.SetAttr("merged", strconv.Itoa(merged))
+		span.SetAttr("bytes", strconv.Itoa(received))
+		span.SetAttr("resent", strconv.Itoa(resent))
+		switch {
+		case deltas > 0 && fulls > 0:
+			span.SetAttr("mode", "mixed")
+		case deltas > 0:
+			span.SetAttr("mode", "delta")
+		case fulls > 0:
+			span.SetAttr("mode", "full")
+		}
+	}()
+	ranges := len(announce.Summary.Digests)
 	err := b.bind.Propagate(ctx, targets, replogStateHandler, announce.encode(), func(resp p2p.Response) bool {
 		if resp.Err == nil && resp.Payload != nil {
-			if n, err := b.journal.MergeState(resp.Payload); err == nil {
-				merged += n
+			n, whole, err := b.journal.MergeCatchUp(resp.Payload, &announce.Summary)
+			if err != nil {
+				return false
+			}
+			merged += n
+			received += len(resp.Payload)
+			if replog.FullCatchUp(whole, ranges) {
+				fulls++
+			} else {
+				deltas++
+				resent += whole
 			}
 		}
 		return false
@@ -461,7 +495,6 @@ func (b *BPeer) journalCatchUp(ctx context.Context) {
 		}
 		span.SetAttr("result", "timeout")
 	}
-	span.SetAttr("merged", strconv.Itoa(merged))
 }
 
 // --- resolver handlers ---------------------------------------------------
@@ -474,15 +507,22 @@ func (b *BPeer) answerReplogPipe(_ string, _ []byte) ([]byte, error) {
 	return []byte(b.peer.Addr() + " " + string(b.replogIn.Advertisement().PipeID)), nil
 }
 
-// answerReplogState serves the encoded journal for state transfer. The
-// requester joins this replica's group BEFORE the snapshot is taken: an
-// entry journaled earlier is in the snapshot, one journaled later is
-// replicated to the requester, so it never has a gap.
+// answerReplogState serves the encoded journal for state transfer: the
+// delta the requester's summary asks for, or the full snapshot when the
+// journals disagree at or below its mark (replog.EncodeCatchUp), or the
+// request does not decode. The requester joins this replica's group
+// BEFORE the snapshot is taken: an entry journaled earlier is in the
+// snapshot, one journaled later is replicated to the requester, so it
+// never has a gap.
 func (b *BPeer) answerReplogState(_ string, payload []byte) ([]byte, error) {
 	if b.journal == nil {
 		return nil, fmt.Errorf("journal disabled")
 	}
-	if req, err := decodeStateRequest(payload); err == nil && req.Addr != "" && req.Pipe != "" {
+	req, err := decodeStateRequest(payload)
+	if err != nil {
+		return b.journal.EncodeState()
+	}
+	if req.Addr != "" && req.Pipe != "" {
 		b.group.admit(member{
 			name:   req.Name,
 			addr:   req.Addr,
@@ -490,7 +530,7 @@ func (b *BPeer) answerReplogState(_ string, payload []byte) ([]byte, error) {
 			replog: replogPipeAdv(req.Addr, req.Pipe),
 		})
 	}
-	return b.journal.EncodeState()
+	return b.journal.EncodeCatchUp(&req.Summary), nil
 }
 
 // answerReplogResolve resolves one key for a successor coordinator,

@@ -233,6 +233,37 @@ func TestJournalCachesApplicationErrors(t *testing.T) {
 	}
 }
 
+// TestCompactingCommitReachesFollowers: the write whose commit folds the
+// coordinator's live entries into its snapshot still replicates its
+// COMMIT. Every follower answers every key from its own cache, so a
+// retry after failover never meets a PREPARE stranded at an origin that
+// may be down.
+func TestCompactingCommitReachesFollowers(t *testing.T) {
+	d, coord := formGroup(t, 3)
+	for _, p := range d.peers {
+		p.Journal().SetCompactionThreshold(4)
+	}
+	const writes = 10
+	for i := 0; i < writes; i++ {
+		d.mustWrite(t, coord, fmt.Sprintf("k%d", i))
+	}
+	if coord.Journal().Counters().Get("compact") == 0 {
+		t.Fatal("the coordinator never compacted; the test does not reach the compacting commit")
+	}
+	for _, p := range d.peers {
+		if p == coord {
+			continue
+		}
+		for i := 0; i < writes; i++ {
+			key := fmt.Sprintf("k%d", i)
+			if _, _, ok := p.Journal().CachedReply(key); !ok {
+				e, live := p.Journal().Entry(key)
+				t.Errorf("%s: no cached reply for %s (live entry %+v, present=%v)", p.Name(), key, e, live)
+			}
+		}
+	}
+}
+
 func TestUnkeyedRequestBypassesJournal(t *testing.T) {
 	var execs atomic.Int64
 	d := newDeploymentWithHandler(t, 1, countingHandler(&execs))

@@ -3,6 +3,7 @@ package bpeer
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,5 +173,71 @@ func TestRestartRejoinsGroup(t *testing.T) {
 	status, _, out := d.rawCall(t, bp.ServicePipe(), "Op", []byte("z"))
 	if status != statusOK || string(out) != "bp1:Op:z" {
 		t.Errorf("status=%s out=%q", status, out)
+	}
+}
+
+// TestRestartCatchesUpByDelta: each catch-up of a crash — the
+// successor's barrier, the restart's catch-up and the restarted top
+// rank's barrier — is answered with a delta, compaction included. The
+// restarted replica then answers a retry of every earlier key from its
+// journal, without executing anything again.
+func TestRestartCatchesUpByDelta(t *testing.T) {
+	var execs atomic.Int64
+	d := newDeploymentWithHandler(t, 3, countingHandler(&execs))
+	top := coordOf(t, d)
+	for _, p := range d.peers {
+		p.Journal().SetCompactionThreshold(4)
+	}
+	var keys []string
+	replies := map[string]string{}
+	write := func(coord *BPeer, key string) {
+		t.Helper()
+		st, em, out := d.keyedCall(t, coord.ServicePipe(), "Op", key, []byte("<p/>"))
+		if st != statusOK {
+			t.Fatalf("write %s: %s %s", key, st, em)
+		}
+		keys = append(keys, key)
+		replies[key] = string(out)
+	}
+	answers := func() (delta, full int64) {
+		for _, p := range d.peers {
+			delta += p.Journal().Counters().Get("catchup.delta")
+			full += p.Journal().Counters().Get("catchup.full")
+		}
+		return delta, full
+	}
+	for i := 0; i < 10; i++ {
+		write(top, fmt.Sprintf("before-%d", i))
+	}
+	delta0, full0 := answers()
+
+	if err := top.Crash(); err != nil {
+		t.Fatalf("crash: %v", err)
+	}
+	successor := coordOf(t, d, top.Addr())
+	for i := 0; i < 5; i++ {
+		write(successor, fmt.Sprintf("during-%d", i))
+	}
+	d.restartPeer(t, top, top.Name()+"-second-life")
+	if back := coordOf(t, d, successor.Addr()); back != top {
+		t.Fatalf("coordinator after the restart is %s, want the restarted top rank", back.Name())
+	}
+
+	delta, full := answers()
+	if full != full0 {
+		t.Errorf("%d catch-ups after the crash were answered with the full snapshot", full-full0)
+	}
+	if got := delta - delta0; got < 3 {
+		t.Errorf("%d catch-ups after the crash were answered with a delta, want at least 3", got)
+	}
+	executed := execs.Load()
+	for _, key := range keys {
+		st, em, out := d.keyedCall(t, top.ServicePipe(), "Op", key, []byte("<p/>"))
+		if st != statusOK || string(out) != replies[key] {
+			t.Errorf("retry of %s at the restarted replica: %s %q %q, want the cached %q", key, st, em, out, replies[key])
+		}
+	}
+	if n := execs.Load() - executed; n != 0 {
+		t.Errorf("retries executed %d operations again", n)
 	}
 }

@@ -25,7 +25,7 @@ import (
 //     WaitCommitted barrier held).
 //  5. Bounded dissemination: every advertisement published to the
 //     sharded discovery fleet becomes visible on all live shards
-//     within the gossip convergence bound.
+//     within the gossip convergence bound, counted in gossip rounds.
 //  6. No resurrection: an advertisement removed by tombstone (or
 //     expiry) never reappears on any shard — stale live copies must
 //     lose to the tombstone's version everywhere.
@@ -99,16 +99,17 @@ func (c *Checker) Reads() int64 {
 }
 
 // RecordConvergence records one advertisement's measured dissemination
-// time across the live shard fleet. took > bound means the epidemic
-// failed invariant 5 (the publish stayed invisible on some live shard
-// past the convergence bound).
-func (c *Checker) RecordConvergence(key string, took, bound time.Duration) {
+// across the live shard fleet, in gossip rounds: a bound in rounds
+// holds on a loaded host, where rounds and wall-clock time part ways.
+// rounds > bound means the epidemic failed invariant 5 (the publish
+// stayed invisible on some live shard past the convergence bound).
+func (c *Checker) RecordConvergence(key string, rounds, bound uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.convergences++
-	if took > bound {
+	if rounds > bound {
 		c.violations = append(c.violations,
-			fmt.Sprintf("advertisement %s took %v to reach all live shards, bound was %v", key, took, bound))
+			fmt.Sprintf("advertisement %s took %d gossip rounds to reach all live shards, bound was %d", key, rounds, bound))
 	}
 }
 

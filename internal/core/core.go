@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"whisper/internal/bpeer"
+	"whisper/internal/gossip"
 	"whisper/internal/loadctl"
 	"whisper/internal/ontology"
 	"whisper/internal/p2p"
@@ -164,6 +165,14 @@ func (s *ShardNode) Discovery() *p2p.DiscoveryService {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.gsvc.Discovery()
+}
+
+// GossipStats returns the shard's gossip engine counters. A restart
+// starts them from zero.
+func (s *ShardNode) GossipStats() gossip.EngineStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.gsvc.Engine().Stats()
 }
 
 // Running reports whether the shard is up.

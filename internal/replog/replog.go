@@ -112,6 +112,9 @@ type cachedReply struct {
 	Digest string
 	AppErr string
 	Reply  []byte
+	// share is the entry's share of a catch-up summary's digest
+	// (itemSum), computed once when the entry enters the snapshot.
+	share uint64
 }
 
 // Decision classifies a Begin call.
@@ -331,24 +334,32 @@ func (j *Journal) MarkExecuted(key string, reply []byte, appErr string) error {
 	return nil
 }
 
-// MarkCommitted finalises an Executed entry after successful
-// replication and triggers compaction when the live set grows past the
-// threshold.
+// MarkCommitted finalises an Executed entry (see Commit).
 func (j *Journal) MarkCommitted(key string) error {
+	_, err := j.Commit(key)
+	return err
+}
+
+// Commit finalises an Executed entry and returns a copy of it as
+// committed, which is what the coordinator replicates: the commit may
+// fold the entry into the snapshot (compaction when the live set grows
+// past the threshold), after which Entry no longer finds it.
+func (j *Journal) Commit(key string) (Entry, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	e, ok := j.entries[key]
 	if !ok {
-		return fmt.Errorf("replog: no entry for key %q", key)
+		return Entry{}, fmt.Errorf("replog: no entry for key %q", key)
 	}
 	if e.Status != StatusExecuted && e.Status != StatusCommitted {
-		return fmt.Errorf("replog: key %q is %s, not executed", key, e.Status)
+		return Entry{}, fmt.Errorf("replog: key %q is %s, not executed", key, e.Status)
 	}
 	e.Status = StatusCommitted
+	committed := *e
 	j.counters.Add("commit", 1)
 	j.notifyCommitLocked()
 	j.maybeCompactLocked()
-	return nil
+	return committed, nil
 }
 
 // MarkAborted abandons a Prepared or Executing claim whose operation
@@ -516,7 +527,7 @@ func (j *Journal) maybeCompactLocked() {
 		if e.Status != StatusCommitted {
 			continue
 		}
-		j.snapKeys[k] = cachedReply{Seq: e.Seq, Digest: e.Digest, AppErr: e.AppErr, Reply: e.Reply}
+		j.snapKeys[k] = cachedReply{Seq: e.Seq, Digest: e.Digest, AppErr: e.AppErr, Reply: e.Reply, share: itemSum(e.Seq, k)}
 		if e.Seq > j.snapUpTo {
 			j.snapUpTo = e.Seq
 		}
@@ -566,7 +577,8 @@ func (j *Journal) Stats() Stats {
 }
 
 // Entries returns a copy of every live entry in ascending sequence
-// order.
+// order, by key within a sequence (two coordinators on either side of
+// a partition can both use one).
 func (j *Journal) Entries() []Entry {
 	j.mu.Lock()
 	out := make([]Entry, 0, len(j.entries))
@@ -574,6 +586,6 @@ func (j *Journal) Entries() []Entry {
 		out = append(out, *e)
 	}
 	j.mu.Unlock()
-	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Seq, b.Seq) })
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Or(cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Key, b.Key)) })
 	return out
 }

@@ -155,6 +155,12 @@ func (j *Journal) MergeState(data []byte) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("replog: decode state: %w", err)
 	}
+	return j.merge(&st), nil
+}
+
+// merge folds a decoded snapshot or catch-up delta into the journal and
+// returns the number of entries that changed local state.
+func (j *Journal) merge(st *journalState) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	applied := 0
@@ -172,6 +178,7 @@ func (j *Journal) MergeState(data []byte) (int, error) {
 		if e, ok := j.entries[c.Key]; ok && e.Status >= StatusCommitted {
 			continue
 		}
+		c.share = itemSum(c.Seq, c.Key)
 		j.snapKeys[c.Key] = c.cachedReply
 		delete(j.entries, c.Key)
 		applied++
@@ -199,5 +206,5 @@ func (j *Journal) MergeState(data []byte) (int, error) {
 		j.notifyCommitLocked()
 	}
 	j.maybeCompactLocked()
-	return applied, nil
+	return applied
 }
