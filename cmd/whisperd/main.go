@@ -21,6 +21,7 @@ package main
 
 import (
 	"context"
+	"encoding/xml"
 	"errors"
 	"flag"
 	"fmt"
@@ -338,7 +339,7 @@ func extractStudentID(payload []byte) (string, error) {
 	var req struct {
 		StudentID string `xml:"StudentID"`
 	}
-	if err := xmlUnmarshal(payload, &req); err != nil {
+	if err := xml.Unmarshal(payload, &req); err != nil {
 		return "", fmt.Errorf("bad request: %w", err)
 	}
 	if req.StudentID == "" {

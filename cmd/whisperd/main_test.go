@@ -8,10 +8,15 @@ import (
 	"time"
 
 	"whisper/internal/backend"
+	"whisper/internal/leakcheck"
 	"whisper/internal/loadctl"
 	"whisper/internal/soap"
 	"whisper/internal/trace"
 )
+
+// TestMain fails the package when the in-process roles (peers, the
+// SOAP front end, b-peer loops) outlive the tests that started them.
+func TestMain(m *testing.M) { leakcheck.VerifyTestMain(m) }
 
 func TestExtractStudentID(t *testing.T) {
 	id, err := extractStudentID([]byte("<StudentInformation><StudentID>S7</StudentID></StudentInformation>"))

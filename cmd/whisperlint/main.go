@@ -33,7 +33,7 @@ import (
 // version is the string reported to cmd/go's -V=full handshake; cmd/go
 // uses the whole line as the tool's cache key, so bump it when analyzer
 // behaviour changes to invalidate stale vet results.
-const version = "2.0.0"
+const version = "2.1.0"
 
 func main() {
 	os.Exit(run(os.Args[1:]))
@@ -112,8 +112,8 @@ func runStandalone(patterns []string, asJSON bool) int {
 	}
 
 	// All packages load into one Project so the interprocedural
-	// analyzers (lockheld, lockorder, allocbudget, retryloop) see
-	// cross-package call edges; go vet mode degrades to one-package
+	// analyzers (lockorder, allocbudget, errident) see cross-package
+	// call edges; go vet mode degrades to one-package
 	// projects because cmd/go invokes the tool per package.
 	var pkgs []*analysis.Package
 	dec := json.NewDecoder(strings.NewReader(string(out)))

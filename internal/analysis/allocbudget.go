@@ -6,10 +6,9 @@ import (
 )
 
 // AllocBudget holds the hot-path roster to a steady-state allocation
-// budget. The roster — internal/analysis/hotpaths.txt plus any
-// function carrying a //lint:hotpath directive — names the functions
-// on the invocation and discovery paths that the gate benchmarks
-// (BENCH_gate.json) measure; an allocation that creeps into one of
+// budget. The roster — every function carrying a //lint:hotpath
+// directive — names the functions on the invocation and discovery
+// paths that the gate benchmarks (BENCH_gate.json) measure; an allocation that creeps into one of
 // them is a per-request cost that compounds under load long before a
 // benchmark run notices.
 //
@@ -21,14 +20,10 @@ import (
 // error-handling branches are excluded (failure paths may spend).
 // Interface calls that cannot be resolved exactly are reported as
 // "may reach" when every name-matched candidate allocates.
-//
-// Roster entries that no longer match a declared function are reported
-// too, so the roster cannot silently rot as functions are renamed.
 var AllocBudget = &Analyzer{
-	Name:       "allocbudget",
-	Doc:        "report steady-state allocations in hot-path roster functions (hotpaths.txt or //lint:hotpath)",
-	Run:        runAllocBudget,
-	ProjectRun: runAllocBudgetProject,
+	Name: "allocbudget",
+	Doc:  "report steady-state allocations in //lint:hotpath functions",
+	Run:  runAllocBudget,
 }
 
 func runAllocBudget(pass *Pass) {
@@ -90,19 +85,5 @@ func reportApproxAllocs(pass *Pass, fn *FuncInfo) {
 		}
 		pass.ReportPosf(cands[0].Pos, "hot path %s may reach %s, every candidate of which allocates; cache the result or move it off the hot path",
 			shortFuncID(fn.ID), strings.Join(names, " / "))
-	}
-}
-
-// runAllocBudgetProject reports hotpaths.txt entries whose package is
-// loaded but whose function no longer exists — roster drift after a
-// rename or deletion.
-func runAllocBudgetProject(pass *Pass) {
-	for _, entry := range pass.Proj.rosterUnmatched {
-		pkg := pass.Proj.pkgByPath[pkgPathOfID(entry)]
-		if pkg == nil || len(pkg.Files) == 0 {
-			continue
-		}
-		pass.ReportPosf(pkg.Fset.Position(pkg.Files[0].Package),
-			"hotpaths.txt names %s but no such function is declared; update the roster after the rename", entry)
 	}
 }

@@ -2,8 +2,9 @@
 // dependency-free framework in the style of golang.org/x/tools'
 // go/analysis, plus the project-specific analyzers that encode the
 // house rules the generic linters cannot see (locks held across
-// channel sends, context plumbing, span lifecycle, deterministic
-// clocks and RNGs, pooled-buffer lifetimes).
+// channel sends, lock order, context plumbing, span lifecycle,
+// deterministic clocks and RNGs, sentinel identity, hot-path
+// allocations).
 //
 // The framework is purely syntactic: analyzers work on parsed ASTs
 // with per-file import resolution and never need type information, so
@@ -16,8 +17,9 @@
 //	//lint:allow <rule>[,<rule>...] <reason>
 //
 // directive, either trailing the offending line or alone on the line
-// above it. The reason is mandatory; a bare directive is itself
-// reported (rule "directive").
+// above it. The rule must be one of All() and the reason is mandatory;
+// a directive that breaks either is itself reported (rule
+// "directive").
 package analysis
 
 import (
@@ -157,7 +159,8 @@ func LoadDir(importPath, dir string) (*Package, error) {
 // Run executes the analyzers over one package loaded as its own
 // project, applies //lint:allow suppressions, and returns the
 // surviving diagnostics ordered by position. Malformed directives (no
-// reason) are reported under the pseudo-rule "directive".
+// reason, or a rule not in All()) are reported under the pseudo-rule
+// "directive".
 func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return RunProject(NewProject(pkg), analyzers)
 }
@@ -234,7 +237,8 @@ func (s suppressions) allows(d Diagnostic) bool {
 // collectDirectives indexes every //lint:allow directive in the
 // package. A trailing directive suppresses its own line; a directive
 // alone on a line suppresses the next line. Directives without a
-// reason are reported.
+// reason, or naming a rule that is not registered (a stale suppression
+// of a retired analyzer, or a typo), are reported.
 func collectDirectives(pkg *Package) (suppressions, []Diagnostic) {
 	sup := make(suppressions)
 	var bad []Diagnostic
@@ -271,7 +275,14 @@ func collectDirectives(pkg *Package) (suppressions, []Diagnostic) {
 					byLine[line] = rules
 				}
 				for _, r := range strings.Split(fields[0], ",") {
-					rules[strings.TrimSpace(r)] = true
+					if ByName(r) == nil {
+						bad = append(bad, Diagnostic{
+							Pos:     pos,
+							Rule:    "directive",
+							Message: fmt.Sprintf("//lint:allow names unknown rule %q; remove the stale suppression", r),
+						})
+					}
+					rules[r] = true
 				}
 			}
 		}

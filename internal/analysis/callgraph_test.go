@@ -212,52 +212,30 @@ func TestInterproceduralDeadlockFixture(t *testing.T) {
 	for id, fn := range intra.Funcs {
 		fn.Summary = saved[id]
 	}
-	if diags := RunProject(intra, []*Analyzer{LockOrder, LockHeld}); len(diags) != 0 {
+	if diags := RunProject(intra, []*Analyzer{LockOrder}); len(diags) != 0 {
 		t.Fatalf("intraprocedural view unexpectedly reported: %v", diags)
 	}
 }
 
-func TestHotpathDirectiveAndRoster(t *testing.T) {
+func TestHotpathDirective(t *testing.T) {
 	p, _ := projectOf(t, "whisper/internal/x", `package p
 
+// documented carries the directive in its doc comment.
+//
 //lint:hotpath
-func annotated() {}
+func documented() {}
 
-func plain() {}
-`)
-	if !p.Funcs["whisper/internal/x.annotated"].Hot {
-		t.Error("//lint:hotpath directive not honored")
-	}
-	if p.Funcs["whisper/internal/x.plain"].Hot {
-		t.Error("plain function marked hot")
-	}
-	// The embedded roster marks the real soap hot paths when that
-	// package is loaded; here (different package) it must not, and no
-	// drift may be recorded for unloaded packages.
-	if len(p.rosterUnmatched) != 0 {
-		t.Errorf("roster drift recorded for unloaded packages: %v", p.rosterUnmatched)
-	}
+func trailing() { //lint:hotpath
 }
 
-func TestRosterDriftReported(t *testing.T) {
-	// A loaded package whose roster entry names a missing function must
-	// surface as an allocbudget diagnostic.
-	pkg := loadSrc(t, "whisper/internal/soap", `package soap
+func plain() {}
 
-func Unrelated() {}
+//lint:hotpath
+var notAFunc = 0
 `)
-	p := NewProject(pkg)
-	if len(p.rosterUnmatched) == 0 {
-		t.Fatal("expected roster drift for whisper/internal/soap entries")
-	}
-	diags := RunProject(p, []*Analyzer{AllocBudget})
-	found := false
-	for _, d := range diags {
-		if strings.Contains(d.Message, "hotpaths.txt names") {
-			found = true
+	for name, want := range map[string]bool{"documented": true, "trailing": true, "plain": false} {
+		if got := p.Funcs[FuncID("whisper/internal/x."+name)].Hot; got != want {
+			t.Errorf("%s: Hot = %v, want %v", name, got, want)
 		}
-	}
-	if !found {
-		t.Errorf("roster drift not reported; diags: %v", diags)
 	}
 }

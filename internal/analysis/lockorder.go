@@ -6,54 +6,76 @@ import (
 	"strings"
 )
 
-// LockOrder builds the global lock-acquisition-order graph — an edge
-// A→B whenever some function acquires B while holding A, including
-// acquisitions reached through callees via the interprocedural
-// summaries — and reports every cycle as a potential deadlock. Mutex
-// identity is the struct field path keyed by the owning named type
-// ((BPeer).mu is one lock no matter which method touches it), so an
-// inversion between, say, replog's journal lock and bpeer's state lock
-// is visible even though no single function ever holds both orders.
+// LockOrder reports the two lock defects the summary walk sees, both
+// interprocedurally.
 //
-// A cycle means two goroutines can each hold one lock while waiting
-// for the other: the classic AB/BA deadlock, which no test catches
-// until the wrong interleaving lands. The report names every edge of
-// the cycle with the function and position that creates it; fix it by
-// making every path acquire the locks in one global order (or by
-// narrowing one side's critical section so the nested acquisition
-// disappears).
+// A mutex held across a blocking operation: a channel send or
+// receive, a select without a default, time.Sleep, a call into the
+// blocking messaging layer (Send/Call/Query/Invoke/Propagate), or a
+// call to any project function whose summary says it blocks — so a
+// channel send reached *through* a helper under a held mutex is caught
+// too. This is the defect class behind the Bully-election races:
+// a goroutine that parks while holding a lock stalls every other path
+// through that lock. Held sets are branch-sensitive, and a deferred
+// Unlock keeps the lock held for the rest of the body (`mu.Lock();
+// defer mu.Unlock()` followed by a channel send is the bug, not a
+// false positive).
+//
+// A cycle in the global lock-acquisition-order graph — an edge A→B
+// whenever some function acquires B while holding A, including
+// acquisitions reached through callees. Mutex identity is the struct
+// field path keyed by the owning named type ((BPeer).mu is one lock no
+// matter which method touches it), so an inversion between, say,
+// replog's journal lock and bpeer's state lock is visible even though
+// no single function ever holds both orders. A cycle means two
+// goroutines can each hold one lock while waiting for the other; the
+// report names every edge with the function and position that creates
+// it. Fix it by acquiring the locks in one global order (or by
+// narrowing one side's critical section).
 var LockOrder = &Analyzer{
 	Name:       "lockorder",
-	Doc:        "report cycles in the global lock-acquisition-order graph (potential AB/BA deadlocks), interprocedurally",
+	Doc:        "report mutexes held across blocking operations and cycles in the global lock-acquisition-order graph (potential deadlocks), interprocedurally",
+	Run:        runLockHeld,
 	ProjectRun: runLockOrder,
+}
+
+// blockingMethods are method names that block on network or pipe
+// round-trips in this codebase (p2p pipes, resolvers, peers, SOAP).
+var blockingMethods = map[string]bool{
+	"Send":      true,
+	"Call":      true,
+	"Query":     true,
+	"Invoke":    true,
+	"Propagate": true,
+}
+
+func runLockHeld(pass *Pass) {
+	for _, fn := range pass.Proj.FuncsOf(pass.Pkg) {
+		for _, f := range fn.heldBlocks {
+			pass.ReportPosf(f.pos, "%s is held across %s (acquired at %s); release the lock before blocking",
+				f.lockDisplay, f.what, f.lockPos)
+		}
+	}
 }
 
 func runLockOrder(pass *Pass) {
 	edges := pass.Proj.orderEdges
-	if len(edges) == 0 {
-		return
-	}
-	// Adjacency over lock IDs, deterministic order.
+	// Adjacency over lock IDs, deterministic order. A lock with no
+	// outgoing edge is in no cycle, so only sources need be roots.
 	adj := map[string][]string{}
-	nodes := map[string]bool{}
 	for e := range edges {
 		adj[e.from] = append(adj[e.from], e.to)
-		nodes[e.from], nodes[e.to] = true, true
 	}
-	for _, out := range adj {
+	ids := make([]string, 0, len(adj))
+	for id, out := range adj {
 		sort.Strings(out)
-	}
-	ids := make([]string, 0, len(nodes))
-	for id := range nodes {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-
-	for _, scc := range stringSCCs(ids, adj) {
-		if len(scc) < 2 {
-			continue
+	for _, scc := range sccs(ids, func(id string) []string { return adj[id] }) {
+		if len(scc) > 1 {
+			reportCycle(pass, scc, edges)
 		}
-		reportCycle(pass, scc, edges)
 	}
 }
 
@@ -105,69 +127,4 @@ func shortLockID(id string) string {
 		id = id[i+1:]
 	}
 	return id
-}
-
-// stringSCCs is Tarjan over a string-keyed graph, iterative, with
-// deterministic output order.
-func stringSCCs(ids []string, adj map[string][]string) [][]string {
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var sccs [][]string
-	next := 0
-
-	type frame struct {
-		id   string
-		edge int
-	}
-	for _, root := range ids {
-		if _, seen := index[root]; seen {
-			continue
-		}
-		frames := []frame{{id: root}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.edge < len(adj[f.id]) {
-				to := adj[f.id][f.edge]
-				f.edge++
-				if _, seen := index[to]; !seen {
-					index[to], low[to] = next, next
-					next++
-					stack = append(stack, to)
-					onStack[to] = true
-					frames = append(frames, frame{id: to})
-				} else if onStack[to] && index[to] < low[f.id] {
-					low[f.id] = index[to]
-				}
-				continue
-			}
-			done := f.id
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[done] < low[parent.id] {
-					low[parent.id] = low[done]
-				}
-			}
-			if low[done] == index[done] {
-				var scc []string
-				for {
-					top := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[top] = false
-					scc = append(scc, top)
-					if top == done {
-						break
-					}
-				}
-				sccs = append(sccs, scc)
-			}
-		}
-	}
-	return sccs
 }

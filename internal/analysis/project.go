@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	_ "embed"
 	"go/ast"
 	"go/token"
 	"sort"
@@ -45,8 +44,8 @@ type FuncInfo struct {
 	File *ast.File
 	// Decl is the parsed declaration (Body non-nil).
 	Decl *ast.FuncDecl
-	// Hot marks the function as on the allocation-budget roster
-	// (hotpaths.txt or a //lint:hotpath directive).
+	// Hot marks the function as on the allocation-budget roster: it
+	// carries a //lint:hotpath directive.
 	Hot bool
 	// Calls are the resolved call edges (exact resolutions only).
 	Calls []CallSite
@@ -57,7 +56,7 @@ type FuncInfo struct {
 	// Summary is the bottom-up interprocedural summary; nil until
 	// computeSummaries runs.
 	Summary *Summary
-	// heldBlocks are the blocking-under-lock facts lockheld reports.
+	// heldBlocks are the blocking-under-lock facts lockorder reports.
 	heldBlocks []heldBlockFact
 
 	imports map[string]string
@@ -72,8 +71,8 @@ const (
 )
 
 // Project is a set of packages loaded and analyzed together. It owns
-// the call graph, the per-function summaries, the sentinel index and
-// the hot-path roster — everything analyzers reach through Pass.Proj.
+// the call graph, the per-function summaries and the sentinel index —
+// everything analyzers reach through Pass.Proj.
 //
 // Everything is syntactic: receiver types are resolved from declared
 // parameter/receiver/var types, composite literals and project
@@ -102,14 +101,7 @@ type Project struct {
 
 	// orderEdges is the global lock-acquisition-order graph.
 	orderEdges map[lockEdge]*orderFact
-
-	// rosterUnmatched are hotpaths.txt entries whose package is loaded
-	// but whose function does not exist (drift protection).
-	rosterUnmatched []string
 }
-
-//go:embed hotpaths.txt
-var hotpathsTxt string
 
 // NewProject indexes the packages, resolves the call graph and
 // computes the interprocedural summaries bottom-up over SCCs.
@@ -128,7 +120,6 @@ func NewProject(pkgs ...*Package) *Project {
 		orderEdges:    map[lockEdge]*orderFact{},
 	}
 	p.index()
-	p.loadHotpaths()
 	p.buildEnvs()
 	p.buildCallGraph()
 	p.computeSummaries()
@@ -180,9 +171,7 @@ func (p *Project) indexFunc(pkg *Package, file *ast.File, d *ast.FuncDecl) {
 		File:    file,
 		Decl:    d,
 		imports: fileImports(file),
-	}
-	if hasHotpathDirective(file, d) {
-		fn.Hot = true
+		Hot:     hasHotpathDirective(pkg.Fset, file, d),
 	}
 	p.Funcs[id] = fn
 	p.byPkg[pkg] = append(p.byPkg[pkg], fn)
@@ -240,41 +229,15 @@ func (p *Project) indexGen(pkg *Package, d *ast.GenDecl) {
 	}
 }
 
-// loadHotpaths marks roster entries from the embedded hotpaths.txt.
-// Entries whose package is loaded but whose function is missing are
-// recorded so allocbudget can report the drift; entries for packages
-// outside the project (single-package vet runs) are silently skipped.
-func (p *Project) loadHotpaths() {
-	for _, line := range strings.Split(hotpathsTxt, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		id := FuncID(line)
-		if fn, ok := p.Funcs[id]; ok {
-			fn.Hot = true
-			continue
-		}
-		if pkgPath := pkgPathOfID(line); p.pkgByPath[pkgPath] != nil {
-			p.rosterUnmatched = append(p.rosterUnmatched, line)
-		}
-	}
-}
-
-// hasHotpathDirective reports whether a //lint:hotpath comment is
-// attached to the declaration (doc comment) or trails its first line.
-func hasHotpathDirective(file *ast.File, d *ast.FuncDecl) bool {
-	if d.Doc != nil {
-		for _, c := range d.Doc.List {
-			if strings.HasPrefix(c.Text, "//lint:hotpath") {
-				return true
-			}
-		}
-	}
+// hasHotpathDirective reports whether a //lint:hotpath comment is in
+// the declaration's doc comment or trails its signature (on or before
+// the line of the opening brace).
+func hasHotpathDirective(fset *token.FileSet, file *ast.File, d *ast.FuncDecl) bool {
+	brace := fset.Position(d.Body.Lbrace).Line
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			if strings.HasPrefix(c.Text, "//lint:hotpath") &&
-				c.Pos() > d.Pos() && c.Pos() < d.Body.Lbrace {
+				(cg == d.Doc || c.Pos() > d.Pos() && fset.Position(c.Pos()).Line <= brace) {
 				return true
 			}
 		}
@@ -287,17 +250,6 @@ func funcID(pkgPath, recv, name string) FuncID {
 		return FuncID(pkgPath + "." + name)
 	}
 	return FuncID(pkgPath + ".(" + recv + ")." + name)
-}
-
-// pkgPathOfID extracts the package path from a FuncID string.
-func pkgPathOfID(id string) string {
-	if i := strings.Index(id, ".("); i >= 0 {
-		return id[:i]
-	}
-	if i := strings.LastIndexByte(id, '.'); i >= 0 {
-		return id[:i]
-	}
-	return id
 }
 
 // recvTypeName returns the bare receiver type name of a method
@@ -585,82 +537,82 @@ func (p *Project) addApprox(fn *FuncInfo, sel *ast.SelectorExpr, pos token.Pos) 
 // --- SCC ordering -----------------------------------------------------
 
 // sccOrder returns the strongly connected components of the call graph
-// in reverse topological order (callees before callers), Tarjan's
-// algorithm, iterative.
+// in reverse topological order (callees before callers).
 func (p *Project) sccOrder() [][]*FuncInfo {
-	ids := make([]FuncID, 0, len(p.Funcs))
-	for id := range p.Funcs {
-		ids = append(ids, id)
+	fns := make([]*FuncInfo, 0, len(p.Funcs))
+	for _, fn := range p.Funcs {
+		fns = append(fns, fn)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	sort.Slice(fns, func(i, j int) bool { return fns[i].ID < fns[j].ID })
+	return sccs(fns, func(fn *FuncInfo) []*FuncInfo {
+		callees := make([]*FuncInfo, len(fn.Calls))
+		for i, c := range fn.Calls {
+			callees[i] = p.Funcs[c.Callee]
+		}
+		return callees
+	})
+}
 
-	index := map[FuncID]int{}
-	low := map[FuncID]int{}
-	onStack := map[FuncID]bool{}
-	var stack []FuncID
-	var sccs [][]*FuncInfo
-	next := 0
-
+// sccs returns the strongly connected components of the graph reached
+// from roots, each after every component it reaches (reverse
+// topological order): Tarjan's algorithm, iterative. succ is asked once
+// per node; roots and succ fix the visiting order, so the output is
+// deterministic when they are.
+func sccs[T comparable](roots []T, succ func(T) []T) [][]T {
 	type frame struct {
-		id   FuncID
-		edge int
+		node T
+		out  []T // successors not yet visited from this frame
 	}
-	var visit func(root FuncID)
-	visit = func(root FuncID) {
-		frames := []frame{{id: root}}
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
+	index, low := map[T]int{}, map[T]int{}
+	onStack := map[T]bool{}
+	var stack []T
+	var frames []frame
+	var out [][]T
+	push := func(n T) {
+		i := len(index)
+		index[n], low[n] = i, i
+		stack = append(stack, n)
+		onStack[n] = true
+		frames = append(frames, frame{node: n, out: succ(n)})
+	}
+	for _, root := range roots {
+		if _, seen := index[root]; seen {
+			continue
+		}
+		push(root)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			fn := p.Funcs[f.id]
-			if f.edge < len(fn.Calls) {
-				callee := fn.Calls[f.edge].Callee
-				f.edge++
-				if _, seen := index[callee]; !seen {
-					index[callee] = next
-					low[callee] = next
-					next++
-					stack = append(stack, callee)
-					onStack[callee] = true
-					frames = append(frames, frame{id: callee})
-				} else if onStack[callee] {
-					if index[callee] < low[f.id] {
-						low[f.id] = index[callee]
-					}
+			if len(f.out) > 0 {
+				to := f.out[0]
+				f.out = f.out[1:]
+				if _, seen := index[to]; !seen {
+					push(to)
+				} else if onStack[to] {
+					low[f.node] = min(low[f.node], index[to])
 				}
 				continue
 			}
-			// Post-order: pop the frame, maybe emit an SCC.
-			done := f.id
+			// Post-order: pop the frame, maybe emit a component.
+			done := f.node
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[done] < low[parent.id] {
-					low[parent.id] = low[done]
-				}
+				parent := frames[len(frames)-1].node
+				low[parent] = min(low[parent], low[done])
 			}
 			if low[done] == index[done] {
-				var scc []*FuncInfo
+				var scc []T
 				for {
 					top := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[top] = false
-					scc = append(scc, p.Funcs[top])
+					scc = append(scc, top)
 					if top == done {
 						break
 					}
 				}
-				sccs = append(sccs, scc)
+				out = append(out, scc)
 			}
 		}
 	}
-	for _, id := range ids {
-		if _, seen := index[id]; !seen {
-			visit(id)
-		}
-	}
-	return sccs
+	return out
 }

@@ -7,10 +7,7 @@ func All() []*Analyzer {
 		CtxFlow,
 		DetRand,
 		ErrIdent,
-		LockHeld,
 		LockOrder,
-		PoolSafe,
-		RetryLoop,
 		SpanEnd,
 	}
 }

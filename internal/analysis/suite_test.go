@@ -15,7 +15,7 @@ func td(name string) string {
 // deliberate violations are inert.
 
 func TestLockHeldGolden(t *testing.T) {
-	RunGolden(t, LockHeld, "whisper/internal/election", td("lockheld"))
+	RunGolden(t, LockOrder, "whisper/internal/election", td("lockheld"))
 }
 
 func TestCtxFlowGolden(t *testing.T) {
@@ -53,10 +53,6 @@ func TestDetRandUnscopedGolden(t *testing.T) {
 	RunGolden(t, DetRand, "whisper/internal/proxy", td("detrand_unscoped"))
 }
 
-func TestPoolSafeGolden(t *testing.T) {
-	RunGolden(t, PoolSafe, "whisper/internal/soap", td("poolsafe"))
-}
-
 func TestDetRandLoadctlGolden(t *testing.T) {
 	// The admission pipeline is detrand-scoped: its injected-clock and
 	// timer idioms must read clean — zero diagnostics.
@@ -84,17 +80,7 @@ func TestLockOrderGolden(t *testing.T) {
 func TestLockHeldInterprocGolden(t *testing.T) {
 	// Blocking primitives reached through callees: the PR 4
 	// intraprocedural engine saw none of these.
-	RunGolden(t, LockHeld, "whisper/internal/election", td("lockheld_interproc"))
-}
-
-func TestRetryLoopGolden(t *testing.T) {
-	RunGolden(t, RetryLoop, "whisper/internal/proxy", td("retryloop"))
-}
-
-func TestRetryLoopUnscopedGolden(t *testing.T) {
-	// Outside the invocation-path packages the same delay shapes are
-	// fine: zero diagnostics.
-	RunGolden(t, RetryLoop, "whisper/internal/backend", td("retryloop_unscoped"))
+	RunGolden(t, LockOrder, "whisper/internal/election", td("lockheld_interproc"))
 }
 
 func TestErrIdentGolden(t *testing.T) {
@@ -117,8 +103,8 @@ func TestReplicasCleanGolden(t *testing.T) {
 func TestGossipCleanGolden(t *testing.T) {
 	// The gossip engine idioms (seeded jitter, injected clock,
 	// stop-channel rounds, append-into-dst roster hot paths) under the
-	// whole suite — the package is detrand-, retryloop- and
-	// hotpath-scoped, so these are live true negatives.
+	// whole suite — the package is detrand-scoped and carries hot
+	// paths, so these are live true negatives.
 	for _, a := range All() {
 		RunGolden(t, a, "whisper/internal/gossip", td("gossip_clean"))
 	}
@@ -126,14 +112,14 @@ func TestGossipCleanGolden(t *testing.T) {
 
 func TestLoadctlFullSuiteGolden(t *testing.T) {
 	// The admission pipeline stays clean under the interprocedural
-	// analyzers added in this PR, not just its original two.
-	for _, a := range []*Analyzer{LockHeld, LockOrder, RetryLoop, ErrIdent, AllocBudget} {
+	// analyzers, not just its original two.
+	for _, a := range []*Analyzer{LockOrder, ErrIdent, AllocBudget} {
 		RunGolden(t, a, "whisper/internal/loadctl", td("loadctl_clean"))
 	}
 }
 
 func TestLoadgenFullSuiteGolden(t *testing.T) {
-	for _, a := range []*Analyzer{LockHeld, LockOrder, RetryLoop, ErrIdent, AllocBudget} {
+	for _, a := range []*Analyzer{LockOrder, ErrIdent, AllocBudget} {
 		RunGolden(t, a, "whisper/internal/loadgen", td("loadgen_clean"))
 	}
 }
@@ -141,7 +127,7 @@ func TestLoadgenFullSuiteGolden(t *testing.T) {
 func TestReplogFullSuiteGolden(t *testing.T) {
 	// The journal read path (leases, read-index barrier) under the new
 	// analyzers.
-	for _, a := range []*Analyzer{LockHeld, LockOrder, RetryLoop, ErrIdent, AllocBudget} {
+	for _, a := range []*Analyzer{LockOrder, ErrIdent, AllocBudget} {
 		RunGolden(t, a, "whisper/internal/replog", td("replog"))
 	}
 }

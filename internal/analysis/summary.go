@@ -56,22 +56,18 @@ type acqFact struct {
 }
 
 // Summary is the bottom-up interprocedural summary of one declared
-// function: whether calling it can park the goroutine, whether it
-// delays uncancellably, which locks it (transitively) acquires, and
-// its steady-state allocation facts. Function literals inside the body
-// are excluded — they run under their own goroutine's or caller's
-// contract — except for allocation facts, where an inline helper
-// closure's cost is attributed to the function constructing it.
+// function: whether calling it can park the goroutine, which locks it
+// (transitively) acquires, and its steady-state allocation facts.
+// Function literals inside the body are excluded — they run under
+// their own goroutine's or caller's contract — except for allocation
+// facts, where an inline helper closure's cost is attributed to the
+// function constructing it.
 type Summary struct {
 	// Blocking is non-nil when calling the function can park the
 	// goroutine: channel operation, select without default, time.Sleep,
 	// a messaging call (Send/Call/Query/Invoke/Propagate), or a call to
 	// a function that blocks.
 	Blocking *Fact
-	// SleepBare is non-nil when the function delays without selecting
-	// on a cancellation signal: bare time.Sleep, a naked <-time.After,
-	// or a select whose only arms are timers.
-	SleepBare *Fact
 	// Acquires maps canonical lock IDs to the acquisition reachable
 	// from this function (directly or through callees).
 	Acquires map[string]acqFact
@@ -83,7 +79,7 @@ type Summary struct {
 const allocCap = 4
 
 // heldBlockFact is one blocking-operation-under-held-lock occurrence,
-// reported by the lockheld analyzer.
+// reported by the lockorder analyzer.
 type heldBlockFact struct {
 	lockDisplay string
 	lockPos     token.Position
@@ -159,7 +155,6 @@ func summaryGrew(old, cur *Summary) bool {
 		return true
 	}
 	return (old.Blocking == nil) != (cur.Blocking == nil) ||
-		(old.SleepBare == nil) != (cur.SleepBare == nil) ||
 		len(old.Acquires) != len(cur.Acquires) ||
 		len(old.Allocs) != len(cur.Allocs)
 }
@@ -226,9 +221,9 @@ type sumWalker struct {
 	emit bool
 	sum  *Summary
 
-	// inLit: walking a nested function literal. Blocking, SleepBare
-	// and Acquires are not merged into the summary there (the literal
-	// runs under its own contract); alloc facts and lock facts are.
+	// inLit: walking a nested function literal. Blocking and Acquires
+	// are not merged into the summary there (the literal runs under
+	// its own contract); alloc facts and lock facts are.
 	inLit     bool
 	loopDepth int
 	errDepth  int
@@ -263,17 +258,6 @@ func (w *sumWalker) blocking(held map[string]heldLock, pos token.Pos, what strin
 			})
 		}
 	}
-}
-
-func (w *sumWalker) sleepBare(pos token.Pos, what string, via []FuncID, factPos token.Position) {
-	if w.inLit || w.sum.SleepBare != nil {
-		return
-	}
-	fp := factPos
-	if len(via) == 0 {
-		fp = w.position(pos)
-	}
-	w.sum.SleepBare = &Fact{What: what, Pos: fp, Via: via}
 }
 
 func (w *sumWalker) alloc(pos token.Pos, what string, via []FuncID, loop bool) {
@@ -478,104 +462,22 @@ func (w *sumWalker) stmt(s ast.Stmt, held map[string]heldLock) {
 	}
 }
 
-// selectStmt: a select without default parks; one whose only arms are
-// timers is additionally an uncancellable delay.
+// selectStmt: a select without default parks.
 func (w *sumWalker) selectStmt(s *ast.SelectStmt, held map[string]heldLock) {
 	hasDefault := false
-	timerArms, otherArms, doneArms := 0, 0, 0
 	for _, c := range s.Body.List {
-		cc, ok := c.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		if cc.Comm == nil {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
 			hasDefault = true
-			continue
-		}
-		switch classifyComm(cc.Comm) {
-		case commTimer:
-			timerArms++
-		case commDone:
-			doneArms++
-		default:
-			otherArms++
 		}
 	}
 	if !hasDefault {
 		w.blocking(held, s.Pos(), "select", nil, token.Position{})
-		if timerArms > 0 && doneArms == 0 && otherArms == 0 {
-			w.sleepBare(s.Pos(), "select on timer channels only", nil, token.Position{})
-		}
 	}
 	for _, c := range s.Body.List {
-		cc, ok := c.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		w.stmts(cc.Body, copyHeldLocks(held))
-	}
-}
-
-type commKind int
-
-const (
-	commOther commKind = iota
-	commTimer
-	commDone
-)
-
-// classifyComm categorizes one select arm: a timer receive
-// (<-time.After(...), <-t.C), a cancellation receive (<-ctx.Done(),
-// <-stopCh and friends), or anything else (a real event).
-func classifyComm(comm ast.Stmt) commKind {
-	var recv ast.Expr
-	switch c := comm.(type) {
-	case *ast.ExprStmt:
-		if u, ok := c.X.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-			recv = u.X
-		}
-	case *ast.AssignStmt:
-		if len(c.Rhs) == 1 {
-			if u, ok := c.Rhs[0].(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-				recv = u.X
-			}
+		if cc, ok := c.(*ast.CommClause); ok {
+			w.stmts(cc.Body, copyHeldLocks(held))
 		}
 	}
-	if recv == nil {
-		return commOther
-	}
-	switch e := recv.(type) {
-	case *ast.CallExpr:
-		if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" &&
-				(sel.Sel.Name == "After" || sel.Sel.Name == "Tick") {
-				return commTimer
-			}
-			if sel.Sel.Name == "Done" {
-				return commDone
-			}
-		}
-	case *ast.SelectorExpr:
-		if e.Sel.Name == "C" {
-			return commTimer
-		}
-	case *ast.Ident:
-		if isDoneName(e.Name) {
-			return commDone
-		}
-	}
-	return commOther
-}
-
-// isDoneName recognizes cancellation-channel naming.
-func isDoneName(name string) bool {
-	l := strings.ToLower(name)
-	for _, k := range []string{"done", "stop", "quit", "clos", "cancel", "deadline"} {
-		if strings.Contains(l, k) {
-			return true
-		}
-	}
-	return false
 }
 
 // mentionsErr reports whether a condition inspects an error variable —
@@ -683,11 +585,6 @@ func (w *sumWalker) exprs(held map[string]heldLock, list ...ast.Expr) {
 			case *ast.UnaryExpr:
 				if n.Op == token.ARROW {
 					w.blocking(held, n.Pos(), "channel receive", nil, token.Position{})
-					if call, ok := n.X.(*ast.CallExpr); ok {
-						if path, name, ok := pkgFuncCall(w.fn.imports, call); ok && path == "time" && (name == "After" || name == "Tick") {
-							w.sleepBare(n.Pos(), "naked <-time."+name, nil, token.Position{})
-						}
-					}
 				}
 			case *ast.BinaryExpr:
 				if n.Op == token.ADD && w.loopDepth > 0 &&
@@ -741,7 +638,6 @@ func (w *sumWalker) callExpr(held map[string]heldLock, call *ast.CallExpr) {
 	if path, name, ok := pkgFuncCall(w.fn.imports, call); ok {
 		if path == "time" && name == "Sleep" {
 			w.blocking(held, call.Pos(), "time.Sleep", nil, token.Position{})
-			w.sleepBare(call.Pos(), "time.Sleep", nil, token.Position{})
 			return
 		}
 		if path == "fmt" && (name == "Sprintf" || name == "Sprint" || name == "Sprintln") {
@@ -758,11 +654,8 @@ func (w *sumWalker) callExpr(held map[string]heldLock, call *ast.CallExpr) {
 		return
 	}
 
-	if recv, name, ok := methodCall(w.fn.imports, call); ok {
-		if blockingMethods[name] {
-			w.blocking(held, call.Pos(), name+" call", nil, token.Position{})
-		}
-		_ = recv
+	if _, name, ok := methodCall(w.fn.imports, call); ok && blockingMethods[name] {
+		w.blocking(held, call.Pos(), name+" call", nil, token.Position{})
 	}
 	if callee := w.p.resolveCall(w.fn, call); callee != nil {
 		w.propagate(held, call.Pos(), callee)
@@ -770,7 +663,7 @@ func (w *sumWalker) callExpr(held map[string]heldLock, call *ast.CallExpr) {
 }
 
 // propagate merges a resolved callee's summary into the walk: blocking
-// and bare-sleep facts gain a via hop, the callee's transitive lock
+// facts gain a via hop, the callee's transitive lock
 // acquisitions order against every held lock, and allocation facts
 // flow up.
 func (w *sumWalker) propagate(held map[string]heldLock, pos token.Pos, callee *FuncInfo) {
@@ -781,10 +674,6 @@ func (w *sumWalker) propagate(held map[string]heldLock, pos token.Pos, callee *F
 	if cs.Blocking != nil {
 		via := append([]FuncID{callee.ID}, cs.Blocking.Via...)
 		w.blocking(held, pos, cs.Blocking.What, via, cs.Blocking.Pos)
-	}
-	if cs.SleepBare != nil {
-		via := append([]FuncID{callee.ID}, cs.SleepBare.Via...)
-		w.sleepBare(pos, cs.SleepBare.What, via, cs.SleepBare.Pos)
 	}
 	if len(cs.Acquires) > 0 {
 		callPos := w.position(pos)

@@ -89,5 +89,5 @@ func (p *peer) goodGoroutine() {
 func (p *peer) suppressed() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.out <- 2 //lint:allow lockheld buffered channel with a dedicated drainer, never parks
+	p.out <- 2 //lint:allow lockorder buffered channel with a dedicated drainer, never parks
 }

@@ -64,5 +64,5 @@ func (h *hub) goodGoroutine() {
 func (h *hub) suppressed() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.emit() //lint:allow lockheld events is buffered for the worst-case fan-out; the send cannot park
+	h.emit() //lint:allow lockorder events is buffered for the worst-case fan-out; the send cannot park
 }

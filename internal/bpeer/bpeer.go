@@ -645,10 +645,8 @@ func IsInfraErrMsg(msg string) bool {
 type peerResponse struct {
 	XMLName xml.Name `xml:"PeerResponse"`
 	Status  string   `xml:"Status,attr"`
-	// Coordinator and Pipe are set on redirects so the caller can
-	// re-bind.
+	// Coordinator is set on redirects so the caller can re-bind.
 	Coordinator string `xml:"Coordinator,omitempty"`
-	Pipe        string `xml:"Pipe,omitempty"`
 	// Error is the failure message when Status is "error".
 	Error string `xml:"Error,omitempty"`
 	// ReadIndex and ReadSeq are set on follower-served reads: the
@@ -663,7 +661,7 @@ type peerResponse struct {
 
 // EncodeRequest builds the wire form of a service request (exported
 // for the proxy). key is the idempotency key, "" for unkeyed requests.
-func EncodeRequest(op string, payload []byte, key string) ([]byte, error) {
+func EncodeRequest(op string, payload []byte, key string) ([]byte, error) { //lint:hotpath
 	return xml.Marshal(peerRequest{Op: op, Key: key, Payload: payload})
 }
 
@@ -679,7 +677,6 @@ func EncodeReadRequest(op string, payload []byte) ([]byte, error) {
 type Response struct {
 	Status      string
 	Coordinator string
-	Pipe        string
 	Error       string
 	Payload     []byte
 	// ReadIndex/ReadSeq are non-zero only on follower-served reads.
@@ -690,7 +687,7 @@ type Response struct {
 // DecodeResponseFull parses the wire form of a service response
 // (exported for the proxy) into a Response, preserving the read-index
 // staleness fields.
-func DecodeResponseFull(data []byte) (Response, error) {
+func DecodeResponseFull(data []byte) (Response, error) { //lint:hotpath
 	var resp peerResponse
 	if err := xml.Unmarshal(data, &resp); err != nil {
 		return Response{}, fmt.Errorf("bpeer: decode response: %w", err)
@@ -698,7 +695,6 @@ func DecodeResponseFull(data []byte) (Response, error) {
 	return Response{
 		Status:      resp.Status,
 		Coordinator: resp.Coordinator,
-		Pipe:        resp.Pipe,
 		Error:       resp.Error,
 		Payload:     resp.Payload,
 		ReadIndex:   resp.ReadIndex,

@@ -399,7 +399,7 @@ func TestRequestResponseCodecRoundTrip(t *testing.T) {
 	r, err := DecodeResponseFull(mustXML(t, peerResponse{
 		Status: statusOK, Payload: []byte("data"),
 	}))
-	if err != nil || r.Status != statusOK || string(r.Payload) != "data" || r.Coordinator != "" || r.Pipe != "" || r.Error != "" {
+	if err != nil || r.Status != statusOK || string(r.Payload) != "data" || r.Coordinator != "" || r.Error != "" {
 		t.Errorf("decoded = %+v %v", r, err)
 	}
 	if _, err := DecodeResponseFull([]byte("garbage")); err == nil {

@@ -229,7 +229,7 @@ func BenchmarkReplicationCodec(b *testing.B) {
 func FuzzDecodeResponseFull(f *testing.F) {
 	encode := func(t *testing.T, r Response) []byte {
 		t.Helper()
-		return mustXML(t, peerResponse{Status: r.Status, Coordinator: r.Coordinator, Pipe: r.Pipe,
+		return mustXML(t, peerResponse{Status: r.Status, Coordinator: r.Coordinator,
 			Error: r.Error, ReadIndex: r.ReadIndex, ReadSeq: r.ReadSeq, Payload: r.Payload})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

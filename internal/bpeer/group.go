@@ -78,9 +78,7 @@ func newGroup(peer *p2p.Peer, self member, cfg election.Config, stats *metrics.C
 
 // current returns the member list (self first) without touching the
 // network. The slice is shared and must not be modified.
-//
-//lint:hotpath
-func (g *group) current() []member {
+func (g *group) current() []member { //lint:hotpath
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.members

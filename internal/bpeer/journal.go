@@ -177,9 +177,7 @@ func (b *BPeer) applyReplicated(pm p2p.PipeMessage) {
 // reference to its PREPARE), and a replica that wins an election or
 // restarts state-transfers before it serves. The only messages sent are
 // the entry and its acks.
-//
-//lint:hotpath
-func (b *BPeer) replicate(ctx context.Context, kind replKind, entry replog.Entry) {
+func (b *BPeer) replicate(ctx context.Context, kind replKind, entry replog.Entry) { //lint:hotpath
 	ctx, span := b.cfg.Tracer.StartSpan(ctx, "replog.replicate")
 	span.SetAttr("kind", kind.String())
 	span.SetAttr("key", entry.Key)
@@ -509,18 +507,18 @@ func (b *BPeer) answerReplogPipe(_ string, _ []byte) ([]byte, error) {
 
 // answerReplogState serves the encoded journal for state transfer: the
 // delta the requester's summary asks for, or the full snapshot when the
-// journals disagree at or below its mark (replog.EncodeCatchUp), or the
-// request does not decode. The requester joins this replica's group
-// BEFORE the snapshot is taken: an entry journaled earlier is in the
-// snapshot, one journaled later is replicated to the requester, so it
-// never has a gap.
+// journals disagree at or below its mark (replog.EncodeCatchUp). A
+// request that does not decode gets an error, not the journal. The
+// requester joins this replica's group BEFORE the snapshot is taken: an
+// entry journaled earlier is in the snapshot, one journaled later is
+// replicated to the requester, so it never has a gap.
 func (b *BPeer) answerReplogState(_ string, payload []byte) ([]byte, error) {
 	if b.journal == nil {
 		return nil, fmt.Errorf("journal disabled")
 	}
 	req, err := decodeStateRequest(payload)
 	if err != nil {
-		return b.journal.EncodeState()
+		return nil, fmt.Errorf("state request: %w", err)
 	}
 	if req.Addr != "" && req.Pipe != "" {
 		b.group.admit(member{

@@ -282,6 +282,31 @@ func TestUnkeyedRequestBypassesJournal(t *testing.T) {
 	}
 }
 
+// TestMalformedStateRequestGetsNoState: a state query whose payload
+// does not decode is refused. Answering it with the whole journal
+// would ship every key's digest and reply in return for a garbage
+// frame; every real requester sends a summary.
+func TestMalformedStateRequestGetsNoState(t *testing.T) {
+	d := newDeployment(t, 1)
+	coord := coordOf(t, d)
+	if st, em, _ := d.keyedCall(t, coord.ServicePipe(), "Op", "key-1", []byte("<p/>")); st != statusOK {
+		t.Fatalf("call: %s %s", st, em)
+	}
+	port, err := d.net.NewPort("state-client")
+	if err != nil {
+		t.Fatalf("port: %v", err)
+	}
+	client := p2p.NewPeer("state-client", d.gen.New(p2p.PeerIDKind), port)
+	client.Start()
+	t.Cleanup(func() { _ = client.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	state, err := p2p.NewResolverOn(client, ProtoBinding).Query(ctx, coord.Addr(), replogStateHandler, []byte("garbage"))
+	if err == nil || len(state) != 0 {
+		t.Fatalf("malformed state request answered with %d bytes, err %v; want an error and no state", len(state), err)
+	}
+}
+
 // status asks the replica at addr for its status over the network and
 // returns its b-peer section, raw and decoded.
 func (d *deployment) status(t *testing.T, addr string) ([]byte, Status) {

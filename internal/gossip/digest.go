@@ -45,7 +45,7 @@ type DigestEntry struct {
 
 // AppendDigest encodes the store's digest onto dst, origins in sorted
 // order, and returns the extended slice.
-func (s *Store) AppendDigest(dst []byte) []byte {
+func (s *Store) AppendDigest(dst []byte) []byte { //lint:hotpath
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dst = binary.AppendUvarint(dst, uint64(len(s.origins)))
@@ -62,7 +62,7 @@ func (s *Store) AppendDigest(dst []byte) []byte {
 // ParseDigest decodes a digest frame, appending its entries onto dst,
 // and returns the extended slice and the bytes consumed. Entries
 // alias b.
-func ParseDigest(dst []DigestEntry, b []byte) ([]DigestEntry, int, error) {
+func ParseDigest(dst []DigestEntry, b []byte) ([]DigestEntry, int, error) { //lint:hotpath
 	r := wire.NewReader(b)
 	// A forged count ends the loop when the bytes run out.
 	for n := r.Uvarint(); n > 0 && !r.Bad(); n-- {
@@ -95,7 +95,7 @@ func ParseDigest(dst []DigestEntry, b []byte) ([]DigestEntry, int, error) {
 // caller resets to zero, so any entries the shifting sequence skipped
 // are covered on the next pass. peer must be ordered by origin, which
 // parsed digests are (AppendDigest emits sorted origins).
-func (s *Store) AppendDelta(dst []byte, peer []DigestEntry, maxEntries, skip int) ([]byte, int, bool) {
+func (s *Store) AppendDelta(dst []byte, peer []DigestEntry, maxEntries, skip int) ([]byte, int, bool) { //lint:hotpath
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0

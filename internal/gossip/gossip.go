@@ -33,9 +33,9 @@
 //     garbage-collected TombstoneTTL after its deadline.
 //
 // The package is deterministic under test: randomness comes from a
-// seeded rand.Rand, time from an injected simnet.Clock, and every
-// loop delay is cancellable — the detrand and retryloop analyzers
-// enforce this (see internal/analysis).
+// seeded rand.Rand, time from an injected simnet.Clock (the detrand
+// analyzer enforces both, see internal/analysis), and every loop delay
+// selects on the engine's stop channel.
 package gossip
 
 import (

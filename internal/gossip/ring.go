@@ -96,7 +96,7 @@ func fmix64(h uint64) uint64 {
 
 // HashTriple hashes a discovery index triple onto the ring's key
 // space. NUL separators keep ("a","bc") and ("ab","c") distinct.
-func HashTriple(advType, attr, value string) uint64 {
+func HashTriple(advType, attr, value string) uint64 { //lint:hotpath
 	h := uint64(fnvOffset)
 	h = hashString(h, advType)
 	h *= fnvPrime
@@ -119,7 +119,7 @@ func vnodeHash(m string, v int) uint64 {
 }
 
 // Owner returns the member owning the triple ("" on an empty ring).
-func (r *Ring) Owner(advType, attr, value string) string {
+func (r *Ring) Owner(advType, attr, value string) string { //lint:hotpath
 	if len(r.points) == 0 {
 		return ""
 	}
@@ -131,7 +131,7 @@ func (r *Ring) Owner(advType, attr, value string) string {
 // the first k unique members clockwise from the triple's point — onto
 // dst and returns the extended slice. k is clamped to the member
 // count.
-func (r *Ring) AppendOwners(dst []string, advType, attr, value string, k int) []string {
+func (r *Ring) AppendOwners(dst []string, advType, attr, value string, k int) []string { //lint:hotpath
 	if len(r.points) == 0 || k <= 0 {
 		return dst
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // marshalAdv serializes an advertisement struct with an XML header.
-func marshalAdv(v any) ([]byte, error) {
+func marshalAdv(v any) ([]byte, error) { //lint:hotpath
 	body, err := xml.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err
@@ -23,7 +23,7 @@ func marshalAdv(v any) ([]byte, error) {
 }
 
 // unmarshalAdv parses XML into the advertisement struct.
-func unmarshalAdv(data []byte, v any) error {
+func unmarshalAdv(data []byte, v any) error { //lint:hotpath
 	return xml.Unmarshal(data, v)
 }
 

@@ -208,7 +208,7 @@ func (d *DiscoveryService) Stats() DiscoveryStats {
 // Exact attribute queries are answered from the (advType, attr, value)
 // index in O(results). Wildcard values scan only the type's entries; an
 // empty advType scans the whole cache (introspection tooling only).
-func (d *DiscoveryService) GetLocalAdvertisements(advType, attr, value string) []Advertisement {
+func (d *DiscoveryService) GetLocalAdvertisements(advType, attr, value string) []Advertisement { //lint:hotpath
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.now()
@@ -267,7 +267,7 @@ func hasWildcard(value string) bool {
 // either end of the value, against the publish-time attribute cache
 // (Advertisement.Attributes builds a fresh map per call; on the
 // wildcard scan path that would be one map per entry per query).
-func matchAttr(attrs map[string]string, attr, value string) bool {
+func matchAttr(attrs map[string]string, attr, value string) bool { //lint:hotpath
 	if attr == "" {
 		return true
 	}

@@ -14,8 +14,7 @@ import (
 type PipeMessage struct {
 	// From is the sender's transport address.
 	From string
-	// CorrID correlates a request with its reply ("" for one-way
-	// data).
+	// CorrID correlates the request with its reply.
 	CorrID string
 	// Trace is the sender's trace context (zero when the sender was
 	// not tracing); receivers parent their spans under it.
@@ -24,9 +23,9 @@ type PipeMessage struct {
 	Payload []byte
 }
 
-// PipeService implements JXTA pipes over the peer: unicast input/output
-// pipes with optional request/response correlation, and propagate
-// sends to a set of peers. One PipeService is attached per peer.
+// PipeService implements JXTA pipes over the peer: input pipes bound
+// here answer correlated requests (Call), one target or a set of them
+// at once (CallAll). One PipeService is attached per peer.
 type PipeService struct {
 	peer *Peer
 	gen  *IDGen
@@ -40,7 +39,6 @@ type PipeService struct {
 
 // Pipe message kinds.
 const (
-	kindPipeData     = "data"
 	kindPipeRequest  = "request"
 	kindPipeResponse = "response"
 )
@@ -122,7 +120,7 @@ func (p *InputPipe) Close() {
 // Reply answers a request received on this pipe.
 func (p *InputPipe) Reply(to PipeMessage, payload []byte) error {
 	if to.CorrID == "" {
-		return fmt.Errorf("pipe: reply to one-way message")
+		return fmt.Errorf("pipe: reply to a message without a correlation id")
 	}
 	return p.svc.peer.Send(to.From, simnet.Message{
 		Proto:   ProtoPipe,
@@ -130,29 +128,6 @@ func (p *InputPipe) Reply(to PipeMessage, payload []byte) error {
 		Headers: map[string]string{hdrCorrID: to.CorrID},
 		Payload: payload,
 	})
-}
-
-// Send delivers a one-way payload to the pipe described by adv.
-func (s *PipeService) Send(adv *PipeAdvertisement, payload []byte) error {
-	return s.peer.Send(adv.Addr, simnet.Message{
-		Proto: ProtoPipe,
-		Kind:  kindPipeData,
-		//lint:allow allocbudget the headers map escapes into the wire message and outlives the call; one two-entry map is the protocol cost per send
-		Headers: map[string]string{hdrPipeID: string(adv.PipeID)},
-		Payload: payload,
-	})
-}
-
-// Propagate delivers a one-way payload to every pipe in advs (the
-// JXTA propagate pipe behaviour over a known member set).
-func (s *PipeService) Propagate(advs []*PipeAdvertisement, payload []byte) error {
-	var firstErr error
-	for _, adv := range advs {
-		if err := s.Send(adv, payload); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // CallResult is one fan-out reply from CallAll.
@@ -165,10 +140,10 @@ type CallResult struct {
 }
 
 // CallAll sends the same request to every pipe in advs concurrently and
-// waits for every reply (or ctx cancellation). Unlike Propagate this is
-// an acked fan-out: each target's reply or error is reported in the
-// result slice, ordered like advs. It is the replication primitive for
-// the journal propagate pipe (internal/replog).
+// waits for every reply (or ctx cancellation): an acked fan-out, each
+// target's reply or error reported in the result slice, ordered like
+// advs. It is the replication primitive for the journal propagate pipe
+// (internal/replog).
 func (s *PipeService) CallAll(ctx context.Context, advs []*PipeAdvertisement, payload []byte) []CallResult {
 	results := make([]CallResult, len(advs))
 	var wg sync.WaitGroup
@@ -226,7 +201,7 @@ func (s *PipeService) Call(ctx context.Context, adv *PipeAdvertisement, payload 
 
 func (s *PipeService) handleMessage(msg simnet.Message) {
 	switch msg.Kind {
-	case kindPipeData, kindPipeRequest:
+	case kindPipeRequest:
 		pipeID := ID(msg.Header(hdrPipeID))
 		s.mu.Lock()
 		in := s.inputs[pipeID]
@@ -234,10 +209,7 @@ func (s *PipeService) handleMessage(msg simnet.Message) {
 		if in == nil {
 			return // pipe unbound; message is lost, like JXTA
 		}
-		pm := PipeMessage{From: msg.Src, Payload: msg.Payload}
-		if msg.Kind == kindPipeRequest {
-			pm.CorrID = msg.Header(hdrCorrID)
-		}
+		pm := PipeMessage{From: msg.Src, CorrID: msg.Header(hdrCorrID), Payload: msg.Payload}
 		if sc, ok := trace.Parse(msg.Header(trace.HeaderKey)); ok {
 			pm.Trace = sc
 		}

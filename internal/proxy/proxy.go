@@ -391,9 +391,7 @@ func (p *SWSProxy) find(ctx context.Context, q lookup, sig string, keys func() [
 // reports false — ask the plane — when q has no answer, the answer's
 // lifetime has run out, or it matches nothing: an empty answer asks
 // again.
-//
-//lint:hotpath
-func (p *SWSProxy) memoHit(q lookup, sig string, match matcher) ([]GroupMatch, bool) {
+func (p *SWSProxy) memoHit(q lookup, sig string, match matcher) ([]GroupMatch, bool) { //lint:hotpath
 	p.mu.Lock()
 	a := p.memo[q]
 	if a == nil || !time.Now().Before(a.until) {

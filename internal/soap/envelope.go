@@ -68,7 +68,7 @@ type Envelope struct {
 }
 
 // Encode wraps the XML-marshalable payload in a SOAP envelope.
-func Encode(payload any) ([]byte, error) {
+func Encode(payload any) ([]byte, error) { //lint:hotpath
 	body, err := xml.Marshal(payload)
 	if err != nil {
 		return nil, fmt.Errorf("soap: marshal payload: %w", err)
@@ -77,40 +77,40 @@ func Encode(payload any) ([]byte, error) {
 }
 
 // EncodeRaw wraps pre-marshaled body XML in a SOAP envelope.
-func EncodeRaw(bodyXML []byte) []byte { return wrap(bodyXML) }
+func EncodeRaw(bodyXML []byte) []byte { return wrap(bodyXML) } //lint:hotpath
 
 // EncodeFault wraps a fault in a SOAP envelope.
 func EncodeFault(f *Fault) ([]byte, error) {
-	b := getBuf()
-	b.WriteString(xml.Header)
-	b.WriteString(`<soap:Envelope xmlns:soap="` + NS + `"><soap:Body>`)
-	b.WriteString(`<soap:Fault><faultcode>`)
-	_ = xml.EscapeText(b, []byte(f.Code))
-	b.WriteString(`</faultcode><faultstring>`)
-	_ = xml.EscapeText(b, []byte(f.Reason))
-	b.WriteString(`</faultstring>`)
-	if f.Actor != "" {
-		b.WriteString(`<faultactor>`)
-		_ = xml.EscapeText(b, []byte(f.Actor))
-		b.WriteString(`</faultactor>`)
-	}
-	if f.Detail != "" {
-		b.WriteString(`<detail>`)
-		_ = xml.EscapeText(b, []byte(f.Detail))
-		b.WriteString(`</detail>`)
-	}
-	b.WriteString(`</soap:Fault>`)
-	b.WriteString(`</soap:Body></soap:Envelope>`)
-	return putBuf(b), nil
+	return build(func(b *bytes.Buffer) {
+		b.WriteString(xml.Header)
+		b.WriteString(`<soap:Envelope xmlns:soap="` + NS + `"><soap:Body>`)
+		b.WriteString(`<soap:Fault><faultcode>`)
+		_ = xml.EscapeText(b, []byte(f.Code))
+		b.WriteString(`</faultcode><faultstring>`)
+		_ = xml.EscapeText(b, []byte(f.Reason))
+		b.WriteString(`</faultstring>`)
+		if f.Actor != "" {
+			b.WriteString(`<faultactor>`)
+			_ = xml.EscapeText(b, []byte(f.Actor))
+			b.WriteString(`</faultactor>`)
+		}
+		if f.Detail != "" {
+			b.WriteString(`<detail>`)
+			_ = xml.EscapeText(b, []byte(f.Detail))
+			b.WriteString(`</detail>`)
+		}
+		b.WriteString(`</soap:Fault>`)
+		b.WriteString(`</soap:Body></soap:Envelope>`)
+	}), nil
 }
 
-func wrap(body []byte) []byte {
-	b := getBuf()
-	b.WriteString(xml.Header)
-	b.WriteString(`<soap:Envelope xmlns:soap="` + NS + `"><soap:Body>`)
-	b.Write(body)
-	b.WriteString(`</soap:Body></soap:Envelope>`)
-	return putBuf(b)
+func wrap(body []byte) []byte { //lint:hotpath
+	return build(func(b *bytes.Buffer) {
+		b.WriteString(xml.Header)
+		b.WriteString(`<soap:Envelope xmlns:soap="` + NS + `"><soap:Body>`)
+		b.Write(body)
+		b.WriteString(`</soap:Body></soap:Envelope>`)
+	})
 }
 
 // rawEnvelope mirrors the wire format for decoding.
@@ -131,7 +131,7 @@ type rawBody struct {
 // Decode parses a SOAP envelope. Faults are detected and returned in
 // Envelope.Fault; other payloads are available raw in BodyXML for a
 // second-stage DecodeBody.
-func Decode(data []byte) (*Envelope, error) {
+func Decode(data []byte) (*Envelope, error) { //lint:hotpath
 	var raw rawEnvelope
 	if err := xml.Unmarshal(data, &raw); err != nil {
 		return nil, fmt.Errorf("soap: decode envelope: %w", err)

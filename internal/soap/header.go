@@ -29,26 +29,26 @@ func EncodeWithHeaders(payload any, headerBlocks ...[]byte) ([]byte, error) {
 // EncodeRawWithHeaders wraps pre-marshaled body XML in an envelope
 // carrying the given raw header blocks (nil blocks are skipped).
 func EncodeRawWithHeaders(bodyXML []byte, headerBlocks ...[]byte) []byte {
-	b := getBuf()
-	b.WriteString(xml.Header)
-	b.WriteString(`<soap:Envelope xmlns:soap="` + NS + `">`)
-	hasBlocks := false
-	for _, h := range headerBlocks {
-		if len(h) > 0 {
-			if !hasBlocks {
-				b.WriteString(`<soap:Header>`)
-				hasBlocks = true
+	return build(func(b *bytes.Buffer) {
+		b.WriteString(xml.Header)
+		b.WriteString(`<soap:Envelope xmlns:soap="` + NS + `">`)
+		hasBlocks := false
+		for _, h := range headerBlocks {
+			if len(h) > 0 {
+				if !hasBlocks {
+					b.WriteString(`<soap:Header>`)
+					hasBlocks = true
+				}
+				b.Write(h)
 			}
-			b.Write(h)
 		}
-	}
-	if hasBlocks {
-		b.WriteString(`</soap:Header>`)
-	}
-	b.WriteString(`<soap:Body>`)
-	b.Write(bodyXML)
-	b.WriteString(`</soap:Body></soap:Envelope>`)
-	return putBuf(b)
+		if hasBlocks {
+			b.WriteString(`</soap:Header>`)
+		}
+		b.WriteString(`<soap:Body>`)
+		b.Write(bodyXML)
+		b.WriteString(`</soap:Body></soap:Envelope>`)
+	})
 }
 
 // MustUnderstandBlock builds a raw header block with

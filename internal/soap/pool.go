@@ -18,15 +18,14 @@ var bufPool = sync.Pool{
 // payload must not pin its buffer for the rest of the process.
 const maxPooledBuf = 1 << 16
 
-func getBuf() *bytes.Buffer {
+// build has fill write into a pooled buffer and returns an exact-size
+// copy of what it wrote (the only allocation the caller keeps). The
+// buffer never leaves this function, so nothing can use it after it is
+// back in the pool.
+func build(fill func(b *bytes.Buffer)) []byte {
 	b := bufPool.Get().(*bytes.Buffer)
 	b.Reset()
-	return b
-}
-
-// putBuf returns the buffer to the pool and hands back an exact-size
-// copy of its contents (the only allocation the caller keeps).
-func putBuf(b *bytes.Buffer) []byte {
+	fill(b)
 	out := append([]byte(nil), b.Bytes()...)
 	if b.Cap() <= maxPooledBuf {
 		bufPool.Put(b)
