@@ -193,7 +193,8 @@ func startRendezvous(listen string, tracer *trace.Tracer) (*p2p.Peer, error) {
 	if col := tracer.Collector(); col != nil {
 		p2p.ServeTraces(peer, col)
 	}
-	p2p.NewRendezvousService(peer, 30*time.Second)
+	// whisperd's b-peers renew at bpeer's default lease interval.
+	p2p.NewRendezvousService(peer, bpeer.MembershipLease(0))
 	index, err := p2p.NewIndexNode(peer, p2p.GossipConfig{})
 	if err != nil {
 		_ = peer.Close()

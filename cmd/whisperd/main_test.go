@@ -8,8 +8,11 @@ import (
 	"time"
 
 	"whisper/internal/backend"
+	"whisper/internal/bpeer"
 	"whisper/internal/leakcheck"
 	"whisper/internal/loadctl"
+	"whisper/internal/p2p"
+	"whisper/internal/simnet"
 	"whisper/internal/soap"
 	"whisper/internal/trace"
 )
@@ -129,5 +132,53 @@ func TestMultiProcessTopologyOverTCP(t *testing.T) {
 	}
 	if names["proxy.invoke"] != names["soap.StudentInformation"] {
 		t.Errorf("soap and proxy spans are in different traces: %v", names)
+	}
+}
+
+// TestRendezvousLeasesLikeACoreDeployment: whisperd's rendezvous drops a
+// member that stopped renewing — a kill -9'd b-peer in another process —
+// once bpeer.MembershipLease of the default lease interval has run out,
+// the lease a core deployment grants.
+func TestRendezvousLeasesLikeACoreDeployment(t *testing.T) {
+	rdv, err := startRendezvous("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatalf("rendezvous: %v", err)
+	}
+	t.Cleanup(func() { _ = rdv.Close() })
+	tr, err := simnet.NewTCPTransport("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := p2p.NewPeer("member", "urn:jxta:peer-member", tr)
+	member.Start()
+	t.Cleanup(func() { _ = member.Close() })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	client := p2p.NewRendezvousClient(member, rdv.Addr())
+	const gid = p2p.ID("urn:jxta:group-lease")
+	// The rendezvous stamps the join between these two instants.
+	joining := time.Now()
+	if _, err := client.Join(ctx, gid, member.Advertisement()); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	joined := time.Now()
+	lease := bpeer.MembershipLease(0)
+	for {
+		asked := time.Since(joined)
+		members, err := client.Members(ctx, gid)
+		if err != nil {
+			t.Fatalf("members: %v", err)
+		}
+		if len(members) == 0 {
+			break
+		}
+		if asked > lease+time.Second {
+			t.Fatalf("a member that stopped renewing is still listed %v after joining; the lease is %v", asked, lease)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+	if since := time.Since(joining); since < lease {
+		t.Errorf("the member was dropped %v after joining, before its %v lease ran out", since, lease)
 	}
 }

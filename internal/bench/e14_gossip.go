@@ -148,9 +148,9 @@ type gossipFleet struct {
 }
 
 // newGossipFleet builds n shards plus one publishing client. Engines
-// are built but NOT running: publishes land on their owners first, and
-// run() starts the epidemic — separating publish cost from spread
-// cost.
+// know the fleet but are NOT running: publishes land on their owners
+// first and queue as rumors, and run() starts the epidemic —
+// separating publish cost from spread cost.
 func newGossipFleet(opts GossipOptions, n int, interval time.Duration) (*gossipFleet, error) {
 	f := &gossipFleet{
 		net: simnet.NewNetwork(simnet.WithLatency(simnet.ZeroLatency()), simnet.WithSeed(opts.Seed)),
@@ -179,6 +179,9 @@ func newGossipFleet(opts GossipOptions, n int, interval time.Duration) (*gossipF
 		addrs[i] = peer.Addr()
 	}
 	f.router = p2p.NewShardRouter(addrs)
+	for _, svc := range f.svcs {
+		svc.SetPeers(f.router.All())
+	}
 	port, err := f.net.NewPort("bench-publisher")
 	if err != nil {
 		f.Close()
@@ -192,10 +195,8 @@ func newGossipFleet(opts GossipOptions, n int, interval time.Duration) (*gossipF
 }
 
 func (f *gossipFleet) run() {
-	for i, svc := range f.svcs {
-		svc.SetPeers(f.router.All())
+	for _, svc := range f.svcs {
 		svc.Run()
-		_ = i
 	}
 }
 

@@ -86,15 +86,21 @@ func soakRounds(d *core.Deployment) []uint64 {
 }
 
 // soakRoundsSince returns the fewest anti-entropy rounds a running shard
-// has completed since soakRounds returned from. A shard restarted since
-// counts its rounds from the restart.
+// with peers has completed since soakRounds returned from. A shard
+// restarted since counts its rounds from the restart. A ring of one has
+// no such shard: it gossips with nobody, runs no round and so has no
+// round to wait for, and every bound counts as met at once.
 func soakRoundsSince(d *core.Deployment, from []uint64) uint64 {
 	least := uint64(math.MaxUint64)
 	for i, s := range d.Shards() {
 		if !s.Running() {
 			continue
 		}
-		n := s.GossipStats().Reconciles
+		st := s.GossipStats()
+		if st.Peers == 0 {
+			continue
+		}
+		n := st.Reconciles
 		if n >= from[i] {
 			n -= from[i]
 		}

@@ -88,6 +88,7 @@ type Config struct {
 	ElectionTimeout time.Duration
 	// LeaseInterval is how often membership and the semantic
 	// advertisement are refreshed at the rendezvous; zero selects 1s.
+	// Both last MembershipLease(LeaseInterval) without renewal.
 	LeaseInterval time.Duration
 	// LoadSharing opts the replica into PolicyLoadSharing: it serves
 	// requests whether or not it is the coordinator. All replicas of a
@@ -124,6 +125,19 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
+const defaultLeaseInterval = time.Second
+
+// MembershipLease is how long a replica's membership and semantic
+// advertisement last unrenewed when it renews every interval (zero
+// selects the default): three intervals, so two lost renewals in a row
+// do not drop a live replica.
+func MembershipLease(interval time.Duration) time.Duration {
+	if interval <= 0 {
+		interval = defaultLeaseInterval
+	}
+	return 3 * interval
+}
+
 func (c *Config) applyDefaults() {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 100 * time.Millisecond
@@ -135,7 +149,7 @@ func (c *Config) applyDefaults() {
 		c.ElectionTimeout = 150 * time.Millisecond
 	}
 	if c.LeaseInterval <= 0 {
-		c.LeaseInterval = time.Second
+		c.LeaseInterval = defaultLeaseInterval
 	}
 	if c.ReadLease <= 0 {
 		c.ReadLease = 25 * time.Millisecond
@@ -550,7 +564,7 @@ func (b *BPeer) leaseLoop() {
 }
 
 // publishSemanticAdv pushes the group's semantic advertisement into
-// the discovery plane as a versioned entry with a 3×LeaseInterval
+// the discovery plane as a versioned entry with a MembershipLease
 // lifetime: one publish to each ring owner of its action — the single
 // rendezvous on a ring of one; the epidemic spread to the remaining
 // nodes of a larger fleet is the fleet's job.
@@ -560,7 +574,7 @@ func (b *BPeer) publishSemanticAdv(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("bpeer %s: marshal semantic adv: %w", b.cfg.Name, err)
 	}
-	entry := b.gossipPub.Entry(string(adv.AdvID()), raw, 3*b.cfg.LeaseInterval)
+	entry := b.gossipPub.Entry(string(adv.AdvID()), raw, MembershipLease(b.cfg.LeaseInterval))
 	return b.gossipSend(ctx, adv, entry)
 }
 

@@ -36,8 +36,10 @@ func TCPTransport(listenHost string) TransportFactory {
 	return func(string) (simnet.Transport, error) { return simnet.NewTCPTransport(listenHost) }
 }
 
-// Timings bundles the protocol timeouts of a deployment. The zero
-// value selects defaults suitable for LAN-scale latencies.
+// Timings bundles the protocol timeouts of a deployment. A zero field
+// selects the default of the component it tunes (bpeer.Config,
+// proxy.Config; bpeer.MembershipLease of LeaseInterval for
+// RendezvousLease), which suit LAN-scale latencies.
 type Timings struct {
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
@@ -58,33 +60,6 @@ type Timings struct {
 	// selects the gossip engine default (25ms). Anti-entropy runs at
 	// the engine default of 8×interval.
 	GossipInterval time.Duration
-}
-
-func (t *Timings) applyDefaults() {
-	if t.HeartbeatInterval <= 0 {
-		t.HeartbeatInterval = 100 * time.Millisecond
-	}
-	if t.HeartbeatTimeout <= 0 {
-		t.HeartbeatTimeout = 4 * t.HeartbeatInterval
-	}
-	if t.ElectionTimeout <= 0 {
-		t.ElectionTimeout = 150 * time.Millisecond
-	}
-	if t.LeaseInterval <= 0 {
-		t.LeaseInterval = time.Second
-	}
-	if t.RendezvousLease <= 0 {
-		t.RendezvousLease = 3 * t.LeaseInterval
-	}
-	if t.BindTimeout <= 0 {
-		t.BindTimeout = 500 * time.Millisecond
-	}
-	if t.CallTimeout <= 0 {
-		t.CallTimeout = 2 * time.Second
-	}
-	if t.RetryDelay <= 0 {
-		t.RetryDelay = 100 * time.Millisecond
-	}
 }
 
 // Config assembles a Deployment.
@@ -187,7 +162,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("core: config requires a Transport factory")
 	}
-	cfg.Timings.applyDefaults()
 	if cfg.Ontology == nil {
 		cfg.Ontology = ontology.Combined()
 	}
@@ -228,7 +202,11 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 			if col := d.tracer.Collector(); col != nil {
 				p2p.ServeTraces(d.rdvPeer, col)
 			}
-			d.rdvSvc = p2p.NewRendezvousService(d.rdvPeer, cfg.Timings.RendezvousLease)
+			lease := cfg.Timings.RendezvousLease
+			if lease <= 0 {
+				lease = bpeer.MembershipLease(cfg.Timings.LeaseInterval)
+			}
+			d.rdvSvc = p2p.NewRendezvousService(d.rdvPeer, lease)
 		}
 	}
 	for _, s := range d.shards {
@@ -260,11 +238,11 @@ func (d *Deployment) bootShard(s *ShardNode) error {
 	return nil
 }
 
-// start brings the node online as a member of the fleet. Callers hold
-// s.mu or own s exclusively.
+// start brings the node online as a member of the fleet, known before
+// its first publish arrives. Callers hold s.mu or own s exclusively.
 func (s *ShardNode) start(fleet []string) {
-	s.peer.Start()
 	s.gsvc.SetPeers(fleet)
+	s.peer.Start()
 	s.gsvc.Run()
 	s.down = false
 }

@@ -232,7 +232,8 @@ func TestDiscoveryPlane(t *testing.T) {
 // the exact-action step could have answered it (the ladder never asks
 // the same node twice), and an unpublish is one gossip exchange. Leases
 // are an hour and groups have one replica, so nothing time-driven
-// speaks during the script.
+// speaks during the script, and the lone index node's gossip engine,
+// having no peer, runs no round at all.
 func TestDiscoveryPlaneRingOfOneCounts(t *testing.T) {
 	var first map[string]int64
 	for _, shards := range []int{0, 1} {
@@ -261,6 +262,9 @@ func TestDiscoveryPlaneRingOfOneCounts(t *testing.T) {
 			})
 			if got := pp.find(studentSig()); got != nil {
 				t.Errorf("closed group still discoverable: %v", got)
+			}
+			if st := d.Shards()[0].GossipStats(); st.Rounds != 0 || st.Reconciles != 0 {
+				t.Errorf("ring of one ran %d rumor and %d reconciliation rounds, want none", st.Rounds, st.Reconciles)
 			}
 
 			counts := map[string]int64{}

@@ -121,7 +121,8 @@ type EngineStats struct {
 // Engine drives one shard's gossip: a rumor-mongering loop pushing
 // fresh entries to Fanout random peers per round, and a slower
 // anti-entropy loop reconciling digests pairwise. Both are seeded and
-// clock-injected, so a seed fully determines peer selection.
+// clock-injected, so a seed fully determines peer selection. A ring of
+// one has no peers: it queues no rumor and runs no timer.
 type Engine struct {
 	cfg Config
 
@@ -142,6 +143,8 @@ type Engine struct {
 	pullCursor map[string]uint64
 	pushCursor map[string]int
 
+	// peered wakes the parked loop when SetPeers gives it peers.
+	peered   chan struct{}
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -166,6 +169,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:        cfg,
 		queued:     make(map[string]bool),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		peered:     make(chan struct{}, 1),
 		stopCh:     make(chan struct{}),
 		pullCursor: make(map[string]uint64),
 		pushCursor: make(map[string]int),
@@ -177,7 +181,9 @@ func (e *Engine) Store() *Store { return e.cfg.Store }
 
 // SetPeers replaces the peer set (self is filtered out). Called on
 // membership change; the ring rebalance at the routing layer is
-// driven from the same membership event.
+// driven from the same membership event. An engine left without peers
+// retires its rumors: a peer that joins later learns the entries
+// through reconciliation.
 func (e *Engine) SetPeers(peers []string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -188,6 +194,16 @@ func (e *Engine) SetPeers(peers []string) {
 		}
 	}
 	e.stats.Peers = len(e.peers)
+	if len(e.peers) == 0 {
+		e.stats.RumorsRetired += uint64(len(e.queue))
+		e.queue = e.queue[:0]
+		clear(e.queued)
+	} else {
+		select {
+		case e.peered <- struct{}{}:
+		default:
+		}
+	}
 	// Cursors are positions in a specific peer's dialogue; drop state
 	// for peers that left so a later rejoin starts from zero.
 	for p := range e.pullCursor {
@@ -211,10 +227,10 @@ func containsString(list []string, s string) bool {
 	return false
 }
 
-// Learn merges an entry and, when it is news, enqueues it for rumor
-// mongering. Version refreshes of keys the store already holds spread
-// through reconciliation instead — steady-state lease refreshes must
-// not occupy the rumor queue.
+// Learn merges an entry and, when it is news and there is someone to
+// tell, enqueues it for rumor mongering. Version refreshes of keys the
+// store already holds spread through reconciliation instead —
+// steady-state lease refreshes must not occupy the rumor queue.
 func (e *Engine) Learn(entry Entry) ApplyResult {
 	res := e.cfg.Store.Apply(entry)
 	if res.Applied && (res.New || !res.Live) {
@@ -226,7 +242,7 @@ func (e *Engine) Learn(entry Entry) ApplyResult {
 func (e *Engine) enqueue(key string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.queued[key] {
+	if e.queued[key] || len(e.peers) == 0 {
 		return
 	}
 	e.queued[key] = true
@@ -286,11 +302,24 @@ func (c lifeCtx) Err() error {
 
 func (c lifeCtx) Value(key any) any { return nil }
 
-// loop multiplexes the two cadences on one goroutine: rumor rounds at
-// Interval (jittered ±25% so co-located shards don't beat in
-// lockstep) and digest reconciliation at ReconcileInterval.
+// loop parks, timer-free, until the engine has peers.
 func (e *Engine) loop() {
 	defer e.wg.Done()
+	for {
+		select {
+		case <-e.peered:
+			e.rounds()
+		case <-e.stopCh:
+			return
+		}
+	}
+}
+
+// rounds multiplexes the two cadences until a rumor round finds no
+// peer: rumor rounds at Interval (jittered ±25% so co-located shards
+// don't beat in lockstep), each sweeping the store, and digest
+// reconciliation at ReconcileInterval.
+func (e *Engine) rounds() {
 	rumorT := time.NewTimer(e.jittered(e.cfg.Interval))
 	reconT := time.NewTimer(e.jittered(e.cfg.ReconcileInterval))
 	defer rumorT.Stop()
@@ -299,7 +328,9 @@ func (e *Engine) loop() {
 		select {
 		case <-rumorT.C:
 			e.cfg.Store.SweepExpired()
-			e.rumorRound()
+			if !e.rumorRound() {
+				return
+			}
 			rumorT.Reset(e.jittered(e.cfg.Interval))
 		case <-reconT.C:
 			e.reconcileRound()
@@ -318,20 +349,18 @@ func (e *Engine) jittered(d time.Duration) time.Duration {
 }
 
 // rumorRound pushes the head of the rumor queue to Fanout random
-// peers and ages each rumor by how many recipients already knew it.
-func (e *Engine) rumorRound() {
+// peers and ages each rumor by how many recipients already knew it. It
+// reports false, and counts no round, when the engine has no peers.
+func (e *Engine) rumorRound() bool {
 	e.mu.Lock()
-	e.stats.Rounds++
 	if len(e.peers) == 0 {
-		// Nobody to tell (a ring of one): every rumor is old news. A peer
-		// that joins later learns the entries through reconciliation.
-		e.stats.RumorsRetired += uint64(len(e.queue))
-		e.queue = e.queue[:0]
-		clear(e.queued)
+		e.mu.Unlock()
+		return false
 	}
+	e.stats.Rounds++
 	if len(e.queue) == 0 {
 		e.mu.Unlock()
-		return
+		return true
 	}
 	n := len(e.queue)
 	if n > e.cfg.MaxBatch {
@@ -419,6 +448,7 @@ func (e *Engine) rumorRound() {
 	}
 	e.queue = kept
 	e.stats.QueueDepth = len(e.queue)
+	return true
 }
 
 // reconcileRound runs one pairwise anti-entropy exchange: send our

@@ -240,8 +240,10 @@ func TestEngineRumorsRetire(t *testing.T) {
 	}
 }
 
-// A ring of one has nobody to tell: what Learn enqueued must retire on
-// the next round instead of staying queued for the life of the process.
+// A ring of one has nobody to tell: Learn queues no rumor on a peerless
+// engine, an engine whose last peer leaves retires what it had queued
+// instead of keeping it for the life of the process, and a retired key
+// is queued again when it next makes news to a ring with peers.
 func TestEnginePeerlessRumorsRetire(t *testing.T) {
 	clock := simnet.WallClock{}
 	e, err := NewEngine(Config{
@@ -261,20 +263,57 @@ func TestEnginePeerlessRumorsRetire(t *testing.T) {
 		e.Learn(pub.Entry(fmt.Sprintf("live-%d", i), []byte("<A/>"), time.Hour))
 		e.Learn(pub.Tombstone(fmt.Sprintf("dead-%d", i)))
 	}
-	if d := e.Stats().QueueDepth; d != 2*n {
-		t.Fatalf("queued %d rumors, want %d", d, 2*n)
+	if st := e.Stats(); st.QueueDepth != 0 || st.RumorsQueued != 0 {
+		t.Fatalf("peerless engine queued %d rumors (depth %d), want none", st.RumorsQueued, st.QueueDepth)
 	}
-	e.rumorRound()
+	e.SetPeers([]string{"solo", "other"})
+	for i := 0; i < n; i++ {
+		e.Learn(pub.Entry(fmt.Sprintf("new-%d", i), []byte("<A/>"), time.Hour))
+	}
+	if d := e.Stats().QueueDepth; d != n {
+		t.Fatalf("queued %d rumors with a peer, want %d", d, n)
+	}
+	e.SetPeers([]string{"solo"})
 	st := e.Stats()
-	if st.QueueDepth != 0 || st.RumorsRetired != 2*n || len(e.queued) != 0 {
-		t.Fatalf("after one peerless round: depth=%d retired=%d queued=%d, want 0/%d/0",
-			st.QueueDepth, st.RumorsRetired, len(e.queued), 2*n)
+	if st.QueueDepth != 0 || st.RumorsRetired != n || len(e.queued) != 0 {
+		t.Fatalf("after the last peer left: depth=%d retired=%d queued=%d, want 0/%d/0",
+			st.QueueDepth, st.RumorsRetired, len(e.queued), n)
 	}
-	// A key retired this way is enqueued again when it next makes news.
-	e.Learn(pub.Tombstone("live-0"))
+	e.SetPeers([]string{"solo", "other"})
+	e.Learn(pub.Tombstone("new-0"))
 	if d := e.Stats().QueueDepth; d != 1 {
 		t.Fatalf("tombstone after retirement not queued: depth=%d", d)
 	}
+}
+
+// TestEngineRoundsOnlyWithPeers: a running engine without peers runs no
+// round; peers start its rounds, and losing them parks it again.
+func TestEngineRoundsOnlyWithPeers(t *testing.T) {
+	_, engines := newMeshEngines(t, 2, simnet.WallClock{}, 3)
+	solo := engines[0]
+	rounds := func() uint64 { return solo.Stats().Rounds }
+	waitRounds := func(what string, past uint64) uint64 {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for rounds() <= past {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: no round past %d", what, past)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return rounds()
+	}
+	waitRounds("with a peer", 0)
+	// A round counts itself only after seeing a peer, under the lock
+	// SetPeers takes: none is counted after SetPeers returns.
+	solo.SetPeers([]string{"shard-0"})
+	parked := rounds()
+	time.Sleep(50 * time.Millisecond) // ten rumor intervals
+	if got := rounds(); got != parked {
+		t.Fatalf("peerless engine ran %d more rounds", got-parked)
+	}
+	solo.SetPeers([]string{"shard-0", "shard-1"})
+	waitRounds("peers back", parked)
 }
 
 func TestEngineLearnRefreshSkipsRumorQueue(t *testing.T) {
@@ -289,6 +328,7 @@ func TestEngineLearnRefreshSkipsRumorQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.SetPeers([]string{"solo", "other"})
 	pub := NewPublisher("o", clock)
 	if res := e.Learn(pub.Entry("k", nil, time.Hour)); !res.New {
 		t.Fatalf("first learn not new: %+v", res)
@@ -375,7 +415,7 @@ func TestReconcileResumesPastMaxDelta(t *testing.T) {
 		t.Helper()
 		rounds := 0
 		for ; rounds < 4*total/maxDelta; rounds++ {
-			if initiator.Store().Checksum() == other.Store().Checksum() {
+			if initiator.Store().Stats().Checksum == other.Store().Stats().Checksum {
 				break
 			}
 			initiator.reconcileRound()

@@ -224,20 +224,6 @@ func (s *Store) Stats() StoreStats {
 	}
 }
 
-// Checksum returns the convergence checksum (see StoreStats.Checksum).
-func (s *Store) Checksum() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checksum
-}
-
-// Len returns the total record count, tombstones included.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
 // entrySig hashes the replicated identity of a record. The Deleted
 // flag is deliberately excluded: expiry conversion is a local,
 // clock-synchronized transition and must not perturb convergence

@@ -141,10 +141,10 @@ func TestStoreChecksumOrderIndependent(t *testing.T) {
 	for i := len(entries) - 1; i >= 0; i-- {
 		b.Apply(entries[i])
 	}
-	if a.Checksum() != b.Checksum() {
-		t.Fatalf("checksums diverge: %x vs %x", a.Checksum(), b.Checksum())
+	if a.Stats().Checksum != b.Stats().Checksum {
+		t.Fatalf("checksums diverge: %x vs %x", a.Stats().Checksum, b.Stats().Checksum)
 	}
-	if a.Checksum() == 0 {
+	if a.Stats().Checksum == 0 {
 		t.Fatalf("checksum of non-empty store is zero")
 	}
 }
@@ -186,7 +186,7 @@ func TestDigestDeltaRoundTrip(t *testing.T) {
 		delta = delta[sz:]
 		dst.Apply(e)
 	}
-	if src.Checksum() != dst.Checksum() {
+	if src.Stats().Checksum != dst.Stats().Checksum {
 		t.Fatalf("stores diverge after delta")
 	}
 	// Converged stores have matching fingerprints: the next delta is
@@ -232,8 +232,8 @@ func TestDigestDeltaRepairsOutOfOrderHoles(t *testing.T) {
 	}
 	exchange(a, b)
 	exchange(b, a)
-	if a.Checksum() != b.Checksum() {
-		t.Fatalf("out-of-order hole not repaired: %x vs %x", a.Checksum(), b.Checksum())
+	if a.Stats().Checksum != b.Stats().Checksum {
+		t.Fatalf("out-of-order hole not repaired: %x vs %x", a.Stats().Checksum, b.Stats().Checksum)
 	}
 	for _, key := range []string{"k-new", "k-old"} {
 		for name, s := range map[string]*Store{"a": a, "b": b} {

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -11,6 +12,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"whisper/internal/gossip"
+	"whisper/internal/simnet"
 	"whisper/internal/wire"
 )
 
@@ -23,36 +26,37 @@ import (
 // attr, value) surface the paper's SWS-proxy pseudocode is written
 // against.
 //
-// The cache keeps two secondary structures (the SRDI-style index):
-// entries grouped by advertisement type, and an exact-match index keyed
-// by (advType, attr, value) over every attribute an advertisement
-// exposes. Exact queries are answered from the index without scanning;
-// wildcard queries scan only the requested type's entries. An expired
-// entry is evicted the moment a lookup touches it, so the index never
-// serves a stale advertisement; on an index node the gossip store's
-// sweep flushes it even when no lookup does (GossipService.mirror).
+// The cache is a gossip.Store, the one record of every advertisement.
+// The SRDI-style index is its view, written only by the store's OnApply
+// observer: entries grouped by advertisement type, and an exact-match
+// index keyed by (advType, attr, value) over every attribute an
+// advertisement exposes. Exact queries are answered from the index
+// without scanning; wildcard queries scan only the requested type's
+// entries. A lookup sweeps the store (free before its next deadline)
+// before it locks the index, so expiry has one path and the lock order
+// is store → index.
 type DiscoveryService struct {
 	*DiscoveryClient
+	store *gossip.Store
+	pub   *gossip.Publisher
 
 	mu     sync.Mutex
 	cache  map[ID]*cacheEntry
 	byType map[string]map[ID]*cacheEntry
 	index  map[indexKey]map[ID]*cacheEntry
 	stats  DiscoveryStats
-	now    func() time.Time
 }
 
 type cacheEntry struct {
 	adv Advertisement
-	// raw is the advertisement's document as published; remote queries
-	// are answered with these bytes.
+	// raw is the store's payload, the advertisement's document as
+	// published; remote queries are answered with these bytes.
 	raw []byte
 	// attrs caches adv.Attributes() from publish time: every
 	// implementation builds a fresh map per call, so wildcard scans
 	// (which probe one attribute per cached entry) would otherwise
 	// allocate a map per entry per query.
-	attrs   map[string]string
-	expires time.Time
+	attrs map[string]string
 }
 
 // indexKey addresses one exact-match posting set of the secondary
@@ -64,7 +68,8 @@ type indexKey struct {
 }
 
 // DiscoveryStats snapshots the cache's index effectiveness counters
-// (peerctl status reports them).
+// (peerctl status reports them). Expiries and removals are the store's
+// to count (gossip.StoreStats).
 type DiscoveryStats struct {
 	// Size is the number of live cached advertisements.
 	Size int
@@ -75,10 +80,6 @@ type DiscoveryStats struct {
 	// Misses counts queries that fell back to scanning (wildcard values
 	// or untyped queries).
 	Misses uint64
-	// Expired counts entries evicted because their lifetime passed.
-	Expired uint64
-	// Flushed counts entries removed by explicit Flush.
-	Flushed uint64
 	// RemoteQueries counts query rounds this service sent to other
 	// peers' caches; RemoteAdvs the advertisement documents their
 	// answers carried; RemoteRejected the answers, and the documents
@@ -89,23 +90,31 @@ type DiscoveryStats struct {
 // discoveryQueryHandler is the discovery resolver handler name.
 const discoveryQueryHandler = "discovery.query"
 
-// NewDiscoveryService attaches a discovery cache to the peer and
-// answers remote queries from it.
+// NewDiscoveryService attaches a discovery cache timed by the wall
+// clock to the peer and answers remote queries from it.
 func NewDiscoveryService(peer *Peer) *DiscoveryService {
+	return newDiscoveryService(peer, simnet.WallClock{})
+}
+
+// newDiscoveryService builds the service on a store timed by clock and
+// installs the index as the store's observer.
+func newDiscoveryService(peer *Peer, clock simnet.Clock) *DiscoveryService {
 	d := &DiscoveryService{
 		DiscoveryClient: NewDiscoveryClient(peer),
+		store:           gossip.NewStore(clock, 0),
+		pub:             gossip.NewPublisher(string(peer.ID()), clock),
 		cache:           make(map[ID]*cacheEntry),
 		byType:          make(map[string]map[ID]*cacheEntry),
 		index:           make(map[indexKey]map[ID]*cacheEntry),
-		now:             time.Now,
 	}
+	d.store.OnApply(d.project)
 	d.resolver.RegisterHandler(discoveryQueryHandler, d.answerQuery)
 	return d
 }
 
-// Publish stores the advertisement in the local cache for the given
-// lifetime (DefaultLifetime if zero) and indexes it under every
-// attribute it exposes.
+// Publish stores the advertisement for the given lifetime
+// (DefaultLifetime if zero) as a fresh version of its ID, which indexes
+// it under every attribute it exposes.
 func (d *DiscoveryService) Publish(adv Advertisement, lifetime time.Duration) error {
 	raw, err := adv.MarshalAdv()
 	if err != nil {
@@ -114,30 +123,48 @@ func (d *DiscoveryService) Publish(adv Advertisement, lifetime time.Duration) er
 	if lifetime <= 0 {
 		lifetime = DefaultLifetime
 	}
-	d.ingest(adv, raw, lifetime)
+	d.store.Apply(d.pub.Entry(string(adv.AdvID()), raw, lifetime))
 	return nil
 }
 
-// ingest caches adv, whose marshalled document is raw, for lifetime.
-// The store projection of an index node (GossipService.mirror) hands in
-// the payload bytes its store already holds, so the node keeps one copy.
-func (d *DiscoveryService) ingest(adv Advertisement, raw []byte, lifetime time.Duration) {
-	id := adv.AdvID()
+// project is the store's OnApply observer and the index's one writer.
+// It runs under the store's lock for every change of a key, so the
+// index holds exactly the store's live entries whose payload parses to
+// the advertisement the key names. A live entry that does not is the
+// key's death, like a tombstone: the version it superseded is gone from
+// the store, so it leaves the index too.
+func (d *DiscoveryService) project(e gossip.Entry, live bool) {
+	id := ID(e.Key)
+	d.mu.Lock()
+	cur := d.cache[id]
+	d.mu.Unlock()
+	next := cur // a lease refresh republishes the same document
+	if !live {
+		next = nil
+	} else if cur == nil || !bytes.Equal(cur.raw, e.Payload) {
+		next = nil
+		if adv, err := ParseAdvertisement(e.Payload); err == nil && adv.AdvID() == id {
+			next = &cacheEntry{adv: adv, raw: e.Payload, attrs: adv.Attributes()}
+		}
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if old, ok := d.cache[id]; ok {
-		// Re-publication may change attributes: unindex the old entry
-		// so the index never holds dangling postings.
-		d.unindexLocked(id, old)
+	if cur != nil && next == cur {
+		cur.raw = e.Payload // the store's copy: the node keeps one
+		return
 	}
-	e := &cacheEntry{adv: adv, raw: raw, attrs: adv.Attributes(), expires: d.now().Add(lifetime)}
-	d.cache[id] = e
-	d.indexLocked(id, e)
+	if cur != nil {
+		d.unindexLocked(id, cur)
+	}
+	if next != nil {
+		d.indexLocked(id, next)
+	}
 }
 
-// indexLocked inserts the entry into the type set and the exact-match
-// index. Callers hold d.mu.
+// indexLocked inserts the entry into the cache, the type set and the
+// exact-match index. Callers hold d.mu.
 func (d *DiscoveryService) indexLocked(id ID, e *cacheEntry) {
+	d.cache[id] = e
 	advType := e.adv.AdvType()
 	ts := d.byType[advType]
 	if ts == nil {
@@ -178,17 +205,6 @@ func (d *DiscoveryService) unindexLocked(id ID, e *cacheEntry) {
 	}
 }
 
-// Flush removes the advertisement with the given ID from the cache and
-// the index.
-func (d *DiscoveryService) Flush(id ID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if e, ok := d.cache[id]; ok {
-		d.unindexLocked(id, e)
-		d.stats.Flushed++
-	}
-}
-
 // Stats snapshots the cache counters and the remote-query counters.
 func (d *DiscoveryService) Stats() DiscoveryStats {
 	remote := d.DiscoveryClient.Stats()
@@ -209,13 +225,13 @@ func (d *DiscoveryService) Stats() DiscoveryStats {
 // index in O(results). Wildcard values scan only the type's entries; an
 // empty advType scans the whole cache (introspection tooling only).
 func (d *DiscoveryService) GetLocalAdvertisements(advType, attr, value string) []Advertisement { //lint:hotpath
+	d.store.SweepExpired()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	now := d.now()
 	entries, scan := d.candidatesLocked(advType, attr, value)
 	out := make([]Advertisement, 0, len(entries))
-	for id, e := range entries {
-		if d.selectsLocked(id, e, now, scan, attr, value) {
+	for _, e := range entries {
+		if !scan || matchAttr(e.attrs, attr, value) {
 			out = append(out, e.adv)
 		}
 	}
@@ -245,17 +261,6 @@ func (d *DiscoveryService) candidatesLocked(advType, attr, value string) (entrie
 		d.stats.Hits++
 		return d.index[indexKey{advType: advType, attr: attr, value: value}], false
 	}
-}
-
-// selectsLocked reports whether a candidate entry belongs in the
-// answer, evicting it if its lifetime passed. Callers hold d.mu.
-func (d *DiscoveryService) selectsLocked(id ID, e *cacheEntry, now time.Time, scan bool, attr, value string) bool {
-	if e.expires.Before(now) {
-		d.unindexLocked(id, e)
-		d.stats.Expired++
-		return false
-	}
-	return !scan || matchAttr(e.attrs, attr, value)
 }
 
 // hasWildcard reports whether the predicate value uses '*' matching.
@@ -461,14 +466,14 @@ func (d *DiscoveryService) answerQuery(_ string, payload []byte) ([]byte, error)
 	if len(values) == 0 {
 		values = []string{""}
 	}
+	d.store.SweepExpired()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	now := d.now()
 	var hits []*cacheEntry
 	for _, value := range values {
 		entries, scan := d.candidatesLocked(q.Type, q.Attr, value)
-		for id, e := range entries {
-			if d.selectsLocked(id, e, now, scan, q.Attr, value) {
+		for _, e := range entries {
+			if !scan || matchAttr(e.attrs, q.Attr, value) {
 				hits = append(hits, e)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -61,32 +62,52 @@ func TestDiscoveryWildcards(t *testing.T) {
 	}
 }
 
+// testClock is a settable clock, safe for concurrent use.
+type testClock struct{ ns atomic.Int64 }
+
+func newTestClock() *testClock {
+	c := &testClock{}
+	c.ns.Store(time.Unix(1_700_000_000, 0).UnixNano())
+	return c
+}
+
+func (c *testClock) Now() time.Time { return time.Unix(0, c.ns.Load()) }
+
+func (c *testClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// TestDiscoveryExpiration: a lifetime runs on the store's clock, and an
+// advertisement stops being answered at its deadline.
 func TestDiscoveryExpiration(t *testing.T) {
 	h := newHarness(t, 1)
-	d := NewDiscoveryService(h.peers[0])
-	now := time.Now()
-	d.now = func() time.Time { return now }
+	clock := newTestClock()
+	d := newDiscoveryService(h.peers[0], clock)
 
 	_ = d.Publish(&ServiceAdvertisement{SvcID: "urn:1", Name: "ephemeral"}, 100*time.Millisecond)
 	_ = d.Publish(&ServiceAdvertisement{SvcID: "urn:2", Name: "durable"}, time.Hour)
 
+	clock.advance(99 * time.Millisecond)
 	if got := len(d.GetLocalAdvertisements(ServiceAdvType, "", "")); got != 2 {
-		t.Fatalf("pre-expiry = %d, want 2", got)
+		t.Fatalf("before the deadline = %d, want 2", got)
 	}
-	now = now.Add(time.Second)
+	clock.advance(time.Millisecond)
 	got := d.GetLocalAdvertisements(ServiceAdvType, "", "")
 	if len(got) != 1 || got[0].Attributes()["Name"] != "durable" {
-		t.Errorf("post-expiry = %v, want only durable", got)
+		t.Errorf("at the deadline = %v, want only durable", got)
 	}
 }
 
-func TestDiscoveryFlushByID(t *testing.T) {
+// TestDiscoveryTombstoneUnindexes: a tombstone applied to the store
+// removes the advertisement from the index.
+func TestDiscoveryTombstoneUnindexes(t *testing.T) {
 	h := newHarness(t, 1)
 	d := NewDiscoveryService(h.peers[0])
-	_ = d.Publish(&ServiceAdvertisement{SvcID: "urn:1"}, 0)
-	d.Flush("urn:1")
+	_ = d.Publish(&ServiceAdvertisement{SvcID: "urn:1", Name: "S"}, 0)
+	d.store.Apply(d.pub.Tombstone("urn:1"))
 	if got := len(d.GetLocalAdvertisements(ServiceAdvType, "", "")); got != 0 {
-		t.Errorf("after flush = %d, want 0", got)
+		t.Errorf("after the tombstone = %d, want 0", got)
+	}
+	if s := d.Stats(); s.Size != 0 || s.IndexKeys != 0 {
+		t.Errorf("after the tombstone: size %d, %d index keys; want 0, 0", s.Size, s.IndexKeys)
 	}
 }
 
@@ -386,41 +407,65 @@ func TestDiscoveryRepublishReindexes(t *testing.T) {
 }
 
 // TestDiscoveryIndexNeverServesExpired: an expired entry must not be
-// returned from any query path — exact index, type set, wildcard scan
-// or full scan — even before a sweep runs.
+// returned from any query path — exact index, type set, wildcard scan,
+// full scan, or a remote query's answer — whether or not anything swept
+// the store since its deadline: each path's own lookup is the first to
+// see it dead.
 func TestDiscoveryIndexNeverServesExpired(t *testing.T) {
 	h := newHarness(t, 1)
-	d := NewDiscoveryService(h.peers[0])
-	now := time.Now()
-	d.now = func() time.Time { return now }
-	_ = d.Publish(&ServiceAdvertisement{SvcID: "urn:1", Name: "Ephemeral"}, 50*time.Millisecond)
-	now = now.Add(time.Minute)
+	clock := newTestClock()
+	d := newDiscoveryService(h.peers[0], clock)
 
+	local := func(advType, attr, value string) func() int {
+		return func() int { return len(d.GetLocalAdvertisements(advType, attr, value)) }
+	}
 	paths := []struct {
-		name                 string
-		advType, attr, value string
+		name  string
+		count func() int
 	}{
-		{"exact", ServiceAdvType, "Name", "Ephemeral"},
-		{"type", ServiceAdvType, "", ""},
-		{"wildcard", ServiceAdvType, "Name", "Ephem*"},
-		{"full-scan", "", "", ""},
+		{"exact", local(ServiceAdvType, "Name", "Ephemeral")},
+		{"type", local(ServiceAdvType, "", "")},
+		{"wildcard", local(ServiceAdvType, "Name", "Ephem*")},
+		{"full-scan", local("", "", "")},
+		{"remote-answer", func() int {
+			out, err := d.answerQuery("", (&discoveryQueryDoc{Type: ServiceAdvType}).encode())
+			docs, derr := decodeDocs(out)
+			if err != nil || derr != nil {
+				t.Fatalf("answer: %v, %v", err, derr)
+			}
+			return len(docs)
+		}},
 	}
 	for _, p := range paths {
-		if got := len(d.GetLocalAdvertisements(p.advType, p.attr, p.value)); got != 0 {
+		_ = d.Publish(&ServiceAdvertisement{SvcID: "urn:1", Name: "Ephemeral"}, 50*time.Millisecond)
+		if got := p.count(); got != 1 {
+			t.Fatalf("%s path returned %d live advertisements, want 1", p.name, got)
+		}
+		clock.advance(time.Minute)
+		if got := p.count(); got != 0 {
 			t.Errorf("%s path returned %d expired advertisements, want 0", p.name, got)
 		}
 	}
-	if s := d.Stats(); s.Expired == 0 {
-		t.Error("expired counter not incremented by lazy eviction")
+	if s := d.store.Stats(); s.Expired != uint64(len(paths)) {
+		t.Errorf("store expired %d entries, want %d (one per path)", s.Expired, len(paths))
 	}
 }
 
-// TestDiscoveryIndexConcurrency hammers publish, flush, lazy expiry
-// and every query path concurrently (run under -race).
+// TestDiscoveryIndexConcurrency hammers publish, tombstones, expiry and
+// every query path concurrently (run under -race) while the store's
+// clock runs, then checks that no posting leaked.
 func TestDiscoveryIndexConcurrency(t *testing.T) {
 	h := newHarness(t, 1)
-	d := NewDiscoveryService(h.peers[0])
+	clock := newTestClock()
+	d := newDiscoveryService(h.peers[0], clock)
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 400; i++ {
+			clock.advance(100 * time.Microsecond)
+		}
+	}()
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -435,22 +480,22 @@ func TestDiscoveryIndexConcurrency(t *testing.T) {
 				case 2:
 					_ = d.GetLocalAdvertisements(ServiceAdvType, "Name", "Svc*")
 				default:
-					d.Flush(id)
+					d.store.Apply(d.pub.Tombstone(string(id)))
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	// A full scan touches, and so evicts, every expired entry.
-	d.now = func() time.Time { return time.Now().Add(time.Hour) }
+	// A lookup sweeps every entry past its deadline out of the index.
+	clock.advance(time.Hour)
 	if got := len(d.GetLocalAdvertisements("", "", "")); got != 0 {
 		t.Errorf("%d advertisements served an hour past every lifetime, want 0", got)
 	}
 	if got := d.Stats().Size; got != 0 {
-		t.Errorf("cache size = %d after flushing everything, want 0", got)
+		t.Errorf("cache size = %d after everything died, want 0", got)
 	}
 	if got := d.Stats().IndexKeys; got != 0 {
-		t.Errorf("index keys = %d after flushing everything, want 0 (leaked postings)", got)
+		t.Errorf("index keys = %d after everything died, want 0 (leaked postings)", got)
 	}
 }
 

@@ -10,23 +10,21 @@ import (
 )
 
 // GossipService runs one index node's side of the discovery plane: a
-// gossip.Engine holding the versioned, tombstoned advertisement set and
-// replicating it across the fleet (a ring of one has nobody to
-// replicate to and sends nothing), served over the resolver on
-// ProtoGossip so every publish, rumor, digest and delta frame is
-// accounted in the network's per-protocol traffic breakdown.
+// gossip.Engine replicating the node's advertisement store across the
+// fleet (a ring of one has nobody to replicate to: it sends nothing
+// and runs no timer), served over the resolver on ProtoGossip so every
+// publish, rumor, digest and delta frame is accounted in the network's
+// per-protocol traffic breakdown.
 //
-// The service projects the store into the node's DiscoveryService — the
-// only way an advertisement enters an index node: a live entry becomes
-// a cached advertisement whose lifetime is the remaining time to the
-// entry's absolute expiry; a death (tombstone, expiry, GC) flushes it.
-// Queries then hit the ordinary discovery index.
+// The store the engine maintains is the node's DiscoveryService's own,
+// and the index is that store's view: an entry a publish or an exchange
+// applies is queryable before Apply returns, and a death (tombstone,
+// expiry, GC) has left the index by then.
 type GossipService struct {
 	peer     *Peer
 	resolver *Resolver
 	disco    *DiscoveryService
 	engine   *gossip.Engine
-	clock    simnet.Clock
 }
 
 // Gossip resolver handler names.
@@ -49,10 +47,11 @@ type GossipConfig struct {
 }
 
 // NewIndexNode makes the peer a member of the discovery plane: a
-// DiscoveryService answering queries and a GossipService accepting
-// publishes and feeding that index. Every rendezvous and every shard is
-// built here. Start the peer, SetPeers the fleet (a ring of one needs
-// none) and Run.
+// DiscoveryService answering queries from its store, timed by the
+// config's clock, and a GossipService accepting publishes into that
+// store and replicating it. Every rendezvous and every shard is built
+// here. Start the peer, SetPeers the fleet (a ring of one needs none)
+// and Run.
 func NewIndexNode(peer *Peer, cfg GossipConfig) (*GossipService, error) {
 	clock := cfg.Clock
 	if clock == nil {
@@ -61,15 +60,12 @@ func NewIndexNode(peer *Peer, cfg GossipConfig) (*GossipService, error) {
 	g := &GossipService{
 		peer:     peer,
 		resolver: NewResolverOn(peer, ProtoGossip),
-		disco:    NewDiscoveryService(peer),
-		clock:    clock,
+		disco:    newDiscoveryService(peer, clock),
 	}
-	store := gossip.NewStore(clock, 0)
-	store.OnApply(g.mirror)
 	engine, err := gossip.NewEngine(gossip.Config{
 		Self:      peer.Addr(),
 		Transport: resolverTransport{res: g.resolver},
-		Store:     store,
+		Store:     g.disco.store,
 		Clock:     clock,
 		Seed:      cfg.Seed,
 		Interval:  cfg.Interval,
@@ -86,27 +82,8 @@ func NewIndexNode(peer *Peer, cfg GossipConfig) (*GossipService, error) {
 	return g, nil
 }
 
-// mirror projects store state changes into the local discovery cache.
-// Called with the store lock held (see Store.OnApply): it must not call
-// back into the store, and the discovery service never does.
-func (g *GossipService) mirror(e gossip.Entry, live bool) {
-	id := ID(e.Key)
-	if !live {
-		g.disco.Flush(id)
-		return
-	}
-	adv, err := ParseAdvertisement(e.Payload)
-	if err != nil {
-		return
-	}
-	lifetime := time.Duration(e.Expire - g.clock.Now().UnixNano())
-	if lifetime <= 0 {
-		return
-	}
-	g.disco.ingest(adv, e.Payload, lifetime)
-}
-
-// Discovery returns the index the service feeds.
+// Discovery returns the node's discovery service, whose store the engine
+// replicates.
 func (g *GossipService) Discovery() *DiscoveryService { return g.disco }
 
 // Engine returns the underlying gossip engine.
@@ -165,8 +142,12 @@ type GossipStatus struct {
 	Store  gossip.StoreStats
 }
 
+// status sweeps the store first, as a lookup does, so Live counts no
+// entry past its deadline.
 func (g *GossipService) status() any {
-	return GossipStatus{Engine: g.engine.Stats(), Store: g.engine.Store().Stats()}
+	store := g.engine.Store()
+	store.SweepExpired()
+	return GossipStatus{Engine: g.engine.Stats(), Store: store.Stats()}
 }
 
 // resolverTransport carries gossip exchanges as resolver queries on

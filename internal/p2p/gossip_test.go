@@ -2,12 +2,14 @@ package p2p
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
 
 	"whisper/internal/gossip"
+	"whisper/internal/simnet"
 )
 
 // gossipHarness wires n shard peers, each with a discovery index and a
@@ -154,6 +156,169 @@ func TestGossipServiceStats(t *testing.T) {
 	if st.Engine.Peers != 1 {
 		t.Errorf("engine stats = %+v, want one peer", st.Engine)
 	}
+}
+
+// TestGossipUndecodableVersionUnindexes: a superseding version whose
+// payload is no advertisement is the key's death on the index, as it is
+// in the store — queries stop answering the version it superseded.
+func TestGossipUndecodableVersionUnindexes(t *testing.T) {
+	g := newGossipHarness(t, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	pub := gossip.NewPublisher("origin-1", nil)
+	if applied, err := g.client.Publish(ctx, g.peers[0].Addr(), svcEntry(pub, "urn:svc:1", "Students", time.Hour)); err != nil || !applied {
+		t.Fatalf("v1: applied=%v err=%v", applied, err)
+	}
+	if got := len(g.discos[0].GetLocalAdvertisements(ServiceAdvType, "Name", "Students")); got != 1 {
+		t.Fatalf("v1 answered %d times, want 1", got)
+	}
+	garbage := pub.Entry("urn:svc:1", []byte("<not an advertisement"), time.Hour)
+	if applied, err := g.client.Publish(ctx, g.peers[0].Addr(), garbage); err != nil || !applied {
+		t.Fatalf("v2: applied=%v err=%v", applied, err)
+	}
+	for _, q := range [][3]string{{ServiceAdvType, "Name", "Students"}, {ServiceAdvType, "", ""}, {"", "", ""}} {
+		if got := g.discos[0].GetLocalAdvertisements(q[0], q[1], q[2]); len(got) != 0 {
+			t.Errorf("query %q answers %d advertisements after an undecodable v2, want 0", q, len(got))
+		}
+	}
+	if s := g.discos[0].Stats(); s.Size != 0 || s.IndexKeys != 0 {
+		t.Errorf("index after an undecodable v2: size %d, %d keys; want 0, 0", s.Size, s.IndexKeys)
+	}
+}
+
+// TestIndexNodeRingOfOne: an index node without peers runs no gossip
+// round, yet an advertisement published to it stops being answered at
+// its deadline on the node's clock.
+func TestIndexNodeRingOfOne(t *testing.T) {
+	h := newHarness(t, 2)
+	clock := newTestClock()
+	node, err := NewIndexNode(h.peers[0], GossipConfig{Clock: clock, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range h.peers {
+		p.Start()
+	}
+	node.SetPeers([]string{h.peers[0].Addr()})
+	node.Run()
+	t.Cleanup(node.Stop)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	pub := gossip.NewPublisher("origin-1", clock)
+	if _, err := NewGossipClient(h.peers[1]).Publish(ctx, h.peers[0].Addr(), svcEntry(pub, "urn:svc:1", "Students", 3*time.Second)); err != nil {
+		t.Fatalf("publish: %v", err)
+	}
+	visible := func() int { return len(node.Discovery().GetLocalAdvertisements(ServiceAdvType, "Name", "Students")) }
+	clock.advance(3*time.Second - 1)
+	if got := visible(); got != 1 {
+		t.Fatalf("before its deadline the advertisement is answered %d times, want 1", got)
+	}
+	clock.advance(1)
+	if got := visible(); got != 0 {
+		t.Errorf("at its deadline the advertisement is answered %d times, want 0", got)
+	}
+	time.Sleep(20 * time.Millisecond) // twenty rumor intervals
+	if st := node.Engine().Stats(); st.Rounds != 0 || st.Reconciles != 0 || st.QueueDepth != 0 {
+		t.Errorf("peerless engine: %d rounds, %d reconciles, queue %d; want 0, 0, 0", st.Rounds, st.Reconciles, st.QueueDepth)
+	}
+	if st := node.Engine().Store().Stats(); st.Live != 0 || st.Expired != 1 {
+		t.Errorf("store: live %d, expired %d; want 0, 1", st.Live, st.Expired)
+	}
+}
+
+// FuzzServePublish feeds a fresh index node a sequence of arbitrary
+// gossip.publish frames, moving its clock between them, and holds the
+// index to the store after each: a type query answers exactly the
+// stored bytes of every key the store holds live whose payload parses
+// to the advertisement the key names, and the index holds nothing else.
+//
+// Input: records of [clock step in seconds][uvarint frame length][frame].
+func FuzzServePublish(f *testing.F) {
+	EnsureBuiltinAdvTypes()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net := simnet.NewNetwork(simnet.WithLatency(simnet.ZeroLatency()))
+		defer func() { _ = net.Close() }()
+		port, err := net.NewPort("index")
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock := newTestClock()
+		node, err := NewIndexNode(NewPeer("index", "urn:p", port), GossipConfig{Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, store := node.Discovery(), node.Engine().Store()
+		keys := map[string]bool{}
+		types := map[string]bool{ServiceAdvType: true}
+		for len(data) > 0 {
+			clock.advance(time.Duration(data[0]) * time.Second)
+			n, sz := binary.Uvarint(data[1:])
+			if sz <= 0 || n > uint64(len(data)-1-sz) {
+				return
+			}
+			frame := data[1+sz : 1+sz+int(n)]
+			data = data[1+sz+int(n):]
+			if e, _, err := gossip.DecodeEntry(frame); err == nil {
+				keys[e.Key] = true
+				if adv, err := ParseAdvertisement(e.Payload); err == nil {
+					types[adv.AdvType()] = true
+				}
+			}
+			_, _ = node.servePublish("fuzz", frame)
+
+			store.SweepExpired()
+			want := map[string][][]byte{}
+			size := 0
+			for key := range keys {
+				e, ok := store.Get(key)
+				if !ok || e.Deleted {
+					continue
+				}
+				adv, err := ParseAdvertisement(e.Payload)
+				if err != nil || string(adv.AdvID()) != key {
+					continue
+				}
+				want[adv.AdvType()] = append(want[adv.AdvType()], e.Payload)
+				size++
+			}
+			for advType := range types {
+				out, err := d.answerQuery("fuzz", (&discoveryQueryDoc{Type: advType}).encode())
+				if err != nil {
+					t.Fatalf("type query %s: %v", advType, err)
+				}
+				got, err := decodeDocs(out)
+				if err != nil {
+					t.Fatalf("type query %s: answer does not decode: %v", advType, err)
+				}
+				if !sameDocs(got, want[advType]) {
+					t.Fatalf("type query %s answers %q, the store holds %q", advType, got, want[advType])
+				}
+			}
+			if s := d.Stats(); s.Size != size {
+				t.Fatalf("index holds %d advertisements, the store %d", s.Size, size)
+			}
+		}
+	})
+}
+
+// sameDocs reports whether a and b hold the same documents, in any
+// order.
+func sameDocs(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	count := map[string]int{}
+	for _, doc := range a {
+		count[string(doc)]++
+	}
+	for _, doc := range b {
+		if count[string(doc)]--; count[string(doc)] < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestShardRouterOwnership: ownership is deterministic, the replica

@@ -37,14 +37,9 @@ const (
 	rdvMembersHandler = "rdv.members"
 )
 
-// DefaultLease is how long a membership lasts without renewal.
-const DefaultLease = 30 * time.Second
-
-// NewRendezvousService attaches the rendezvous role to the peer.
+// NewRendezvousService attaches the rendezvous role to the peer; a
+// membership lasts lease without renewal.
 func NewRendezvousService(peer *Peer, lease time.Duration) *RendezvousService {
-	if lease <= 0 {
-		lease = DefaultLease
-	}
 	s := &RendezvousService{
 		peer:     peer,
 		resolver: NewResolverOn(peer, ProtoRdv),
