@@ -96,28 +96,29 @@ func BenchmarkFailoverWorstCase(b *testing.B) {
 }
 
 // BenchmarkThroughputScaling regenerates the §5 scalability claim
-// (experiment E4): throughput and latency as the group grows.
+// (experiment E4): read throughput as the group grows, served by the
+// coordinator and by follower reads.
 func BenchmarkThroughputScaling(b *testing.B) {
 	for _, peers := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
-			var coordinated, shared float64
+			var coordinator, followers float64
 			for i := 0; i < b.N; i++ {
-				_, points, err := bench.Throughput(context.Background(), bench.ThroughputOptions{
-					PeerCounts: []int{peers},
-					Clients:    4,
-					Duration:   800 * time.Millisecond,
-					Seed:       int64(i + 1),
+				_, points, err := bench.Throughput(context.Background(), bench.FollowersOptions{
+					ReplicaCounts: []int{peers},
+					Clients:       4,
+					Window:        800 * time.Millisecond,
+					Seed:          int64(i + 1),
 				})
 				if err != nil {
 					b.Fatalf("throughput: %v", err)
 				}
-				// Throughput returns one point per policy:
-				// coordinated first, then load-sharing.
-				coordinated += points[0].Throughput
-				shared += points[1].Throughput
+				// Throughput returns one point per configuration:
+				// coordinator first, then followers.
+				coordinator += points[0].Goodput
+				followers += points[1].Goodput
 			}
-			b.ReportMetric(coordinated/float64(b.N), "req/s-coordinated")
-			b.ReportMetric(shared/float64(b.N), "req/s-loadsharing")
+			b.ReportMetric(coordinator/float64(b.N), "req/s-coordinated")
+			b.ReportMetric(followers/float64(b.N), "req/s-followers")
 		})
 	}
 }

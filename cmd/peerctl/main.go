@@ -266,8 +266,8 @@ func showAdvertisements(ctx context.Context, w io.Writer, peer *p2p.Peer, rdvAdd
 	for _, adv := range advs {
 		fmt.Fprintf(w, "%s %s\n", adv.AdvType(), adv.AdvID())
 		if sem, ok := adv.(*bpeer.SemanticAdvertisement); ok {
-			fmt.Fprintf(w, "  name:    %s\n  action:  %s\n  inputs:  %v\n  outputs: %v\n  policy:  %s\n  qos:     latency=%.1fms reliability=%.3f availability=%.3f cost=%.2f\n",
-				sem.Name, sem.Action, sem.Inputs, sem.Outputs, sem.EffectivePolicy(),
+			fmt.Fprintf(w, "  name:    %s\n  action:  %s\n  inputs:  %v\n  outputs: %v\n  read ops: %v\n  qos:     latency=%.1fms reliability=%.3f availability=%.3f cost=%.2f\n",
+				sem.Name, sem.Action, sem.Inputs, sem.Outputs, sem.ReadOps,
 				sem.QoS.LatencyMillis, sem.QoS.Reliability, sem.QoS.Availability, sem.QoS.CostPerCall)
 		}
 	}

@@ -23,8 +23,8 @@ import (
 	"whisper/internal/trace"
 )
 
-// startOverlay brings up a TCP rendezvous plus one b-peer for the
-// peerctl commands to inspect.
+// startOverlay brings up a TCP rendezvous plus one b-peer, with one
+// read-only operation, for the peerctl commands to inspect.
 func startOverlay(t *testing.T) (rdvAddr string, gid p2p.ID) {
 	t.Helper()
 	tr, err := simnet.NewTCPTransport("127.0.0.1:0")
@@ -65,6 +65,7 @@ func startOverlay(t *testing.T) (rdvAddr string, gid p2p.ID) {
 		},
 		QoS:            qos.Profile{Reliability: 0.9},
 		RendezvousAddr: rdv.Addr(),
+		ReadOnlyOps:    []string{"StudentInformation"},
 		Handler: bpeer.HandlerFunc(func(_ context.Context, _ string, _ []byte) ([]byte, error) {
 			_ = records
 			return []byte("<ok/>"), nil
@@ -90,10 +91,15 @@ func startOverlay(t *testing.T) (rdvAddr string, gid p2p.ID) {
 
 func TestPeerctlCommands(t *testing.T) {
 	rdvAddr, gid := startOverlay(t)
+	out := map[string]*bytes.Buffer{}
 	for _, cmd := range []string{"members", "advertisements", "coordinator", "trace", "readindex"} {
-		if err := run([]string{"-rendezvous", rdvAddr, "-group", string(gid), cmd}, io.Discard); err != nil {
+		out[cmd] = &bytes.Buffer{}
+		if err := run([]string{"-rendezvous", rdvAddr, "-group", string(gid), cmd}, out[cmd]); err != nil {
 			t.Errorf("peerctl %s: %v", cmd, err)
 		}
+	}
+	if !strings.Contains(out["advertisements"].String(), "\n  read ops: [StudentInformation]\n") {
+		t.Errorf("advertisements lack the read ops line:\n%s", out["advertisements"])
 	}
 	// A span-tree dump of an unknown trace reports an error.
 	if err := run([]string{"-rendezvous", rdvAddr, "-trace-id", "no-such-trace", "trace"}, io.Discard); err == nil {

@@ -68,7 +68,6 @@ func run(args []string) error {
 		rank       = fs.Int64("rank", 1, "bully rank of this b-peer (unique per group)")
 		group      = fs.String("group", defaultGroupID, "b-peer group URN")
 		backendSel = fs.String("backend", "db", "backend for bpeer role: db|warehouse")
-		loadShare  = fs.Bool("loadsharing", false, "serve from every replica (load-sharing policy) instead of the coordinator only")
 		replicas   = fs.Int("replicas", 3, "replica count for -role all")
 		students   = fs.Int("students", 100, "students in the seeded dataset")
 		seed       = fs.Int64("seed", 1, "dataset seed")
@@ -103,7 +102,7 @@ func run(args []string) error {
 	case "rendezvous":
 		return runRendezvous(ctx, *listen, tracer)
 	case "bpeer":
-		return runBPeer(ctx, *listen, *rendezvous, *group, *rank, *backendSel, *students, *seed, *loadShare, tracer)
+		return runBPeer(ctx, *listen, *rendezvous, *group, *rank, *backendSel, *students, *seed, tracer)
 	case "service":
 		return runService(ctx, *listen, *rendezvous, *httpAddr, tracer, adm)
 	default:
@@ -205,7 +204,7 @@ func startRendezvous(listen string, tracer *trace.Tracer) (*p2p.Peer, error) {
 	return peer, nil
 }
 
-func runBPeer(ctx context.Context, listen, rendezvous, group string, rank int64, backendSel string, students int, seed int64, loadSharing bool, tracer *trace.Tracer) error {
+func runBPeer(ctx context.Context, listen, rendezvous, group string, rank int64, backendSel string, students int, seed int64, tracer *trace.Tracer) error {
 	if rendezvous == "" {
 		return errors.New("-role bpeer requires -rendezvous")
 	}
@@ -219,7 +218,7 @@ func runBPeer(ctx context.Context, listen, rendezvous, group string, rank int64,
 	default:
 		return fmt.Errorf("unknown backend %q (want db|warehouse)", backendSel)
 	}
-	bp, err := startBPeer(ctx, listen, rendezvous, group, rank, store, loadSharing, tracer)
+	bp, err := startBPeer(ctx, listen, rendezvous, group, rank, store, tracer)
 	if err != nil {
 		return err
 	}
@@ -245,7 +244,7 @@ func runService(ctx context.Context, listen, rendezvous, httpAddr string, tracer
 }
 
 // startBPeer brings one b-peer replica online over TCP.
-func startBPeer(ctx context.Context, listen, rendezvous, group string, rank int64, store backend.StudentStore, loadSharing bool, tracer *trace.Tracer) (*bpeer.BPeer, error) {
+func startBPeer(ctx context.Context, listen, rendezvous, group string, rank int64, store backend.StudentStore, tracer *trace.Tracer) (*bpeer.BPeer, error) {
 	tr, err := simnet.NewTCPTransport(listen)
 	if err != nil {
 		return nil, err
@@ -259,7 +258,6 @@ func startBPeer(ctx context.Context, listen, rendezvous, group string, rank int6
 		QoS:            qos.Profile{LatencyMillis: 5, Reliability: 0.99, Availability: 0.99},
 		RendezvousAddr: rendezvous,
 		Handler:        studentHandler(store),
-		LoadSharing:    loadSharing,
 		FailStop:       func(err error) bool { return errors.Is(err, backend.ErrUnavailable) },
 		Tracer:         tracer,
 	})

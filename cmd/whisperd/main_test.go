@@ -64,13 +64,13 @@ func TestMultiProcessTopologyOverTCP(t *testing.T) {
 	records := backend.SeedStudents(10, 1)
 	group := "urn:jxta:group-uuid-test"
 	bp1, err := startBPeer(ctx, "127.0.0.1:0", rdv.Addr(), group, 1,
-		backend.NewDataWarehouse(records, 0), false, nil)
+		backend.NewDataWarehouse(records, 0), nil)
 	if err != nil {
 		t.Fatalf("bpeer 1: %v", err)
 	}
 	t.Cleanup(func() { _ = bp1.Close() })
 	bp2, err := startBPeer(ctx, "127.0.0.1:0", rdv.Addr(), group, 2,
-		backend.NewOperationalDB(records, 0), false, nil)
+		backend.NewOperationalDB(records, 0), nil)
 	if err != nil {
 		t.Fatalf("bpeer 2: %v", err)
 	}

@@ -139,30 +139,35 @@ func TestThroughputShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("macro experiment")
 	}
-	_, points, err := Throughput(context.Background(), ThroughputOptions{
-		PeerCounts:  []int{2, 4},
-		Clients:     4,
-		Duration:    500 * time.Millisecond,
-		ServiceTime: 2 * time.Millisecond,
+	_, points, err := Throughput(context.Background(), FollowersOptions{
+		ReplicaCounts: []int{2, 4},
+		Clients:       4,
+		Window:        500 * time.Millisecond,
+		ServiceTime:   2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("throughput: %v", err)
 	}
-	byKey := map[string]ThroughputPoint{}
+	byKey := map[string]FollowersPoint{}
 	for _, p := range points {
-		if p.Throughput <= 0 {
-			t.Errorf("%s/%d peers: throughput = %v", p.Policy, p.Peers, p.Throughput)
+		if p.Goodput <= 0 {
+			t.Errorf("%s/%d peers: throughput = %v", p.Config, p.Replicas, p.Goodput)
 		}
-		if p.Errors > p.Requests/10 {
-			t.Errorf("%s/%d peers: %d/%d errors", p.Policy, p.Peers, p.Errors, p.Requests)
+		if p.Errors > (p.Reads+p.Errors)/10 {
+			t.Errorf("%s/%d peers: %d/%d errors", p.Config, p.Replicas, p.Errors, p.Reads+p.Errors)
 		}
-		byKey[fmt.Sprintf("%s/%d", p.Policy, p.Peers)] = p
+		if p.Stale != 0 {
+			t.Errorf("%s/%d peers: %d stale reads", p.Config, p.Replicas, p.Stale)
+		}
+		byKey[fmt.Sprintf("%s/%d", p.Config, p.Replicas)] = p
 	}
-	// Load-sharing must scale with replicas while coordinated stays
-	// roughly flat (the serving replica is the bottleneck).
-	if byKey["load-sharing/4"].Throughput <= 1.3*byKey["coordinated/4"].Throughput {
-		t.Errorf("load-sharing (%.0f req/s) should clearly beat coordinated (%.0f req/s) at 4 peers",
-			byKey["load-sharing/4"].Throughput, byKey["coordinated/4"].Throughput)
+	// Follower reads must scale with replicas while the coordinator
+	// stays roughly flat (its one backend worker is the bottleneck).
+	t.Logf("at 4 peers: followers %.0f req/s, coordinator %.0f req/s",
+		byKey["followers/4"].Goodput, byKey["coordinator/4"].Goodput)
+	if byKey["followers/4"].Goodput <= 1.3*byKey["coordinator/4"].Goodput {
+		t.Errorf("followers (%.0f req/s) should clearly beat the coordinator (%.0f req/s) at 4 peers",
+			byKey["followers/4"].Goodput, byKey["coordinator/4"].Goodput)
 	}
 }
 

@@ -309,12 +309,23 @@ func Followers(ctx context.Context, opts FollowersOptions) (*Table, *FollowersRe
 		result.Scaling = last.Goodput / baseline.Goodput
 	}
 
+	t := followersTable(fmt.Sprintf("Follower read goodput (workers/replica %d, service %v, window %v, %d clients, seed %d)",
+		opts.Workers, opts.ServiceTime, opts.Window, opts.Clients, opts.Seed),
+		append([]FollowersPoint{baseline}, result.Points...))
+	t.AddNote("coordinator = reads unmarked, every read executes on the coordinator; followers = reads marked read-only, any replica serves behind the read-index barrier")
+	t.AddNote("scaling at %d replicas: %.2fx coordinator-only goodput (%.0f/s vs %.0f/s)",
+		last.Replicas, result.Scaling, last.Goodput, baseline.Goodput)
+	t.AddNote("staleness invariant: every follower read carries the read-index it was issued at and the committed seq it observed; stale counts reads where observed < index (must be 0)")
+	return t, result, nil
+}
+
+// followersTable lays out one row per point; E4 and E13 share it.
+func followersTable(title string, points []FollowersPoint) *Table {
 	t := &Table{
-		Title: fmt.Sprintf("Follower read goodput (workers/replica %d, service %v, window %v, %d clients, seed %d)",
-			opts.Workers, opts.ServiceTime, opts.Window, opts.Clients, opts.Seed),
+		Title:   title,
 		Columns: []string{"config", "replicas", "reads", "errors", "writes", "goodput", "p50", "p99", "spread", "checked", "stale"},
 	}
-	row := func(p FollowersPoint) {
+	for _, p := range points {
 		t.AddRow(p.Config,
 			fmt.Sprintf("%d", p.Replicas),
 			fmt.Sprintf("%d", p.Reads),
@@ -327,15 +338,7 @@ func Followers(ctx context.Context, opts FollowersOptions) (*Table, *FollowersRe
 			fmt.Sprintf("%d", p.Checked),
 			fmt.Sprintf("%d", p.Stale))
 	}
-	row(baseline)
-	for _, p := range result.Points {
-		row(p)
-	}
-	t.AddNote("coordinator = reads unmarked, every read executes on the coordinator; followers = reads marked read-only, any replica serves behind the read-index barrier")
-	t.AddNote("scaling at %d replicas: %.2fx coordinator-only goodput (%.0f/s vs %.0f/s)",
-		last.Replicas, result.Scaling, last.Goodput, baseline.Goodput)
-	t.AddNote("staleness invariant: every follower read carries the read-index it was issued at and the committed seq it observed; stale counts reads where observed < index (must be 0)")
-	return t, result, nil
+	return t
 }
 
 func runFollowers(ctx context.Context, f Flags) (*Report, error) {
@@ -351,21 +354,10 @@ func runFollowers(ctx context.Context, f Flags) (*Report, error) {
 // to.
 func FollowersReport(t *Table, res *FollowersResult) *Report {
 	r := NewReport("followers", t)
-	addPoint := func(key string, p FollowersPoint) {
-		r.AddScalar(key+".goodput", "req/s", p.Goodput)
-		r.AddScalar(key+".reads", "count", float64(p.Reads))
-		r.AddScalar(key+".errors", "count", float64(p.Errors))
-		r.AddScalar(key+".writes", "count", float64(p.Writes))
-		r.AddScalar(key+".p50", "ns", float64(p.P50))
-		r.AddScalar(key+".p99", "ns", float64(p.P99))
-		r.AddScalar(key+".spread", "count", float64(p.Spread))
-		r.AddScalar(key+".checked", "count", float64(p.Checked))
-		r.AddScalar(key+".stale", "count", float64(p.Stale))
-	}
-	addPoint("coordinator", res.Baseline)
+	addFollowersPoint(r, "coordinator", res.Baseline)
 	for i, p := range res.Points {
 		key := fmt.Sprintf("followers.%d", p.Replicas)
-		addPoint(key, p)
+		addFollowersPoint(r, key, p)
 		r.AddBound("read-index barrier held: no stale read", key+".stale", "<=", 0)
 		r.AddBound("staleness invariant was exercised", key+".checked", ">", 0)
 		if i == len(res.Points)-1 {
@@ -375,4 +367,17 @@ func FollowersReport(t *Table, res *FollowersResult) *Report {
 	r.AddScalar("scaling", "ratio", res.Scaling)
 	r.AddBound("read goodput scales with follower reads", "scaling", ">=", 2.5)
 	return r
+}
+
+// addFollowersPoint records one point's metrics under key.
+func addFollowersPoint(r *Report, key string, p FollowersPoint) {
+	r.AddScalar(key+".goodput", "req/s", p.Goodput)
+	r.AddScalar(key+".reads", "count", float64(p.Reads))
+	r.AddScalar(key+".errors", "count", float64(p.Errors))
+	r.AddScalar(key+".writes", "count", float64(p.Writes))
+	r.AddScalar(key+".p50", "ns", float64(p.P50))
+	r.AddScalar(key+".p99", "ns", float64(p.P99))
+	r.AddScalar(key+".spread", "count", float64(p.Spread))
+	r.AddScalar(key+".checked", "count", float64(p.Checked))
+	r.AddScalar(key+".stale", "count", float64(p.Stale))
 }

@@ -3,148 +3,53 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"whisper/internal/metrics"
 )
 
-// ThroughputOptions configures experiment E4: closed-loop throughput
-// and latency as the group grows ("the proposed solution was able to
-// scale to meet desired throughput and latency requirements").
-type ThroughputOptions struct {
-	// PeerCounts sweeps group sizes; nil selects {2, 4, 8}.
-	PeerCounts []int
-	// Clients is the closed-loop client count.
-	Clients int
-	// Duration is the measured window per point.
-	Duration time.Duration
-	// ServiceTime is the per-request backend processing time; it is
-	// what makes the serving replica the bottleneck (zero hides the
-	// load-sharing effect behind network latency).
-	ServiceTime time.Duration
-	// Seed drives randomness.
-	Seed int64
-}
-
-func (o *ThroughputOptions) applyDefaults() {
-	if len(o.PeerCounts) == 0 {
-		o.PeerCounts = []int{2, 4, 8}
+// Throughput runs experiment E4: closed-loop read throughput and
+// latency as the group grows ("the proposed solution was able to scale
+// to meet desired throughput and latency requirements"; §4's
+// load-sharing remark). Both halves are E13's closed loop
+// (runFollowersPoint) on a journaled group whose replicas have one
+// backend worker each. The coordinator rows send every
+// StudentInformation read to the coordinator, the paper's static
+// redundancy, so throughput stays flat in group size. The follower rows
+// mark it read-only, so every replica serves it behind the read-index
+// barrier and throughput grows with the group. opts defaults to E13's
+// options with ReplicaCounts {2, 4, 8} and one worker per replica;
+// BaselineReplicas is unused.
+func Throughput(ctx context.Context, opts FollowersOptions) (*Table, []FollowersPoint, error) {
+	if len(opts.ReplicaCounts) == 0 {
+		opts.ReplicaCounts = []int{2, 4, 8}
 	}
-	if o.Clients <= 0 {
-		o.Clients = 8
+	if opts.Workers <= 0 {
+		opts.Workers = 1
 	}
-	if o.Duration <= 0 {
-		o.Duration = 1500 * time.Millisecond
-	}
-	if o.ServiceTime <= 0 {
-		o.ServiceTime = 2 * time.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-}
-
-// ThroughputPoint is one sweep point.
-type ThroughputPoint struct {
-	Peers      int
-	Policy     string
-	Requests   int64
-	Errors     int64
-	Throughput float64 // requests per second
-	Latency    *metrics.Histogram
-}
-
-// Throughput runs E4.
-func Throughput(ctx context.Context, opts ThroughputOptions) (*Table, []ThroughputPoint, error) {
 	opts.applyDefaults()
-	var points []ThroughputPoint
-	for _, loadSharing := range []bool{false, true} {
-		for _, n := range opts.PeerCounts {
-			p, err := throughputPoint(ctx, n, loadSharing, opts)
+	var points []FollowersPoint
+	for _, followerReads := range []bool{false, true} {
+		for _, n := range opts.ReplicaCounts {
+			p, err := runFollowersPoint(ctx, opts, n, followerReads)
 			if err != nil {
 				return nil, nil, fmt.Errorf("bench: throughput at %d peers: %w", n, err)
 			}
 			points = append(points, p)
 		}
 	}
-	t := &Table{
-		Title:   fmt.Sprintf("Throughput & latency vs. group size (%d closed-loop clients, %v service time, %v window)", opts.Clients, opts.ServiceTime, opts.Duration),
-		Columns: []string{"policy", "b-peers", "req/s", "p50", "p99", "max", "errors"},
-	}
-	for _, p := range points {
-		t.AddRow(
-			p.Policy,
-			fmt.Sprintf("%d", p.Peers),
-			fmt.Sprintf("%.0f", p.Throughput),
-			p.Latency.Percentile(50).String(),
-			p.Latency.Percentile(99).String(),
-			p.Latency.Max().String(),
-			fmt.Sprintf("%d", p.Errors),
-		)
-	}
-	t.AddNote("coordinated (the paper's static redundancy): one coordinator serves, throughput flat in group size")
-	t.AddNote("load-sharing (the §4 extension): every replica serves, spreading load across the group")
+	t := followersTable(fmt.Sprintf("Read throughput & latency vs. group size (workers/replica %d, service %v, window %v, %d clients, seed %d)",
+		opts.Workers, opts.ServiceTime, opts.Window, opts.Clients, opts.Seed), points)
+	t.AddNote("coordinator (the paper's static redundancy): the coordinator serves every read, throughput flat in group size")
+	t.AddNote("followers (§4's load-sharing): every replica serves marked reads behind the read-index barrier, throughput grows with the group")
 	return t, points, nil
 }
 
-func throughputPoint(ctx context.Context, peers int, loadSharing bool, opts ThroughputOptions) (ThroughputPoint, error) {
-	c, err := NewCluster(ctx, ClusterOptions{
-		Peers: peers, Seed: opts.Seed, LoadSharing: loadSharing,
-		BackendDelay: opts.ServiceTime,
-	})
-	if err != nil {
-		return ThroughputPoint{}, err
-	}
-	defer func() { _ = c.Close() }()
-
-	ctx, cancel := context.WithTimeout(ctx, opts.Duration+60*time.Second)
-	defer cancel()
-	if _, err := c.Invoke(ctx, c.StudentID(0)); err != nil { // warm bindings
-		return ThroughputPoint{}, err
-	}
-
-	policy := "coordinated"
-	if loadSharing {
-		policy = "load-sharing"
-	}
-	point := ThroughputPoint{Peers: peers, Policy: policy, Latency: metrics.NewHistogram()}
-	var requests, errs atomic.Int64
-	deadline := time.Now().Add(opts.Duration)
-	var wg sync.WaitGroup
-	for cl := 0; cl < opts.Clients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			for i := 0; time.Now().Before(deadline); i++ {
-				start := time.Now()
-				_, err := c.Invoke(ctx, c.StudentID(cl*1000+i))
-				point.Latency.Observe(time.Since(start))
-				requests.Add(1)
-				if err != nil {
-					errs.Add(1)
-				}
-			}
-		}(cl)
-	}
-	wg.Wait()
-	point.Requests = requests.Load()
-	point.Errors = errs.Load()
-	point.Throughput = float64(point.Requests) / opts.Duration.Seconds()
-	return point, nil
-}
-
 func runThroughput(ctx context.Context, f Flags) (*Report, error) {
-	t, points, err := Throughput(ctx, ThroughputOptions{PeerCounts: f.Peers, Duration: f.Window, Seed: f.Seed})
+	t, points, err := Throughput(ctx, FollowersOptions{ReplicaCounts: f.Peers, Window: f.Window, Seed: f.Seed})
 	if err != nil {
 		return nil, err
 	}
 	r := NewReport("throughput", t)
 	for _, p := range points {
-		key := fmt.Sprintf("%s.%dpeers", p.Policy, p.Peers)
-		r.AddScalar(key+".throughput", "req/s", p.Throughput)
-		r.AddHistogram(key+".latency", p.Latency)
+		addFollowersPoint(r, fmt.Sprintf("%s.%dpeers", p.Config, p.Replicas), p)
 	}
 	return r, nil
 }

@@ -30,11 +30,6 @@ type ClusterOptions struct {
 	Timings core.Timings
 	// Students is the backend dataset size.
 	Students int
-	// LoadSharing deploys the group with the load-sharing policy.
-	LoadSharing bool
-	// BackendDelay is the per-query processing time of each backend
-	// store (models real database work; 0 = instantaneous).
-	BackendDelay time.Duration
 	// Tracing equips the deployment with a shared trace collector (see
 	// core.Config.Tracing).
 	Tracing bool
@@ -151,20 +146,19 @@ func NewCluster(ctx context.Context, opts ClusterOptions) (*Cluster, error) {
 	for i := range specs {
 		var store backend.StudentStore
 		if i%2 == 0 {
-			store = backend.NewOperationalDB(records, opts.BackendDelay)
+			store = backend.NewOperationalDB(records, 0)
 		} else {
-			store = backend.NewDataWarehouse(records, opts.BackendDelay)
+			store = backend.NewDataWarehouse(records, 0)
 		}
 		specs[i] = core.ReplicaSpec{Handler: StudentHandler(store)}
 	}
 	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	c.Group, err = c.Dep.DeployGroup(ctx, core.GroupSpec{
-		Name:        "StudentManagement",
-		Signature:   StudentSignature(),
-		QoS:         benchQoS,
-		LoadSharing: opts.LoadSharing,
-		Replicas:    specs,
+		Name:      "StudentManagement",
+		Signature: StudentSignature(),
+		QoS:       benchQoS,
+		Replicas:  specs,
 	})
 	if err != nil {
 		_ = c.Close()

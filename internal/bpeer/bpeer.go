@@ -30,7 +30,7 @@ const ProtoBinding = "binding"
 const coordinatorHandler = "bpeer.coordinator"
 
 // pipeHandler answers a replica's own service-pipe location, used by
-// proxies to build load-sharing bindings.
+// proxies to build the replica set follower reads are spread over.
 const pipeHandler = "bpeer.pipe"
 
 // Handler executes a service request at a b-peer. Implementations
@@ -90,14 +90,10 @@ type Config struct {
 	// advertisement are refreshed at the rendezvous; zero selects 1s.
 	// Both last MembershipLease(LeaseInterval) without renewal.
 	LeaseInterval time.Duration
-	// LoadSharing opts the replica into PolicyLoadSharing: it serves
-	// requests whether or not it is the coordinator. All replicas of a
-	// group must agree on this setting.
-	LoadSharing bool
 	// NoJournal disables the replicated operation journal (exactly-once
-	// execution of keyed requests, internal/replog). Load-sharing
-	// groups never journal — they have no single coordinator to order
-	// operations. All replicas of a group must agree on this setting.
+	// execution of keyed requests, internal/replog), and with it
+	// follower reads. All replicas of a group must agree on this
+	// setting.
 	NoJournal bool
 	// ReadOnlyOps lists the operations that do not mutate backend
 	// state. On journaling groups, requests marked read-only for one of
@@ -247,7 +243,7 @@ func New(tr simnet.Transport, cfg Config) (*BPeer, error) {
 		serveDone:  make(chan struct{}),
 		replogDone: make(chan struct{}),
 	}
-	if !cfg.NoJournal && !cfg.LoadSharing {
+	if !cfg.NoJournal {
 		b.journal = replog.New(cfg.Name, cfg.Name)
 	}
 	b.shards = p2p.NewShardRouter(cfg.ShardAddrs)
@@ -318,9 +314,6 @@ func (b *BPeer) ServicePipe() *p2p.PipeAdvertisement { return b.input.Advertisem
 // this replica publishes it.
 func (b *BPeer) SemanticAdvertisement() *SemanticAdvertisement {
 	adv := NewSemanticAdvertisement(b.cfg.GroupID, b.cfg.GroupName, b.cfg.Signature, b.cfg.QoS)
-	if b.cfg.LoadSharing {
-		adv.Policy = PolicyLoadSharing
-	}
 	if b.journal != nil {
 		adv.ReadOps = append([]string(nil), b.cfg.ReadOnlyOps...)
 	}
@@ -775,8 +768,8 @@ func (b *BPeer) handleRequest(pm p2p.PipeMessage) {
 	}
 	// §4.2: "the b-peer found may not be the coordinator. Therefore,
 	// additional processing may need to be done to find the current
-	// coordinator." Load-sharing groups serve from any live replica.
-	if !b.cfg.LoadSharing && !b.IsCoordinator() {
+	// coordinator." Only marked reads (above) are served elsewhere.
+	if !b.IsCoordinator() {
 		if coord := b.Coordinator(); coord == "" {
 			resp.Error = ErrMsgNoCoordinator
 		} else {
@@ -869,7 +862,7 @@ func (b *BPeer) answerPipe(_ string, _ []byte) ([]byte, error) {
 }
 
 // QueryServicePipe asks a replica for its own service pipe (the
-// load-sharing binding path).
+// follower-read binding path).
 func QueryServicePipe(ctx context.Context, r *p2p.Resolver, memberAddr string) (*p2p.PipeAdvertisement, error) {
 	payload, err := r.Query(ctx, memberAddr, pipeHandler, nil)
 	if err != nil {

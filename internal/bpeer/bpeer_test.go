@@ -1,6 +1,7 @@
 package bpeer
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -421,71 +422,6 @@ func TestBPeerDoubleCloseAndRestartRejected(t *testing.T) {
 	}
 }
 
-func TestLoadSharingReplicaServesWithoutBeingCoordinator(t *testing.T) {
-	d := newDeployment(t, 0)
-	// Build two load-sharing replicas by hand.
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("ls%d", i)
-		port, err := d.net.NewPort(name)
-		if err != nil {
-			t.Fatalf("port: %v", err)
-		}
-		bp, err := New(port, Config{
-			Name:              name,
-			Rank:              int64(i + 1),
-			GroupID:           d.gid,
-			GroupName:         "Shared",
-			Signature:         studentSig(),
-			RendezvousAddr:    "rdv",
-			Handler:           echoHandler(name),
-			IDGen:             d.gen,
-			HeartbeatInterval: 20 * time.Millisecond,
-			HeartbeatTimeout:  80 * time.Millisecond,
-			ElectionTimeout:   40 * time.Millisecond,
-			LeaseInterval:     200 * time.Millisecond,
-			LoadSharing:       true,
-		})
-		if err != nil {
-			t.Fatalf("new: %v", err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		if err := bp.Start(ctx); err != nil {
-			cancel()
-			t.Fatalf("start: %v", err)
-		}
-		cancel()
-		t.Cleanup(func() { _ = bp.Close() })
-		d.peers = append(d.peers, bp)
-	}
-	waitCoordinator(t, d.peers, 3*time.Second)
-
-	// The NON-coordinator must serve directly (no redirect).
-	var follower *BPeer
-	for _, p := range d.peers {
-		if !p.IsCoordinator() {
-			follower = p
-		}
-	}
-	if follower == nil {
-		t.Fatal("no follower found")
-	}
-	status, _, out := d.rawCall(t, follower.ServicePipe(), "Op", []byte("x"))
-	if status != statusOK {
-		t.Fatalf("status = %s, want ok (load-sharing follower serves)", status)
-	}
-	if string(out) != follower.Name()+":Op:x" {
-		t.Errorf("out = %q", out)
-	}
-	// The advertisement carries the policy.
-	adv := follower.SemanticAdvertisement()
-	if adv.EffectivePolicy() != PolicyLoadSharing {
-		t.Errorf("policy = %q", adv.EffectivePolicy())
-	}
-	if adv.Attributes()["policy"] != PolicyLoadSharing {
-		t.Errorf("policy attribute = %q", adv.Attributes()["policy"])
-	}
-}
-
 func TestQueryServicePipe(t *testing.T) {
 	d := newDeployment(t, 2)
 	waitCoordinator(t, d.peers, 3*time.Second)
@@ -511,31 +447,25 @@ func TestQueryServicePipe(t *testing.T) {
 }
 
 func TestCoordinatedPolicyIsDefaultInAdvertisement(t *testing.T) {
+	// An advertisement that lists no read-only operation sends every
+	// operation to the coordinator, and says nothing else about how the
+	// group serves: no policy element, no policy attribute.
 	adv := NewSemanticAdvertisement("urn:g", "G", studentSig(), qos.Profile{})
-	if adv.EffectivePolicy() != PolicyCoordinated {
-		t.Errorf("default policy = %q", adv.EffectivePolicy())
-	}
 	raw, err := adv.MarshalAdv()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
+	}
+	if bytes.Contains(raw, []byte("Policy")) || bytes.Contains(raw, []byte("ReadOp")) {
+		t.Errorf("default advertisement document names a policy or read op:\n%s", raw)
 	}
 	back := &SemanticAdvertisement{}
 	if uerr := back.UnmarshalAdv(raw); uerr != nil {
 		t.Fatalf("unmarshal: %v", uerr)
 	}
-	if back.EffectivePolicy() != PolicyCoordinated {
-		t.Errorf("round-trip policy = %q", back.EffectivePolicy())
+	if back.IsReadOp("Op") || len(back.ReadOps) != 0 {
+		t.Errorf("round-trip read ops = %v, want none", back.ReadOps)
 	}
-	adv.Policy = PolicyLoadSharing
-	raw, err = adv.MarshalAdv()
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	back = &SemanticAdvertisement{}
-	if err := back.UnmarshalAdv(raw); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if back.EffectivePolicy() != PolicyLoadSharing {
-		t.Errorf("round-trip load-sharing policy = %q", back.EffectivePolicy())
+	if _, ok := back.Attributes()["policy"]; ok {
+		t.Errorf("attributes = %v, want no policy attribute", back.Attributes())
 	}
 }

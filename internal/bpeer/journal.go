@@ -125,7 +125,7 @@ func decodeResolveAnswer(data []byte) (resolveAnswer, error) {
 }
 
 // Journal returns the replica's operation journal (nil when journaling
-// is disabled via NoJournal or LoadSharing).
+// is disabled via NoJournal).
 func (b *BPeer) Journal() *replog.Journal { return b.journal }
 
 // --- follower apply loop ------------------------------------------------

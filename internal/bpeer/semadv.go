@@ -19,19 +19,6 @@ import (
 // advertisement.
 const SemanticAdvType = "whisper:SemAdv"
 
-// Group service policies advertised in semantic advertisements.
-const (
-	// PolicyCoordinated is the paper's default: the Bully-elected
-	// coordinator serves every request (static redundancy).
-	PolicyCoordinated = "coordinated"
-	// PolicyLoadSharing lets every live replica serve requests, the
-	// load-sharing variant §4 mentions ("the redundancy mechanism of
-	// Whisper makes possible to also address scalability requirements
-	// through load-sharing"). Suitable for idempotent, read-mostly
-	// services.
-	PolicyLoadSharing = "load-sharing"
-)
-
 // SemanticAdvertisement is the "new type of advertisement that uses
 // semantic information to describe our semantic peer groups" (§4.3):
 // it extends the peer-group advertisement with the group's functional
@@ -50,9 +37,6 @@ type SemanticAdvertisement struct {
 	Outputs []string `xml:"Output"`
 	// QoS is the group's advertised quality profile (§2.4).
 	QoS qos.Profile `xml:"QoS"`
-	// Policy is the group's serving policy (PolicyCoordinated when
-	// empty).
-	Policy string `xml:"Policy,omitempty"`
 	// ReadOps lists the group's read-only operations: ops a proxy may
 	// send to ANY replica (marked read-only) instead of the
 	// coordinator, served behind the read-index barrier.
@@ -79,7 +63,6 @@ func (a *SemanticAdvertisement) Attributes() map[string]string {
 		"action": a.Action,
 		"input":  strings.Join(a.Inputs, " "),
 		"output": strings.Join(a.Outputs, " "),
-		"policy": a.EffectivePolicy(),
 	}
 }
 
@@ -110,14 +93,6 @@ func (a *SemanticAdvertisement) IsReadOp(op string) bool {
 		}
 	}
 	return false
-}
-
-// EffectivePolicy returns the policy, defaulting to coordinated.
-func (a *SemanticAdvertisement) EffectivePolicy() string {
-	if a.Policy == "" {
-		return PolicyCoordinated
-	}
-	return a.Policy
 }
 
 // Signature returns the advertisement's semantic signature.

@@ -391,12 +391,9 @@ type GroupSpec struct {
 	Handler bpeer.Handler
 	// FailStop is the default fail-stop classifier for replicas.
 	FailStop func(error) bool
-	// LoadSharing deploys the group with bpeer.PolicyLoadSharing:
-	// every replica serves requests (read-mostly services).
-	LoadSharing bool
 	// NoJournal disables the replicated operation journal for the
-	// group (exactly-once keyed execution is on by default for
-	// coordinator-serving groups; see internal/replog).
+	// group (exactly-once keyed execution is on by default; see
+	// internal/replog).
 	NoJournal bool
 	// ReadOnlyOps lists operations every replica may serve locally
 	// behind the read-index barrier (see internal/bpeer/read.go).
@@ -491,7 +488,6 @@ func (d *Deployment) DeployGroup(ctx context.Context, spec GroupSpec) (*Group, e
 			HeartbeatTimeout:  d.cfg.Timings.HeartbeatTimeout,
 			ElectionTimeout:   d.cfg.Timings.ElectionTimeout,
 			LeaseInterval:     d.cfg.Timings.LeaseInterval,
-			LoadSharing:       spec.LoadSharing,
 			NoJournal:         spec.NoJournal,
 			ReadOnlyOps:       spec.ReadOnlyOps,
 			ReadLease:         spec.ReadLease,

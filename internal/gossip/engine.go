@@ -53,18 +53,21 @@ type Config struct {
 	// ReconcileInterval is the anti-entropy digest period (default
 	// 8x Interval).
 	ReconcileInterval time.Duration
-	// Fanout is how many peers each rumor round pushes to (default 2).
-	Fanout int
-	// RetireAfter retires a rumor once this many push recipients
-	// already knew it (default 2) — Karp-style feedback aging.
-	RetireAfter int
-	// MaxBatch bounds entries per push frame (default 512).
-	MaxBatch int
 	// MaxDelta bounds entries per delta frame (default 4096).
 	MaxDelta int
-	// ExchangeTimeout bounds one exchange round trip (default 500ms).
-	ExchangeTimeout time.Duration
 }
+
+const (
+	// fanout is how many peers each rumor round pushes to.
+	fanout = 2
+	// retireAfter retires a rumor once this many push recipients
+	// already knew it — Karp-style feedback aging.
+	retireAfter = 2
+	// maxBatch bounds entries per push frame.
+	maxBatch = 512
+	// exchangeTimeout bounds one exchange round trip.
+	exchangeTimeout = 500 * time.Millisecond
+)
 
 func (c *Config) applyDefaults() {
 	if c.Clock == nil {
@@ -76,20 +79,8 @@ func (c *Config) applyDefaults() {
 	if c.ReconcileInterval <= 0 {
 		c.ReconcileInterval = 8 * c.Interval
 	}
-	if c.Fanout <= 0 {
-		c.Fanout = 2
-	}
-	if c.RetireAfter <= 0 {
-		c.RetireAfter = 2
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 512
-	}
 	if c.MaxDelta <= 0 {
 		c.MaxDelta = 4096
-	}
-	if c.ExchangeTimeout <= 0 {
-		c.ExchangeTimeout = 500 * time.Millisecond
 	}
 }
 
@@ -119,7 +110,7 @@ type EngineStats struct {
 }
 
 // Engine drives one shard's gossip: a rumor-mongering loop pushing
-// fresh entries to Fanout random peers per round, and a slower
+// fresh entries to fanout random peers per round, and a slower
 // anti-entropy loop reconciling digests pairwise. Both are seeded and
 // clock-injected, so a seed fully determines peer selection. A ring of
 // one has no peers: it queues no rumor and runs no timer.
@@ -348,7 +339,7 @@ func (e *Engine) jittered(d time.Duration) time.Duration {
 	return d + time.Duration(e.rng.Int63n(int64(d)/2+1)) - d/4
 }
 
-// rumorRound pushes the head of the rumor queue to Fanout random
+// rumorRound pushes the head of the rumor queue to fanout random
 // peers and ages each rumor by how many recipients already knew it. It
 // reports false, and counts no round, when the engine has no peers.
 func (e *Engine) rumorRound() bool {
@@ -363,14 +354,14 @@ func (e *Engine) rumorRound() bool {
 		return true
 	}
 	n := len(e.queue)
-	if n > e.cfg.MaxBatch {
-		n = e.cfg.MaxBatch
+	if n > maxBatch {
+		n = maxBatch
 	}
 	keys := make([]string, n)
 	for i := 0; i < n; i++ {
 		keys[i] = e.queue[i].key
 	}
-	targets := e.pickPeersLocked(e.cfg.Fanout)
+	targets := e.pickPeersLocked(fanout)
 	e.mu.Unlock()
 
 	// Encode the current state of each rumored key; keys whose entry
@@ -391,7 +382,7 @@ func (e *Engine) rumorRound() bool {
 	known := make([]int, len(slotOf))
 	okTargets := 0
 	for _, t := range targets {
-		ctx, cancel := context.WithTimeout(lifeCtx{e}, e.cfg.ExchangeTimeout)
+		ctx, cancel := context.WithTimeout(lifeCtx{e}, exchangeTimeout)
 		reply, err := e.cfg.Transport.Exchange(ctx, t, KindPush, frame)
 		cancel()
 		e.mu.Lock()
@@ -429,7 +420,7 @@ func (e *Engine) rumorRound() bool {
 			if okTargets > 0 && known[slot] == okTargets {
 				r.cold++
 			}
-			if okTargets > 0 && r.cold >= e.cfg.RetireAfter {
+			if okTargets > 0 && r.cold >= retireAfter {
 				delete(e.queued, r.key)
 				e.stats.RumorsRetired++
 				continue
@@ -472,7 +463,7 @@ func (e *Engine) reconcileRound() {
 	req := append(digestBuf, make([]byte, 8)...)
 	binary.LittleEndian.PutUint64(req[:8], resume)
 	req = e.cfg.Store.AppendDigest(req)
-	ctx, cancel := context.WithTimeout(lifeCtx{e}, e.cfg.ExchangeTimeout)
+	ctx, cancel := context.WithTimeout(lifeCtx{e}, exchangeTimeout)
 	reply, err := e.cfg.Transport.Exchange(ctx, peer, KindSync, req)
 	cancel()
 	e.mu.Lock()
@@ -515,7 +506,7 @@ func (e *Engine) reconcileRound() {
 	if count == 0 {
 		return
 	}
-	ctx, cancel = context.WithTimeout(lifeCtx{e}, e.cfg.ExchangeTimeout)
+	ctx, cancel = context.WithTimeout(lifeCtx{e}, exchangeTimeout)
 	_, err = e.cfg.Transport.Exchange(ctx, peer, KindDelta, delta)
 	cancel()
 	if err == nil {

@@ -78,13 +78,10 @@ func classify(callErr error, resp bpeer.Response, siblings bool) outcome {
 // attempt loop under admission control.
 func (p *SWSProxy) InvokeGroup(ctx context.Context, adv *bpeer.SemanticAdvertisement, op string, payload []byte) ([]byte, error) {
 	pol := coordinatorPolicy
-	switch {
-	case adv.EffectivePolicy() == bpeer.PolicyLoadSharing:
-		pol = roundRobinPolicy
-	case adv.IsReadOp(op):
-		// Read-only ops on journaling (coordinated) groups: any replica
-		// serves them behind the read-index barrier, so the proxy spreads
-		// them QoS-weighted across the whole group instead of funnelling
+	if adv.IsReadOp(op) {
+		// Read-only ops on journaling groups: any replica serves them
+		// behind the read-index barrier, so the proxy spreads them
+		// QoS-weighted across the whole group instead of funnelling
 		// into the coordinator.
 		pol = readPolicy
 	}
@@ -209,8 +206,8 @@ func (p *SWSProxy) bind(ctx context.Context, adv *bpeer.SemanticAdvertisement, g
 	t, err := pol.pick(p, gs, adv)
 	if t == nil && err == nil {
 		rctx, cancel := context.WithTimeout(bctx, p.cfg.BindTimeout)
-		if pol.siblings {
-			err = p.resolveReplicas(rctx, adv.GID, gs, pol.read)
+		if pol.read {
+			err = p.resolveReplicas(rctx, adv.GID, gs)
 		} else {
 			err = p.resolveCoordinator(rctx, adv.GID, gs)
 		}
@@ -248,7 +245,7 @@ func (p *SWSProxy) attempt(ctx context.Context, pol *replicaPolicy, t *target, r
 	if err == nil {
 		resp, err = bpeer.DecodeResponseFull(raw)
 	}
-	out := classify(err, resp, pol.siblings)
+	out := classify(err, resp, pol.read)
 	if err != nil {
 		// Timeout, transport failure or a corrupted reply: the target
 		// is likely dead or behind a bad link.

@@ -10,8 +10,11 @@ import (
 	"time"
 
 	"whisper/internal/bpeer"
+	"whisper/internal/gossip"
+	"whisper/internal/ontology"
 	"whisper/internal/p2p"
 	"whisper/internal/qos"
+	"whisper/internal/replog"
 	"whisper/internal/trace"
 )
 
@@ -158,22 +161,21 @@ func (g *fakeGroup) next(addr string) []byte {
 	return []byte(step)
 }
 
-// TestOneFailureScriptThreePolicies drives the same scripted failures
+// TestOneFailureScriptTwoPolicies drives the same scripted failures
 // through each replica policy and checks everything an operator can
 // observe: the span sequence, the health counters, the tracker, the
 // re-binding count and the breaker state. What differs between the
 // policies is only what replicas.go says differs: a transport failure
 // (or an undecodable reply) waits for the election under the
-// coordinator policy and moves straight to a sibling under the other
-// two; a redirect re-binds the coordinator policy and merely drops a
-// replica under the other two.
-func TestOneFailureScriptThreePolicies(t *testing.T) {
+// coordinator policy and moves straight to a sibling under follower
+// reads; a redirect re-binds the coordinator policy and merely drops a
+// replica under follower reads.
+func TestOneFailureScriptTwoPolicies(t *testing.T) {
 	const (
 		b, rb, c, w = "bind", "re-bind", "call", "election-wait"
 	)
 	policies := []struct {
 		name    string
-		policy  string
 		readOps []string
 		// First invocation: lost call, corrupted reply, redirect,
 		// "no coordinator elected", application error.
@@ -196,15 +198,6 @@ func TestOneFailureScriptThreePolicies(t *testing.T) {
 			sleeps2: 3,
 		},
 		{
-			name:    "round-robin",
-			policy:  bpeer.PolicyLoadSharing,
-			spans1:  []string{b, c, rb, c, rb, c, rb, c, w, rb, c},
-			sleeps1: 1,
-			calls:   [2]int64{3, 1},
-			spans2:  []string{b, c, rb, c, rb, c, w},
-			sleeps2: 1,
-		},
-		{
 			name:    "weighted-read",
 			readOps: []string{"Op"},
 			spans1:  []string{b, c, rb, c, rb, c, rb, c, w, rb, c},
@@ -222,7 +215,7 @@ func TestOneFailureScriptThreePolicies(t *testing.T) {
 			// The weighted draw follows the selector; a reliability-only
 			// weighting over a tracker the test owns makes it prefer the
 			// higher-ranked replica whenever that one is in the set, which
-			// is also where the other two policies start.
+			// is also where the coordinator policy starts.
 			tr := qos.NewTracker()
 			for i := 0; i < 20; i++ {
 				tr.Observe(g.addrs[0], 0, false)
@@ -236,7 +229,7 @@ func TestOneFailureScriptThreePolicies(t *testing.T) {
 				BreakerThreshold: 3,
 				BreakerCooldown:  time.Minute,
 			})
-			adv := &bpeer.SemanticAdvertisement{GID: g.gid, Name: "fake", Policy: pol.policy, ReadOps: pol.readOps}
+			adv := &bpeer.SemanticAdvertisement{GID: g.gid, Name: "fake", ReadOps: pol.readOps}
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			spans := func() []string {
@@ -319,5 +312,81 @@ func TestOneFailureScriptThreePolicies(t *testing.T) {
 				t.Errorf("shed invocations recorded spans %v", got)
 			}
 		})
+	}
+}
+
+// TestMixedVersionPolicyAdvertisement: a replica built while groups
+// could still advertise a load-sharing policy publishes a document
+// carrying <Policy>load-sharing</Policy>. The element is ignored: the
+// document decodes, the index node files it under no policy attribute
+// and answers it by action, and every keyed write to its group goes to
+// the coordinator, none round-robin to a sibling.
+func TestMixedVersionPolicyAdvertisement(t *testing.T) {
+	f := newFixture(t)
+	g := newFakeGroup(t, f)
+	g.play(t)
+	p := f.addProxy(t, Config{}) // registers the advertisement types
+	doc := []byte(`<?xml version="1.0" encoding="UTF-8"?>
+<SemAdv xmlns="whisper">
+  <GID>` + string(g.gid) + `</GID>
+  <Name>fake</Name>
+  <Action>` + ontology.ConceptStudentInformation + `</Action>
+  <Input>` + ontology.ConceptStudentID + `</Input>
+  <Output>` + ontology.ConceptStudentInfo + `</Output>
+  <QoS>
+    <LatencyMillis>5</LatencyMillis>
+    <CostPerCall>0</CostPerCall>
+    <Reliability>0.99</Reliability>
+    <Availability>0.99</Availability>
+  </QoS>
+  <Policy>load-sharing</Policy>
+</SemAdv>
+`)
+	parsed, err := p2p.ParseAdvertisement(doc)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	sem, ok := parsed.(*bpeer.SemanticAdvertisement)
+	if !ok || sem.GID != g.gid || len(sem.ReadOps) != 0 {
+		t.Fatalf("parsed %#v, want the group's semantic advertisement with no read ops", parsed)
+	}
+	if _, ok := sem.Attributes()["policy"]; ok {
+		t.Errorf("attributes = %v, want no policy attribute", sem.Attributes())
+	}
+
+	// Published the way the old replica did: its own bytes in a gossip
+	// entry at the index node.
+	old := p2p.NewPeer("old-replica", f.gen.New(p2p.PeerIDKind), f.port(t, "old"))
+	gcli := p2p.NewGossipClient(old)
+	dcli := p2p.NewDiscoveryClient(old)
+	old.Start()
+	t.Cleanup(func() { _ = old.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	entry := gossip.NewPublisher("old-replica", nil).Entry(string(g.gid), doc, time.Minute)
+	if applied, err := gcli.Publish(ctx, "rdv", entry); err != nil || !applied {
+		t.Fatalf("publish: applied %v, %v", applied, err)
+	}
+	byPolicy, err := dcli.RemoteGetAdvertisements(ctx, []string{"rdv"}, bpeer.SemanticAdvType, "policy", "load-sharing", 0)
+	if err != nil || len(byPolicy) != 0 {
+		t.Errorf("index answered %d advertisements by policy (%v), want none", len(byPolicy), err)
+	}
+
+	matches, err := p.FindPeerGroupAdv(ctx, studentSig())
+	if err != nil || len(matches) != 1 || matches[0].Adv.GID != g.gid {
+		t.Fatalf("find by action: %d matches, %v; want the old group", len(matches), err)
+	}
+	const writes = 4
+	for i := 0; i < writes; i++ {
+		kctx := replog.ContextWithKey(ctx, fmt.Sprintf("w-%d", i))
+		if _, err := p.Invoke(kctx, studentSig(), "UpdateStudent", nil); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	// addrs[1] is the coordinator; the follower must never be called.
+	for i, want := range []int64{0, writes} {
+		if _, _, calls, _ := p.Tracker().Observed(g.addrs[i]); calls != want {
+			t.Errorf("rank %d replica served %d writes, want %d", i+1, calls, want)
+		}
 	}
 }

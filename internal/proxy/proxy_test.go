@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -342,93 +341,5 @@ func TestProxyRecordsRTT(t *testing.T) {
 	lat, ratio, calls, ok := p.Tracker().Observed(f.groups["students"][0].Addr())
 	if !ok || calls != 5 || ratio != 1 {
 		t.Errorf("tracker: lat=%v ratio=%v calls=%d ok=%v", lat, ratio, calls, ok)
-	}
-}
-
-// addLoadSharedGroup deploys a load-sharing group whose handlers tag
-// responses with their replica name.
-func (f *fixture) addLoadSharedGroup(t *testing.T, name string, sig ontology.Signature, replicas int) []*bpeer.BPeer {
-	t.Helper()
-	gid := f.gen.New(p2p.GroupIDKind)
-	var peers []*bpeer.BPeer
-	for i := 0; i < replicas; i++ {
-		replica := fmt.Sprintf("%s-%d", name, i)
-		bp, err := bpeer.New(f.port(t, name), bpeer.Config{
-			Name:              replica,
-			Rank:              int64(i + 1),
-			GroupID:           gid,
-			GroupName:         name,
-			Signature:         sig,
-			RendezvousAddr:    "rdv",
-			Handler:           echo(replica),
-			IDGen:             f.gen,
-			HeartbeatInterval: 20 * time.Millisecond,
-			HeartbeatTimeout:  80 * time.Millisecond,
-			ElectionTimeout:   40 * time.Millisecond,
-			LeaseInterval:     200 * time.Millisecond,
-			LoadSharing:       true,
-		})
-		if err != nil {
-			t.Fatalf("bpeer %s: %v", replica, err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		if err := bp.Start(ctx); err != nil {
-			cancel()
-			t.Fatalf("start %s: %v", replica, err)
-		}
-		cancel()
-		t.Cleanup(func() { _ = bp.Close() })
-		peers = append(peers, bp)
-	}
-	f.groups[name] = peers
-	f.waitGroupReady(t, peers)
-	return peers
-}
-
-func TestProxyLoadSharingSpreadsRequests(t *testing.T) {
-	f := newFixture(t)
-	f.addLoadSharedGroup(t, "shared", studentSig(), 3)
-	p := f.addProxy(t, Config{})
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	served := map[string]int{}
-	for i := 0; i < 12; i++ {
-		out, err := p.Invoke(ctx, studentSig(), "Op", nil)
-		if err != nil {
-			t.Fatalf("invoke %d: %v", i, err)
-		}
-		// Response prefix is the replica name ("shared-K:Op:").
-		served[strings.SplitN(string(out), ":", 2)[0]]++
-	}
-	if len(served) != 3 {
-		t.Errorf("replicas serving = %v, want all 3", served)
-	}
-	for replica, n := range served {
-		if n != 4 {
-			t.Errorf("replica %s served %d, want 4 (round robin)", replica, n)
-		}
-	}
-}
-
-func TestProxyLoadSharingSurvivesReplicaCrash(t *testing.T) {
-	f := newFixture(t)
-	peers := f.addLoadSharedGroup(t, "shared", studentSig(), 3)
-	p := f.addProxy(t, Config{CallTimeout: 300 * time.Millisecond})
-
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if _, err := p.Invoke(ctx, studentSig(), "Op", nil); err != nil {
-		t.Fatalf("warm-up: %v", err)
-	}
-	if err := peers[0].Crash(); err != nil {
-		t.Fatalf("crash: %v", err)
-	}
-	// Every subsequent request must still succeed (dead replica is
-	// dropped from the shared set after one failed call).
-	for i := 0; i < 8; i++ {
-		if _, err := p.Invoke(ctx, studentSig(), "Op", nil); err != nil {
-			t.Fatalf("invoke %d after crash: %v", i, err)
-		}
 	}
 }

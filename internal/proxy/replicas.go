@@ -35,10 +35,8 @@ type groupState struct {
 	// lastCoord remembers the last bound coordinator so re-bindings are
 	// countable even after an eviction.
 	lastCoord string
-	// replicas is the resolved replica set the sibling policies draw
-	// from; next is the round-robin cursor.
+	// replicas is the resolved replica set follower reads draw from.
 	replicas []*target
-	next     int
 	// addrBr keeps the per-address breakers across replica-set
 	// rebuilds, so a replica rediscovered after a crash re-enters
 	// half-open, not closed.
@@ -121,13 +119,12 @@ type replicaPolicy struct {
 	// pick chooses the attempt's target among those already known;
 	// (nil, nil) means none is known and they must be resolved first.
 	pick func(p *SWSProxy, gs *groupState, adv *bpeer.SemanticAdvertisement) (*target, error)
-	// siblings: the policy draws from the group's whole replica set
-	// (resolveReplicas) instead of binding its coordinator
-	// (resolveCoordinator), so a transport failure moves on to a sibling
-	// at once instead of waiting out an election.
-	siblings bool
-	// read marks follower reads: marked requests, per-replica breakers,
-	// read counters and the ReadObserver.
+	// read marks follower reads. The policy draws from the group's
+	// whole replica set (resolveReplicas) instead of binding its
+	// coordinator (resolveCoordinator), so a transport failure moves on
+	// to a sibling at once instead of waiting out an election; and it
+	// sends marked requests and feeds the read counters and the
+	// ReadObserver.
 	read bool
 }
 
@@ -135,16 +132,14 @@ var (
 	// coordinatorPolicy is the paper's §3.2 behaviour: every request
 	// goes to the group's elected coordinator.
 	coordinatorPolicy = &replicaPolicy{role: "coordinator", pick: (*SWSProxy).pickCoordinator}
-	// roundRobinPolicy is the §4 load-sharing extension
-	// (bpeer.PolicyLoadSharing): every live replica serves, visited in
-	// turn. Failed replicas leave the set, which is rebuilt from the
-	// rendezvous when it runs dry.
-	roundRobinPolicy = &replicaPolicy{role: "replica", pick: (*SWSProxy).pickRoundRobin, siblings: true}
-	// readPolicy serves read-only operations of journaling groups from
+	// readPolicy is how a group spreads load (the §4 load-sharing
+	// remark): read-only operations of journaling groups are served by
 	// any replica behind the read-index barrier (bpeer/read.go), drawn
-	// QoS-weighted. Each replica carries its own breaker: an open one
-	// redirects the read to its siblings rather than failing the call.
-	readPolicy = &replicaPolicy{role: "replica", pick: (*SWSProxy).pickWeighted, siblings: true, read: true}
+	// QoS-weighted. Failed replicas leave the set, which is rebuilt from
+	// the rendezvous when it runs dry. Each replica carries its own
+	// breaker: an open one redirects the read to its siblings rather
+	// than failing the call.
+	readPolicy = &replicaPolicy{role: "replica", pick: (*SWSProxy).pickWeighted, read: true}
 )
 
 func (p *SWSProxy) pickCoordinator(gs *groupState, _ *bpeer.SemanticAdvertisement) (*target, error) {
@@ -154,17 +149,6 @@ func (p *SWSProxy) pickCoordinator(gs *groupState, _ *bpeer.SemanticAdvertisemen
 		return gs.coord, nil
 	}
 	return nil, nil
-}
-
-func (p *SWSProxy) pickRoundRobin(gs *groupState, _ *bpeer.SemanticAdvertisement) (*target, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(gs.replicas) == 0 {
-		return nil, nil
-	}
-	t := gs.replicas[gs.next%len(gs.replicas)]
-	gs.next++
-	return t, nil
 }
 
 // pickWeighted draws one replica, weighted by its QoS score, among
@@ -296,9 +280,9 @@ func (p *SWSProxy) resolveCoordinator(ctx context.Context, gid p2p.ID, gs *group
 }
 
 // resolveReplicas rebuilds the group's replica set from the rendezvous
-// membership, querying each member for its own service pipe. With
-// breakers set, each replica is given its address's breaker.
-func (p *SWSProxy) resolveReplicas(ctx context.Context, gid p2p.ID, gs *groupState, breakers bool) error {
+// membership, querying each member for its own service pipe. Each
+// replica is given its address's breaker.
+func (p *SWSProxy) resolveReplicas(ctx context.Context, gid p2p.ID, gs *groupState) error {
 	members, err := p.memberAddrs(ctx, gid)
 	if err != nil {
 		return err
@@ -321,17 +305,15 @@ func (p *SWSProxy) resolveReplicas(ctx context.Context, gid p2p.ID, gs *groupSta
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if breakers {
-		for _, r := range replicas {
-			br, ok := gs.addrBr[r.addr]
-			if !ok {
-				br = p.newBreaker("read.breaker.", nil)
-				gs.addrBr[r.addr] = br
-			}
-			r.br = br
+	for _, r := range replicas {
+		br, ok := gs.addrBr[r.addr]
+		if !ok {
+			br = p.newBreaker("read.breaker.", nil)
+			gs.addrBr[r.addr] = br
 		}
+		r.br = br
 	}
-	gs.replicas, gs.next = replicas, 0
+	gs.replicas = replicas
 	return nil
 }
 
