@@ -80,8 +80,48 @@ func (a *SemanticAdvertisement) MarshalAdv() ([]byte, error) {
 }
 
 // UnmarshalAdv implements p2p.Advertisement.
-func (a *SemanticAdvertisement) UnmarshalAdv(data []byte) error {
-	return xml.Unmarshal(data, a)
+func (a *SemanticAdvertisement) UnmarshalAdv(data []byte) error { return p2p.DecodeAdv(data, a) }
+
+// ReadAdv implements p2p.Advertisement.
+func (a *SemanticAdvertisement) ReadAdv(r *p2p.AdvReader) error {
+	a.XMLName = xml.Name{Space: "whisper", Local: "SemAdv"}
+	for r.Next(1) {
+		switch string(r.Name()) {
+		case "GID":
+			a.GID = p2p.ID(r.Text())
+		case "Name":
+			a.Name = r.Text()
+		case "Action":
+			a.Action = r.Text()
+		case "Input":
+			a.Inputs = append(a.Inputs, r.Text())
+		case "Output":
+			a.Outputs = append(a.Outputs, r.Text())
+		case "QoS":
+			readQoS(r, &a.QoS)
+		case "ReadOp":
+			a.ReadOps = append(a.ReadOps, r.Text())
+		case "Desc":
+			a.Desc = r.Text()
+		}
+	}
+	return r.Err()
+}
+
+// readQoS reads the children of a <QoS> element.
+func readQoS(r *p2p.AdvReader, p *qos.Profile) {
+	for r.Next(2) {
+		switch string(r.Name()) {
+		case "LatencyMillis":
+			p.LatencyMillis = r.Float()
+		case "CostPerCall":
+			p.CostPerCall = r.Float()
+		case "Reliability":
+			p.Reliability = r.Float()
+		case "Availability":
+			p.Availability = r.Float()
+		}
+	}
 }
 
 // IsReadOp reports whether op is advertised read-only (servable by any

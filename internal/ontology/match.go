@@ -161,9 +161,11 @@ func (s Signature) Equal(o Signature) bool {
 //     side of the pairwise test).
 //
 // The overall degree is the weakest pairwise degree; an unmatchable
-// concept yields MatchFail.
+// concept yields MatchFail. Both signatures are only read, never kept
+// or modified, so a caller may pass views that alias slices it owns.
 func (r *Reasoner) MatchSignature(advertised, requested Signature) SignatureMatch {
-	result := SignatureMatch{Degree: MatchExact}
+	result := SignatureMatch{Degree: MatchExact,
+		Pairs: make([]ConceptPair, 0, 1+len(requested.Outputs)+len(advertised.Inputs))}
 	var total float64
 	var count int
 

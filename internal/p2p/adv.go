@@ -23,8 +23,11 @@ type Advertisement interface {
 	Attributes() map[string]string
 	// MarshalAdv serializes the advertisement to XML.
 	MarshalAdv() ([]byte, error)
-	// UnmarshalAdv parses the XML produced by MarshalAdv.
+	// UnmarshalAdv parses the XML produced by MarshalAdv: DecodeAdv.
 	UnmarshalAdv(data []byte) error
+	// ReadAdv reads the children of the document's root with r, one
+	// r.Next(1) per element (see AdvReader).
+	ReadAdv(r *AdvReader) error
 }
 
 // DefaultLifetime is the default advertisement lifetime in the local
@@ -47,40 +50,27 @@ func RegisterAdvType(advType string, factory func() Advertisement) {
 	advRegistry[advType] = factory
 }
 
-// ParseAdvertisement sniffs the root element of the XML document and
-// decodes it with the registered factory.
+// ParseAdvertisement reads the root element of the document once,
+// looks up the factory registered for it and decodes the rest into the
+// advertisement the factory makes.
 func ParseAdvertisement(data []byte) (Advertisement, error) {
-	root, err := rootElement(data)
-	if err != nil {
-		return nil, fmt.Errorf("p2p: parse advertisement: %w", err)
+	r := &AdvReader{}
+	var buf [64]byte
+	key := r.root(data, buf[:0])
+	if r.err != nil {
+		return nil, fmt.Errorf("p2p: parse advertisement: %w", r.err)
 	}
 	advRegistryMu.RLock()
-	factory, ok := advRegistry[root]
+	factory, ok := advRegistry[string(key)]
 	advRegistryMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("p2p: unknown advertisement type %q", root)
+		return nil, fmt.Errorf("p2p: unknown advertisement type %q", string(key))
 	}
 	adv := factory()
-	if err := adv.UnmarshalAdv(data); err != nil {
-		return nil, fmt.Errorf("p2p: decode %s: %w", root, err)
+	if err := r.read(adv); err != nil {
+		return nil, fmt.Errorf("p2p: decode %s: %w", adv.AdvType(), err)
 	}
 	return adv, nil
-}
-
-func rootElement(data []byte) (string, error) {
-	dec := xml.NewDecoder(bytesReader(data))
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return "", err
-		}
-		if se, ok := tok.(xml.StartElement); ok {
-			if se.Name.Space != "" {
-				return se.Name.Space + ":" + se.Name.Local, nil
-			}
-			return se.Name.Local, nil
-		}
-	}
 }
 
 // --- concrete advertisements ----------------------------------------
@@ -125,7 +115,29 @@ func (a *PeerAdvertisement) Attributes() map[string]string {
 func (a *PeerAdvertisement) MarshalAdv() ([]byte, error) { return marshalAdv(a) }
 
 // UnmarshalAdv implements Advertisement.
-func (a *PeerAdvertisement) UnmarshalAdv(data []byte) error { return unmarshalAdv(data, a) }
+func (a *PeerAdvertisement) UnmarshalAdv(data []byte) error { return DecodeAdv(data, a) }
+
+// ReadAdv implements Advertisement.
+func (a *PeerAdvertisement) ReadAdv(r *AdvReader) error {
+	a.XMLName = xml.Name{Space: "jxta", Local: "PA"}
+	for r.Next(1) {
+		switch string(r.Name()) {
+		case "PID":
+			a.PID = ID(r.Text())
+		case "Name":
+			a.Name = r.Text()
+		case "Addr":
+			a.Addr = r.Text()
+		case "Rank":
+			a.Rank = r.Int()
+		case "Term":
+			a.Term = r.Uint()
+		case "Desc":
+			a.Desc = r.Text()
+		}
+	}
+	return r.Err()
+}
 
 // PeerGroupAdvertisement describes a peer group.
 type PeerGroupAdvertisement struct {
@@ -152,7 +164,23 @@ func (a *PeerGroupAdvertisement) Attributes() map[string]string {
 func (a *PeerGroupAdvertisement) MarshalAdv() ([]byte, error) { return marshalAdv(a) }
 
 // UnmarshalAdv implements Advertisement.
-func (a *PeerGroupAdvertisement) UnmarshalAdv(data []byte) error { return unmarshalAdv(data, a) }
+func (a *PeerGroupAdvertisement) UnmarshalAdv(data []byte) error { return DecodeAdv(data, a) }
+
+// ReadAdv implements Advertisement.
+func (a *PeerGroupAdvertisement) ReadAdv(r *AdvReader) error {
+	a.XMLName = xml.Name{Space: "jxta", Local: "PGA"}
+	for r.Next(1) {
+		switch string(r.Name()) {
+		case "GID":
+			a.GID = ID(r.Text())
+		case "Name":
+			a.Name = r.Text()
+		case "Desc":
+			a.Desc = r.Text()
+		}
+	}
+	return r.Err()
+}
 
 // PipeKind enumerates pipe delivery semantics.
 type PipeKind string
@@ -190,7 +218,25 @@ func (a *PipeAdvertisement) Attributes() map[string]string {
 func (a *PipeAdvertisement) MarshalAdv() ([]byte, error) { return marshalAdv(a) }
 
 // UnmarshalAdv implements Advertisement.
-func (a *PipeAdvertisement) UnmarshalAdv(data []byte) error { return unmarshalAdv(data, a) }
+func (a *PipeAdvertisement) UnmarshalAdv(data []byte) error { return DecodeAdv(data, a) }
+
+// ReadAdv implements Advertisement.
+func (a *PipeAdvertisement) ReadAdv(r *AdvReader) error {
+	a.XMLName = xml.Name{Space: "jxta", Local: "PipeAdv"}
+	for r.Next(1) {
+		switch string(r.Name()) {
+		case "Id":
+			a.PipeID = ID(r.Text())
+		case "Type":
+			a.Kind = PipeKind(r.Text())
+		case "Name":
+			a.Name = r.Text()
+		case "Addr":
+			a.Addr = r.Text()
+		}
+	}
+	return r.Err()
+}
 
 // ServiceAdvertisement describes a plain (syntactic) service offered
 // by a peer: name, operation signature strings, and the pipe to call.
@@ -227,7 +273,29 @@ func (a *ServiceAdvertisement) Attributes() map[string]string {
 func (a *ServiceAdvertisement) MarshalAdv() ([]byte, error) { return marshalAdv(a) }
 
 // UnmarshalAdv implements Advertisement.
-func (a *ServiceAdvertisement) UnmarshalAdv(data []byte) error { return unmarshalAdv(data, a) }
+func (a *ServiceAdvertisement) UnmarshalAdv(data []byte) error { return DecodeAdv(data, a) }
+
+// ReadAdv implements Advertisement.
+func (a *ServiceAdvertisement) ReadAdv(r *AdvReader) error {
+	a.XMLName = xml.Name{Space: "jxta", Local: "SvcAdv"}
+	for r.Next(1) {
+		switch string(r.Name()) {
+		case "SvcID":
+			a.SvcID = ID(r.Text())
+		case "Name":
+			a.Name = r.Text()
+		case "Operation":
+			a.Operation = r.Text()
+		case "PipeID":
+			a.PipeID = ID(r.Text())
+		case "Addr":
+			a.Addr = r.Text()
+		case "Desc":
+			a.Desc = r.Text()
+		}
+	}
+	return r.Err()
+}
 
 // registerBuiltinAdvTypes wires the concrete types into the registry.
 func registerBuiltinAdvTypes() {

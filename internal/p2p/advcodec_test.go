@@ -2,8 +2,10 @@ package p2p
 
 import (
 	"bytes"
+	"encoding/xml"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -134,5 +136,109 @@ func TestDiscoveryQueryCodec(t *testing.T) {
 	out, err := d.answerQuery("", (&discoveryQueryDoc{Type: ServiceAdvType, Limit: -1}).encode())
 	if docs, derr := decodeDocs(out); err != nil || derr != nil || len(docs) != 6 {
 		t.Errorf("negative limit answered %d documents, %v %v; want all 6", len(docs), err, derr)
+	}
+}
+
+// TestAdvReaderRejects: every form outside the subset MarshalAdv writes
+// is an error, through the registry and through UnmarshalAdv alike, and
+// none panics.
+func TestAdvReaderRejects(t *testing.T) {
+	EnsureBuiltinAdvTypes()
+	const head = `<?xml version="1.0" encoding="UTF-8"?>` + "\n" + `<PA xmlns="jxta">`
+	doc := func(body string) string { return head + body + "</PA>\n" }
+	for name, data := range map[string]string{
+		"empty":                    "",
+		"no root":                  `<?xml version="1.0" encoding="UTF-8"?>` + "\n",
+		"text before the root":     `x<PA xmlns="jxta"></PA>`,
+		"other header":             `<?xml version="1.1"?><PA xmlns="jxta"></PA>`,
+		"root without xmlns":       `<PA><PID>p</PID></PA>`,
+		"root with two attrs":      `<PA xmlns="jxta" a="b"></PA>`,
+		"root with single quotes":  `<PA xmlns='jxta'></PA>`,
+		"root prefix":              `<j:PA xmlns:j="jxta"></j:PA>`,
+		"unclosed root":            head + `<PID>p</PID>`,
+		"truncated in a tag":       head + `<PID`,
+		"comment":                  doc(`<!-- c --><PID>p</PID>`),
+		"comment in text":          doc(`<PID>p<!-- c --></PID>`),
+		"CDATA":                    doc(`<PID><![CDATA[p]]></PID>`),
+		"DOCTYPE":                  `<!DOCTYPE PA>` + doc(``),
+		"processing instruction":   doc(`<?pi x?>`),
+		"child prefix":             doc(`<j:PID>p</j:PID>`),
+		"attribute on a child":     doc(`<PID a="1">p</PID>`),
+		"self-closing child":       doc(`<PID/>`),
+		"control character":        doc("<PID>\x01</PID>"),
+		"NUL reference":            doc(`<PID>&#0;</PID>`),
+		"U+FFFE reference":         doc(`<PID>&#xFFFE;</PID>`),
+		"surrogate reference":      doc(`<PID>&#xD800;</PID>`),
+		"reference past U+10FFFF":  doc(`<PID>&#x110000;</PID>`),
+		"huge reference":           doc(`<PID>&#99999999999999999999;</PID>`),
+		"empty reference":          doc(`<PID>&#;</PID>`),
+		"upper-case hex":           doc(`<PID>&#X41;</PID>`),
+		"unknown entity":           doc(`<PID>&nbsp;</PID>`),
+		"entity without ;":         doc(`<PID>&amp</PID>`),
+		"invalid UTF-8":            doc("<PID>\xff</PID>"),
+		"encoded U+FFFF":           doc("<PID>\uffff</PID>"),
+		"raw CR in text":           doc("<PID>p\rq</PID>"),
+		"raw CR between elements":  doc("\r\n<PID>p</PID>"),
+		"raw > in text":            doc(`<PID>]]></PID>`),
+		"text between elements":    doc(`junk<PID>p</PID>`),
+		"reference between them":   doc(`&#x20;<PID>p</PID>`),
+		"element in a text field":  doc(`<PID>a<b>c</b></PID>`),
+		"mismatched end tag":       doc(`<PID>p</Name>`),
+		"end tag with space":       doc(`<PID>p</PID >`),
+		"mismatched root end":      head + `</PGA>`,
+		"skipped element mismatch": doc(`<Extra><Deep>x</Extra></Deep>`),
+		"bad text in skipped":      doc("<Extra>\xff</Extra>"),
+		"trailing byte":            doc(`<PID>p</PID>`) + "x",
+		"second root":              doc(`<PID>p</PID>`) + `<PA xmlns="jxta"></PA>`,
+		"rank not a number":        doc(`<Rank>high</Rank>`),
+		"rank blank":               doc(`<Rank> </Rank>`),
+		"rank by reference":        doc(`<Rank>&#51;</Rank>`),
+		"term overflow":            doc(`<Term>18446744073709551616</Term>`),
+		"term negative":            doc(`<Term>-1</Term>`),
+	} {
+		if adv, err := ParseAdvertisement([]byte(data)); err == nil {
+			t.Errorf("%s: ParseAdvertisement accepted %q as %+v", name, data, adv)
+		}
+		if err := (&PeerAdvertisement{}).UnmarshalAdv([]byte(data)); err == nil {
+			t.Errorf("%s: UnmarshalAdv accepted %q", name, data)
+		}
+	}
+	if err := (&PeerAdvertisement{}).UnmarshalAdv([]byte(`<PGA xmlns="jxta"></PGA>`)); err == nil {
+		t.Error("a peer advertisement decoded a peer-group document")
+	}
+}
+
+// TestAdvReaderAccepts: what the reader takes beyond MarshalAdv's exact
+// layout — no header, no indentation, references in every spelling,
+// repeated fields (the last wins, as in encoding/xml), and unknown
+// elements, nested or not, which are skipped.
+func TestAdvReaderAccepts(t *testing.T) {
+	EnsureBuiltinAdvTypes()
+	got, err := ParseAdvertisement([]byte(`<PA xmlns="jxta"><Extra><Deep>x &amp; y</Deep><Deep></Deep></Extra>` +
+		`<PID>p&#65;&#x42;&#x0062;&lt;&gt;&quot;&apos;&#x1F642;</PID><Name>a</Name><Name>b</Name>` +
+		`<Rank> -4 </Rank><Term></Term><Policy>load-sharing</Policy></PA>` + "\n\t \n"))
+	want := &PeerAdvertisement{XMLName: xml.Name{Space: "jxta", Local: "PA"},
+		PID: "pABb<>\"'\U0001F642", Name: "b", Rank: -4}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v, %v; want %+v", got, err, want)
+	}
+}
+
+// TestAdvReaderNestingBound: unknown elements are skipped without
+// recursion down to maxAdvDepth levels; one more, or ten thousand, is
+// an error.
+func TestAdvReaderNestingBound(t *testing.T) {
+	EnsureBuiltinAdvTypes()
+	nested := func(levels int) []byte {
+		return []byte(`<PA xmlns="jxta">` + strings.Repeat("<X>", levels-1) + "x" +
+			strings.Repeat("</X>", levels-1) + `<PID>p</PID></PA>`)
+	}
+	if adv, err := ParseAdvertisement(nested(maxAdvDepth)); err != nil || adv.AdvID() != "p" {
+		t.Errorf("%d levels: %v, %v", maxAdvDepth, adv, err)
+	}
+	for _, levels := range []int{maxAdvDepth + 1, 10000} {
+		if _, err := ParseAdvertisement(nested(levels)); err == nil {
+			t.Errorf("%d levels accepted", levels)
+		}
 	}
 }

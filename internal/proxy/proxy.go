@@ -564,7 +564,9 @@ func (p *SWSProxy) memoSize() (candidates, signatures int) {
 // advertising the requested action first, then the rest, each in ID
 // order — the paper's exact action lookup, then the semantic scan that
 // finds synonyms and subsumed actions. An answer holds each group once,
-// so each group matches at most once.
+// so each group matches at most once. The advertised signature handed
+// to the reasoner aliases the advertisement's slices rather than
+// copying them (Signature does): MatchSignature only reads it.
 func (p *SWSProxy) match(r *ontology.Reasoner, sig ontology.Signature, candidates []*bpeer.SemanticAdvertisement) []GroupMatch {
 	var out []GroupMatch
 	for _, exact := range [2]bool{true, false} {
@@ -572,7 +574,8 @@ func (p *SWSProxy) match(r *ontology.Reasoner, sig ontology.Signature, candidate
 			if (sem.Action == sig.Action) != exact {
 				continue
 			}
-			if m := r.MatchSignature(sem.Signature(), sig); m.Degree.Satisfies(p.cfg.MinDegree) {
+			view := ontology.Signature{Action: sem.Action, Inputs: sem.Inputs, Outputs: sem.Outputs}
+			if m := r.MatchSignature(view, sig); m.Degree.Satisfies(p.cfg.MinDegree) {
 				out = append(out, GroupMatch{Adv: sem, Match: m})
 			}
 		}
