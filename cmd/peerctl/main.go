@@ -200,15 +200,13 @@ func showShards(ctx context.Context, w io.Writer, peer *p2p.Peer, addrs []string
 // showReadIndex queries every group member's local committed sequence
 // and prints the per-replica lag behind the highest index seen.
 func showReadIndex(ctx context.Context, w io.Writer, peer *p2p.Peer, rdvAddr string, gid p2p.ID) error {
-	rdv := p2p.NewRendezvousClient(peer, rdvAddr)
-	members, err := rdv.Members(ctx, gid)
+	members, err := groupMembers(ctx, peer, rdvAddr, gid)
 	if err != nil {
 		return err
 	}
 	if len(members) == 0 {
 		return errors.New("group has no members")
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i].Rank > members[j].Rank })
 	res := p2p.NewResolverOn(peer, bpeer.ProtoBinding)
 	type row struct {
 		name, addr string
@@ -235,9 +233,14 @@ func showReadIndex(ctx context.Context, w io.Writer, peer *p2p.Peer, rdvAddr str
 	return nil
 }
 
+// groupMembers returns the group's members, highest rank first, as the
+// rendezvous (a discovery ring of one) lists them.
+func groupMembers(ctx context.Context, peer *p2p.Peer, rdvAddr string, gid p2p.ID) ([]*p2p.PeerAdvertisement, error) {
+	return p2p.NewDiscoveryClient(peer).Members(ctx, p2p.NewShardRouter([]string{rdvAddr}), gid)
+}
+
 func showMembers(ctx context.Context, w io.Writer, peer *p2p.Peer, rdvAddr string, gid p2p.ID) error {
-	rdv := p2p.NewRendezvousClient(peer, rdvAddr)
-	members, err := rdv.Members(ctx, gid)
+	members, err := groupMembers(ctx, peer, rdvAddr, gid)
 	if err != nil {
 		return err
 	}
@@ -245,7 +248,6 @@ func showMembers(ctx context.Context, w io.Writer, peer *p2p.Peer, rdvAddr strin
 		fmt.Fprintln(w, "no members")
 		return nil
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i].Rank > members[j].Rank })
 	fmt.Fprintf(w, "%-20s %-6s %-22s %s\n", "NAME", "RANK", "ADDR", "PID")
 	for _, m := range members {
 		fmt.Fprintf(w, "%-20s %-6d %-22s %s\n", m.Name, m.Rank, m.Addr, m.PID)
@@ -341,15 +343,13 @@ func showTraces(ctx context.Context, w io.Writer, peer *p2p.Peer, addr string, i
 }
 
 func showCoordinator(ctx context.Context, w io.Writer, peer *p2p.Peer, rdvAddr string, gid p2p.ID) error {
-	rdv := p2p.NewRendezvousClient(peer, rdvAddr)
-	members, err := rdv.Members(ctx, gid)
+	members, err := groupMembers(ctx, peer, rdvAddr, gid)
 	if err != nil {
 		return err
 	}
 	if len(members) == 0 {
 		return errors.New("group has no members")
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i].Rank > members[j].Rank })
 	res := p2p.NewResolverOn(peer, bpeer.ProtoBinding)
 	var lastErr error
 	for _, m := range members {

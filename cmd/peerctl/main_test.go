@@ -36,7 +36,6 @@ func startOverlay(t *testing.T) (rdvAddr string, gid p2p.ID) {
 	tracer := trace.NewSeeded(trace.NewCollector(64), 1)
 	rdv.SetTracer(tracer)
 	p2p.ServeTraces(rdv, tracer.Collector())
-	p2p.NewRendezvousService(rdv, 30*time.Second)
 	index, err := p2p.NewIndexNode(rdv, p2p.GossipConfig{})
 	if err != nil {
 		t.Fatalf("index node: %v", err)
@@ -115,9 +114,10 @@ func TestPeerctlGossipCommands(t *testing.T) {
 	if err := run([]string{"-rendezvous", rdvAddr, "-shards", rdvAddr, "shards"}, &out); err != nil {
 		t.Errorf("peerctl shards: %v", err)
 	}
-	// One advertisement on the shard, read from its status.
-	if row := strings.Fields(strings.Split(out.String(), "\n")[1]); len(row) < 4 || row[2] != "1" || row[3] != "1" {
-		t.Errorf("shard row %q, want 1 entry and 1 live:\n%s", row, &out)
+	// One advertisement and one membership on the shard, read from its
+	// status.
+	if row := strings.Fields(strings.Split(out.String(), "\n")[1]); len(row) < 4 || row[2] != "2" || row[3] != "2" {
+		t.Errorf("shard row %q, want 2 entries and 2 live:\n%s", row, &out)
 	}
 	// Every shard down: the table prints errors and the command fails.
 	if err := run([]string{"-rendezvous", rdvAddr, "-shards", "127.0.0.1:1", "shards"}, io.Discard); err == nil {
@@ -261,8 +261,8 @@ func TestPeerctlStatus(t *testing.T) {
 	t.Run("index-node", func(t *testing.T) {
 		var st p2p.GossipStatus
 		section(t, status(t, rdv, rdv), "gossip", &st)
-		if st.Store.Entries != 2 || st.Store.Live != 2 || st.Store.Checksum == 0 || st.Engine.Peers != 0 {
-			t.Errorf("gossip = %+v, want both groups' advertisements on a ring of one", st)
+		if st.Store.Entries != 5 || st.Store.Live != 5 || st.Store.Checksum == 0 || st.Engine.Peers != 0 {
+			t.Errorf("gossip = %+v, want both groups' advertisements and three memberships on a ring of one", st)
 		}
 	})
 

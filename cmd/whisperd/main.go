@@ -174,13 +174,15 @@ func runRendezvous(ctx context.Context, listen string, tracer *trace.Tracer) err
 	return nil
 }
 
-// startRendezvous brings a rendezvous peer online over TCP and
-// returns it (tests use the returned address directly).
+// startRendezvous brings a rendezvous — an index node, a discovery
+// ring of one — online over TCP and returns it (tests use the returned
+// address directly).
 func startRendezvous(listen string, tracer *trace.Tracer) (*p2p.Peer, error) {
 	// The rendezvous caches and re-serves b-peer semantic
 	// advertisements, so it must know their XML type even though it
 	// never constructs one itself (in its own OS process nothing else
-	// registers them).
+	// registers them). Memberships are peer advertisements with their
+	// members' leases.
 	bpeer.EnsureAdvTypes()
 	tr, err := simnet.NewTCPTransport(listen)
 	if err != nil {
@@ -192,8 +194,6 @@ func startRendezvous(listen string, tracer *trace.Tracer) (*p2p.Peer, error) {
 	if col := tracer.Collector(); col != nil {
 		p2p.ServeTraces(peer, col)
 	}
-	// whisperd's b-peers renew at bpeer's default lease interval.
-	p2p.NewRendezvousService(peer, bpeer.MembershipLease(0))
 	index, err := p2p.NewIndexNode(peer, p2p.GossipConfig{})
 	if err != nil {
 		_ = peer.Close()

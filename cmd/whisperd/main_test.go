@@ -137,8 +137,9 @@ func TestMultiProcessTopologyOverTCP(t *testing.T) {
 
 // TestRendezvousLeasesLikeACoreDeployment: whisperd's rendezvous drops a
 // member that stopped renewing — a kill -9'd b-peer in another process —
-// once bpeer.MembershipLease of the default lease interval has run out,
-// the lease a core deployment grants.
+// once the lease the b-peer published its membership with has run out:
+// bpeer.MembershipLease of the default lease interval, the lease a core
+// deployment's b-peers carry.
 func TestRendezvousLeasesLikeACoreDeployment(t *testing.T) {
 	rdv, err := startRendezvous("127.0.0.1:0", nil)
 	if err != nil {
@@ -149,24 +150,28 @@ func TestRendezvousLeasesLikeACoreDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	member := p2p.NewPeer("member", "urn:jxta:peer-member", tr)
-	member.Start()
-	t.Cleanup(func() { _ = member.Close() })
+	lookup := p2p.NewPeer("lookup", "urn:jxta:peer-lookup", tr)
+	disco := p2p.NewDiscoveryClient(lookup)
+	lookup.Start()
+	t.Cleanup(func() { _ = lookup.Close() })
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	client := p2p.NewRendezvousClient(member, rdv.Addr())
 	const gid = p2p.ID("urn:jxta:group-lease")
-	// The rendezvous stamps the join between these two instants.
-	joining := time.Now()
-	if _, err := client.Join(ctx, gid, member.Advertisement()); err != nil {
-		t.Fatalf("join: %v", err)
+	bp, err := startBPeer(ctx, "127.0.0.1:0", rdv.Addr(), string(gid), 1, backend.NewOperationalDB(backend.SeedStudents(1, 1), 0), nil)
+	if err != nil {
+		t.Fatalf("bpeer: %v", err)
 	}
-	joined := time.Now()
-	lease := bpeer.MembershipLease(0)
+	if err := bp.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	// The last renewal went out at most one default lease interval
+	// before the crash.
+	crashed, lease, interval := time.Now(), bpeer.MembershipLease(0), time.Second
+	ring := p2p.NewShardRouter([]string{rdv.Addr()})
 	for {
-		asked := time.Since(joined)
-		members, err := client.Members(ctx, gid)
+		asked := time.Since(crashed)
+		members, err := disco.Members(ctx, ring, gid)
 		if err != nil {
 			t.Fatalf("members: %v", err)
 		}
@@ -174,11 +179,11 @@ func TestRendezvousLeasesLikeACoreDeployment(t *testing.T) {
 			break
 		}
 		if asked > lease+time.Second {
-			t.Fatalf("a member that stopped renewing is still listed %v after joining; the lease is %v", asked, lease)
+			t.Fatalf("a member that stopped renewing is still listed %v after its crash; the lease is %v", asked, lease)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	if since := time.Since(joining); since < lease {
-		t.Errorf("the member was dropped %v after joining, before its %v lease ran out", since, lease)
+	if since := time.Since(crashed); since < lease-interval {
+		t.Errorf("the member was dropped %v after its crash, before its %v lease can have run out", since, lease)
 	}
 }

@@ -71,7 +71,7 @@ func TestFigure4Shape(t *testing.T) {
 		}
 	}
 	// Every protocol family must appear.
-	for _, proto := range []string{"heartbeat", "pipe", "rendezvous"} {
+	for _, proto := range []string{"heartbeat", "pipe", "gossip"} {
 		if points[0].PerProto[proto] == 0 {
 			t.Errorf("protocol %s not observed: %v", proto, points[0].PerProto)
 		}

@@ -72,9 +72,9 @@ type Config struct {
 	// ShardAddrs lists the index nodes of the discovery plane; empty
 	// selects the ring of one, [RendezvousAddr]. The semantic
 	// advertisement is published to the consistent-hash owners of its
-	// action (spreading it to the other nodes is the fleet's job, not
-	// this replica's). Group membership (join/leave/members) stays at
-	// RendezvousAddr.
+	// action and the membership to those of the group's member list
+	// (spreading either to the other nodes is the fleet's job, not this
+	// replica's).
 	ShardAddrs []string
 	// Handler implements the service functionality.
 	Handler Handler
@@ -87,9 +87,13 @@ type Config struct {
 	// ElectionTimeout is the Bully answer timeout; zero selects 150ms.
 	ElectionTimeout time.Duration
 	// LeaseInterval is how often membership and the semantic
-	// advertisement are refreshed at the rendezvous; zero selects 1s.
-	// Both last MembershipLease(LeaseInterval) without renewal.
+	// advertisement are refreshed in the discovery plane; zero selects
+	// 1s. The advertisement lasts MembershipLease(LeaseInterval) without
+	// renewal.
 	LeaseInterval time.Duration
+	// MemberLease is how long the membership lasts without renewal; zero
+	// selects MembershipLease(LeaseInterval).
+	MemberLease time.Duration
 	// NoJournal disables the replicated operation journal (exactly-once
 	// execution of keyed requests, internal/replog), and with it
 	// follower reads. All replicas of a group must agree on this
@@ -147,6 +151,9 @@ func (c *Config) applyDefaults() {
 	if c.LeaseInterval <= 0 {
 		c.LeaseInterval = defaultLeaseInterval
 	}
+	if c.MemberLease <= 0 {
+		c.MemberLease = MembershipLease(c.LeaseInterval)
+	}
 	if c.ReadLease <= 0 {
 		c.ReadLease = 25 * time.Millisecond
 	}
@@ -167,17 +174,18 @@ type BPeer struct {
 	pid   p2p.ID // stable across restarts: the same logical replica
 	peer  *p2p.Peer
 	pipes *p2p.PipeService
-	rdv   *p2p.RendezvousClient
 	bind  *p2p.Resolver
 	fd    *p2p.FailureDetector
 	input *p2p.InputPipe
 
 	// Discovery-plane publication state. gossipPub survives
 	// Crash/Restart so the replica's entry versions stay monotone across
-	// its lifetimes.
-	shards    *p2p.ShardRouter
-	gossipCli *p2p.GossipClient
-	gossipPub *gossip.Publisher
+	// its lifetimes; memberOwners are the index nodes holding the
+	// group's member list.
+	shards       *p2p.ShardRouter
+	memberOwners []string
+	gossipCli    *p2p.GossipClient
+	gossipPub    *gossip.Publisher
 
 	// journal is the replicated operation journal. Unlike the protocol
 	// services it is created once in New and survives Crash/Restart —
@@ -247,6 +255,7 @@ func New(tr simnet.Transport, cfg Config) (*BPeer, error) {
 		b.journal = replog.New(cfg.Name, cfg.Name)
 	}
 	b.shards = p2p.NewShardRouter(cfg.ShardAddrs)
+	b.memberOwners = b.shards.MemberOwners(cfg.GroupID)
 	b.gossipPub = gossip.NewPublisher(cfg.Name, nil)
 	b.assemble(tr)
 	return b, nil
@@ -264,7 +273,6 @@ func (b *BPeer) assemble(tr simnet.Transport) {
 	p2p.ServeStatus(b.peer, "bpeer", b.status)
 	b.gossipCli = p2p.NewGossipClient(b.peer)
 	b.pipes = p2p.NewPipeService(b.peer, cfg.IDGen)
-	b.rdv = p2p.NewRendezvousClient(b.peer, cfg.RendezvousAddr)
 	b.bind = p2p.NewResolverOn(b.peer, ProtoBinding)
 	b.bind.RegisterHandler(coordinatorHandler, b.answerCoordinator)
 	b.bind.RegisterHandler(pipeHandler, b.answerPipe)
@@ -321,19 +329,19 @@ func (b *BPeer) SemanticAdvertisement() *SemanticAdvertisement {
 }
 
 // advertisement returns this peer's membership advertisement with its
-// rank and the election term it follows, which is where a replica that
-// joins later learns the term from.
+// group, its rank and the election term it follows, which is where a
+// replica that joins later learns the term from.
 func (b *BPeer) advertisement() *p2p.PeerAdvertisement {
 	adv := b.peer.Advertisement()
+	adv.GID = b.cfg.GroupID
 	adv.Rank = b.cfg.Rank
 	adv.Term = b.group.elect.Term()
 	return adv
 }
 
-// Start brings the replica online: join the group at the rendezvous,
-// publish the semantic advertisement, start heartbeats, the lease
-// renewal loop, the request-serving loop, and trigger an initial
-// election. A Start that fails leaves the replica closed — nothing
+// Start brings the replica online: join the group, publish the
+// semantic advertisement, start heartbeats, the lease renewal loop, the
+// request-serving loop, and trigger an initial election. A Start that fails leaves the replica closed — nothing
 // running, its endpoint released — and retryable with Restart.
 func (b *BPeer) Start(ctx context.Context) error {
 	b.mu.Lock()
@@ -373,9 +381,9 @@ func (b *BPeer) Start(ctx context.Context) error {
 	return nil
 }
 
-// announce makes the replica known: group membership at the rendezvous
-// (whose reply seeds the group view) and the semantic advertisement in
-// the discovery plane.
+// announce makes the replica known in the discovery plane: its group
+// membership (whose answer seeds the group view) and the semantic
+// advertisement.
 func (b *BPeer) announce(ctx context.Context) error {
 	if err := b.joinGroup(ctx); err != nil {
 		return fmt.Errorf("initial join: %w", err)
@@ -386,10 +394,10 @@ func (b *BPeer) announce(ctx context.Context) error {
 	return nil
 }
 
-// Close takes the replica offline gracefully: it deregisters from the
-// rendezvous group and, if it is the coordinator, resigns — challenging
-// the surviving members so the hand-off election starts immediately
-// instead of waiting for heartbeat failure detection. Safe to call more
+// Close takes the replica offline gracefully: it leaves the group and,
+// if it is the coordinator, resigns — challenging the surviving members
+// so the hand-off election starts immediately instead of waiting for
+// heartbeat failure detection. Safe to call more
 // than once.
 func (b *BPeer) Close() error {
 	b.mu.Lock()
@@ -403,14 +411,15 @@ func (b *BPeer) Close() error {
 
 	if started {
 		// Farewell traffic while the transport is still up: leave the
-		// group first so that no later list shows this replica.
+		// group first so that no later list shows this replica. The
+		// membership's tombstone is answered with who is left.
 		ctx, cancel := context.WithTimeout(b.lifecycleCtx(), b.cfg.HeartbeatTimeout)
-		_ = b.rdv.Leave(ctx, b.cfg.GroupID, b.pid)
+		left, err := b.gossipCli.PublishMember(ctx, b.memberOwners, b.gossipPub.Tombstone(string(b.pid)))
 		// Last replica out unpublishes the group: a tombstone at the
 		// owner nodes propagates epidemically and blocks stale copies
 		// from resurrecting the dead advertisement. Earlier leavers keep
 		// quiet — surviving replicas still renew it.
-		if members, err := b.rdv.Members(ctx, b.cfg.GroupID); err == nil && len(members) == 0 {
+		if err == nil && len(left) == 0 {
 			adv := b.SemanticAdvertisement()
 			_ = b.gossipSend(ctx, adv, b.gossipPub.Tombstone(string(adv.AdvID())))
 		}
@@ -421,7 +430,7 @@ func (b *BPeer) Close() error {
 }
 
 // Crash simulates a hard failure: the replica drops off the network
-// abruptly — no resignation, no rendezvous leave, no farewell traffic
+// abruptly — no resignation, no leave, no farewell traffic
 // of any kind. Survivors only learn of the death through heartbeat
 // timeouts, exactly like a power failure. Safe to call more than once;
 // a crashed replica can come back with Restart.
@@ -481,7 +490,7 @@ func (b *BPeer) teardown(started bool) error {
 
 // Restart brings a crashed (or closed) replica back online over a
 // fresh transport endpoint: it rebuilds every protocol service, rejoins
-// its group at the rendezvous, re-publishes the semantic advertisement
+// its group, re-publishes the semantic advertisement
 // and re-enters the Bully election as a challenger. The replica keeps
 // its identity (name, rank, peer ID), so a restarted high-rank peer can
 // win a subsequent election.
@@ -522,12 +531,18 @@ func (b *BPeer) Crashed() bool {
 
 // --- membership ----------------------------------------------------------
 
-// joinGroup registers (or renews) this replica at the rendezvous and
-// takes in the member list the reply carries: the one read of the
-// rendezvous this replica makes while it runs.
+// joinGroup publishes (or renews) this replica's membership — its peer
+// advertisement naming the group, for MemberLease — at the owners of
+// the group's member list and takes in the other members their answer
+// lists: the one read of the member list this replica makes while it
+// runs.
 func (b *BPeer) joinGroup(ctx context.Context) error {
+	raw, err := b.advertisement().MarshalAdv()
+	if err != nil {
+		return fmt.Errorf("bpeer %s: marshal membership: %w", b.cfg.Name, err)
+	}
 	asked := time.Now()
-	advs, err := b.rdv.Join(ctx, b.cfg.GroupID, b.advertisement())
+	advs, err := b.gossipCli.PublishMember(ctx, b.memberOwners, b.gossipPub.Entry(string(b.pid), raw, b.cfg.MemberLease))
 	if err != nil {
 		return err
 	}
@@ -535,8 +550,8 @@ func (b *BPeer) joinGroup(ctx context.Context) error {
 	return nil
 }
 
-// leaseLoop renews membership at the rendezvous and the semantic
-// advertisement in the discovery plane.
+// leaseLoop renews the membership and the semantic advertisement in the
+// discovery plane.
 func (b *BPeer) leaseLoop() {
 	defer close(b.leaseDone)
 	ticker := time.NewTicker(b.cfg.LeaseInterval)
@@ -545,7 +560,7 @@ func (b *BPeer) leaseLoop() {
 		select {
 		case <-ticker.C:
 			ctx, cancel := context.WithTimeout(b.lifecycleCtx(), b.cfg.LeaseInterval)
-			// Renewal failures are transient (rendezvous may be
+			// Renewal failures are transient (an index node may be
 			// restarting); the next tick retries.
 			_ = b.joinGroup(ctx)
 			_ = b.publishSemanticAdv(ctx)

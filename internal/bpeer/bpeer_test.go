@@ -13,13 +13,13 @@ import (
 	"whisper/internal/simnet"
 )
 
-// deployment is a rendezvous plus a group of b-peer replicas on a
-// zero-latency simulated network.
+// deployment is a rendezvous (an index node holding the group's member
+// list) plus a group of b-peer replicas on a zero-latency simulated
+// network.
 type deployment struct {
 	net     *simnet.Network
 	gen     *p2p.IDGen
 	rdvPeer *p2p.Peer
-	rdvSvc  *p2p.RendezvousService
 	rdvDsc  *p2p.DiscoveryService
 	gid     p2p.ID
 	peers   []*BPeer
@@ -78,7 +78,6 @@ func newBareDeployment(t *testing.T, handler func(name string) Handler) *deploym
 		t.Fatalf("rdv port: %v", err)
 	}
 	d.rdvPeer = p2p.NewPeer("rdv", d.gen.New(p2p.PeerIDKind), port)
-	d.rdvSvc = p2p.NewRendezvousService(d.rdvPeer, 2*time.Second)
 	index, err := p2p.NewIndexNode(d.rdvPeer, p2p.GossipConfig{})
 	if err != nil {
 		t.Fatalf("rdv index node: %v", err)
@@ -117,6 +116,7 @@ func (d *deployment) addPeer(t *testing.T, i int) *BPeer {
 		HeartbeatTimeout:  80 * time.Millisecond,
 		ElectionTimeout:   40 * time.Millisecond,
 		LeaseInterval:     200 * time.Millisecond,
+		MemberLease:       2 * time.Second,
 		ReadOnlyOps:       d.readOps,
 	})
 	if err != nil {

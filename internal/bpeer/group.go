@@ -27,7 +27,7 @@ type member struct {
 	// and pinged by the detector until it is heard from again.
 	suspect bool
 	// heard is when this replica last had word from the member itself;
-	// zero for one it only knows from the rendezvous' list.
+	// zero for one it only knows from the member list.
 	heard time.Time
 }
 
@@ -36,8 +36,8 @@ type member struct {
 // it owns — who coordinates, for which term. Nothing here reads the
 // network; the state follows events the group produces anyway:
 //
-//   - list: every rdv.join reply (bootstrap, then each lease renewal)
-//     carries the rendezvous' member list (install);
+//   - list: every membership publish (bootstrap, then each lease
+//     renewal) is answered with the group's other members (install);
 //   - admit: a (re)starting replica's state-transfer request carries
 //     its address and replication pipe (admit);
 //   - alive: an election message, or a heartbeat from a suspect (Alive,
@@ -47,10 +47,10 @@ type member struct {
 //     (Silent);
 //   - left: a resignation (Left).
 //
-// Word from a member outranks the rendezvous' hearsay: a list neither
+// Word from a member outranks the member list's hearsay: a list neither
 // revives a suspect nor undoes what was heard after it was asked for.
-// What the rendezvous alone decides is who is gone: a member it no
-// longer lists is dropped.
+// What the list alone decides is who is gone: a member it no longer
+// holds is dropped.
 //
 // The member slice is copy-on-write, so a snapshot handed out by current
 // stays valid without the lock. The mutex is a leaf: no method holds it
@@ -105,9 +105,10 @@ func (g *group) Members() []election.Member {
 	return out
 }
 
-// install takes in the member list of an rdv.join reply that was asked
-// for at asked. Members heard from since then are newer than the list —
-// the rendezvous may have answered before their join, or still show
+// install takes in the member list of a membership publish's answer
+// that was asked for at asked (this replica is not on it). Members heard
+// from since then are newer than the list — the index node may have
+// answered before their join, or still show
 // their previous address — and stay as they are; for the rest the list
 // decides who is in the group and where, while a member still at the
 // address it was known at keeps its pipe and its suspicion. A live
@@ -183,8 +184,8 @@ func (g *group) admit(m member) {
 }
 
 // Alive implements election.Group: an election message is word from the
-// member itself, and enough to believe one the rendezvous has not
-// listed yet.
+// member itself, and enough to believe one the member list does not
+// hold yet.
 func (g *group) Alive(addr string, rank int64) {
 	g.admit(member{addr: addr, rank: rank})
 }
@@ -287,7 +288,7 @@ type Status struct {
 	Term        uint64
 	// ReplicationSet is every member other than this replica.
 	ReplicationSet []MemberStatus
-	// Installed is when the rendezvous' last member list was taken in;
+	// Installed is when the last member list was taken in;
 	// zero before the first.
 	Installed time.Time
 	// View counts the group's maintenance events (view.refresh,

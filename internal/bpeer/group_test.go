@@ -243,7 +243,8 @@ func (d *deployment) restartPeer(t *testing.T, bp *BPeer, addr string) {
 
 // TestSettledGroupWritesStayOffTheRendezvous: in a settled group a
 // journaled write is PREPARE + COMMIT to each follower and nothing else
-// — the only rendezvous traffic left is the replicas' lease renewals.
+// — the only discovery-plane traffic left is the replicas' lease
+// renewals.
 func TestSettledGroupWritesStayOffTheRendezvous(t *testing.T) {
 	d, coord := formGroup(t, 3)
 	d.mustWrite(t, coord, "warm") // resolves the followers' pipes
@@ -260,16 +261,17 @@ func TestSettledGroupWritesStayOffTheRendezvous(t *testing.T) {
 	after := d.net.Stats()
 
 	// The member list arrives with the lease renewal and from nowhere
-	// else: one rdv.join round trip per replica per lease tick, at most
-	// one tick more than fit in the window.
+	// else: per replica per lease tick, one membership publish and one
+	// advertisement publish, each a round trip, at most one tick more
+	// than fit in the window.
 	ticks := int64(elapsed/lease) + 1
 	if got := coord.viewStats.Get("view.refresh") - refreshes; got > ticks {
 		t.Errorf("%d writes in %v took in %d member lists, want at most the %d of lease renewals", writes, elapsed, got, ticks)
 	}
-	renewals := 2 * 3 * ticks
-	rdv := after.PerProto[p2p.ProtoRdv].Messages - before.PerProto[p2p.ProtoRdv].Messages
-	if rdv > renewals {
-		t.Errorf("%d writes in %v sent %d rendezvous messages, want at most the %d of lease renewals", writes, elapsed, rdv, renewals)
+	renewals := 2 * 2 * 3 * ticks
+	plane := after.PerProto[p2p.ProtoGossip].Messages - before.PerProto[p2p.ProtoGossip].Messages
+	if plane > renewals {
+		t.Errorf("%d writes in %v sent %d discovery-plane messages, want at most the %d of lease renewals", writes, elapsed, plane, renewals)
 	}
 	if miss := coord.Journal().Counters().Get("replicate.miss"); miss != 0 {
 		t.Errorf("replicate.miss = %d in a healthy group", miss)
@@ -321,10 +323,10 @@ func TestCrashedFollowerCostsOneMiss(t *testing.T) {
 		t.Fatalf("crash: %v", err)
 	}
 
-	// The rendezvous keeps listing the dead follower for its 2 s lease;
+	// The member list keeps the dead follower for its 2 s lease;
 	// spread the writes over several of the coordinator's 200 ms renewals.
 	lists := func() int64 { return coord.viewStats.Get("view.refresh") + live.viewStats.Get("view.refresh") }
-	joins, rdv := lists(), d.net.Stats().PerProto[p2p.ProtoRdv].Messages
+	joins, plane := lists(), d.net.Stats().PerProto[p2p.ProtoGossip].Messages
 	for i := 0; i < 6; i++ {
 		d.mustWrite(t, coord, fmt.Sprintf("down%d", i))
 		time.Sleep(120 * time.Millisecond)
@@ -335,12 +337,13 @@ func TestCrashedFollowerCostsOneMiss(t *testing.T) {
 	if evict := coord.viewStats.Get("view.evict"); evict != 1 {
 		t.Fatalf("view.evict = %d, want 1", evict)
 	}
-	// The miss sends nobody to the rendezvous: its traffic is the two
-	// live replicas' lease renewals (a request and a reply each, one of
+	// The miss sends nobody to the discovery plane: its traffic is the
+	// two live replicas' lease renewals (a membership and an
+	// advertisement publish, a request and a reply each; one renewal of
 	// each replica possibly caught between the two readings).
-	joins, rdv = lists()-joins, d.net.Stats().PerProto[p2p.ProtoRdv].Messages-rdv
-	if rdv > 2*joins+4 {
-		t.Fatalf("%d rendezvous messages around the miss, want only those of %d lease renewals", rdv, joins)
+	joins, plane = lists()-joins, d.net.Stats().PerProto[p2p.ProtoGossip].Messages-plane
+	if plane > 4*joins+8 {
+		t.Fatalf("%d discovery-plane messages around the miss, want only those of %d lease renewals", plane, joins)
 	}
 	requireCommitted(t, live, "down0", "down5")
 

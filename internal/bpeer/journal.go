@@ -287,6 +287,15 @@ func (b *BPeer) journaledResponse(span *trace.Span, req peerRequest) (resp peerR
 		replCancel()
 	}
 
+	// A replica going down (Crash or Close cancelled its lifecycle
+	// context) starts no execution: its PREPARE may have reached nobody,
+	// and a successor that never saw the claim would run the key again.
+	// Aborting the claim lets the retry run it elsewhere, once.
+	if ctx.Err() != nil {
+		_ = b.journal.MarkAborted(req.Key)
+		resp.Error = ErrMsgFailingOver
+		return resp, false
+	}
 	if err := b.journal.MarkExecuting(req.Key); err != nil {
 		// Lost ownership between Begin and here (a resolver abort from
 		// a deposed-coordinator race): never execute.

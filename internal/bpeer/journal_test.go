@@ -126,6 +126,29 @@ func TestJournalDedupesRetriedKey(t *testing.T) {
 	}
 }
 
+// TestGoingDownReplicaExecutesNothing: once Crash or Close has
+// cancelled a coordinator's lifecycle, a keyed request it is still
+// serving is aborted before it executes — its PREPARE may have reached
+// nobody, so a successor would run the key again — and answered
+// retryably, so the retry runs it elsewhere.
+func TestGoingDownReplicaExecutesNothing(t *testing.T) {
+	var execs atomic.Int64
+	d := newDeploymentWithHandler(t, 1, countingHandler(&execs))
+	coord := coordOf(t, d)
+	coord.runCancel() // the first thing Crash and Close do
+
+	resp, failingOver := coord.journaledResponse(nil, peerRequest{Op: "Op", Key: "key-1", Payload: []byte("<p/>")})
+	if n := execs.Load(); n != 0 {
+		t.Fatalf("handler executed %d times on a replica going down, want 0", n)
+	}
+	if resp.Error != ErrMsgFailingOver || failingOver {
+		t.Errorf("answer %+v (fail-stop %v), want a retryable %q", resp, failingOver, ErrMsgFailingOver)
+	}
+	if e, ok := coord.Journal().Entry("key-1"); !ok || e.Status != replog.StatusAborted {
+		t.Errorf("journal entry %+v (found %v), want the claim aborted", e, ok)
+	}
+}
+
 func TestJournalKeyReuseWithDifferentPayloadRejected(t *testing.T) {
 	var execs atomic.Int64
 	d := newDeploymentWithHandler(t, 1, countingHandler(&execs))

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"whisper/internal/p2p"
 	"whisper/internal/qos"
 )
 
@@ -166,7 +167,7 @@ func TestRestartRejoinsGroup(t *testing.T) {
 
 	// The group keeps exactly one membership entry per replica: the
 	// stable peer ID means the rejoin overwrote the stale record.
-	if got := d.rdvSvc.MemberCount(d.gid); got != 2 {
+	if got := len(d.rdvDsc.GetLocalAdvertisements(p2p.PeerAdvType, "GID", string(d.gid))); got != 2 {
 		t.Errorf("membership has %d entries after rejoin, want 2", got)
 	}
 

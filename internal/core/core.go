@@ -1,7 +1,8 @@
 // Package core assembles the full Whisper architecture: a rendezvous
-// peer, semantic b-peer groups, SWS-proxies and SOAP-fronted semantic
-// Web services over a pluggable transport (the simulated LAN or real
-// TCP). It is the facade the public whisper package re-exports.
+// and the rest of the discovery fleet's index nodes, semantic b-peer
+// groups, SWS-proxies and SOAP-fronted semantic Web services over a
+// pluggable transport (the simulated LAN or real TCP). It is the facade
+// the public whisper package re-exports.
 package core
 
 import (
@@ -38,8 +39,9 @@ func TCPTransport(listenHost string) TransportFactory {
 
 // Timings bundles the protocol timeouts of a deployment. A zero field
 // selects the default of the component it tunes (bpeer.Config,
-// proxy.Config; bpeer.MembershipLease of LeaseInterval for
-// RendezvousLease), which suit LAN-scale latencies.
+// proxy.Config), which suit LAN-scale latencies. RendezvousLease is how
+// long a replica's group membership lasts unrenewed
+// (bpeer.Config.MemberLease).
 type Timings struct {
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
@@ -82,10 +84,10 @@ type Config struct {
 	// trace.DefaultCapacity.
 	TraceCapacity int
 	// Shards is the size of the discovery fleet: index nodes holding the
-	// advertisement set and replicating it to one another via gossip.
-	// Node 0 rides the rendezvous peer (group membership stays there);
-	// the other Shards-1 get dedicated peers. Zero means one: the
-	// paper's single-rendezvous layout is the ring with one member.
+	// advertisements and group memberships and replicating them to one
+	// another via gossip. Node 0 is the rendezvous peer, an index node
+	// like the others. Zero means one: the paper's single-rendezvous
+	// layout is the ring with one member.
 	Shards int
 }
 
@@ -97,11 +99,8 @@ type Deployment struct {
 	reasoner *ontology.Reasoner
 	tracer   *trace.Tracer
 
-	rdvPeer *p2p.Peer
-	rdvSvc  *p2p.RendezvousService
-
-	// shards is the discovery fleet, never empty; shards[0] rides the
-	// rendezvous peer.
+	// shards is the discovery fleet, never empty; shards[0] is the
+	// rendezvous.
 	shards     []*ShardNode
 	shardAddrs []string
 
@@ -112,9 +111,9 @@ type Deployment struct {
 }
 
 // ShardNode is one index node of the discovery fleet: a peer carrying
-// a discovery index kept converged with the rest of the fleet by its
-// gossip engine. Node 0 is the rendezvous peer itself — membership
-// stays centralized while the advertisement index is partitioned.
+// a discovery index — advertisements and group memberships — kept
+// converged with the rest of the fleet by its gossip engine. Node 0 is
+// the rendezvous; it crashes and restarts like any other.
 type ShardNode struct {
 	idx  int
 	name string
@@ -197,17 +196,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		}
 		d.shards = append(d.shards, s)
 		d.shardAddrs = append(d.shardAddrs, s.peer.Addr())
-		if i == 0 {
-			d.rdvPeer = s.peer
-			if col := d.tracer.Collector(); col != nil {
-				p2p.ServeTraces(d.rdvPeer, col)
-			}
-			lease := cfg.Timings.RendezvousLease
-			if lease <= 0 {
-				lease = bpeer.MembershipLease(cfg.Timings.LeaseInterval)
-			}
-			d.rdvSvc = p2p.NewRendezvousService(d.rdvPeer, lease)
-		}
 	}
 	for _, s := range d.shards {
 		s.start(d.shardAddrs)
@@ -225,6 +213,9 @@ func (d *Deployment) bootShard(s *ShardNode) error {
 	}
 	peer := p2p.NewPeer(s.name, d.gen.New(p2p.PeerIDKind), tr)
 	peer.SetTracer(d.tracer)
+	if col := d.tracer.Collector(); col != nil {
+		p2p.ServeTraces(peer, col)
+	}
 	gsvc, err := p2p.NewIndexNode(peer, p2p.GossipConfig{
 		Seed:     d.cfg.Seed + int64(s.idx),
 		Interval: d.cfg.Timings.GossipInterval,
@@ -260,16 +251,15 @@ func (s *ShardNode) stop() error {
 // slice.
 func (d *Deployment) ShardAddrs() []string { return d.shardAddrs }
 
-// Shards returns the discovery fleet's index nodes, node 0 (on the
-// rendezvous peer) first; never empty.
+// Shards returns the discovery fleet's index nodes, node 0 (the
+// rendezvous) first; never empty.
 func (d *Deployment) Shards() []*ShardNode { return d.shards }
 
 // CrashShard abruptly takes shard i offline: its gossip engine stops
 // and its transport closes without farewell traffic, so the surviving
-// fleet only notices through failed exchanges. Shard 0 (the
-// rendezvous) cannot be crashed — membership would die with it.
+// fleet only notices through failed exchanges.
 func (d *Deployment) CrashShard(i int) error {
-	if i <= 0 || i >= len(d.shards) {
+	if i < 0 || i >= len(d.shards) {
 		return fmt.Errorf("core: no crashable shard %d", i)
 	}
 	s := d.shards[i]
@@ -285,7 +275,7 @@ func (d *Deployment) CrashShard(i int) error {
 // with an empty index; anti-entropy reconciliation repopulates it from
 // the surviving fleet.
 func (d *Deployment) RestartShard(i int) error {
-	if i <= 0 || i >= len(d.shards) {
+	if i < 0 || i >= len(d.shards) {
 		return fmt.Errorf("core: no restartable shard %d", i)
 	}
 	s := d.shards[i]
@@ -312,11 +302,9 @@ func (d *Deployment) TraceCollector() *trace.Collector { return d.tracer.Collect
 // Reasoner returns the deployment's compiled ontology reasoner.
 func (d *Deployment) Reasoner() *ontology.Reasoner { return d.reasoner }
 
-// RendezvousAddr returns the rendezvous transport address.
-func (d *Deployment) RendezvousAddr() string { return d.rdvPeer.Addr() }
-
-// Rendezvous returns the rendezvous service (introspection).
-func (d *Deployment) Rendezvous() *p2p.RendezvousService { return d.rdvSvc }
+// RendezvousAddr returns the rendezvous transport address: node 0's as
+// it was deployed.
+func (d *Deployment) RendezvousAddr() string { return d.shardAddrs[0] }
 
 // IDGen returns the deployment's ID generator.
 func (d *Deployment) IDGen() *p2p.IDGen { return d.gen }
@@ -351,7 +339,7 @@ func (d *Deployment) Close() error {
 			firstErr = err
 		}
 	}
-	// Node 0 carries the rendezvous: it goes last.
+	// Node 0, the rendezvous, goes last.
 	for i := len(d.shards) - 1; i >= 0; i-- {
 		s := d.shards[i]
 		s.mu.Lock()
@@ -480,7 +468,7 @@ func (d *Deployment) DeployGroup(ctx context.Context, spec GroupSpec) (*Group, e
 			GroupName:         spec.Name,
 			Signature:         spec.Signature,
 			QoS:               profile,
-			RendezvousAddr:    d.rdvPeer.Addr(),
+			RendezvousAddr:    d.RendezvousAddr(),
 			ShardAddrs:        d.shardAddrs,
 			Handler:           handler,
 			IDGen:             d.gen,
@@ -488,6 +476,7 @@ func (d *Deployment) DeployGroup(ctx context.Context, spec GroupSpec) (*Group, e
 			HeartbeatTimeout:  d.cfg.Timings.HeartbeatTimeout,
 			ElectionTimeout:   d.cfg.Timings.ElectionTimeout,
 			LeaseInterval:     d.cfg.Timings.LeaseInterval,
+			MemberLease:       d.cfg.Timings.RendezvousLease,
 			NoJournal:         spec.NoJournal,
 			ReadOnlyOps:       spec.ReadOnlyOps,
 			ReadLease:         spec.ReadLease,
@@ -600,8 +589,8 @@ func (g *Group) CrashPeer(name string) error {
 }
 
 // RestartPeer revives a crashed (or gracefully closed) replica on a
-// fresh transport endpoint: it rejoins the rendezvous, re-publishes
-// its advertisements and re-enters the Bully election.
+// fresh transport endpoint: it rejoins its group, re-publishes its
+// advertisements and re-enters the Bully election.
 func (g *Group) RestartPeer(ctx context.Context, name string) error {
 	g.mu.Lock()
 	var target *bpeer.BPeer
@@ -676,7 +665,7 @@ func (d *Deployment) NewProxy(name string, opts ProxyOptions) (*proxy.SWSProxy, 
 	}
 	p, err := proxy.New(tr, proxy.Config{
 		Name:             name,
-		RendezvousAddr:   d.rdvPeer.Addr(),
+		RendezvousAddr:   d.RendezvousAddr(),
 		ShardAddrs:       d.shardAddrs,
 		Reasoner:         d.reasoner,
 		MinDegree:        opts.MinDegree,

@@ -230,7 +230,9 @@ func TestDiscoveryPlane(t *testing.T) {
 // one, message for message: Shards 0 and 1 are the same deployment, a
 // cold lookup is one discovery query and one response whether or not
 // the exact-action step could have answered it (the ladder never asks
-// the same node twice), and an unpublish is one gossip exchange. Leases
+// the same node twice), and the last replica's close is two gossip
+// exchanges: its membership's tombstone, whose answer says nobody is
+// left, and the advertisement's. Leases
 // are an hour and groups have one replica, so nothing time-driven
 // speaks during the script, and the lone index node's gossip engine,
 // having no peer, runs no round at all.
@@ -255,7 +257,7 @@ func TestDiscoveryPlaneRingOfOneCounts(t *testing.T) {
 			step("cold exact lookup", p2p.ProtoDiscovery, 2, func() { pp.find(studentSig()) })
 			step("cold subsumption-only lookup", p2p.ProtoDiscovery, 2, func() { pp.find(transcriptSig()) })
 			step("cold lookup by name", p2p.ProtoDiscovery, 2, func() { pp.byName(planeClaims) })
-			step("last replica's tombstone", p2p.ProtoGossip, 2, func() {
+			step("last replica's farewell and tombstone", p2p.ProtoGossip, 4, func() {
 				if err := students.Peers()[0].Close(); err != nil {
 					t.Fatalf("close: %v", err)
 				}

@@ -7,12 +7,13 @@ import (
 	"time"
 
 	"whisper/internal/bpeer"
+	"whisper/internal/proxy"
+	"whisper/internal/replog"
 	"whisper/internal/wsdl"
 )
 
 // newShardedDeployment builds a deployment whose discovery index is
-// spread over n gossip-replicated shards (shard 0 riding the
-// rendezvous peer).
+// spread over n gossip-replicated shards (shard 0 is the rendezvous).
 func newShardedDeployment(t *testing.T, n int) *Deployment {
 	t.Helper()
 	d, _ := newPlaneDeployment(t, n, fastTimings().LeaseInterval)
@@ -86,9 +87,6 @@ func TestShardCrashRestartRepopulates(t *testing.T) {
 	if err := d.CrashShard(2); err == nil {
 		t.Fatal("double crash not rejected")
 	}
-	if err := d.CrashShard(0); err == nil {
-		t.Fatal("crashing the rendezvous shard not rejected")
-	}
 	// The fleet keeps serving (lease renewals route around the crash).
 	waitAdvEverywhere(t, d, g.Name(), true)
 
@@ -104,6 +102,49 @@ func TestShardCrashRestartRepopulates(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("restarted shard never repopulated via anti-entropy")
+}
+
+// TestMembershipSurvivesShardZero: a membership is an advertisement on
+// the ring like any other, so node 0 is an ordinary index node. With it
+// crashed, and then the group's coordinator, a proxy bound before the
+// crashes and a fresh one both complete a keyed write: the survivors
+// re-elect, and every re-bind finds the members on the other owners.
+func TestMembershipSurvivesShardZero(t *testing.T) {
+	d := newShardedDeployment(t, 3)
+	g := deployStudentGroup(t, d, 3)
+	waitAdvEverywhere(t, d, g.Name(), true)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	write := func(p *proxy.SWSProxy, key string) {
+		t.Helper()
+		out, err := p.Invoke(replog.ContextWithKey(ctx, key), studentSig(), "StudentInformation", studentRequestXML("S0001"))
+		if err != nil {
+			t.Fatalf("keyed write %s through %s: %v", key, p.Addr(), err)
+		}
+		if !strings.Contains(string(out), "<ID>S0001</ID>") {
+			t.Fatalf("keyed write %s answered %q", key, out)
+		}
+	}
+	bound, err := d.NewProxy("bound", ProxyOptions{})
+	if err != nil {
+		t.Fatalf("proxy: %v", err)
+	}
+	t.Cleanup(func() { _ = bound.Close() })
+	write(bound, "before")
+
+	if err := d.CrashShard(0); err != nil {
+		t.Fatalf("crash shard 0: %v", err)
+	}
+	if _, err := g.CrashCoordinator(); err != nil {
+		t.Fatalf("crash coordinator: %v", err)
+	}
+	write(bound, "after-bound")
+	fresh, err := d.NewProxy("fresh", ProxyOptions{})
+	if err != nil {
+		t.Fatalf("proxy: %v", err)
+	}
+	t.Cleanup(func() { _ = fresh.Close() })
+	write(fresh, "after-fresh")
 }
 
 // TestShardedGroupCloseTombstones: the last replica leaving gracefully

@@ -83,14 +83,17 @@ const (
 	ServiceAdvType   = "jxta:SvcAdv"
 )
 
-// PeerAdvertisement describes a peer and its transport address. Rank
-// carries the peer's Bully election priority so group members learn
-// each other's ranks from the rendezvous membership view; Term is the
-// highest election term the peer had seen when it published, so a
-// joining member learns that too.
+// PeerAdvertisement describes a peer and its transport address. A
+// member of a peer group names it in GID: the document is then the
+// peer's membership, and the group's member list is the index's
+// (jxta:PA, GID, gid) posting. Rank carries the peer's Bully election
+// priority so group members learn each other's ranks from the member
+// list; Term is the highest election term the peer had seen when it
+// published, so a joining member learns that too.
 type PeerAdvertisement struct {
 	XMLName xml.Name `xml:"jxta PA"`
 	PID     ID       `xml:"PID"`
+	GID     ID       `xml:"GID,omitempty"`
 	Name    string   `xml:"Name"`
 	Addr    string   `xml:"Addr"`
 	Rank    int64    `xml:"Rank,omitempty"`
@@ -108,7 +111,7 @@ func (a *PeerAdvertisement) AdvID() ID { return a.PID }
 
 // Attributes implements Advertisement.
 func (a *PeerAdvertisement) Attributes() map[string]string {
-	return map[string]string{"Name": a.Name, "PID": string(a.PID), "Addr": a.Addr}
+	return map[string]string{"Name": a.Name, "PID": string(a.PID), "GID": string(a.GID), "Addr": a.Addr}
 }
 
 // MarshalAdv implements Advertisement.
@@ -124,6 +127,8 @@ func (a *PeerAdvertisement) ReadAdv(r *AdvReader) error {
 		switch string(r.Name()) {
 		case "PID":
 			a.PID = ID(r.Text())
+		case "GID":
+			a.GID = ID(r.Text())
 		case "Name":
 			a.Name = r.Text()
 		case "Addr":

@@ -2,10 +2,12 @@ package p2p
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -390,22 +392,53 @@ func (c *DiscoveryClient) Fetch(ctx context.Context, targets []string, advType, 
 	return c.remoteQuery(ctx, targets, discoveryQueryDoc{Type: advType, Attr: attr, Values: values})
 }
 
-// remoteQuery sends q to every target and returns the advertisements
-// answered (the first copy, when several targets answer the same ID),
-// up to q.Limit when it is positive, once every target answered or ctx
-// ends. A target whose answer is an error or does not decode counts as
-// failed: that is the query's error when no target answered validly and
-// is ignored when another did. A document inside a valid answer that
-// does not parse is skipped.
+// Members returns gid's live members, highest rank first. It asks the
+// owners of the member list, and the whole fleet when they fail or know
+// of none — on a ring of one, one query either way. Member lookups are
+// not counted in the client's advertisement-lookup stats.
+func (c *DiscoveryClient) Members(ctx context.Context, ring *ShardRouter, gid ID) ([]*PeerAdvertisement, error) {
+	owners := ring.MemberOwners(gid)
+	advs, _, _, err := c.collect(ctx, owners, memberQuery(gid))
+	if all := ring.All(); (err != nil || len(advs) == 0) && len(owners) < len(all) {
+		advs, _, _, err = c.collect(ctx, all, memberQuery(gid))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("group members: %w", err)
+	}
+	members := make([]*PeerAdvertisement, 0, len(advs))
+	for _, adv := range advs {
+		if pa, ok := adv.(*PeerAdvertisement); ok && pa.GID == gid {
+			members = append(members, pa)
+		}
+	}
+	slices.SortFunc(members, func(a, b *PeerAdvertisement) int { return cmp.Compare(b.Rank, a.Rank) })
+	return members, nil
+}
+
+// remoteQuery is collect, counted in the client's stats.
 func (c *DiscoveryClient) remoteQuery(ctx context.Context, targets []string, q discoveryQueryDoc) ([]Advertisement, error) {
 	if len(targets) == 0 {
 		return nil, nil
 	}
+	out, advs, rejected, err := c.collect(ctx, targets, q)
+	c.queries.Add(1)
+	c.advs.Add(advs)
+	c.rejected.Add(rejected)
+	return out, err
+}
+
+// collect sends q to every target and returns the advertisements
+// answered (the first copy, when several targets answer the same ID),
+// up to q.Limit when it is positive, once every target answered or ctx
+// ends, with the counts of documents answered and of answers and
+// documents rejected. A target whose answer is an error or does not
+// decode counts as failed: that is the query's error when no target
+// answered validly. A document that does not parse is skipped.
+func (c *DiscoveryClient) collect(ctx context.Context, targets []string, q discoveryQueryDoc) (out []Advertisement, advs, rejected uint64, _ error) {
 	var (
-		out                      []Advertisement
-		answered, advs, rejected uint64
-		nodeErr                  error
-		seen                     = make(map[ID]bool)
+		answered uint64
+		nodeErr  error
+		seen     = make(map[ID]bool)
 	)
 	err := c.resolver.Propagate(ctx, targets, discoveryQueryHandler, q.encode(), func(resp Response) bool {
 		docs, err := decodeDocs(resp.Payload)
@@ -441,17 +474,14 @@ func (c *DiscoveryClient) remoteQuery(ctx context.Context, targets []string, q d
 		}
 		return false
 	})
-	c.queries.Add(1)
-	c.advs.Add(advs)
-	c.rejected.Add(rejected)
 	if err == nil && answered == 0 {
 		err = nodeErr
 	}
 	// A query cut short after advertisements arrived keeps them.
 	if err != nil && advs == 0 {
-		return nil, fmt.Errorf("discovery: remote query: %w", err)
+		return nil, advs, rejected, fmt.Errorf("discovery: remote query: %w", err)
 	}
-	return out, nil
+	return out, advs, rejected, nil
 }
 
 // answerQuery serves a remote discovery query from the local cache:
@@ -462,6 +492,13 @@ func (d *DiscoveryService) answerQuery(_ string, payload []byte) ([]byte, error)
 	if err != nil {
 		return nil, fmt.Errorf("bad discovery query: %w", err)
 	}
+	return encodeDocs(d.lookupDocs(q, "")), nil
+}
+
+// lookupDocs answers q from the local cache, leaving out the
+// advertisement skip (a member publishing its membership is not told
+// of itself).
+func (d *DiscoveryService) lookupDocs(q discoveryQueryDoc, skip ID) [][]byte {
 	values := q.Values
 	if len(values) == 0 {
 		values = []string{""}
@@ -472,8 +509,8 @@ func (d *DiscoveryService) answerQuery(_ string, payload []byte) ([]byte, error)
 	var hits []*cacheEntry
 	for _, value := range values {
 		entries, scan := d.candidatesLocked(q.Type, q.Attr, value)
-		for _, e := range entries {
-			if !scan || matchAttr(e.attrs, q.Attr, value) {
+		for id, e := range entries {
+			if id != skip && (!scan || matchAttr(e.attrs, q.Attr, value)) {
 				hits = append(hits, e)
 			}
 		}
@@ -491,5 +528,23 @@ func (d *DiscoveryService) answerQuery(_ string, payload []byte) ([]byte, error)
 			docs = append(docs, e.raw)
 		}
 	}
-	return encodeDocs(docs), nil
+	return docs
+}
+
+// memberQuery selects gid's member list.
+func memberQuery(gid ID) discoveryQueryDoc {
+	return discoveryQueryDoc{Type: PeerAdvType, Attr: "GID", Values: []string{string(gid)}}
+}
+
+// groupOf returns the group the live membership stored under key names
+// ("" when key holds none).
+func (d *DiscoveryService) groupOf(key ID) ID {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if e := d.cache[key]; e != nil {
+		if pa, ok := e.adv.(*PeerAdvertisement); ok {
+			return pa.GID
+		}
+	}
+	return ""
 }

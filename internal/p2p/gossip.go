@@ -1,8 +1,10 @@
 package p2p
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"whisper/internal/gossip"
@@ -121,13 +123,21 @@ func (g *GossipService) serveDelta(_ string, payload []byte) ([]byte, error) {
 }
 
 // servePublish accepts one wire-encoded entry from a publishing client
-// (a back-end peer's lease refresh, or its graceful-leave tombstone).
+// (a back-end peer's lease refresh, or its graceful-leave tombstone). A
+// membership — or the tombstone of one this node holds — is answered
+// with the group's other live members (GossipClient.PublishMember); any other
+// entry with whether it applied.
 func (g *GossipService) servePublish(_ string, payload []byte) ([]byte, error) {
 	e, _, err := gossip.DecodeEntry(payload)
 	if err != nil {
 		return nil, fmt.Errorf("gossip: bad publish frame: %w", err)
 	}
+	key := ID(e.Key)
+	left := g.disco.groupOf(key)
 	res := g.engine.Learn(e)
+	if gid := cmp.Or(g.disco.groupOf(key), left); gid != "" {
+		return encodeDocs(g.disco.lookupDocs(memberQuery(gid), key)), nil
+	}
 	if res.Applied {
 		return []byte("applied"), nil
 	}
@@ -159,8 +169,8 @@ func (t resolverTransport) Exchange(ctx context.Context, to, kind string, payloa
 }
 
 // GossipClient is the publish-side client used by peers that are not
-// themselves shards: back-end peers push their semantic advertisement
-// (and, on graceful leave, its tombstone) to the owning shard.
+// themselves shards: back-end peers push their membership and semantic
+// advertisement (and, on graceful leave, tombstones) to the owners.
 type GossipClient struct {
 	res *Resolver
 }
@@ -181,4 +191,37 @@ func (c *GossipClient) Publish(ctx context.Context, shard string, e gossip.Entry
 		return false, err
 	}
 	return string(reply) == "applied", nil
+}
+
+// PublishMember publishes one membership entry to the owners of its
+// group's member list (ShardRouter.MemberOwners) and returns the other
+// live members they answered with, each once. A membership is the
+// member's PeerAdvertisement naming the group in GID, stored under its
+// PID like any advertisement, so it expires by the advertisements' one
+// rule on one clock: a join or a renewal is an entry with the member's
+// lease, a leave is a tombstone. It fails when no owner answered with a
+// list.
+func (c *GossipClient) PublishMember(ctx context.Context, owners []string, e gossip.Entry) ([]*PeerAdvertisement, error) {
+	var members []*PeerAdvertisement
+	var answered bool
+	var lastErr error
+	err := c.res.Propagate(ctx, owners, gossipPublishHandler, gossip.AppendEntry(nil, &e), func(resp Response) bool {
+		docs, err := decodeDocs(resp.Payload)
+		if err = cmp.Or(resp.Err, err); err != nil {
+			lastErr = fmt.Errorf("%s: %w", resp.From, err)
+			return false
+		}
+		answered = true
+		for _, raw := range docs {
+			adv := &PeerAdvertisement{}
+			if adv.UnmarshalAdv(raw) == nil && !slices.ContainsFunc(members, func(m *PeerAdvertisement) bool { return m.PID == adv.PID }) {
+				members = append(members, adv)
+			}
+		}
+		return false
+	})
+	if !answered {
+		return nil, fmt.Errorf("membership publish: %w", cmp.Or(err, lastErr))
+	}
+	return members, nil
 }

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -233,6 +234,9 @@ func TestIndexNodeRingOfOne(t *testing.T) {
 // index to the store after each: a type query answers exactly the
 // stored bytes of every key the store holds live whose payload parses
 // to the advertisement the key names, and the index holds nothing else.
+// A frame whose key holds a membership after it — or held one before
+// it — is answered with the stored documents of that group's other live
+// members.
 //
 // Input: records of [clock step in seconds][uvarint frame length][frame].
 func FuzzServePublish(f *testing.F) {
@@ -252,6 +256,26 @@ func FuzzServePublish(f *testing.F) {
 		d, store := node.Discovery(), node.Engine().Store()
 		keys := map[string]bool{}
 		types := map[string]bool{ServiceAdvType: true}
+		// live returns the advertisement stored live under key, if its
+		// payload parses to the advertisement the key names.
+		live := func(key string) (Advertisement, []byte) {
+			e, ok := store.Get(key)
+			if !ok || e.Deleted {
+				return nil, nil
+			}
+			adv, err := ParseAdvertisement(e.Payload)
+			if err != nil || string(adv.AdvID()) != key {
+				return nil, nil
+			}
+			return adv, e.Payload
+		}
+		groupOf := func(key string) ID {
+			adv, _ := live(key)
+			if pa, ok := adv.(*PeerAdvertisement); ok {
+				return pa.GID
+			}
+			return ""
+		}
 		for len(data) > 0 {
 			clock.advance(time.Duration(data[0]) * time.Second)
 			n, sz := binary.Uvarint(data[1:])
@@ -260,28 +284,37 @@ func FuzzServePublish(f *testing.F) {
 			}
 			frame := data[1+sz : 1+sz+int(n)]
 			data = data[1+sz+int(n):]
+			key, left := "", ID("")
 			if e, _, err := gossip.DecodeEntry(frame); err == nil {
 				keys[e.Key] = true
+				key, left = e.Key, groupOf(e.Key)
 				if adv, err := ParseAdvertisement(e.Payload); err == nil {
 					types[adv.AdvType()] = true
 				}
 			}
-			_, _ = node.servePublish("fuzz", frame)
+			reply, err := node.servePublish("fuzz", frame)
 
 			store.SweepExpired()
 			want := map[string][][]byte{}
 			size := 0
-			for key := range keys {
-				e, ok := store.Get(key)
-				if !ok || e.Deleted {
+			var others [][]byte
+			gid := cmp.Or(groupOf(key), left)
+			for k := range keys {
+				adv, raw := live(k)
+				if adv == nil {
 					continue
 				}
-				adv, err := ParseAdvertisement(e.Payload)
-				if err != nil || string(adv.AdvID()) != key {
-					continue
-				}
-				want[adv.AdvType()] = append(want[adv.AdvType()], e.Payload)
+				want[adv.AdvType()] = append(want[adv.AdvType()], raw)
 				size++
+				if pa, ok := adv.(*PeerAdvertisement); ok && gid != "" && pa.GID == gid && k != key {
+					others = append(others, raw)
+				}
+			}
+			if gid != "" {
+				got, derr := decodeDocs(reply)
+				if err != nil || derr != nil || !sameDocs(got, others) {
+					t.Fatalf("membership publish of %s in %s answered %q (%v, %v), the group's other members are %q", key, gid, reply, err, derr, others)
+				}
 			}
 			for advType := range types {
 				out, err := d.answerQuery("fuzz", (&discoveryQueryDoc{Type: advType}).encode())
@@ -331,17 +364,20 @@ func TestShardRouterOwnership(t *testing.T) {
 
 	moved := 0
 	shrunk := NewShardRouter(addrs[:3])
+	ownerOf := func(r *ShardRouter, value string) string {
+		return r.AppendOwners(nil, "jxta:SvcAdv", "action", value)[0]
+	}
 	for i := 0; i < 200; i++ {
 		value := fmt.Sprintf("action-%d", i)
-		owner := r1.Owner("jxta:SvcAdv", "action", value)
-		if got := r2.Owner("jxta:SvcAdv", "action", value); got != owner {
+		owner := ownerOf(r1, value)
+		if got := ownerOf(r2, value); got != owner {
 			t.Fatalf("ownership depends on membership order: %s vs %s", owner, got)
 		}
 		owners := r1.AppendOwners(nil, "jxta:SvcAdv", "action", value)
 		if len(owners) != 2 || owners[0] != owner || owners[1] == owner {
 			t.Fatalf("replica set %v, want owner-led pair", owners)
 		}
-		after := shrunk.Owner("jxta:SvcAdv", "action", value)
+		after := ownerOf(shrunk, value)
 		if owner == "shard-d" {
 			if after == "shard-d" {
 				t.Fatal("removed shard still owns a triple")

@@ -1,8 +1,9 @@
 // Package p2p implements a JXTA-like peer-to-peer overlay: peers with
 // protocol dispatch, XML advertisements with an extensible type
 // registry, a resolver (query/response), a discovery service with a
-// local advertisement cache and remote queries, rendezvous indexing,
-// unicast and propagate pipes, and a heartbeat failure detector.
+// local advertisement cache and remote queries, index nodes replicating
+// advertisements and group memberships by gossip, unicast and propagate
+// pipes, and a heartbeat failure detector.
 //
 // The paper deploys Whisper on JXTA 2.3; this package reproduces the
 // protocol surface Whisper uses (discovery, advertisements, pipes,

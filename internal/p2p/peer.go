@@ -17,7 +17,6 @@ const (
 	ProtoPipe      = "pipe"
 	ProtoHeartbeat = "heartbeat"
 	ProtoElection  = "election"
-	ProtoRdv       = "rendezvous"
 	ProtoGossip    = "gossip"
 )
 
@@ -110,8 +109,8 @@ func (p *Peer) Start() {
 }
 
 // recvLoop dispatches every inbound message on its own goroutine, so a
-// handler that itself performs a blocking query (the rendezvous relay
-// path, for example) can never deadlock the receive loop. Close waits
+// handler that itself performs a blocking query can never deadlock
+// the receive loop. Close waits
 // for all in-flight handlers via the wait group.
 func (p *Peer) recvLoop() {
 	defer close(p.done)

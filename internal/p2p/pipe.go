@@ -34,7 +34,6 @@ type PipeService struct {
 	inputs  map[ID]*InputPipe
 	pending map[string]chan []byte
 	nextID  uint64
-	closed  bool
 }
 
 // Pipe message kinds.
@@ -163,10 +162,6 @@ func (s *PipeService) CallAll(ctx context.Context, advs []*PipeAdvertisement, pa
 // cancellation.
 func (s *PipeService) Call(ctx context.Context, adv *PipeAdvertisement, payload []byte) ([]byte, error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, simnet.ErrClosed
-	}
 	s.nextID++
 	corr := s.peer.Addr() + "/" + strconv.FormatUint(s.nextID, 10)
 	ch := make(chan []byte, 1)

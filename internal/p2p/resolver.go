@@ -80,17 +80,7 @@ func (r *Resolver) RegisterHandler(name string, h QueryHandler) {
 func (r *Resolver) Query(ctx context.Context, to, handler string, payload []byte) ([]byte, error) {
 	ch, qid := r.newPending(1)
 	defer r.dropPending(qid)
-	headers := map[string]string{hdrHandler: handler, hdrQueryID: qid}
-	if tc := trace.ContextString(ctx); tc != "" {
-		headers[trace.HeaderKey] = tc
-	}
-	msg := simnet.Message{
-		Proto:   r.proto,
-		Kind:    kindQuery,
-		Headers: headers,
-		Payload: payload,
-	}
-	if err := r.peer.Send(to, msg); err != nil {
+	if err := r.peer.Send(to, r.query(ctx, handler, qid, payload)); err != nil {
 		return nil, err
 	}
 	select {
@@ -113,12 +103,7 @@ func (r *Resolver) Query(ctx context.Context, to, handler string, payload []byte
 func (r *Resolver) Propagate(ctx context.Context, targets []string, handler string, payload []byte, each func(Response) (done bool)) error {
 	ch, qid := r.newPending(len(targets))
 	defer r.dropPending(qid)
-	msg := simnet.Message{
-		Proto:   r.proto,
-		Kind:    kindQuery,
-		Headers: map[string]string{hdrHandler: handler, hdrQueryID: qid},
-		Payload: payload,
-	}
+	msg := r.query(ctx, handler, qid, payload)
 	var firstErr error
 	sent := 0
 	for _, to := range targets {
@@ -144,6 +129,15 @@ func (r *Resolver) Propagate(ctx context.Context, targets []string, handler stri
 		}
 	}
 	return nil
+}
+
+// query builds a query message carrying ctx's trace context.
+func (r *Resolver) query(ctx context.Context, handler, qid string, payload []byte) simnet.Message {
+	headers := map[string]string{hdrHandler: handler, hdrQueryID: qid}
+	if tc := trace.ContextString(ctx); tc != "" {
+		headers[trace.HeaderKey] = tc
+	}
+	return simnet.Message{Proto: r.proto, Kind: kindQuery, Headers: headers, Payload: payload}
 }
 
 func (r *Resolver) newPending(buffer int) (chan Response, string) {

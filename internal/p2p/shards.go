@@ -12,16 +12,12 @@ const DefaultShardReplicas = 2
 
 // ShardRouter maps discovery index triples onto the index nodes of the
 // discovery plane via a consistent-hash ring; a ring of one (the
-// paper's single rendezvous) owns every triple. It is the read-side
-// counterpart of the gossip replication: gossip makes every shard
-// eventually hold every advertisement, while the router decides which
-// shard is the freshest
-// authority for a given triple — publishes land on the owner first, so
-// exact-match queries routed to the owners see new advertisements
-// before the epidemic has finished spreading them.
-//
-// The ring is fixed at construction, so a router is safe for
-// concurrent use.
+// paper's single rendezvous) owns every triple. Gossip makes every
+// shard eventually hold every advertisement, while the router decides
+// which shards are the freshest authority for a triple: publishes land
+// on its owners first, so exact-match queries routed to the owners see
+// new advertisements before the epidemic has spread them. The ring is
+// fixed at construction, so a router is safe for concurrent use.
 type ShardRouter struct {
 	ring *gossip.Ring
 }
@@ -31,16 +27,17 @@ func NewShardRouter(addrs []string) *ShardRouter {
 	return &ShardRouter{ring: gossip.NewRing(addrs, gossip.DefaultVnodes)}
 }
 
-// Owner returns the shard owning the triple ("" when the fleet is
-// empty).
-func (r *ShardRouter) Owner(advType, attr, value string) string {
-	return r.ring.Owner(advType, attr, value)
-}
-
 // AppendOwners appends the triple's DefaultShardReplicas owners (owner
 // first) onto dst and returns the extended slice.
 func (r *ShardRouter) AppendOwners(dst []string, advType, attr, value string) []string {
 	return r.ring.AppendOwners(dst, advType, attr, value, DefaultShardReplicas)
+}
+
+// MemberOwners returns the owners of gid's member list, the triple
+// (jxta:PA, GID, gid): the index nodes members publish their
+// memberships to and member lookups ask first.
+func (r *ShardRouter) MemberOwners(gid ID) []string {
+	return r.AppendOwners(nil, PeerAdvType, "GID", string(gid))
 }
 
 // All returns the full shard membership (sorted), for scatter-gather

@@ -17,18 +17,15 @@ const traceDumpHandler = "trace.dump"
 
 // ServeTraces exposes the collector's retained spans over a resolver
 // on ProtoTrace, so tooling (peerctl trace) can dump recent traces
-// from a running node. Returns the resolver for symmetry with other
-// services; callers normally ignore it.
-func ServeTraces(peer *Peer, col *trace.Collector) *Resolver {
-	r := NewResolverOn(peer, ProtoTrace)
-	r.RegisterHandler(traceDumpHandler, func(string, []byte) ([]byte, error) {
+// from a running node.
+func ServeTraces(peer *Peer, col *trace.Collector) {
+	NewResolverOn(peer, ProtoTrace).RegisterHandler(traceDumpHandler, func(string, []byte) ([]byte, error) {
 		data, err := col.ExportJSON()
 		if err != nil {
 			return nil, fmt.Errorf("trace: export: %w", err)
 		}
 		return data, nil
 	})
-	return r
 }
 
 // NewTraceClient attaches a resolver suitable for QueryTraces to the

@@ -94,11 +94,15 @@ func newFakeGroup(t *testing.T, f *fixture) *fakeGroup {
 		res.RegisterHandler("bpeer.pipe", func(string, []byte) ([]byte, error) {
 			return []byte(addr + " " + pipeID), nil
 		})
-		rdv := p2p.NewRendezvousClient(peer, "rdv")
+		members, pub := p2p.NewGossipClient(peer), gossip.NewPublisher(peer.Name(), nil)
 		adv := peer.Advertisement()
-		adv.Rank = rank
+		adv.GID, adv.Rank = g.gid, rank
+		raw, err := adv.MarshalAdv()
+		if err != nil {
+			t.Fatal(err)
+		}
 		g.joins = append(g.joins, func(ctx context.Context) error {
-			_, err := rdv.Join(ctx, g.gid, adv)
+			_, err := members.PublishMember(ctx, []string{"rdv"}, pub.Entry(string(adv.PID), raw, 2*time.Second))
 			return err
 		})
 		peer.Start()
@@ -122,7 +126,7 @@ func newFakeGroup(t *testing.T, f *fixture) *fakeGroup {
 	return g
 }
 
-// play (re-)joins the rendezvous, so the lease never lapses mid-test,
+// play (re-)joins the group, so the lease never lapses mid-test,
 // and loads the next script.
 func (g *fakeGroup) play(t *testing.T, script ...string) {
 	t.Helper()

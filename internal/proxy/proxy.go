@@ -155,7 +155,6 @@ type SWSProxy struct {
 	disco   *p2p.DiscoveryClient
 	shards  *p2p.ShardRouter
 	pipes   *p2p.PipeService
-	rdv     *p2p.RendezvousClient
 	bindRes *p2p.Resolver
 	tracker *qos.Tracker
 	sel     *qos.Selector
@@ -217,7 +216,6 @@ func New(tr simnet.Transport, cfg Config) (*SWSProxy, error) {
 	p.disco = p2p.NewDiscoveryClient(p.peer)
 	p.shards = p2p.NewShardRouter(cfg.ShardAddrs)
 	p.pipes = p2p.NewPipeService(p.peer, cfg.IDGen)
-	p.rdv = p2p.NewRendezvousClient(p.peer, cfg.RendezvousAddr)
 	p.bindRes = p2p.NewResolverOn(p.peer, bpeer.ProtoBinding)
 	if cfg.Selector != nil {
 		p.sel = cfg.Selector

@@ -49,7 +49,6 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatalf("rdv port: %v", err)
 	}
 	f.rdvPeer = p2p.NewPeer("rdv", f.gen.New(p2p.PeerIDKind), port)
-	p2p.NewRendezvousService(f.rdvPeer, 2*time.Second)
 	index, err := p2p.NewIndexNode(f.rdvPeer, p2p.GossipConfig{})
 	if err != nil {
 		t.Fatalf("rdv index node: %v", err)

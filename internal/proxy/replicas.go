@@ -3,7 +3,6 @@ package proxy
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"whisper/internal/bpeer"
@@ -279,8 +278,8 @@ func (p *SWSProxy) resolveCoordinator(ctx context.Context, gid p2p.ID, gs *group
 	return lastErr
 }
 
-// resolveReplicas rebuilds the group's replica set from the rendezvous
-// membership, querying each member for its own service pipe. Each
+// resolveReplicas rebuilds the group's replica set from its member
+// list, querying each member for its own service pipe. Each
 // replica is given its address's breaker.
 func (p *SWSProxy) resolveReplicas(ctx context.Context, gid p2p.ID, gs *groupState) error {
 	members, err := p.memberAddrs(ctx, gid)
@@ -320,11 +319,10 @@ func (p *SWSProxy) resolveReplicas(ctx context.Context, gid p2p.ID, gs *groupSta
 // memberAddrs returns the group's member addresses, highest rank
 // first (the likely coordinator).
 func (p *SWSProxy) memberAddrs(ctx context.Context, gid p2p.ID) ([]string, error) {
-	advs, err := p.rdv.Members(ctx, gid)
+	advs, err := p.disco.Members(ctx, p.shards, gid)
 	if err != nil {
-		return nil, fmt.Errorf("proxy: group members: %w", err)
+		return nil, fmt.Errorf("proxy: %w", err)
 	}
-	sort.Slice(advs, func(i, j int) bool { return advs[i].Rank > advs[j].Rank })
 	out := make([]string, 0, len(advs))
 	for _, a := range advs {
 		out = append(out, a.Addr)

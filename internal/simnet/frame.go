@@ -10,7 +10,7 @@ import (
 )
 
 // The wire frame of a Message, the one binary format peers exchange on
-// real sockets and inside relay envelopes (layout: DESIGN.md §5). Every
+// real sockets (layout: DESIGN.md §5). Every
 // length is checked against the bytes that remain before anything is
 // allocated: a hostile frame costs its decoder no more than its size.
 

@@ -36,7 +36,8 @@ type Message struct {
 	Payload []byte
 	// SentAt is stamped by the transport when the message is sent.
 	SentAt time.Time
-	// Hops counts relay traversals in multi-hop routing.
+	// Hops is carried on the wire frame and set by no sender; it is
+	// kept so a frame's bytes do not change.
 	Hops int
 }
 
